@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 SYMMETRY_TOL = 1e-10
 PIVOT_TOL = 1e-12
@@ -80,10 +80,20 @@ def solve_with_factor(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     ``rhs`` may be a vector or a matrix of stacked right-hand sides.
     Inputs are trusted (no finiteness re-validation); this sits on the
-    solver hot path.
+    solver hot path.  LAPACK ``dtrtrs`` is called directly on the
+    Fortran-ordered view ``L^T``: for a C-ordered ``L`` (what
+    :func:`cholesky_spd` returns for C-ordered input) these are exactly
+    the calls scipy's ``solve_triangular`` makes, so results are bitwise
+    the same without its per-call wrapper cost.  Raises
+    ``numpy.linalg.LinAlgError`` on an exactly zero diagonal.
     """
-    z = solve_triangular(lower, rhs, lower=True, check_finite=False)
-    return solve_triangular(lower.T, z, lower=False, check_finite=False)
+    upper = lower.T
+    z, info = dtrtrs(upper, rhs, lower=0, trans=1)
+    if info == 0:
+        z, info = dtrtrs(upper, z, lower=0, trans=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return z
 
 
 def spd_solve(m, b) -> np.ndarray:

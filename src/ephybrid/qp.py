@@ -14,6 +14,14 @@ iteration cap as a backstop.  Feasible starting points come from
 closed-form projections where the set allows it and otherwise from a
 phase-1 LP that minimizes total constraint violation (this also
 detects empty user-supplied sets).
+
+Within a run ``M`` and the feasible set's prepared rows stay the same
+and, most of the time, so does the working set; only ``c`` changes.
+So :class:`ProxSolver` keeps the factor of ``M``, the last face factor
+and the last row-independence verdict, and drops the last two whenever
+``M`` or the set changes.  A reused value is exactly what recomputing it
+would give, so results are bitwise those of a solve from the same warm
+start without any reuse.
 """
 
 from __future__ import annotations
@@ -107,14 +115,19 @@ class ProxSolver:
     Warm starting reuses the last minimizer and its active set as the
     initial guess; the minimizer is unique, so this changes nothing
     mathematically.  The Hessian ``2*lam*Q + I`` is constant along a
-    run, so its factor is cached as well.  One instance per sequential
-    run; instances share no state and may be created freely.
+    run, so its factor is cached as well, together with the factor of
+    the last working set's face and the last row-independence verdict;
+    those two are dropped when the factor or the feasible set changes.
+    All three are single entries, so memory stays bounded.  One instance
+    per sequential run; instances share no state and may be created
+    freely.
     """
 
     def __init__(self):
         self._warm = None
         self._factor_key = None
         self._factor = None
+        self._memo = _FaceMemo()
 
     def step(self, f: QuadraticBifunction, v, x, lam: float, feasible: ConvexSet) -> np.ndarray:
         inst = reduce_prox_to_qp(f, v, x, lam, feasible)
@@ -122,7 +135,7 @@ class ProxSolver:
         if key != self._factor_key:
             self._factor = cholesky_spd(inst.M)
             self._factor_key = key
-        y, working, _ = _active_set(inst, warm=self._warm, factor=self._factor)
+        y, working, _ = _active_set(inst, warm=self._warm, factor=self._factor, memo=self._memo)
         self._warm = (y, working)
         return y
 
@@ -219,10 +232,56 @@ def _prepared_rows(feasible: ConvexSet) -> tuple[np.ndarray, np.ndarray]:
     return A, b
 
 
+class _FaceMemo:
+    """The last face factor and independence verdict of the active-set loop.
+
+    Both depend only on the factor ``L`` of ``M`` and the prepared rows
+    ``A``; :meth:`bind` drops them when either changes.  ``A`` is held
+    by strong reference, so no other array can take over its identity
+    while the memo lives.  One entry each: the working set rarely
+    changes between consecutive solves, and an unbounded cache of faces
+    would grow with the number of distinct working sets in a run.
+    """
+
+    def __init__(self):
+        self._L = self._A = None
+        self._face_key = self._face = None
+        self._indep_key = self._indep = None
+
+    def bind(self, L: np.ndarray, A: np.ndarray) -> None:
+        if L is not self._L or A is not self._A:
+            self._L, self._A = L, A
+            self._face_key = self._face = None
+            self._indep_key = self._indep = None
+
+    def face(self, working) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(A_W, K = M^-1 A_W^T, chol(A_W K))``; raises :class:`NotSPD`."""
+        key = tuple(working)
+        if key != self._face_key:
+            AW = self._A[working]
+            K = solve_with_factor(self._L, AW.T)
+            self._face = (AW, K, cholesky_spd(AW @ K))
+            self._face_key = key
+        return self._face
+
+    def independent(self, candidates) -> list[int]:
+        """:func:`_independent_subset` of ``candidates`` (a fresh list)."""
+        key = tuple(candidates)
+        if key != self._indep_key:
+            self._indep = _independent_subset(self._A, key, self._A.shape[1])
+            self._indep_key = key
+        return list(self._indep)
+
+
 def _active_set(
-    qp: QPInstance, warm=None, factor=None
+    qp: QPInstance, warm=None, factor=None, memo: _FaceMemo | None = None
 ) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
-    """Primal active-set iteration; returns (minimizer, working set, multipliers)."""
+    """Primal active-set iteration; returns (minimizer, working set, multipliers).
+
+    ``memo`` carries the last face factor and independence verdict
+    across calls; without one, a fresh memo still spares the final
+    re-solve from refactoring the loop's last face.
+    """
     M, c = qp.M, qp.c
     d = M.shape[0]
     L = cholesky_spd(M) if factor is None else factor
@@ -235,6 +294,9 @@ def _active_set(
     y = minv(-c)
     if m == 0:
         return y, (), np.zeros(0)
+    if memo is None:
+        memo = _FaceMemo()
+    memo.bind(L, A)
 
     scale_b = 1.0 + float(np.abs(b).max())
     feas_tol = 1e-9 * scale_b
@@ -260,21 +322,18 @@ def _active_set(
         candidates = [i for i in warm_working if abs(resid[i]) <= act_tol]
     else:
         candidates = [i for i in range(m) if abs(resid[i]) <= act_tol]
-    working = _independent_subset(A, candidates, d)
+    working = memo.independent(candidates)
 
     mu = np.zeros(0)
     cap = 3 * (m + d)
     for _ in range(cap):
         g = M @ y + c
         if working:
-            AW = A[working]
-            K = minv(AW.T)
-            gram = AW @ K
             try:
-                Lg = cholesky_spd(gram)
+                AW, K, Lg = memo.face(working)
             except NotSPD:
                 # Degenerate working set: keep a well-conditioned subset.
-                pruned = _independent_subset(A, working, d)
+                pruned = memo.independent(working)
                 working = pruned if len(pruned) < len(working) else working[:-1]
                 continue
             ginv = minv(g)
@@ -316,16 +375,11 @@ def _active_set(
     # Re-solve the equality-constrained problem on the final face to
     # remove drift accumulated over the steps.
     if working:
-        AW = A[working]
-        K = minv(AW.T)
-        gram = AW @ K
         try:
-            Lg = cholesky_spd(gram)
+            AW, K, Lg = memo.face(working)
         except NotSPD:
-            working = _independent_subset(A, working, d)
-            AW = A[working]
-            K = minv(AW.T)
-            Lg = cholesky_spd(AW @ K)
+            working = memo.independent(working)
+            AW, K, Lg = memo.face(working)
         mu = solve_with_factor(Lg, -(AW @ minv(c)) - b[working])
         y = -minv(c + AW.T @ mu)
     else:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from ephybrid.linalg import (
     DimensionMismatch,
@@ -9,6 +10,8 @@ from ephybrid.linalg import (
     NotSPD,
     as_matrix,
     as_point,
+    cholesky_spd,
+    solve_with_factor,
     spd_solve,
     spectral_norm,
 )
@@ -61,6 +64,31 @@ def test_spd_solve_random_roundtrip():
         M = G @ G.T + 1e-3 * np.eye(d)
         y = rng.normal(size=d)
         assert np.linalg.norm(spd_solve(M, M @ y) - y) <= 1e-9 * (1 + np.linalg.norm(y))
+
+
+def test_solve_with_factor_matches_scipy_bitwise():
+    # The direct LAPACK calls must reproduce the two solve_triangular
+    # calls they replace bit for bit, for vector and stacked right-hand
+    # sides, including a transposed (Fortran-ordered) view like A_W^T.
+    rng = np.random.default_rng(13)
+    for d in range(1, 65):
+        G = rng.normal(size=(d, d))
+        L = cholesky_spd(G @ G.T + d * np.eye(d))
+        rows = rng.normal(size=(3, d))
+        for rhs in (rng.normal(size=d), rng.normal(size=(d, 4)), rows.T):
+            z = solve_triangular(L, rhs, lower=True, check_finite=False)
+            ref = solve_triangular(L.T, z, lower=False, check_finite=False)
+            got = solve_with_factor(L, rhs)
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_solve_with_factor_rejects_zero_diagonal():
+    L = np.array([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 1.0, 3.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_with_factor(L, np.ones(3))
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_with_factor(L, np.ones((3, 2)))
 
 
 def test_spectral_norm_diagonal():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from ephybrid.linalg import cholesky_spd, spectral_norm
 from ephybrid.problems import AffineOperator, QuadraticBifunction, vip_as_bifunction
 from ephybrid.qp import (
     NonPositiveLambda,
     ProxSolver,
     QPInstance,
+    _active_set,
+    _FaceMemo,
     constraint_rows,
     prox_step,
     reduce_prox_to_qp,
@@ -145,6 +148,75 @@ def test_warm_start_changes_nothing():
         assert np.allclose(warm, cold, atol=1e-11)
         y_prev = warm
         x = x + rng.normal(scale=0.2, size=3)
+
+    # The same solver, now switching sets every two steps and the step
+    # size once (between two steps on the same set).  Near (0.1, 0.1, 0.1)
+    # the sum row 0 is the whole working set on both sets, so a face
+    # factor kept across the switch must be dropped, not reused.
+    caps = (SIMPLEX_CAP, Polyhedron([Halfspace([-1.0, -2.0, -1.0], -1.5)], UNIT_BOX))
+    for n in range(20):
+        feasible = caps[(n // 2) % 2]
+        lam = 0.14 if n < 9 else 0.07
+        x = np.full(3, 0.1) + rng.normal(scale=0.02, size=3)
+        warm = solver.step(f, y_prev, x, lam, feasible)
+        cold = prox_step(f, y_prev, x, lam, feasible)
+        assert np.allclose(warm, cold, atol=1e-11)
+        y_prev = warm
+
+
+def test_memo_reuse_is_bitwise_neutral():
+    """ProxSolver's cached factors change no bit of any prox step.
+
+    A seeded d=64 Nash-Cournot-shaped instance (the ``nc64`` benchmark
+    shape) drives extragradient-style steps with periodic kicks, so the
+    working set both repeats and changes often.  The reference is the
+    same warm-started active-set loop with a memo that never remembers.
+    """
+
+    class Forgetful(_FaceMemo):
+        def face(self, working):
+            self._face_key = None
+            return super().face(working)
+
+        def independent(self, candidates):
+            self._indep_key = None
+            return super().independent(candidates)
+
+    def spd(rng, d):
+        a = rng.standard_normal((d, d))
+        return a @ a.T / d + 0.5 * np.eye(d)
+
+    rng = np.random.default_rng(64)
+    d = 64
+    Qn = spd(rng, d)
+    Pn = Qn + spd(rng, d)
+    x_star = rng.uniform(0.2, 0.8, d)
+    lower = rng.permutation(d)[:32]
+    x_star[lower] = 0.0
+    mu = np.zeros(d)
+    mu[lower] = rng.uniform(0.5, 1.5, 32)
+    f = QuadraticBifunction(Pn, Qn, mu - (Pn + Qn) @ x_star)
+    feasible = Polyhedron([Halfspace(-np.ones(d), -1.0)], Box(np.zeros(d), np.ones(d)))
+    lam = 1.0 / (6.0 * spectral_norm(Pn - Qn))
+    L = cholesky_spd(2.0 * lam * Qn + np.eye(d))
+
+    solver = ProxSolver()
+    warm = None
+    faces = []
+    x = rng.normal(0.5, 1.0, d)
+    y = x
+    for n in range(150):
+        v = x if n % 2 == 0 else y
+        inst = reduce_prox_to_qp(f, v, x, lam, feasible)
+        ref, working, _ = _active_set(inst, warm=warm, factor=L, memo=Forgetful())
+        warm = (ref, working)
+        y = solver.step(f, v, x, lam, feasible)
+        assert y.tobytes() == ref.tobytes(), f"step {n}"
+        faces.append(working)
+        if n % 2 == 1:
+            x = y + (rng.normal(scale=0.1, size=d) if n % 6 == 5 else 0.0)
+    changes = sum(a != b for a, b in zip(faces, faces[1:]))
+    assert 30 <= changes <= len(faces) - 30
 
 
 def test_prox_step_first_iterate_vs_oracle():
