@@ -11,16 +11,14 @@ Two bundles ship with the package:
   runs stop on the distance to it.
 
 Configs are plain JSON: matrices as nested arrays, sets as tagged
-objects, schedules by name.  Rows of a grid may run concurrently
-(``EPHYBRID_MAX_THREADS`` bounds the pool); results are assembled in
-config order regardless of completion order.
+objects, schedules by name.  The rows of a grid run serially in
+config order: the solver's many tiny numpy calls hold the GIL, so a
+thread pool made the grids slower, not faster.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -311,44 +309,33 @@ def bundle_from_dict(data: dict) -> ProblemBundle:
 
 
 def run_grid(config: ExperimentConfig) -> list[GridRun]:
-    """Execute every (start x schedule) cell; order follows the config.
+    """Execute every (start x schedule) cell serially, in config order.
 
     A capped run is recorded with its partial report rather than
     raised.  Audit-mode invariant violations do propagate.
     """
-    if config.algorithm == "extragradient":
-        jobs = [(start, None) for start in config.starts]
-    else:
-        jobs = [(start, schedule) for start in config.starts for schedule in config.schedules]
+    schedules = (None,) if config.algorithm == "extragradient" else config.schedules
+    return [_run_cell(config, start, schedule) for start in config.starts for schedule in schedules]
 
-    def run_one(job):
-        start, schedule = job
-        try:
-            if schedule is None:
-                report = hybrid.extragradient_solve(
-                    config.bundle, config.lam, config.stopping, start
-                )
-                label = "-"
-            else:
-                report = hybrid.solve(
-                    config.bundle,
-                    config.params_for(schedule),
-                    config.stopping,
-                    start,
-                    y0=config.y0,
-                    audit=config.audit,
-                )
-                label = schedule.label()
-        except MaxIterExceeded as exc:
-            report = exc.report
-            label = "-" if schedule is None else schedule.label()
-        return GridRun(start=start, schedule=schedule, schedule_label=label, report=report)
 
-    workers = _worker_count(len(jobs))
-    if workers <= 1:
-        return [run_one(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_one, jobs))
+def _run_cell(config: ExperimentConfig, start, schedule: AlphaSchedule | None) -> GridRun:
+    """One grid cell; ``schedule`` is ``None`` for the extragradient baseline."""
+    try:
+        if schedule is None:
+            report = hybrid.extragradient_solve(config.bundle, config.lam, config.stopping, start)
+        else:
+            report = hybrid.solve(
+                config.bundle,
+                config.params_for(schedule),
+                config.stopping,
+                start,
+                y0=config.y0,
+                audit=config.audit,
+            )
+    except MaxIterExceeded as exc:
+        report = exc.report
+    label = "-" if schedule is None else schedule.label()
+    return GridRun(start=start, schedule=schedule, schedule_label=label, report=report)
 
 
 def run_experiment(config: ExperimentConfig) -> list[ReportRow]:
@@ -447,14 +434,3 @@ def _parse_stopping(raw, bundle: ProblemBundle) -> StoppingRule:
         return StoppingRule(kind, float(raw.get("tol", 1e-4)), int(raw.get("max_iter", 10000)))
     except ValueError as exc:
         raise ValidationError(f"field 'stopping': {exc}") from exc
-
-
-def _worker_count(n_jobs: int) -> int:
-    raw = os.environ.get("EPHYBRID_MAX_THREADS", "")
-    if raw.strip():
-        try:
-            bound = int(raw)
-        except ValueError:
-            bound = 1
-        return max(1, min(n_jobs, bound))
-    return max(1, min(n_jobs, os.cpu_count() or 1))

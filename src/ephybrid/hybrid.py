@@ -14,7 +14,9 @@ Both cuts contain every solution, so the next iterate is the explicit
 projection of the initial point onto two halfspaces; no second
 optimization program is needed.  The solution-set projection of the
 initial point is the limit.  A two-prox-per-iteration extragradient
-scheme is included as an independent cross-check baseline.
+scheme is included as an independent cross-check baseline.  Both
+solvers hand their per-iteration step to one loop, which owns the
+stopping rule, the trace, the timing, the audit and the iteration cap.
 """
 
 from __future__ import annotations
@@ -29,13 +31,12 @@ from .linalg import DimensionMismatch, as_point
 from .problems import LipschitzConstants, ProblemBundle
 from .qp import ProxSolver
 from .sets import (
-    Box,
     EmptyIntersection,
     Halfspace,
     InfeasibleSet,
     Polyhedron,
-    TwoHalfspaces,
     WholeSpace,
+    halfspaces_and_box,
     project_two_halfspaces,
 )
 
@@ -423,30 +424,22 @@ def hybrid_iterate(
     return new_state, record
 
 
-def _project_onto_cuts(x0, halves: list[Halfspace], feasible) -> np.ndarray:
+def _project_onto_cuts(x0, cuts: list[Halfspace], feasible) -> np.ndarray:
     """Project the initial point onto the cut intersection.
 
-    Up to two bare halfspaces go through the closed-form projector;
-    anything larger, or any request to stay within the feasible set,
-    goes through the polyhedron QP path.
+    When the feasible set adds nothing (``None`` or the whole space), up
+    to two cuts go through the closed-form projector; anything larger,
+    or any request to stay within the feasible set, goes through the
+    polyhedron QP path.
     """
-    if feasible is None or isinstance(feasible, WholeSpace):
-        if len(halves) == 0:
+    halfspaces, box = ((), None) if feasible is None else halfspaces_and_box(feasible)
+    if not halfspaces and box is None and len(cuts) <= 2:
+        if not cuts:
             return as_point(x0).copy()
-        if len(halves) == 1:
-            return halves[0].project(x0)
-        if len(halves) == 2:
-            return project_two_halfspaces(x0, halves[0], halves[1])
-        return Polyhedron(halves).project(x0)
-    if isinstance(feasible, Box):
-        return Polyhedron(halves, feasible).project(x0)
-    if isinstance(feasible, Halfspace):
-        return Polyhedron(halves + [feasible]).project(x0)
-    if isinstance(feasible, TwoHalfspaces):
-        return Polyhedron(halves + [feasible.first, feasible.second]).project(x0)
-    if isinstance(feasible, Polyhedron):
-        return Polyhedron(halves + list(feasible.halfspaces), feasible.box).project(x0)
-    raise TypeError(f"unsupported feasible set: {type(feasible).__name__}")
+        if len(cuts) == 1:
+            return cuts[0].project(x0)
+        return project_two_halfspaces(x0, cuts[0], cuts[1])
+    return Polyhedron(cuts + list(halfspaces), box).project(x0)
 
 
 def solve(
@@ -491,26 +484,9 @@ def solve(
         x0=start.copy(),
     )
     prox = ProxSolver()
-    trace: list[IterationRecord] = []
-    stop_reason = None
-    tic = time.perf_counter()
-    for _ in range(stopping.max_iter):
-        state, record = hybrid_iterate(state, bundle, params, prox)
-        trace.append(record)
-        if audit:
-            _audit_record(record, bundle)
-        if stopping.kind == "residual_w" and record.residual_w <= stopping.tol:
-            stop_reason = STOP_RESIDUAL
-            break
-        if stopping.kind == "distance_to_target" and record.dist_to_target <= stopping.tol:
-            stop_reason = STOP_DISTANCE
-            break
-    elapsed = time.perf_counter() - tic
-
-    report = RunReport(len(trace), state.x_cur.copy(), elapsed, stop_reason or STOP_MAX_ITER, trace)
-    if stop_reason is None:
-        raise MaxIterExceeded(report)
-    return report
+    return _drive(
+        lambda s: hybrid_iterate(s, bundle, params, prox), state, stopping, bundle, audit
+    )
 
 
 def extragradient_solve(bundle: ProblemBundle, lam: float, stopping: StoppingRule, x0) -> RunReport:
@@ -533,41 +509,53 @@ def extragradient_solve(bundle: ProblemBundle, lam: float, stopping: StoppingRul
     f = bundle.bifunction
     first_prox = ProxSolver()
     second_prox = ProxSolver()
+
+    def step(state):
+        n, x = state
+        y = first_prox.step(f, x, x, lam, bundle.feasible)
+        x_next = second_prox.step(f, y, x, lam, bundle.feasible)
+        dist = None if bundle.target is None else float(np.linalg.norm(x_next - bundle.target))
+        record = IterationRecord(
+            n=n,
+            y_next=y.copy(),
+            z_next=x_next.copy(),
+            w_next=x_next.copy(),
+            x_next=x_next.copy(),
+            epsilon=None,
+            residual_w=float(np.linalg.norm(y - x)),
+            dist_to_target=dist,
+            alpha=None,
+        )
+        return (n + 1, x_next), record
+
+    return _drive(step, (1, x), stopping, bundle, audit=False)
+
+
+def _drive(step, state, stopping: StoppingRule, bundle: ProblemBundle, audit: bool) -> RunReport:
+    """Apply ``step`` (state -> (state, record)) until the stopping rule holds.
+
+    Keeps the trace and times the loop; with ``audit`` every record's
+    invariants are asserted.  Raises :class:`MaxIterExceeded` carrying
+    the partial report when the cap is hit.
+    """
     trace: list[IterationRecord] = []
     stop_reason = None
     tic = time.perf_counter()
-    for n in range(1, stopping.max_iter + 1):
-        y = first_prox.step(f, x, x, lam, bundle.feasible)
-        x_next = second_prox.step(f, y, x, lam, bundle.feasible)
-        residual = float(np.linalg.norm(y - x))
-        dist = (
-            None
-            if bundle.target is None
-            else float(np.linalg.norm(x_next - bundle.target))
-        )
-        trace.append(
-            IterationRecord(
-                n=n,
-                y_next=y.copy(),
-                z_next=x_next.copy(),
-                w_next=x_next.copy(),
-                x_next=x_next.copy(),
-                epsilon=None,
-                residual_w=residual,
-                dist_to_target=dist,
-                alpha=None,
-            )
-        )
-        x = x_next
-        if stopping.kind == "residual_w" and residual <= stopping.tol:
+    for _ in range(stopping.max_iter):
+        state, record = step(state)
+        trace.append(record)
+        if audit:
+            _audit_record(record, bundle)
+        if stopping.kind == "residual_w" and record.residual_w <= stopping.tol:
             stop_reason = STOP_RESIDUAL
             break
-        if stopping.kind == "distance_to_target" and dist <= stopping.tol:
+        if stopping.kind == "distance_to_target" and record.dist_to_target <= stopping.tol:
             stop_reason = STOP_DISTANCE
             break
     elapsed = time.perf_counter() - tic
 
-    report = RunReport(len(trace), x.copy(), elapsed, stop_reason or STOP_MAX_ITER, trace)
+    final_x = trace[-1].x_next.copy()
+    report = RunReport(len(trace), final_x, elapsed, stop_reason or STOP_MAX_ITER, trace)
     if stop_reason is None:
         raise MaxIterExceeded(report)
     return report

@@ -197,11 +197,6 @@ class ProblemBundle:
         return f"ProblemBundle(label={self.label!r}, dim={self.dim})"
 
 
-def eval_bifunction(f: QuadraticBifunction, x, y) -> float:
-    """Evaluate ``f(x, y)``; equivalent to calling the bifunction."""
-    return f(x, y)
-
-
 def nash_cournot_constants(P, Q) -> LipschitzConstants:
     """Lipschitz-type constants ``c1 = c2 = |P - Q| / 2`` of the quadratic family."""
     diff = as_matrix(P) - as_matrix(Q)
@@ -223,11 +218,6 @@ def vip_as_bifunction(op: AffineOperator) -> tuple[QuadraticBifunction, Lipschit
         raise DegenerateConstants("constant operator has zero Lipschitz constant")
     f = QuadraticBifunction(op.A, np.zeros_like(op.A), op.b)
     return f, LipschitzConstants(L / 2.0, L / 2.0)
-
-
-def apply_mapping(mapping: NonexpansiveMapping, x) -> np.ndarray:
-    """Apply a nonexpansive mapping to a point."""
-    return mapping(x)
 
 
 def validate_conditions(bundle: ProblemBundle, trials: int = 200, seed: int = 0) -> list[str]:

@@ -10,10 +10,12 @@ whose objective differs from the prox objective only by a constant.
 The QP is solved by a deterministic primal active-set method so that
 traces are reproducible bit-for-bit across runs; lowest-index tie
 breaking keeps it from cycling on degenerate corners, with a hard
-iteration cap as a backstop.  Feasible starting points come from
-closed-form projections where the set allows it and otherwise from a
-phase-1 LP that minimizes total constraint violation (this also
-detects empty user-supplied sets).
+iteration cap as a backstop.  The constraint rows of every set kind
+come from its halfspaces and box (:func:`sets.halfspaces_and_box`).
+Feasible starting points are the set's own projection for every kind
+but the polyhedron; a polyhedron gets its box clip if that is feasible
+and otherwise a phase-1 LP that minimizes total constraint violation
+(this also detects empty user-supplied sets).
 
 Within a run ``M`` and the feasible set's prepared rows stay the same
 and, most of the time, so does the working set; only ``c`` changes.
@@ -45,12 +47,9 @@ from .sets import (
     Box,
     ConvexSet,
     EmptyIntersection,
-    Halfspace,
     InfeasibleSet,
     Polyhedron,
-    TwoHalfspaces,
-    WholeSpace,
-    project_two_halfspaces,
+    halfspaces_and_box,
 )
 
 # The equality step on a face is an exact Newton step, so any residual
@@ -159,15 +158,11 @@ def constraint_rows(feasible: ConvexSet) -> tuple[np.ndarray, np.ndarray]:
     bounds (ascending coordinate).  Infinite box bounds contribute no
     rows; the whole space contributes none at all.
     """
+    halves, box = halfspaces_and_box(feasible)
     d = feasible.dim
-    rows: list[np.ndarray] = []
-    offs: list[float] = []
-
-    def add_halfspace(h: Halfspace):
-        rows.append(h.a)
-        offs.append(h.b)
-
-    def add_box(box: Box):
+    rows = [h.a for h in halves]
+    offs = [h.b for h in halves]
+    if box is not None:
         for i in range(d):
             if box.lo[i] > -np.inf:
                 e = np.zeros(d)
@@ -180,24 +175,6 @@ def constraint_rows(feasible: ConvexSet) -> tuple[np.ndarray, np.ndarray]:
                 e[i] = 1.0
                 rows.append(e)
                 offs.append(box.hi[i])
-
-    if isinstance(feasible, WholeSpace):
-        pass
-    elif isinstance(feasible, Halfspace):
-        add_halfspace(feasible)
-    elif isinstance(feasible, TwoHalfspaces):
-        add_halfspace(feasible.first)
-        add_halfspace(feasible.second)
-    elif isinstance(feasible, Box):
-        add_box(feasible)
-    elif isinstance(feasible, Polyhedron):
-        for h in feasible.halfspaces:
-            add_halfspace(h)
-        if feasible.box is not None:
-            add_box(feasible.box)
-    else:
-        raise TypeError(f"unsupported feasible set: {type(feasible).__name__}")
-
     if not rows:
         return np.zeros((0, d)), np.zeros(0)
     return np.vstack(rows), np.asarray(offs, dtype=float)
@@ -212,11 +189,10 @@ def _prepared_rows(feasible: ConvexSet) -> tuple[np.ndarray, np.ndarray]:
     Unit-length rows make violations geometric distances, so one
     tolerance scale serves constraints of wildly different norms.  Set
     descriptions are immutable, so caching on object identity is safe.
+    Every set kind accepts weak references; any other object ends in a
+    :class:`TypeError`, here or in :func:`constraint_rows`.
     """
-    try:
-        cached = _PREPARED_ROWS.get(feasible)
-    except TypeError:
-        cached = None
+    cached = _PREPARED_ROWS.get(feasible)
     if cached is not None:
         return cached
     A, b = constraint_rows(feasible)
@@ -225,10 +201,7 @@ def _prepared_rows(feasible: ConvexSet) -> tuple[np.ndarray, np.ndarray]:
         A = A / norms[:, None]
         b = b / norms
         A, b = _drop_redundant_parallel(A, b)
-    try:
-        _PREPARED_ROWS[feasible] = (A, b)
-    except TypeError:
-        pass
+    _PREPARED_ROWS[feasible] = (A, b)
     return A, b
 
 
@@ -452,22 +425,16 @@ def _feasible_start(
     feasible: ConvexSet, A: np.ndarray, b: np.ndarray, hint: np.ndarray, feas_tol: float
 ) -> np.ndarray:
     """A feasible point: closed forms where available, phase-1 LP otherwise."""
-    if isinstance(feasible, Box):
-        return feasible.project(hint)
-    if isinstance(feasible, Halfspace):
-        return feasible.project(hint)
-    if isinstance(feasible, TwoHalfspaces):
+    if not isinstance(feasible, Polyhedron):
         try:
-            return project_two_halfspaces(hint, feasible.first, feasible.second)
+            return feasible.project(hint)
         except EmptyIntersection as exc:
             raise InfeasibleSet(str(exc)) from exc
-    if isinstance(feasible, Polyhedron):
-        if feasible.box is not None:
-            clipped = feasible.box.project(hint)
-            if float(np.max(A @ clipped - b)) <= feas_tol:
-                return clipped
-        return _phase1(A, b, feasible.box)
-    raise TypeError(f"unsupported feasible set: {type(feasible).__name__}")
+    if feasible.box is not None:
+        clipped = feasible.box.project(hint)
+        if float(np.max(A @ clipped - b)) <= feas_tol:
+            return clipped
+    return _phase1(A, b, feasible.box)
 
 
 def _phase1(A: np.ndarray, b: np.ndarray, box: Box | None) -> np.ndarray:

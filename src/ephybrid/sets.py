@@ -4,8 +4,10 @@ Five set kinds are supported: the whole space, a single halfspace
 ``{z : <a, z> <= b}``, an axis-aligned box, the intersection of exactly
 two halfspaces (projected by closed-form case analysis), and a general
 polyhedron (halfspaces plus an optional box, projected through the
-dense QP solver).  Greater-or-equal constraints are expected to be
-normalized to ``<=`` form with negated normals at construction time.
+dense QP solver).  :func:`halfspaces_and_box` splits every kind into
+those two parts; it is the one place that does.  Greater-or-equal
+constraints are expected to be normalized to ``<=`` form with negated
+normals at construction time.
 
 Set descriptions are immutable after construction and all projections
 are pure, so concurrent use needs no synchronization.
@@ -194,6 +196,25 @@ class Polyhedron:
 
 
 ConvexSet = WholeSpace | Halfspace | Box | TwoHalfspaces | Polyhedron
+
+
+def halfspaces_and_box(s: ConvexSet) -> tuple[tuple[Halfspace, ...], Box | None]:
+    """A set as its halfspaces plus an optional box, whose intersection it is.
+
+    The whole space is ``((), None)``.  Raises :class:`TypeError` for
+    anything that is not one of the five set kinds.
+    """
+    if isinstance(s, WholeSpace):
+        return (), None
+    if isinstance(s, Halfspace):
+        return (s,), None
+    if isinstance(s, Box):
+        return (), s
+    if isinstance(s, TwoHalfspaces):
+        return (s.first, s.second), None
+    if isinstance(s, Polyhedron):
+        return s.halfspaces, s.box
+    raise TypeError(f"unsupported feasible set: {type(s).__name__}")
 
 
 def project_two_halfspaces(x, first, second) -> np.ndarray:

@@ -1,4 +1,3 @@
-import os
 import sys
 import time
 from pathlib import Path
@@ -16,20 +15,11 @@ from ephybrid.experiments import (
 )
 
 
-def _serial_grid(config):
-    """Run a grid single-threaded so per-run timings are honest."""
-    saved = os.environ.get("EPHYBRID_MAX_THREADS")
-    os.environ["EPHYBRID_MAX_THREADS"] = "1"
-    try:
-        tic = time.perf_counter()
-        runs = run_grid(config)
-        wall = time.perf_counter() - tic
-    finally:
-        if saved is None:
-            os.environ.pop("EPHYBRID_MAX_THREADS", None)
-        else:
-            os.environ["EPHYBRID_MAX_THREADS"] = saved
-    return runs, wall
+def _timed_grid(config):
+    """Run a grid and time it."""
+    tic = time.perf_counter()
+    runs = run_grid(config)
+    return runs, time.perf_counter() - tic
 
 
 @pytest.fixture(scope="session")
@@ -45,7 +35,7 @@ def example2():
 @pytest.fixture(scope="session")
 def table1_grid():
     """The three example-1 benchmark runs plus wall time (expensive; shared)."""
-    return _serial_grid(table1_config())
+    return _timed_grid(table1_config())
 
 
 @pytest.fixture(scope="session")
@@ -56,7 +46,7 @@ def table1_runs(table1_grid):
 @pytest.fixture(scope="session")
 def table2_grid():
     """The 4 x 3 example-2 benchmark grid plus wall time."""
-    return _serial_grid(table2_config())
+    return _timed_grid(table2_config())
 
 
 @pytest.fixture(scope="session")

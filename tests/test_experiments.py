@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -224,15 +223,6 @@ def test_traces_are_deterministic(tmp_path):
         assert pa.read_bytes() == pb.read_bytes()
         assert a.report.iterations == b.report.iterations
         assert np.array_equal(a.report.final_x, b.report.final_x)
-
-
-def test_thread_bound_respected(tmp_path, monkeypatch):
-    monkeypatch.setenv("EPHYBRID_MAX_THREADS", "1")
-    rows = run_experiment(table2_config())
-    assert len(rows) == 12
-    monkeypatch.setenv("EPHYBRID_MAX_THREADS", "not-a-number")
-    rows = run_experiment(table2_config())
-    assert len(rows) == 12
 
 
 def test_audit_grid_clean():

@@ -34,7 +34,8 @@ from ephybrid.problems import (
     vip_as_bifunction,
 )
 from ephybrid.qp import ProxSolver
-from ephybrid.sets import Box, Halfspace, Polyhedron, WholeSpace
+from ephybrid.sets import Box, Halfspace, Polyhedron, TwoHalfspaces, WholeSpace
+from oracles import enumeration_qp, halfspace_rows
 
 
 def fresh_state(x0, dim=None):
@@ -259,6 +260,39 @@ def test_solve_raises_max_iter_with_partial_report(example1):
     assert len(exc.value.report.trace) == 3
 
 
+def test_extragradient_raises_max_iter_with_partial_report(example1):
+    with pytest.raises(MaxIterExceeded) as exc:
+        extragradient_solve(
+            example1,
+            default_lambda(example1.constants),
+            StoppingRule("residual_w", 1e-300, 3),
+            [1.0, 3.0, 1.0],
+        )
+    assert exc.value.report.iterations == 3
+    assert exc.value.report.stop_reason == "MaxIter"
+    assert len(exc.value.report.trace) == 3
+
+
+def test_final_x_is_last_trace_iterate(example1, example2):
+    lam = default_lambda(example1.constants)
+    params = validate_params(lam, 6.0, AlphaSchedule("ratio"), example1.constants)
+    x0 = [1.0, 3.0, 1.0]
+    reports = [
+        solve(example1, params, StoppingRule("residual_w", 1e-4, 10000), x0),
+        extragradient_solve(example1, lam, StoppingRule("residual_w", 1e-8, 5000), x0),
+        extragradient_solve(example2, lam, StoppingRule("distance_to_target", 1e-3, 5000), x0),
+    ]
+    try:
+        solve(example1, params, StoppingRule("residual_w", 1e-300, 5), x0)
+    except MaxIterExceeded as exc:
+        reports.append(exc.report)
+    assert len(reports) == 4
+    for report in reports:
+        assert report.iterations == len(report.trace) >= 1
+        assert report.final_x.tobytes() == report.trace[-1].x_next.tobytes()
+        assert report.final_x is not report.trace[-1].x_next
+
+
 def test_solve_distance_rule_needs_target(example1):
     params = validate_params(
         default_lambda(example1.constants), 6.0, AlphaSchedule("ratio"), example1.constants
@@ -469,3 +503,50 @@ def test_cuts_within_feasible_variant(example2):
     assert report.stop_reason == "DistanceToKnown"
     for rec in report.trace:
         assert example2.feasible.contains(rec.x_next, tol=1e-9)
+
+
+CAP = Halfspace([1.0, 1.0, 1.0], 1.0)
+TILT = Halfspace([-1.0, 1.0, 0.0], 0.5)
+ROUTING_SETS = {
+    "whole_space": WholeSpace(3),
+    "halfspace": CAP,
+    "box": Box([-0.5, -0.5, -0.5], [1.0, 1.0, 1.0]),
+    "two_halfspaces": TwoHalfspaces(CAP, TILT),
+    "polyhedron": Polyhedron([CAP, TILT], Box([-0.5, -np.inf, -0.5], [np.inf, 0.6, 0.1])),
+}
+
+
+@pytest.mark.parametrize("kind", list(ROUTING_SETS))
+def test_cut_projection_routing_per_feasible_kind(kind, example2):
+    # Every feasible set here contains the origin, which is both an
+    # equilibrium (f(0, y) = <Q y, y> >= 0) and a fixed point of the
+    # example-2 mapping, so the cuts always meet the feasible set there.
+    feasible = ROUTING_SETS[kind]
+    bundle = ProblemBundle(
+        example2.bifunction, feasible, example2.mapping, example2.constants, target=np.zeros(3)
+    )
+    params = validate_params(
+        default_lambda(bundle.constants),
+        6.0,
+        AlphaSchedule("ratio"),
+        bundle.constants,
+        cut_variant="three_halfspaces",
+        cuts_within_feasible=True,
+    )
+    x0 = np.array([1.0, 3.0, 1.0])
+    A_feas, b_feas = halfspace_rows(feasible)
+    state = fresh_state(x0)
+    prox = ProxSolver()
+    for _ in range(4):
+        prev = state
+        state, rec = hybrid_iterate(state, bundle, params, prox)
+        # The split cuts of the three_halfspaces variant, rebuilt from the record.
+        y, z = rec.y_next, rec.z_next
+        averaging = Halfspace(2.0 * (y - z), y @ y - z @ z) if np.any(y - z) else WholeSpace(3)
+        cuts = [averaging, build_contraction_cut(prev.x_cur, y, rec.epsilon), rec.anchor_cut]
+        halves = [c for c in cuts if isinstance(c, Halfspace)]
+        A = np.vstack([h.a for h in halves] + [A_feas])
+        b = np.concatenate([[h.b for h in halves], b_feas])
+        ref = enumeration_qp(np.eye(3), -x0, A, b)
+        assert ref is not None
+        assert np.linalg.norm(rec.x_next - ref) <= 1e-8

@@ -12,8 +12,6 @@ from ephybrid.problems import (
     NotMonotone,
     ProblemBundle,
     QuadraticBifunction,
-    apply_mapping,
-    eval_bifunction,
     nash_cournot_constants,
     validate_conditions,
     vip_as_bifunction,
@@ -107,11 +105,11 @@ def test_bifunction_construction_checks():
 
 def test_identity_mapping():
     x = np.array([0.3, -0.7])
-    assert np.array_equal(apply_mapping(IdentityMapping(), x), x)
+    assert np.array_equal(IdentityMapping()(x), x)
 
 
 def test_averaged_projections_at_origin(example2):
-    got = apply_mapping(example2.mapping, np.zeros(3))
+    got = example2.mapping(np.zeros(3))
     assert np.array_equal(got, np.zeros(3))
     # The unclamped average of the three halfspace projections (exact
     # fractions: each projection is x - (violation / |a|^2) a).
@@ -123,7 +121,7 @@ def test_averaged_projections_at_origin(example2):
 
 def test_averaged_projections_at_far_corner(example2):
     x = np.ones(3)
-    got = apply_mapping(example2.mapping, x)
+    got = example2.mapping(x)
     raw = np.mean([s.project(x) for s in example2.mapping.inner], axis=0)
     assert np.array_equal(got, np.clip(raw, 0.0, 1.0))
     assert example2.feasible.contains(got, tol=0.0)
@@ -188,12 +186,6 @@ def test_bundle_dimension_consistency():
             mapping=IdentityMapping(),
             constants=nash_cournot_constants(P, Q),
         )
-
-
-def test_eval_bifunction_helper(example1):
-    x = np.array([1.0, 0.0, 0.0])
-    y = np.array([0.0, 1.0, 0.0])
-    assert eval_bifunction(example1.bifunction, x, y) == example1.bifunction(x, y)
 
 
 def test_mapping_fixed_point_at_origin_only_nearby(example2):

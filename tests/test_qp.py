@@ -14,7 +14,7 @@ from ephybrid.qp import (
     reduce_prox_to_qp,
     solve_qp_active_set,
 )
-from ephybrid.sets import Box, Halfspace, InfeasibleSet, Polyhedron, WholeSpace
+from ephybrid.sets import Box, Halfspace, InfeasibleSet, Polyhedron, TwoHalfspaces, WholeSpace
 from oracles import box_pattern_qp, enumeration_qp, halfspace_rows, kkt_report
 
 P = np.array([[3.1, 2.0, 0.0], [2.0, 3.6, 0.0], [0.0, 0.0, 3.5]])
@@ -115,6 +115,38 @@ def test_active_set_matches_enumeration_oracle():
         assert ref is not None
         assert np.linalg.norm(got - ref) <= 1e-9
         checked += 1
+
+
+def test_active_set_matches_enumeration_oracle_on_closed_form_kinds():
+    # Halfspace and TwoHalfspaces start from their own projection and the
+    # whole space has no rows at all; the draws above never reach these.
+    rng = np.random.default_rng(61)
+    for n in range(600):
+        d = int(rng.integers(1, 4))
+        G = rng.normal(size=(d, d))
+        M = G @ G.T + 0.3 * np.eye(d)
+        c = rng.normal(scale=2.0, size=d)
+        kind = n % 3
+        if kind == 0:
+            feas = WholeSpace(d)
+        elif kind == 1:
+            feas = Halfspace(rng.normal(size=d), rng.uniform(-1.0, 1.0))
+        else:
+            # Offsets > 0 keep the origin inside, so the pair is never empty.
+            feas = TwoHalfspaces(
+                Halfspace(rng.normal(size=d), rng.uniform(0.2, 2.0)),
+                Halfspace(rng.normal(size=d), rng.uniform(0.2, 2.0)),
+            )
+        A, b = halfspace_rows(feas)
+        got = solve_qp_active_set(QPInstance(M, c, feas))
+        ref = enumeration_qp(M, c, A, b)
+        assert ref is not None
+        assert np.linalg.norm(got - ref) <= 1e-9
+
+    a = np.array([1.0, 0.0, 0.0])
+    slab = TwoHalfspaces(Halfspace(a, -1.0), Halfspace(-a, -2.0))  # x1 <= -1 and x1 >= 2
+    with pytest.raises(InfeasibleSet):
+        solve_qp_active_set(QPInstance(np.eye(3), np.zeros(3), slab))
 
 
 def test_kkt_residual_contract():
@@ -294,3 +326,23 @@ def test_constraint_rows_skip_infinite_bounds():
     assert A.shape == (2, 2)
     assert set(map(tuple, A.tolist())) == {(0.0, -1.0), (0.0, 1.0)}
     assert constraint_rows(WholeSpace(3))[0].shape == (0, 3)
+
+    # Every set kind gives the oracle's rows (as a multiset).
+    def row_multiset(A, b):
+        return sorted(zip(map(tuple, A.tolist()), b.tolist()))
+
+    cap = Halfspace([-1.0, -1.0, -1.0], -1.0)
+    half_box = Box([-np.inf, 0.0, -2.0], [1.0, np.inf, 2.0])
+    for feas in (
+        WholeSpace(3),
+        cap,
+        half_box,
+        TwoHalfspaces(cap, Halfspace([1.0, -2.0, 0.5], 3.0)),
+        Polyhedron([cap, Halfspace([0.0, 1.0, 1.0], 4.0)], half_box),
+    ):
+        A, b = constraint_rows(feas)
+        A_ref, b_ref = halfspace_rows(feas)
+        assert A.shape == (A_ref.shape[0], 3)
+        assert row_multiset(A, b) == row_multiset(A_ref, b_ref)
+    with pytest.raises(TypeError):
+        constraint_rows(object())
