@@ -7,28 +7,25 @@ for a quadratic bifunction is a strictly convex QP
     M = 2*lam*Q + I,  c = lam*(P v + q - Q v) - x,
 
 whose objective differs from the prox objective only by a constant.
-The QP is solved by a deterministic primal active-set method so that
-traces are reproducible bit-for-bit across runs; lowest-index tie
+The QP is solved by a deterministic dual active-set method (Goldfarb
+and Idnani) so that traces are reproducible bit-for-bit across runs.  It
+starts from the minimizer on a working set's face, which need not be
+feasible, and adds violated rows one at a time, so it needs no feasible
+starting point and reports an empty set on its own.  Lowest-index tie
 breaking keeps it from cycling on degenerate corners, with a hard
 iteration cap as a backstop.  The constraint rows of every set kind
 come from its halfspaces and box (:func:`sets.halfspaces_and_box`).
-Feasible starting points are the set's own projection for every kind
-but the polyhedron; a polyhedron gets its box clip if that is feasible
-and otherwise a phase-1 LP that minimizes total constraint violation
-(this also detects empty user-supplied sets).
 
 Within a run ``M`` and the feasible set's prepared rows stay the same
 and, most of the time, so does the working set; only ``c`` changes.
-So :class:`ProxSolver` keeps the factor of ``M``, the last face factor
-and the last row-independence verdict, and drops the last two whenever
-``M`` or the set changes.  A reused value is exactly what recomputing it
-would give, so results are bitwise those of a solve from the same warm
-start without any reuse.
+So :class:`ProxSolver` keeps the factor of ``M`` and the last face
+factor, and drops the face factor whenever ``M`` or the set changes.
+A reused value is exactly what recomputing it would give, so results
+are bitwise those of a solve from the same warm start without any reuse.
 """
 
 from __future__ import annotations
 
-import bisect
 import weakref
 from dataclasses import dataclass
 
@@ -43,19 +40,8 @@ from .linalg import (
     solve_with_factor,
 )
 from .problems import QuadraticBifunction
-from .sets import (
-    Box,
-    ConvexSet,
-    EmptyIntersection,
-    InfeasibleSet,
-    Polyhedron,
-    halfspaces_and_box,
-)
+from .sets import ConvexSet, InfeasibleSet, halfspaces_and_box
 
-# The equality step on a face is an exact Newton step, so any residual
-# step beyond this relative size is treated as roundoff noise; the final
-# face re-solve restores full accuracy regardless.
-STEP_TOL = 1e-9
 MULTIPLIER_TOL = 1e-10
 
 
@@ -76,6 +62,8 @@ class QPInstance:
     feasible: ConvexSet
 
     def __post_init__(self):
+        if not isinstance(self.feasible, ConvexSet):
+            raise TypeError(f"unsupported feasible set: {type(self.feasible).__name__}")
         M = as_matrix(self.M)
         c = as_point(self.c)
         n = M.shape[0]
@@ -111,15 +99,13 @@ def prox_step(f: QuadraticBifunction, v, x, lam: float, feasible: ConvexSet) -> 
 class ProxSolver:
     """Prox evaluator that warm-starts from the previous call.
 
-    Warm starting reuses the last minimizer and its active set as the
-    initial guess; the minimizer is unique, so this changes nothing
-    mathematically.  The Hessian ``2*lam*Q + I`` is constant along a
-    run, so its factor is cached as well, together with the factor of
-    the last working set's face and the last row-independence verdict;
-    those two are dropped when the factor or the feasible set changes.
-    All three are single entries, so memory stays bounded.  One instance
-    per sequential run; instances share no state and may be created
-    freely.
+    Warm starting seeds the dual method with the last working set; the
+    minimizer is unique, so this changes nothing mathematically.  The
+    Hessian ``2*lam*Q + I`` is constant along a run, so its factor is
+    cached as well, together with the factor of the last working set's
+    face, which is dropped when the factor or the feasible set changes.
+    Both are single entries, so memory stays bounded.  One instance per
+    sequential run; instances share no state and may be created freely.
     """
 
     def __init__(self):
@@ -142,10 +128,12 @@ class ProxSolver:
 def solve_qp_active_set(qp: QPInstance, warm=None) -> np.ndarray:
     """Unique minimizer of a strictly convex QP over the supported sets.
 
-    ``warm`` may be a ``(point, working_set)`` pair from a previous
-    solve of a related instance.  Raises :class:`InfeasibleSet` when
-    the feasible set is empty and :class:`CyclingDetected` if the
-    iteration cap ``3 * (n_constraints + dim)`` is exceeded.
+    Solved by the dual active-set method.  ``warm`` may be a
+    ``(point, working_set)`` pair from a previous solve of a related
+    instance; only its working set seeds the method.  Raises
+    :class:`InfeasibleSet` when the feasible set is empty and
+    :class:`CyclingDetected` if the iteration cap
+    ``3 * (n_constraints + dim)`` is exceeded.
     """
     y, _, _ = _active_set(qp, warm=warm)
     return y
@@ -206,26 +194,24 @@ def _prepared_rows(feasible: ConvexSet) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _FaceMemo:
-    """The last face factor and independence verdict of the active-set loop.
+    """The last face factor of the active-set loop.
 
-    Both depend only on the factor ``L`` of ``M`` and the prepared rows
-    ``A``; :meth:`bind` drops them when either changes.  ``A`` is held
-    by strong reference, so no other array can take over its identity
-    while the memo lives.  One entry each: the working set rarely
-    changes between consecutive solves, and an unbounded cache of faces
-    would grow with the number of distinct working sets in a run.
+    It depends only on the factor ``L`` of ``M`` and the prepared rows
+    ``A``; :meth:`bind` drops it when either changes.  ``A`` is held by
+    strong reference, so no other array can take over its identity while
+    the memo lives.  One entry: the working set rarely changes between
+    consecutive solves, and an unbounded cache of faces would grow with
+    the number of distinct working sets in a run.
     """
 
     def __init__(self):
         self._L = self._A = None
         self._face_key = self._face = None
-        self._indep_key = self._indep = None
 
     def bind(self, L: np.ndarray, A: np.ndarray) -> None:
         if L is not self._L or A is not self._A:
             self._L, self._A = L, A
             self._face_key = self._face = None
-            self._indep_key = self._indep = None
 
     def face(self, working) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(A_W, K = M^-1 A_W^T, chol(A_W K))``; raises :class:`NotSPD`."""
@@ -237,23 +223,21 @@ class _FaceMemo:
             self._face_key = key
         return self._face
 
-    def independent(self, candidates) -> list[int]:
-        """:func:`_independent_subset` of ``candidates`` (a fresh list)."""
-        key = tuple(candidates)
-        if key != self._indep_key:
-            self._indep = _independent_subset(self._A, key, self._A.shape[1])
-            self._indep_key = key
-        return list(self._indep)
-
 
 def _active_set(
     qp: QPInstance, warm=None, factor=None, memo: _FaceMemo | None = None
 ) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
-    """Primal active-set iteration; returns (minimizer, working set, multipliers).
+    """Dual active-set iteration; returns (minimizer, working set, multipliers).
 
-    ``memo`` carries the last face factor and independence verdict
-    across calls; without one, a fresh memo still spares the final
-    re-solve from refactoring the loop's last face.
+    Goldfarb & Idnani, *A numerically stable dual method for solving
+    strictly convex quadratic programs*, Math. Programming 27 (1983).
+    Every iterate minimizes the objective on the face of its working set
+    with nonnegative multipliers; the most violated row (lowest index on
+    ties) is then added, dropping any working row whose multiplier would
+    turn negative first.  A row that depends on the working set is never
+    added, and when nothing can be dropped either the set is empty.
+    ``warm`` seeds only the working set.  ``memo`` carries the last face
+    factor across calls.
     """
     M, c = qp.M, qp.c
     d = M.shape[0]
@@ -264,130 +248,86 @@ def _active_set(
 
     A, b = _prepared_rows(qp.feasible)
     m = A.shape[0]
-    y = minv(-c)
     if m == 0:
-        return y, (), np.zeros(0)
+        return minv(-c), (), np.zeros(0)
     if memo is None:
         memo = _FaceMemo()
     memo.bind(L, A)
+    feas_tol = 1e-9 * (1.0 + float(np.abs(b).max()))
+    minv_c = minv(c)
 
-    scale_b = 1.0 + float(np.abs(b).max())
-    feas_tol = 1e-9 * scale_b
+    def on_face(working):
+        """Minimizer on the face of ``working`` and its multipliers."""
+        if not working:
+            return minv(-c), np.zeros(0)
+        AW, K, Lg = memo.face(working)
+        u = solve_with_factor(Lg, -(AW @ minv_c) - b[working])
+        return -minv(c + AW.T @ u), u
 
-    start = None
-    warm_working: tuple[int, ...] = ()
-    if warm is not None:
-        wy, ww = warm
-        wy = np.asarray(wy, dtype=float)
-        if wy.shape == (d,) and float(np.max(A @ wy - b)) <= feas_tol:
-            start = wy.copy()
-            warm_working = tuple(i for i in ww if 0 <= i < m)
-    if start is None:
-        if float(np.max(A @ y - b)) <= feas_tol:
-            start = y  # unconstrained minimum is feasible
-        else:
-            start = _feasible_start(qp.feasible, A, b, hint=y, feas_tol=feas_tol)
-
-    y = start
-    act_tol = 1e-8 * scale_b
-    resid = A @ y - b
-    if warm_working:
-        candidates = [i for i in warm_working if abs(resid[i]) <= act_tol]
-    else:
-        candidates = [i for i in range(m) if abs(resid[i]) <= act_tol]
-    working = memo.independent(candidates)
-
-    mu = np.zeros(0)
-    cap = 3 * (m + d)
-    for _ in range(cap):
-        g = M @ y + c
-        if working:
-            try:
-                AW, K, Lg = memo.face(working)
-            except NotSPD:
-                # Degenerate working set: keep a well-conditioned subset.
-                pruned = memo.independent(working)
-                working = pruned if len(pruned) < len(working) else working[:-1]
-                continue
-            ginv = minv(g)
-            mu = solve_with_factor(Lg, -(AW @ ginv))
-            p = -(ginv + K @ mu)
-        else:
-            mu = np.zeros(0)
-            p = -minv(g)
-
-        if float(np.abs(p).max()) <= STEP_TOL * (1.0 + float(np.abs(y).max())):
-            if working and float(mu.min()) < -MULTIPLIER_TOL:
-                # Bland-style: release the lowest-indexed constraint.
-                drop = min(
-                    working[i] for i in range(len(working)) if mu[i] < -MULTIPLIER_TOL
-                )
-                working.remove(drop)
-                continue
+    # Warm start: the previous working set, less the rows whose multiplier
+    # on its face is negative (the face minimizer is then dual feasible).
+    working = [] if warm is None else sorted(i for i in set(warm[1]) if 0 <= i < m)
+    while True:
+        try:
+            y, u = on_face(working)
+        except NotSPD:
+            working.pop()
+            continue
+        keep = u >= -MULTIPLIER_TOL
+        if keep.all():
             break
+        working = [i for i, k in zip(working, keep) if k]
 
-        # Longest feasible step along p; lowest-index blocking constraint.
-        alpha = 1.0
-        blocker = None
-        in_working = set(working)
-        Ap = A @ p
-        resid = A @ y - b
-        for i in range(m):
-            if i in in_working or Ap[i] <= 1e-12:
+    cap = 3 * (m + d)
+    p = None
+    for _ in range(cap):
+        if p is None:
+            s = A @ y - b
+            p = int(np.argmax(s))
+            if s[p] <= feas_tol:
+                break
+        ap = A[p]
+        minv_a = minv(ap)
+        if working:
+            AW, K, Lg = memo.face(working)
+            r = solve_with_factor(Lg, AW @ minv_a)
+            z = K @ r - minv_a
+        else:
+            r = np.zeros(0)
+            z = -minv_a
+        # Full step: the multiplier of p that makes its row tight.  Zero
+        # curvature (or a singular new face) means ap depends on the rows
+        # of the working set and can only enter by replacing one of them.
+        curvature = -float(ap @ z)
+        full = np.inf
+        if curvature > 1e-12 * float(ap @ minv_a):
+            full = (float(ap @ y) - b[p]) / curvature
+        # Partial step: the first working multiplier to reach zero.
+        partial, block = np.inf, None
+        for k in np.flatnonzero(r > 0.0):
+            t = max(float(u[k]), 0.0) / r[k]
+            if t < partial:
+                partial, block = t, int(k)
+        if full != np.inf and full <= partial:
+            grown = sorted(working + [p])
+            try:
+                y, u = on_face(grown)
+            except NotSPD:
+                pass
+            else:
+                working, p = grown, None
                 continue
-            t = max(-resid[i] / Ap[i], 0.0)
-            if t < alpha - 1e-12:
-                alpha = t
-                blocker = i
-        y = y + alpha * p
-        if blocker is not None:
-            bisect.insort(working, blocker)
+        if block is None:
+            raise InfeasibleSet("no point satisfies all constraints")
+        y = y + partial * z
+        u = np.delete(u - partial * r, block)
+        del working[block]
     else:
         raise CyclingDetected(f"active set did not settle within {cap} iterations")
 
-    # Re-solve the equality-constrained problem on the final face to
-    # remove drift accumulated over the steps.
-    if working:
-        try:
-            AW, K, Lg = memo.face(working)
-        except NotSPD:
-            working = memo.independent(working)
-            AW, K, Lg = memo.face(working)
-        mu = solve_with_factor(Lg, -(AW @ minv(c)) - b[working])
-        y = -minv(c + AW.T @ mu)
-    else:
-        y = minv(-c)
-
     multipliers = np.zeros(m)
-    for idx, ci in enumerate(working):
-        multipliers[ci] = mu[idx]
+    multipliers[working] = u
     return y, tuple(working), multipliers
-
-
-def _independent_subset(A: np.ndarray, candidates, d: int) -> list[int]:
-    """Greedy subset of candidate rows that stays safely full-rank."""
-    candidates = list(candidates)
-    if len(candidates) <= 1:
-        return candidates
-    chosen: list[int] = []
-    for i in candidates:
-        if len(chosen) >= d:
-            break
-        if not chosen or _rows_independent(A, chosen + [i]):
-            chosen.append(i)
-    return chosen
-
-
-def _rows_independent(A: np.ndarray, rows: list[int]) -> bool:
-    """Well-conditioned row independence (smallest/largest singular value).
-
-    The 1e-5 threshold keeps the Gram matrix of the selected rows far
-    enough from singular for its Cholesky pivots to clear the factor
-    floor.
-    """
-    sub = A[rows]
-    sv = np.linalg.svd(sub, compute_uv=False)
-    return bool(sv[-1] > 1e-5 * max(1.0, sv[0]))
 
 
 def _drop_redundant_parallel(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -419,52 +359,3 @@ def _drop_redundant_parallel(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, 
     if bool(keep.all()):
         return A, b
     return A[keep], b[keep]
-
-
-def _feasible_start(
-    feasible: ConvexSet, A: np.ndarray, b: np.ndarray, hint: np.ndarray, feas_tol: float
-) -> np.ndarray:
-    """A feasible point: closed forms where available, phase-1 LP otherwise."""
-    if not isinstance(feasible, Polyhedron):
-        try:
-            return feasible.project(hint)
-        except EmptyIntersection as exc:
-            raise InfeasibleSet(str(exc)) from exc
-    if feasible.box is not None:
-        clipped = feasible.box.project(hint)
-        if float(np.max(A @ clipped - b)) <= feas_tol:
-            return clipped
-    return _phase1(A, b, feasible.box)
-
-
-def _phase1(A: np.ndarray, b: np.ndarray, box: Box | None) -> np.ndarray:
-    """Minimize total constraint violation; detect empty sets.
-
-    LP in ``(y, s)``: min sum(s) subject to ``A y - s <= b`` and
-    ``s >= 0``, with box bounds kept hard.  A strictly positive
-    optimum means the described set is empty.
-    """
-    from scipy.optimize import linprog
-
-    m, d = A.shape
-    cost = np.concatenate([np.zeros(d), np.ones(m)])
-    A_ub = np.hstack([A, -np.eye(m)])
-    if box is not None:
-        bounds = [
-            (None if box.lo[i] == -np.inf else box.lo[i],
-             None if box.hi[i] == np.inf else box.hi[i])
-            for i in range(d)
-        ]
-    else:
-        bounds = [(None, None)] * d
-    bounds += [(0.0, None)] * m
-    res = linprog(cost, A_ub=A_ub, b_ub=b, bounds=bounds, method="highs")
-    scale = 1.0 + float(np.abs(b).max())
-    if not res.success or res.fun > 1e-7 * scale:
-        raise InfeasibleSet("phase-1 found no point satisfying all constraints")
-    y = res.x[:d]
-    if box is not None:
-        y = box.project(y)
-    if float(np.max(A @ y - b)) > 1e-7 * scale:
-        raise InfeasibleSet("phase-1 result violates constraints beyond tolerance")
-    return y

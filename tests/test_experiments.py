@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ephybrid
 from ephybrid import cli
 from ephybrid.experiments import (
     ExperimentConfig,
@@ -223,6 +228,26 @@ def test_traces_are_deterministic(tmp_path):
         assert pa.read_bytes() == pb.read_bytes()
         assert a.report.iterations == b.report.iterations
         assert np.array_equal(a.report.final_x, b.report.final_x)
+
+
+def test_table2_grid_solves_no_linear_program():
+    """Every table2 cut projection goes through the dual QP: no LP, no scipy.optimize."""
+    code = (
+        "import sys\n"
+        "from ephybrid import experiments\n"
+        "experiments.run_grid(experiments.table2_config())\n"
+        "sys.exit('scipy.optimize' in sys.modules)\n"
+    )
+    src = str(Path(ephybrid.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr or "scipy.optimize was imported"
 
 
 def test_audit_grid_clean():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -210,10 +212,6 @@ def test_memo_reuse_is_bitwise_neutral():
             self._face_key = None
             return super().face(working)
 
-        def independent(self, candidates):
-            self._indep_key = None
-            return super().independent(candidates)
-
     def spd(rng, d):
         a = rng.standard_normal((d, d))
         return a @ a.T / d + 0.5 * np.eye(d)
@@ -320,6 +318,113 @@ def test_infeasible_set_raises():
         solve_qp_active_set(QPInstance(np.eye(3), np.zeros(3), poly))
 
 
+def warm_starts(d, rows, largest=None):
+    """A cold start, then every subset of ``rows`` (up to ``largest``) as a warm working set."""
+    yield None
+    for size in range(len(rows) + 1 if largest is None else largest + 1):
+        for working in itertools.combinations(rows, size):
+            yield np.zeros(d), working
+
+
+def test_degenerate_vertex_matches_oracle_cold_and_warm():
+    # At (0, 1, 0) the cap, x1 >= 0, x3 >= 0 and x2 <= 1 are all active:
+    # 4 rows in 3-D.  Every warm working set drawn from them, including
+    # the dependent ones, must end at the same vertex as a cold solve.
+    vertex = np.array([0.0, 1.0, 0.0])
+    A, b = constraint_rows(SIMPLEX_CAP)
+    active = [i for i in range(len(b)) if abs(A[i] @ vertex - b[i]) <= 1e-12]
+    assert len(active) == 4
+    A_ref, b_ref = halfspace_rows(SIMPLEX_CAP)
+    rng = np.random.default_rng(67)
+    for _ in range(40):
+        G = rng.normal(size=(3, 3))
+        M = G @ G.T + 0.3 * np.eye(3)
+        weights = rng.uniform(0.0, 1.0, 4) * (rng.uniform(size=4) < 0.8)
+        c = -M @ vertex - A[active].T @ weights
+        inst = QPInstance(M, c, SIMPLEX_CAP)
+        ref = enumeration_qp(M, c, A_ref, b_ref)
+        assert np.linalg.norm(ref - vertex) <= 1e-9
+        for warm in warm_starts(3, active):
+            got = solve_qp_active_set(inst, warm=warm)
+            assert np.linalg.norm(got - ref) <= 1e-9, warm
+
+
+def test_dependent_row_takes_pure_dual_step():
+    # x1 + x2 = 1 as two anti-parallel rows inside the unit square.  From
+    # the warm working set {x1 >= 0, x2 >= 0} the violated row
+    # -(x1 + x2) <= -1 lies in the span of the working rows, so it can
+    # only enter after a step that moves the multipliers alone.
+    a = np.array([1.0, 1.0])
+    square = Polyhedron([Halfspace(a, 1.0), Halfspace(-a, -1.0)], Box([0.0, 0.0], [1.0, 1.0]))
+    inst = QPInstance(np.eye(2), np.array([0.3, 0.2]), square)
+    for warm in (None, (np.zeros(2), (2, 3))):
+        got = solve_qp_active_set(inst, warm=warm)
+        assert np.linalg.norm(got - [0.45, 0.55]) <= 1e-12
+
+    # The same in 3-D with random equalities, Hessians and warm sets.
+    rng = np.random.default_rng(71)
+    box = Box(np.full(3, -1.0), np.full(3, 1.0))
+    for _ in range(20):
+        a = rng.normal(size=3)
+        beta = float(a @ rng.uniform(-0.5, 0.5, 3))  # the plane meets the box
+        feas = Polyhedron([Halfspace(a, beta), Halfspace(-a, -beta)], box)
+        G = rng.normal(size=(3, 3))
+        M = G @ G.T + 0.3 * np.eye(3)
+        c = rng.normal(scale=3.0, size=3)
+        inst = QPInstance(M, c, feas)
+        A_ref, b_ref = halfspace_rows(feas)
+        ref = enumeration_qp(M, c, A_ref, b_ref)
+        assert ref is not None
+        for warm in warm_starts(3, range(8), largest=3):
+            got = solve_qp_active_set(inst, warm=warm)
+            assert np.linalg.norm(got - ref) <= 1e-9, warm
+
+
+def test_warm_row_with_negative_multiplier_is_released():
+    # The center of the unit cube is interior, so the upper bound x1 <= 1
+    # (row 3) has a negative multiplier on its face and must be dropped.
+    inst = QPInstance(np.eye(3), np.full(3, -0.5), UNIT_BOX)
+    _, working, _ = _active_set(inst, warm=(np.ones(3), (3,)))
+    assert working == ()
+
+    rng = np.random.default_rng(73)
+    checked = 0
+    while checked < 200:
+        d = int(rng.integers(2, 4))
+        G = rng.normal(size=(d, d))
+        M = G @ G.T + 0.3 * np.eye(d)
+        c = rng.normal(size=d)
+        feas = random_feasible(rng, d)
+        A_ref, b_ref = halfspace_rows(feas)
+        if A_ref.shape[0] > 8:
+            continue
+        inst = QPInstance(M, c, feas)
+        ref = enumeration_qp(M, c, A_ref, b_ref)
+        _, cold, mu = _active_set(inst)
+        # Warm-start from every row outside the final working set: the
+        # warm loop must release (or, when dependent, pop) rows first.
+        warm = tuple(i for i in range(len(mu)) if i not in cold)
+        got = solve_qp_active_set(inst, warm=(np.zeros(d), warm))
+        assert np.linalg.norm(got - ref) <= 1e-9
+        checked += 1
+
+
+def test_inconsistent_rows_raise_cold_and_warm():
+    a = np.array([1.0, 0.0, 0.0])
+    slab = Polyhedron([Halfspace(a, -1.0), Halfspace(-a, -2.0)], UNIT_BOX)  # x1 <= -1 and x1 >= 2
+    # x1 >= 1, x2 >= 1 and x1 + x2 <= 1: no two rows are parallel.
+    triangle = Polyhedron(
+        [Halfspace([-1.0, 0.0], -1.0), Halfspace([0.0, -1.0], -1.0), Halfspace([1.0, 1.0], 1.0)]
+    )
+    for feas in (slab, triangle):
+        d = feas.dim
+        m = constraint_rows(feas)[0].shape[0]
+        inst = QPInstance(np.eye(d), np.zeros(d), feas)
+        for warm in warm_starts(d, range(m)):
+            with pytest.raises(InfeasibleSet):
+                solve_qp_active_set(inst, warm=warm)
+
+
 def test_constraint_rows_skip_infinite_bounds():
     box = Box([-np.inf, 0.0], [np.inf, 1.0])
     A, b = constraint_rows(box)
@@ -346,3 +451,5 @@ def test_constraint_rows_skip_infinite_bounds():
         assert row_multiset(A, b) == row_multiset(A_ref, b_ref)
     with pytest.raises(TypeError):
         constraint_rows(object())
+    with pytest.raises(TypeError):
+        QPInstance(np.eye(2), np.zeros(2), object())
