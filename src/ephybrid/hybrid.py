@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionMismatch, as_point
+from .linalg import DimensionMismatch, all_finite, as_point
 from .problems import LipschitzConstants, ProblemBundle
 from .qp import ProxSolver
 from .sets import (
@@ -535,14 +535,21 @@ def _drive(step, state, stopping: StoppingRule, bundle: ProblemBundle, audit: bo
     """Apply ``step`` (state -> (state, record)) until the stopping rule holds.
 
     Keeps the trace and times the loop; with ``audit`` every record's
-    invariants are asserted.  Raises :class:`MaxIterExceeded` carrying
-    the partial report when the cap is hit.
+    invariants are asserted.  Each record's ``y``, ``z`` and ``x`` are
+    checked once here, so the helpers inside a step need not re-check
+    what the step made: a non-finite entry raises ``ValueError``.
+    Raises :class:`MaxIterExceeded` carrying the partial report when the
+    cap is hit.
     """
     trace: list[IterationRecord] = []
     stop_reason = None
     tic = time.perf_counter()
     for _ in range(stopping.max_iter):
         state, record = step(state)
+        if not (
+            all_finite(record.y_next) and all_finite(record.z_next) and all_finite(record.x_next)
+        ):
+            raise ValueError(f"iteration {record.n}: an iterate has non-finite entries")
         trace.append(record)
         if audit:
             _audit_record(record, bundle)

@@ -30,12 +30,23 @@ class NotSPD(ValueError):
     """Matrix is not symmetric positive definite."""
 
 
+def all_finite(p: np.ndarray) -> bool:
+    """True when no entry of the 1-D float array ``p`` is inf or NaN.
+
+    A finite sum proves it, since an inf or NaN entry makes the sum inf
+    or NaN; only finite entries whose sum overflows reach the
+    elementwise test.  The sum runs over Python floats, which overflow
+    to inf silently where numpy's reduction would warn.
+    """
+    return math.isfinite(sum(p.tolist())) or bool(np.isfinite(p).all())
+
+
 def as_point(x) -> np.ndarray:
     """Coerce ``x`` to a finite 1-D float vector of dimension >= 1."""
     p = np.asarray(x, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError(f"expected a nonempty 1-D vector, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not all_finite(p):
         raise ValueError("vector entries must be finite")
     return p
 
@@ -45,8 +56,15 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ValueError(f"expected a nonempty 2-D matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
+    return a
+
+
+def frozen_copy(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``a``, for arrays an object keeps after construction."""
+    a = a.copy()
+    a.setflags(write=False)
     return a
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionMismatch, as_matrix, as_point, spectral_norm
+from .linalg import DimensionMismatch, as_matrix, as_point, frozen_copy, spectral_norm
 from .sets import ConvexSet
 
 PSD_TOL = 1e-10
@@ -58,13 +58,15 @@ class QuadraticBifunction:
     second argument) and ``Q - P`` negative semidefinite
     (monotonicity).  Both are eigenvalue checks performed at
     construction; pass ``validate=False`` to skip them when building
-    deliberately broken instances for diagnostics.
+    deliberately broken instances for diagnostics.  ``P``, ``Q`` and
+    ``q`` are kept as read-only copies, so the bifunction never changes
+    after construction.
     """
 
     def __init__(self, P, Q, q, validate: bool = True):
-        self.P = as_matrix(P)
-        self.Q = as_matrix(Q)
-        self.q = as_point(q)
+        self.P = frozen_copy(as_matrix(P))
+        self.Q = frozen_copy(as_matrix(Q))
+        self.q = frozen_copy(as_point(q))
         n = self.P.shape[0]
         if self.P.shape != (n, n) or self.Q.shape != (n, n) or self.q.shape != (n,):
             raise DimensionMismatch(

@@ -16,12 +16,13 @@ breaking keeps it from cycling on degenerate corners, with a hard
 iteration cap as a backstop.  The constraint rows of every set kind
 come from its halfspaces and box (:func:`sets.halfspaces_and_box`).
 
-Within a run ``M`` and the feasible set's prepared rows stay the same
-and, most of the time, so does the working set; only ``c`` changes.
-So :class:`ProxSolver` keeps the factor of ``M`` and the last face
-factor, and drops the face factor whenever ``M`` or the set changes.
-A reused value is exactly what recomputing it would give, so results
-are bitwise those of a solve from the same warm start without any reuse.
+Within a run the bifunction, ``lam`` and the feasible set stay the
+same, so ``M``, its factor and the set's prepared rows do too; most of
+the time so does the working set, and only ``c`` changes.  So
+:class:`ProxSolver` builds and checks all of them once per run and
+keeps the last face factor.  A reused value is exactly what recomputing
+it would give, so results are bitwise those of a solve from the same
+warm start without any reuse.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import numpy as np
 from .linalg import (
     DimensionMismatch,
     NotSPD,
+    all_finite,
     as_matrix,
     as_point,
     cholesky_spd,
@@ -97,30 +99,43 @@ def prox_step(f: QuadraticBifunction, v, x, lam: float, feasible: ConvexSet) -> 
 
 
 class ProxSolver:
-    """Prox evaluator that warm-starts from the previous call.
+    """Prox evaluator with per-run state that warm-starts from the previous call.
 
-    Warm starting seeds the dual method with the last working set; the
-    minimizer is unique, so this changes nothing mathematically.  The
-    Hessian ``2*lam*Q + I`` is constant along a run, so its factor is
-    cached as well, together with the factor of the last working set's
-    face, which is dropped when the factor or the feasible set changes.
-    Both are single entries, so memory stays bounded.  One instance per
-    sequential run; instances share no state and may be created freely.
+    The first step, and every step where the triple ``(f, lam,
+    feasible)`` changes, checks all arguments as :func:`reduce_prox_to_qp`
+    does and builds the run's state: ``M = 2*lam*Q + I``, its factor and
+    the set's prepared rows.  ``f`` and the set are compared by identity,
+    which is sound because both are immutable, and ``lam`` by value.
+    Every other step only computes ``c`` and checks that it is a finite
+    vector of the right length.  Warm starting seeds the dual method with
+    the last working set; the minimizer is unique, so this changes nothing
+    mathematically.  The factor of the last working set's face is kept as
+    well and dropped when the run's state changes.  Each is a single
+    entry, so memory stays bounded.  One instance per sequential run;
+    instances share no state and may be created freely.
     """
 
     def __init__(self):
         self._warm = None
-        self._factor_key = None
-        self._factor = None
+        self._key = None
+        self._run = None
         self._memo = _FaceMemo()
 
     def step(self, f: QuadraticBifunction, v, x, lam: float, feasible: ConvexSet) -> np.ndarray:
-        inst = reduce_prox_to_qp(f, v, x, lam, feasible)
-        key = inst.M.tobytes()
-        if key != self._factor_key:
-            self._factor = cholesky_spd(inst.M)
-            self._factor_key = key
-        y, working, _ = _active_set(inst, warm=self._warm, factor=self._factor, memo=self._memo)
+        key = self._key
+        if key is None or key[0] is not f or key[1] != lam or key[2] is not feasible:
+            inst = reduce_prox_to_qp(f, v, x, lam, feasible)
+            self._run = (inst.M, cholesky_spd(inst.M), _prepared_rows(feasible))
+            self._key = (f, lam, feasible)
+            c = inst.c
+        else:
+            c = lam * (f.P @ v + f.q - f.Q @ v) - x
+            if c.shape != (f.dim,):
+                raise DimensionMismatch("prox arguments must match the bifunction dimension")
+            if not all_finite(c):
+                raise ValueError("prox arguments must be finite")
+        M, factor, rows = self._run
+        y, working, _ = _active_set(M, c, rows, warm=self._warm, factor=factor, memo=self._memo)
         self._warm = (y, working)
         return y
 
@@ -135,7 +150,7 @@ def solve_qp_active_set(qp: QPInstance, warm=None) -> np.ndarray:
     :class:`CyclingDetected` if the iteration cap
     ``3 * (n_constraints + dim)`` is exceeded.
     """
-    y, _, _ = _active_set(qp, warm=warm)
+    y, _, _ = _active_set(qp.M, qp.c, _prepared_rows(qp.feasible), warm=warm)
     return y
 
 
@@ -171,8 +186,8 @@ def constraint_rows(feasible: ConvexSet) -> tuple[np.ndarray, np.ndarray]:
 _PREPARED_ROWS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def _prepared_rows(feasible: ConvexSet) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized, deduplicated constraint rows, cached per set object.
+def _prepared_rows(feasible: ConvexSet) -> tuple[np.ndarray, np.ndarray, float]:
+    """Normalized, deduplicated rows ``(A, b)`` and the feasibility tolerance.
 
     Unit-length rows make violations geometric distances, so one
     tolerance scale serves constraints of wildly different norms.  Set
@@ -189,8 +204,9 @@ def _prepared_rows(feasible: ConvexSet) -> tuple[np.ndarray, np.ndarray]:
         A = A / norms[:, None]
         b = b / norms
         A, b = _drop_redundant_parallel(A, b)
-    _PREPARED_ROWS[feasible] = (A, b)
-    return A, b
+    rows = (A, b, 1e-9 * (1.0 + float(np.abs(b).max(initial=0.0))))
+    _PREPARED_ROWS[feasible] = rows
+    return rows
 
 
 class _FaceMemo:
@@ -225,7 +241,7 @@ class _FaceMemo:
 
 
 def _active_set(
-    qp: QPInstance, warm=None, factor=None, memo: _FaceMemo | None = None
+    M: np.ndarray, c: np.ndarray, rows, warm=None, factor=None, memo: _FaceMemo | None = None
 ) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
     """Dual active-set iteration; returns (minimizer, working set, multipliers).
 
@@ -236,24 +252,23 @@ def _active_set(
     ties) is then added, dropping any working row whose multiplier would
     turn negative first.  A row that depends on the working set is never
     added, and when nothing can be dropped either the set is empty.
-    ``warm`` seeds only the working set.  ``memo`` carries the last face
-    factor across calls.
+    ``rows`` is :func:`_prepared_rows` of the feasible set, and the
+    inputs are trusted: callers check them.  ``warm`` seeds only the
+    working set.  ``memo`` carries the last face factor across calls.
     """
-    M, c = qp.M, qp.c
+    A, b, feas_tol = rows
     d = M.shape[0]
     L = cholesky_spd(M) if factor is None else factor
 
     def minv(v):
         return solve_with_factor(L, v)
 
-    A, b = _prepared_rows(qp.feasible)
     m = A.shape[0]
     if m == 0:
         return minv(-c), (), np.zeros(0)
     if memo is None:
         memo = _FaceMemo()
     memo.bind(L, A)
-    feas_tol = 1e-9 * (1.0 + float(np.abs(b).max()))
     minv_c = minv(c)
 
     def on_face(working):

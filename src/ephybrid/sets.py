@@ -9,15 +9,18 @@ those two parts; it is the one place that does.  Greater-or-equal
 constraints are expected to be normalized to ``<=`` form with negated
 normals at construction time.
 
-Set descriptions are immutable after construction and all projections
-are pure, so concurrent use needs no synchronization.
+Set descriptions are immutable after construction: each keeps
+read-only copies of the arrays it was built from, so a caller editing
+its own array later changes no set, and caches keyed on a set's
+identity stay valid.  All projections are pure, so concurrent use needs
+no synchronization.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DimensionMismatch, as_point
+from .linalg import DimensionMismatch, as_point, frozen_copy
 
 
 class ZeroNormal(ValueError):
@@ -66,7 +69,7 @@ class Halfspace:
     """The set ``{z : <a, z> <= b}`` for a nonzero normal ``a``."""
 
     def __init__(self, a, b: float):
-        self.a = as_point(a)
+        self.a = frozen_copy(as_point(a))
         self.b = float(b)
         self.norm2 = float(self.a @ self.a)
         if self.norm2 <= 0.0:
@@ -78,6 +81,10 @@ class Halfspace:
         p = as_point(x)
         if p.shape[0] != self.dim:
             raise DimensionMismatch(f"point has dim {p.shape[0]}, set has dim {self.dim}")
+        return self._violation(p)
+
+    def _violation(self, p: np.ndarray) -> float:
+        """:meth:`violation` of a point the caller has already checked."""
         return float(self.a @ p - self.b)
 
     def contains(self, x, tol: float | None = None) -> bool:
@@ -104,8 +111,8 @@ class Box:
     """Axis-aligned box ``lo <= z <= hi``; bounds may be +-inf."""
 
     def __init__(self, lo, hi):
-        self.lo = _as_bounds(lo)
-        self.hi = _as_bounds(hi)
+        self.lo = frozen_copy(_as_bounds(lo))
+        self.hi = frozen_copy(_as_bounds(hi))
         if self.lo.shape != self.hi.shape:
             raise DimensionMismatch("box bounds have different lengths")
         if np.any(self.lo > self.hi):
@@ -225,7 +232,10 @@ def project_two_halfspaces(x, first, second) -> np.ndarray:
     try the single-halfspace projections; otherwise both boundary
     hyperplanes are active and the multipliers come from the 2x2 Gram
     system.  Raises :class:`EmptyIntersection` for anti-parallel
-    normals bounding a slab with no interior.
+    normals bounding a slab with no interior.  ``x`` is checked once;
+    the cases then use each halfspace's stored ``a``, ``b`` and
+    ``norm2`` with the formulas of :meth:`Halfspace.project` and
+    :meth:`Halfspace.contains`, so results match them bit for bit.
     """
     p = as_point(x)
     if isinstance(first, WholeSpace) and isinstance(second, WholeSpace):
@@ -237,17 +247,17 @@ def project_two_halfspaces(x, first, second) -> np.ndarray:
     if first.dim != second.dim or p.shape[0] != first.dim:
         raise DimensionMismatch("point and halfspaces must share one dimension")
 
-    v1 = first.violation(p)
-    v2 = second.violation(p)
+    v1 = first._violation(p)
+    v2 = second._violation(p)
     if v1 <= membership_tol(first.b) and v2 <= membership_tol(second.b):
         return p.copy()
     if v1 > 0.0:
-        cand = first.project(p)
-        if second.contains(cand):
+        cand = p - (v1 / first.norm2) * first.a
+        if second._violation(cand) <= membership_tol(second.b):
             return cand
     if v2 > 0.0:
-        cand = second.project(p)
-        if first.contains(cand):
+        cand = p - (v2 / second.norm2) * second.a
+        if first._violation(cand) <= membership_tol(first.b):
             return cand
 
     # Both boundary hyperplanes active: solve the Gram system in the

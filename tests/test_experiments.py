@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -216,18 +217,37 @@ def test_trace_csv_and_json(tmp_path, table2_runs):
     assert payload["trace"][0]["flags"]["membership_ok"] is True
 
 
-def test_traces_are_deterministic(tmp_path):
-    config = table2_config()
-    first = run_grid(config)
-    second = run_grid(config)
-    for idx, (a, b) in enumerate(zip(first, second)):
-        pa = tmp_path / f"a{idx}.csv"
-        pb = tmp_path / f"b{idx}.csv"
-        trace_to_csv(a.report, pa)
-        trace_to_csv(b.report, pb)
-        assert pa.read_bytes() == pb.read_bytes()
-        assert a.report.iterations == b.report.iterations
-        assert np.array_equal(a.report.final_x, b.report.final_x)
+def test_traces_are_deterministic(tmp_path, table1_runs):
+    # table2 runs twice here; table1 once, against the session's shared run.
+    pairs = [
+        (run_grid(table2_config()), run_grid(table2_config())),
+        (table1_runs, run_grid(table1_config())),
+    ]
+    for first, second in pairs:
+        assert len(first) == len(second)
+        for idx, (a, b) in enumerate(zip(first, second)):
+            pa = tmp_path / f"a{idx}.csv"
+            pb = tmp_path / f"b{idx}.csv"
+            trace_to_csv(a.report, pa)
+            trace_to_csv(b.report, pb)
+            assert pa.read_bytes() == pb.read_bytes()
+            assert a.report.iterations == b.report.iterations
+            assert np.array_equal(a.report.final_x, b.report.final_x)
+
+
+def test_tracer_targets_resolve():
+    """Every name the benchmark's layer tracer wraps still exists.
+
+    A renamed or deleted target would make its layer read zero in the
+    traced benchmark run instead of failing anywhere.
+    """
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [t for names in tracer.TARGETS.values() for t in names]
+    assert targets
+    assert [t for t in targets if tracer._resolve(t) is None] == []
 
 
 def test_table2_grid_solves_no_linear_program():

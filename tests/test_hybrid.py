@@ -550,3 +550,30 @@ def test_cut_projection_routing_per_feasible_kind(kind, example2):
         ref = enumeration_qp(np.eye(3), -x0, A, b)
         assert ref is not None
         assert np.linalg.norm(rec.x_next - ref) <= 1e-8
+
+
+def test_non_finite_values_raise_where_they_first_appear(example1):
+    class NaNMapping:
+        calls = 0
+
+        def __call__(self, x):
+            self.calls += 1
+            return np.full(3, np.nan)
+
+    mapping = NaNMapping()
+    bundle = ProblemBundle(example1.bifunction, example1.feasible, mapping, example1.constants)
+    lam = default_lambda(bundle.constants)
+    params = validate_params(lam, 6.0, AlphaSchedule("ratio"), bundle.constants)
+    with pytest.raises(ValueError):
+        solve(bundle, params, StoppingRule("residual_w", 1e-4), [1.0, 3.0, 1.0])
+    assert mapping.calls == 1
+
+    # A warmed-up prox solver still rejects a non-finite anchor or base point.
+    f, feasible = example1.bifunction, example1.feasible
+    solver = ProxSolver()
+    x = np.array([1.0, 3.0, 1.0])
+    y = solver.step(f, np.zeros(3), x, lam, feasible)
+    y = solver.step(f, y, x, lam, feasible)
+    for v, anchor in ((y, np.array([1.0, np.nan, 1.0])), (np.array([np.nan, 0.0, 0.0]), x)):
+        with pytest.raises(ValueError):
+            solver.step(f, v, anchor, lam, feasible)

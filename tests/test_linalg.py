@@ -133,6 +133,11 @@ def test_as_point_validation():
         as_point([np.nan])
     with pytest.raises(ValueError):
         as_point([])
+    for bad in ([np.inf], [-np.inf], [np.inf, -np.inf], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            as_point(bad)
+    # Finite entries whose sum overflows are still finite.
+    assert as_point([1e308, 1e308]).tolist() == [1e308, 1e308]
 
 
 def test_as_matrix_validation():
@@ -140,3 +145,7 @@ def test_as_matrix_validation():
         as_matrix([1.0, 2.0])
     with pytest.raises(ValueError):
         as_matrix([[np.inf]])
+    for bad in ([[np.inf]], [[-np.inf]], [[np.inf, -np.inf]], [[1.0, np.nan]]):
+        with pytest.raises(ValueError, match="finite"):
+            as_matrix(bad)
+    assert as_matrix([[1e308, 1e308]]).tolist() == [[1e308, 1e308]]

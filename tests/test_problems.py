@@ -18,6 +18,20 @@ from ephybrid.problems import (
 )
 from ephybrid.sets import Box
 
+
+def test_bifunction_keeps_its_own_read_only_arrays():
+    P, Q, q = np.eye(2) * 2.0, np.eye(2), np.array([1.0, -1.0])
+    f = QuadraticBifunction(P, Q, q)
+    x, y = np.array([0.5, 0.2]), np.array([-0.3, 0.8])
+    before = f(x, y)
+    P[:] = 0.0
+    Q[:] = 5.0
+    q[:] = 7.0
+    assert f(x, y) == before
+    for stored in (f.P, f.Q, f.q):
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 0.0
+
 P = np.array([[3.1, 2.0, 0.0], [2.0, 3.6, 0.0], [0.0, 0.0, 3.5]])
 Q = np.array([[1.6, 1.0, 0.0], [1.0, 1.6, 0.0], [0.0, 0.0, 1.5]])
 

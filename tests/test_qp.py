@@ -11,6 +11,7 @@ from ephybrid.qp import (
     QPInstance,
     _active_set,
     _FaceMemo,
+    _prepared_rows,
     constraint_rows,
     prox_step,
     reduce_prox_to_qp,
@@ -197,6 +198,18 @@ def test_warm_start_changes_nothing():
         assert np.allclose(warm, cold, atol=1e-11)
         y_prev = warm
 
+    # The same solver, now alternating between two bifunctions with
+    # different Q (so different M) at one lam on one set: the per-run
+    # state must follow the bifunction, not only lam and the set.
+    g = QuadraticBifunction(P + Q, 2.0 * Q, [0.5, 1.0, -1.0])
+    for n in range(20):
+        h = (f, g)[n % 2]
+        x = np.array([1.0, 3.0, 1.0]) + rng.normal(scale=0.2, size=3)
+        warm = solver.step(h, y_prev, x, 0.07, SIMPLEX_CAP)
+        cold = prox_step(h, y_prev, x, 0.07, SIMPLEX_CAP)
+        assert np.allclose(warm, cold, atol=1e-11)
+        y_prev = warm
+
 
 def test_memo_reuse_is_bitwise_neutral():
     """ProxSolver's cached factors change no bit of any prox step.
@@ -238,7 +251,8 @@ def test_memo_reuse_is_bitwise_neutral():
     for n in range(150):
         v = x if n % 2 == 0 else y
         inst = reduce_prox_to_qp(f, v, x, lam, feasible)
-        ref, working, _ = _active_set(inst, warm=warm, factor=L, memo=Forgetful())
+        rows = _prepared_rows(feasible)
+        ref, working, _ = _active_set(inst.M, inst.c, rows, warm=warm, factor=L, memo=Forgetful())
         warm = (ref, working)
         y = solver.step(f, v, x, lam, feasible)
         assert y.tobytes() == ref.tobytes(), f"step {n}"
@@ -384,7 +398,7 @@ def test_warm_row_with_negative_multiplier_is_released():
     # The center of the unit cube is interior, so the upper bound x1 <= 1
     # (row 3) has a negative multiplier on its face and must be dropped.
     inst = QPInstance(np.eye(3), np.full(3, -0.5), UNIT_BOX)
-    _, working, _ = _active_set(inst, warm=(np.ones(3), (3,)))
+    _, working, _ = _active_set(inst.M, inst.c, _prepared_rows(UNIT_BOX), warm=(np.ones(3), (3,)))
     assert working == ()
 
     rng = np.random.default_rng(73)
@@ -400,7 +414,7 @@ def test_warm_row_with_negative_multiplier_is_released():
             continue
         inst = QPInstance(M, c, feas)
         ref = enumeration_qp(M, c, A_ref, b_ref)
-        _, cold, mu = _active_set(inst)
+        _, cold, mu = _active_set(M, c, _prepared_rows(feas))
         # Warm-start from every row outside the final working set: the
         # warm loop must release (or, when dependent, pop) rows first.
         warm = tuple(i for i in range(len(mu)) if i not in cold)

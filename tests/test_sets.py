@@ -21,6 +21,28 @@ UNIT_BOX = Box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
 SIMPLEX_CAP = Polyhedron([Halfspace([-1.0, -1.0, -1.0], -1.0)], UNIT_BOX)
 
 
+def test_sets_keep_their_own_read_only_arrays():
+    a = np.array([1.0, 0.0])
+    lo, hi = np.array([-5.0, -5.0]), np.array([5.0, 5.0])
+    half = Halfspace(a, 1.0)
+    box = Box(lo, hi)
+    poly = Polyhedron([half], box)
+    before = (poly.project([3.0, 0.0]), poly.project([0.0, 3.0]), box.project([7.0, -7.0]))
+    # Editing the caller's arrays must change neither the sets nor the
+    # projections cached on the polyhedron's identity.
+    a[:] = [0.0, 2.0]
+    lo[:] = 0.0
+    hi[:] = 1.0
+    after = (poly.project([3.0, 0.0]), poly.project([0.0, 3.0]), box.project([7.0, -7.0]))
+    for b, c in zip(before, after):
+        assert b.tobytes() == c.tobytes()
+    assert np.array_equal(after[1], [0.0, 3.0]) and poly.contains(after[1])
+    assert half.norm2 == float(half.a @ half.a) == 1.0
+    for stored in (half.a, box.lo, box.hi):
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 0.0
+
+
 def random_set(rng, d):
     kind = rng.integers(0, 4)
     if kind == 0:
