@@ -29,14 +29,12 @@ import numpy as np
 
 from .linalg import DimensionMismatch, all_finite, as_point
 from .problems import LipschitzConstants, ProblemBundle
-from .qp import ProxSolver
+from .qp import ProxSolver, project_polyhedral
 from .sets import (
     EmptyIntersection,
     Halfspace,
     InfeasibleSet,
-    Polyhedron,
     WholeSpace,
-    halfspaces_and_box,
     project_two_halfspaces,
 )
 
@@ -281,9 +279,9 @@ def contraction_slack(
     the slack is summable along the run whenever the parameters are
     admissible.
     """
-    dx2 = float(np.sum((state.x_cur - state.x_prev) ** 2))
-    dy_prev2 = float(np.sum((state.y_cur - state.y_prev) ** 2))
-    dy_next2 = float(np.sum((y_next - state.y_cur) ** 2))
+    dx2 = float(((state.x_cur - state.x_prev) ** 2).sum())
+    dy_prev2 = float(((state.y_cur - state.y_prev) ** 2).sum())
+    dy_next2 = float(((y_next - state.y_cur) ** 2).sum())
     if params.slack_convention == "standard":
         c_prev, c_next = constants.c2, constants.c1
     else:
@@ -392,8 +390,8 @@ def hybrid_iterate(
     flags = InvariantFlags(
         contraction_ok=None
         if target is None
-        else float(np.sum((w_next - target) ** 2))
-        <= float(np.sum((state.x_cur - target) ** 2)) + epsilon + 1e-8,
+        else float(((w_next - target) ** 2).sum())
+        <= float(((state.x_cur - target) ** 2).sum()) + epsilon + 1e-8,
         monotone_ok=float(np.linalg.norm(x_next - state.x0))
         >= float(np.linalg.norm(state.x_cur - state.x0)) - 1e-10,
         membership_ok=contraction.contains(x_next, 1e-9) and anchor.contains(x_next, 1e-9),
@@ -429,17 +427,17 @@ def _project_onto_cuts(x0, cuts: list[Halfspace], feasible) -> np.ndarray:
 
     When the feasible set adds nothing (``None`` or the whole space), up
     to two cuts go through the closed-form projector; anything larger,
-    or any request to stay within the feasible set, goes through the
-    polyhedron QP path.
+    or any request to stay within the feasible set, goes through
+    :func:`qp.project_polyhedral`, which stacks the cut rows over the
+    set's cached rows.
     """
-    halfspaces, box = ((), None) if feasible is None else halfspaces_and_box(feasible)
-    if not halfspaces and box is None and len(cuts) <= 2:
+    if (feasible is None or isinstance(feasible, WholeSpace)) and len(cuts) <= 2:
         if not cuts:
             return as_point(x0).copy()
         if len(cuts) == 1:
             return cuts[0].project(x0)
         return project_two_halfspaces(x0, cuts[0], cuts[1])
-    return Polyhedron(cuts + list(halfspaces), box).project(x0)
+    return project_polyhedral(x0, cuts, feasible)
 
 
 def solve(

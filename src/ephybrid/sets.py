@@ -186,7 +186,7 @@ class Polyhedron:
         return all(h.contains(x, tol) for h in self.halfspaces)
 
     def project(self, x) -> np.ndarray:
-        """Nearest point in the polyhedron, via the dense active-set QP.
+        """Nearest point in the polyhedron, via :func:`qp.project_polyhedral`.
 
         Raises :class:`InfeasibleSet` when the description is empty.
         """
@@ -195,8 +195,7 @@ class Polyhedron:
         p = as_point(x)
         if p.shape[0] != self.dim:
             raise DimensionMismatch(f"point has dim {p.shape[0]}, set has dim {self.dim}")
-        inst = qp.QPInstance(np.eye(self.dim), -p, self)
-        return qp.solve_qp_active_set(inst)
+        return qp.project_polyhedral(p, (), self)
 
     def __repr__(self):
         return f"Polyhedron(halfspaces={list(self.halfspaces)!r}, box={self.box!r})"

@@ -16,6 +16,7 @@ from ephybrid.hybrid import (
     MaxIterExceeded,
     SolverState,
     StoppingRule,
+    _project_onto_cuts,
     alpha_at,
     build_anchor_cut,
     build_contraction_cut,
@@ -33,8 +34,9 @@ from ephybrid.problems import (
     QuadraticBifunction,
     vip_as_bifunction,
 )
-from ephybrid.qp import ProxSolver
-from ephybrid.sets import Box, Halfspace, Polyhedron, TwoHalfspaces, WholeSpace
+from ephybrid.linalg import DimensionMismatch
+from ephybrid.qp import ProxSolver, QPInstance, solve_qp_active_set
+from ephybrid.sets import Box, Halfspace, Polyhedron, TwoHalfspaces, WholeSpace, halfspaces_and_box
 from oracles import enumeration_qp, halfspace_rows
 
 
@@ -517,6 +519,35 @@ ROUTING_SETS = {
 
 
 @pytest.mark.parametrize("kind", list(ROUTING_SETS))
+def test_cut_projection_is_bitwise_the_polyhedron_qp(kind):
+    # The cut projection stacks the cut rows over the set's cached rows
+    # and Polyhedron.project goes through the same identity-metric path;
+    # both must give the bits of a fresh QP over the whole polyhedron.
+    feasible = ROUTING_SETS[kind]
+    halfspaces, box = halfspaces_and_box(feasible)
+    rng = np.random.default_rng(83)
+    for n in range(40):
+        a = rng.normal(size=(3, 3))
+        # Positive offsets keep the origin, and with it the intersection.
+        b = rng.uniform(0.05, 1.0, 3)
+        if n % 4 < 2:
+            # A nearly parallel pair at one distance from the origin, tilted by 3e-7 rad
+            # (deduplicated) or 3e-5 rad (kept, a near-singular face).
+            u = rng.normal(size=3)
+            u -= (u @ a[0]) / (a[0] @ a[0]) * a[0]
+            a[1] = a[0] + (3e-7 if n % 4 == 0 else 3e-5) * np.linalg.norm(a[0]) / np.linalg.norm(u) * u
+            b[1] = b[0] * np.linalg.norm(a[1]) / np.linalg.norm(a[0])
+        cuts = [Halfspace(a[i], b[i]) for i in range(3)]
+        x0 = rng.normal(scale=3.0, size=3)
+        if n % 4 < 2:
+            x0 += 3.0 * a[0] / np.linalg.norm(a[0])  # outside the pair, so it binds
+        poly = Polyhedron(cuts + list(halfspaces), box)
+        ref = solve_qp_active_set(QPInstance(np.eye(3), -x0, poly))
+        assert _project_onto_cuts(x0, cuts, feasible).tobytes() == ref.tobytes(), n
+        assert poly.project(x0).tobytes() == ref.tobytes(), n
+
+
+@pytest.mark.parametrize("kind", list(ROUTING_SETS))
 def test_cut_projection_routing_per_feasible_kind(kind, example2):
     # Every feasible set here contains the origin, which is both an
     # equilibrium (f(0, y) = <Q y, y> >= 0) and a fixed point of the
@@ -568,12 +599,25 @@ def test_non_finite_values_raise_where_they_first_appear(example1):
         solve(bundle, params, StoppingRule("residual_w", 1e-4), [1.0, 3.0, 1.0])
     assert mapping.calls == 1
 
-    # A warmed-up prox solver still rejects a non-finite anchor or base point.
+    # A warmed-up prox solver rejects what its first step rejects: a
+    # non-finite (NaN or +-inf) or mis-shaped anchor or base point, without
+    # a warning on the way.
     f, feasible = example1.bifunction, example1.feasible
-    solver = ProxSolver()
     x = np.array([1.0, 3.0, 1.0])
-    y = solver.step(f, np.zeros(3), x, lam, feasible)
-    y = solver.step(f, y, x, lam, feasible)
-    for v, anchor in ((y, np.array([1.0, np.nan, 1.0])), (np.array([np.nan, 0.0, 0.0]), x)):
+    for bad in (np.nan, np.inf, -np.inf):
+        for v, anchor in ((np.zeros(3), np.array([1.0, bad, 1.0])), (np.array([bad, 0.0, 0.0]), x)):
+            with pytest.raises(ValueError):
+                ProxSolver().step(f, v, anchor, lam, feasible)
+            solver = ProxSolver()
+            y = solver.step(f, np.zeros(3), x, lam, feasible)
+            with pytest.raises(ValueError, match="finite"):
+                solver.step(f, v, anchor, lam, feasible)
+    for v, anchor in ((np.zeros(3), 2.0), (0.0, x), (np.zeros(3), np.ones(4)), (np.zeros((1, 3)), x)):
         with pytest.raises(ValueError):
+            ProxSolver().step(f, v, anchor, lam, feasible)
+        solver = ProxSolver()
+        y = solver.step(f, np.zeros(3), x, lam, feasible)
+        with pytest.raises(DimensionMismatch):
             solver.step(f, v, anchor, lam, feasible)
+    # ... and still steps on afterwards.
+    assert np.array_equal(solver.step(f, y, x, lam, feasible), ProxSolver().step(f, y, x, lam, feasible))

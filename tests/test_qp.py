@@ -9,15 +9,22 @@ from ephybrid.qp import (
     NonPositiveLambda,
     ProxSolver,
     QPInstance,
-    _active_set,
-    _FaceMemo,
+    _DualQP,
     _prepared_rows,
     constraint_rows,
     prox_step,
     reduce_prox_to_qp,
     solve_qp_active_set,
 )
-from ephybrid.sets import Box, Halfspace, InfeasibleSet, Polyhedron, TwoHalfspaces, WholeSpace
+from ephybrid.sets import (
+    Box,
+    Halfspace,
+    InfeasibleSet,
+    Polyhedron,
+    TwoHalfspaces,
+    WholeSpace,
+    halfspaces_and_box,
+)
 from oracles import box_pattern_qp, enumeration_qp, halfspace_rows, kkt_report
 
 P = np.array([[3.1, 2.0, 0.0], [2.0, 3.6, 0.0], [0.0, 0.0, 3.5]])
@@ -217,10 +224,10 @@ def test_memo_reuse_is_bitwise_neutral():
     A seeded d=64 Nash-Cournot-shaped instance (the ``nc64`` benchmark
     shape) drives extragradient-style steps with periodic kicks, so the
     working set both repeats and changes often.  The reference is the
-    same warm-started active-set loop with a memo that never remembers.
+    same warm-started dual solver with a face factor that is never kept.
     """
 
-    class Forgetful(_FaceMemo):
+    class Forgetful(_DualQP):
         def face(self, working):
             self._face_key = None
             return super().face(working)
@@ -244,16 +251,15 @@ def test_memo_reuse_is_bitwise_neutral():
     L = cholesky_spd(2.0 * lam * Qn + np.eye(d))
 
     solver = ProxSolver()
-    warm = None
+    forgetful = Forgetful(L, _prepared_rows(feasible))
+    working = ()
     faces = []
     x = rng.normal(0.5, 1.0, d)
     y = x
     for n in range(150):
         v = x if n % 2 == 0 else y
         inst = reduce_prox_to_qp(f, v, x, lam, feasible)
-        rows = _prepared_rows(feasible)
-        ref, working, _ = _active_set(inst.M, inst.c, rows, warm=warm, factor=L, memo=Forgetful())
-        warm = (ref, working)
+        ref, working = forgetful.solve(inst.c, working)
         y = solver.step(f, v, x, lam, feasible)
         assert y.tobytes() == ref.tobytes(), f"step {n}"
         faces.append(working)
@@ -397,8 +403,7 @@ def test_dependent_row_takes_pure_dual_step():
 def test_warm_row_with_negative_multiplier_is_released():
     # The center of the unit cube is interior, so the upper bound x1 <= 1
     # (row 3) has a negative multiplier on its face and must be dropped.
-    inst = QPInstance(np.eye(3), np.full(3, -0.5), UNIT_BOX)
-    _, working, _ = _active_set(inst.M, inst.c, _prepared_rows(UNIT_BOX), warm=(np.ones(3), (3,)))
+    _, working = _DualQP(np.eye(3), _prepared_rows(UNIT_BOX)).solve(np.full(3, -0.5), (3,))
     assert working == ()
 
     rng = np.random.default_rng(73)
@@ -414,10 +419,11 @@ def test_warm_row_with_negative_multiplier_is_released():
             continue
         inst = QPInstance(M, c, feas)
         ref = enumeration_qp(M, c, A_ref, b_ref)
-        _, cold, mu = _active_set(M, c, _prepared_rows(feas))
+        rows = _prepared_rows(feas)
+        _, cold = _DualQP(cholesky_spd(M), rows).solve(c)
         # Warm-start from every row outside the final working set: the
         # warm loop must release (or, when dependent, pop) rows first.
-        warm = tuple(i for i in range(len(mu)) if i not in cold)
+        warm = tuple(i for i in range(len(rows[1])) if i not in cold)
         got = solve_qp_active_set(inst, warm=(np.zeros(d), warm))
         assert np.linalg.norm(got - ref) <= 1e-9
         checked += 1
@@ -437,6 +443,48 @@ def test_inconsistent_rows_raise_cold_and_warm():
         for warm in warm_starts(d, range(m)):
             with pytest.raises(InfeasibleSet):
                 solve_qp_active_set(inst, warm=warm)
+
+
+def test_constraint_rows_are_bitwise_the_per_row_build():
+    # The reference builds every row by hand, one coordinate at a time;
+    # tobytes() also sees the sign of each zero.
+    def reference(feas):
+        halves, box = halfspaces_and_box(feas)
+        d = feas.dim
+        rows, offs = [h.a for h in halves], [h.b for h in halves]
+        if box is not None:
+            for i in range(d):
+                if box.lo[i] > -np.inf:
+                    e = np.zeros(d)
+                    e[i] = -1.0
+                    rows.append(e)
+                    offs.append(-box.lo[i])
+            for i in range(d):
+                if box.hi[i] < np.inf:
+                    e = np.zeros(d)
+                    e[i] = 1.0
+                    rows.append(e)
+                    offs.append(box.hi[i])
+        if not rows:
+            return np.zeros((0, d)), np.zeros(0)
+        return np.vstack(rows), np.asarray(offs, dtype=float)
+
+    cap = Halfspace([-1.0, -0.0, 1.0], -0.0)
+    signed_box = Box([-np.inf, 0.0, -0.0, -2.0], [1.0, np.inf, 0.0, -0.0])
+    for feas in (
+        WholeSpace(3),
+        cap,
+        Box([-np.inf] * 3, [np.inf] * 3),
+        signed_box,
+        TwoHalfspaces(cap, Halfspace([1.0, -2.0, 0.5], 3.0)),
+        Polyhedron([Halfspace([0.0, 1.0, -1.0, 2.0], 0.0)], signed_box),
+        Polyhedron([cap]),
+    ):
+        A, b = constraint_rows(feas)
+        A_ref, b_ref = reference(feas)
+        assert (A.shape, b.shape) == (A_ref.shape, b_ref.shape), feas
+        assert A.tobytes() == A_ref.tobytes(), feas
+        assert b.tobytes() == b_ref.tobytes(), feas
 
 
 def test_constraint_rows_skip_infinite_bounds():
