@@ -6,8 +6,10 @@ Subcommands::
     ephybrid reproduce table1|table2      run a built-in benchmark grid
     ephybrid audit --config <path>        run with invariant assertions
 
-Exit codes: 0 on success, 2 on config/parameter validation errors,
-3 on an invariant violation in audit mode.
+``reproduce`` writes ``<table>.csv``, ``<table>.json`` and
+``<table>_trace_NN.{csv,json}`` to ``--out``.  Exit codes: 0 on success,
+2 on any config or parameter error, 3 on an invariant violation in audit
+mode (a config's own ``"audit": true`` audits under ``solve`` too).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import experiments, reporting
 from .hybrid import InvariantViolation, ParameterError
@@ -40,11 +43,10 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "solve":
-            return _cmd_solve(args.config, audit=False)
         if args.command == "reproduce":
             return _cmd_reproduce(args.table, args.out)
-        return _cmd_solve(args.config, audit=True)
+        config = experiments.load_config(args.config)
+        return _run(replace(config, audit=True) if args.command == "audit" else config)
     except (experiments.ParseError, experiments.ValidationError, ParameterError,
             DegenerateConstants, NotMonotone) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -54,10 +56,22 @@ def main(argv=None) -> int:
         return 3
 
 
-def _cmd_solve(config_path: str, audit: bool) -> int:
-    config = experiments.load_config(config_path)
-    if audit:
-        config = experiments.with_audit(config)
+def _cmd_reproduce(table: str, out_dir: str) -> int:
+    config = experiments.table1_config() if table == "table1" else experiments.table2_config()
+    os.makedirs(out_dir, exist_ok=True)
+    config = replace(
+        config,
+        csv_path=os.path.join(out_dir, f"{table}.csv"),
+        json_path=os.path.join(out_dir, f"{table}.json"),
+        trace_dir=out_dir,
+    )
+    _run(config, trace_prefix=f"{table}_trace")
+    print(f"wrote {table}.csv, {table}.json and per-run traces to {out_dir}/")
+    return 0
+
+
+def _run(config, trace_prefix: str = "trace") -> int:
+    """Run the grid, print its rows and write the outputs the config names."""
     runs = experiments.run_grid(config)
     rows = [experiments.grid_row(run) for run in runs]
     _print_rows(rows)
@@ -67,28 +81,14 @@ def _cmd_solve(config_path: str, audit: bool) -> int:
     if config.json_path:
         reporting.emit_reports(rows, "json", config.json_path)
     if config.trace_dir:
-        _write_traces(runs, config.trace_dir)
-    if audit:
+        _write_traces(runs, config.trace_dir, trace_prefix)
+    if config.audit:
         total = sum(run.report.iterations for run in runs)
         print(f"audit clean: {len(runs)} runs, {total} iterations, no invariant violations")
     return 0
 
 
-def _cmd_reproduce(table: str, out_dir: str) -> int:
-    config = experiments.table1_config() if table == "table1" else experiments.table2_config()
-    runs = experiments.run_grid(config)
-    rows = [experiments.grid_row(run) for run in runs]
-    _print_rows(rows)
-    _warn_clamped_schedules(config)
-    os.makedirs(out_dir, exist_ok=True)
-    reporting.emit_reports(rows, "csv", os.path.join(out_dir, f"{table}.csv"))
-    reporting.emit_reports(rows, "json", os.path.join(out_dir, f"{table}.json"))
-    _write_traces(runs, out_dir, prefix=f"{table}_trace")
-    print(f"wrote {table}.csv, {table}.json and per-run traces to {out_dir}/")
-    return 0
-
-
-def _write_traces(runs, trace_dir: str, prefix: str = "trace") -> None:
+def _write_traces(runs, trace_dir: str, prefix: str) -> None:
     os.makedirs(trace_dir, exist_ok=True)
     for idx, run in enumerate(runs):
         reporting.trace_to_csv(run.report, os.path.join(trace_dir, f"{prefix}_{idx:02d}.csv"))

@@ -11,15 +11,17 @@ Two bundles ship with the package:
   runs stop on the distance to it.
 
 Configs are plain JSON: matrices as nested arrays, sets as tagged
-objects, schedules by name.  The rows of a grid run serially in
-config order: the solver's many tiny numpy calls hold the GIL, so a
-thread pool made the grids slower, not faster.
+objects, schedules by name.  :func:`config_from_dict` builds every
+config, the two benchmark grids (``TABLE1``, ``TABLE2``) included.  The
+rows of a grid run serially in config order: the solver's many tiny
+numpy calls hold the GIL, so a thread pool made the grids slower, not
+faster.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,8 +46,6 @@ from .problems import (
 )
 from .reporting import ReportRow
 from .sets import Box, Halfspace, Polyhedron, set_from_dict
-
-BUILTIN_NAMES = ("example1", "example2")
 
 _P = [[3.1, 2.0, 0.0], [2.0, 3.6, 0.0], [0.0, 0.0, 3.5]]
 _Q = [[1.6, 1.0, 0.0], [1.0, 1.6, 0.0], [0.0, 0.0, 1.5]]
@@ -100,12 +100,22 @@ def builtin_example2() -> ProblemBundle:
     )
 
 
-def builtin_bundle(name: str) -> ProblemBundle:
-    if name == "example1":
-        return builtin_example1()
-    if name == "example2":
-        return builtin_example2()
-    raise ValidationError(f"unknown builtin problem {name!r}")
+BUILTINS = {"example1": builtin_example1, "example2": builtin_example2}
+
+# The paper's two benchmark grids; what they leave out takes the parser's defaults.
+TABLE1 = {
+    "problem": "example1",
+    "starts": [[1.0, 3.0, 1.0], [-3.0, 4.0, 1.0], [3.0, -2.0, 1.0]],
+}
+TABLE2 = {
+    "problem": "example2",
+    "params": {
+        "alpha_schedule": ["ratio", "pow10", "invlog"],
+        "cut_variant": "three_halfspaces",
+        "cuts_within_feasible": True,
+    },
+    "starts": [[1.0, 3.0, 1.0], [-3.0, 4.0, 1.0], [3.0, -2.0, 1.0], [-2.0, 3.0, -1.0]],
+}
 
 
 def default_lambda(constants: LipschitzConstants) -> float:
@@ -115,7 +125,7 @@ def default_lambda(constants: LipschitzConstants) -> float:
 
 @dataclass(eq=False)
 class ExperimentConfig:
-    """A validated experiment: problem, algorithm, parameter grid, outputs."""
+    """A validated experiment (:func:`config_from_dict`): problem, algorithm, grid, outputs."""
 
     bundle: ProblemBundle
     label: str
@@ -159,13 +169,7 @@ class GridRun:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate a JSON experiment config.
-
-    Structural problems raise :class:`ParseError` (with the JSON line
-    for decode errors); value-domain problems raise
-    :class:`ValidationError`.  Parameter conditions are checked
-    eagerly for every schedule in the grid.
-    """
+    """:func:`config_from_dict` of a JSON file; a decode error names its line."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -177,18 +181,25 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
+    """Parse and validate an experiment config object.
+
+    Structural problems, a value that is not a number among them, raise
+    :class:`ParseError`; value-domain problems raise
+    :class:`ValidationError`.  Parameter conditions are checked eagerly
+    for every schedule in the grid.
+    """
     problem = data.get("problem")
     if problem is None:
         raise ParseError("field 'problem': required")
     if isinstance(problem, str):
-        if problem not in BUILTIN_NAMES:
+        if problem not in BUILTINS:
             raise ValidationError(f"field 'problem': unknown builtin {problem!r}")
-        bundle = builtin_bundle(problem)
+        bundle = BUILTINS[problem]()
         label = problem
     elif isinstance(problem, dict):
         try:
             bundle = bundle_from_dict(problem)
-        except (KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError) as exc:
             raise ParseError(f"field 'problem': {exc}") from exc
         except ValueError as exc:
             raise ValidationError(f"field 'problem': {exc}") from exc
@@ -204,12 +215,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(params, dict):
         raise ParseError("field 'params': must be an object")
     lam = params.get("lambda")
-    lam = default_lambda(bundle.constants) if lam is None else float(lam)
-    k = float(params.get("k", 6.0))
-    alpha_cap = float(params.get("alpha_cap", 0.99))
+    lam = default_lambda(bundle.constants) if lam is None else _parsed(float, lam, "params.lambda")
+    k = _parsed(float, params.get("k", 6.0), "params.k")
+    alpha_cap = _parsed(float, params.get("alpha_cap", 0.99), "params.alpha_cap")
     slack_convention = params.get("slack_convention", "standard")
     cut_variant = params.get("cut_variant", "two_halfspaces")
-    cuts_within_feasible = bool(params.get("cuts_within_feasible", False))
+    cuts_within_feasible = params.get("cuts_within_feasible", False)
 
     raw_schedules = params.get("alpha_schedule", "ratio")
     if not isinstance(raw_schedules, list):
@@ -226,20 +237,23 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ParseError("field 'starts': must be a list of vectors")
     if not raw_starts:
         raise ValidationError("field 'starts': at least one start point is required")
-    try:
-        starts = tuple(as_point(s) for s in raw_starts)
-    except ValueError as exc:
-        raise ParseError(f"field 'starts': {exc}") from exc
-
+    starts = tuple(_parsed(as_point, s, "starts") for s in raw_starts)
     y0 = data.get("y0")
-    y0 = None if y0 is None else as_point(y0)
+    y0 = None if y0 is None else _parsed(as_point, y0, "y0")
 
     stopping = _parse_stopping(data.get("stopping"), bundle)
 
-    audit = bool(data.get("audit", False))
+    audit = data.get("audit", False)
+    for field, flag in (("params.cuts_within_feasible", cuts_within_feasible), ("audit", audit)):
+        if not isinstance(flag, bool):
+            raise ParseError(f"field {field!r}: must be true or false, got {flag!r}")
     output = data.get("output", {})
     if not isinstance(output, dict):
         raise ParseError("field 'output': must be an object")
+    paths = {key: output.get(key) for key in ("csv", "json", "trace_dir")}
+    # open() would take an int path as a file descriptor.
+    if any(p is not None and not isinstance(p, str) for p in paths.values()):
+        raise ParseError("field 'output': paths must be strings")
 
     config = ExperimentConfig(
         bundle=bundle,
@@ -256,9 +270,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         y0=y0,
         stopping=stopping,
         audit=audit,
-        csv_path=output.get("csv"),
-        json_path=output.get("json"),
-        trace_dir=output.get("trace_dir"),
+        csv_path=paths["csv"],
+        json_path=paths["json"],
+        trace_dir=paths["trace_dir"],
     )
 
     # Eager parameter validation for every grid cell.
@@ -267,13 +281,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             config.params_for(schedule)
     except ParameterError as exc:
         raise ValidationError(f"{type(exc).__name__}: {exc}") from exc
-    try:
-        _ = StoppingRule(stopping.kind, stopping.tol, stopping.max_iter)
-    except ValueError as exc:
-        raise ValidationError(f"field 'stopping': {exc}") from exc
-    for s in starts:
-        if s.shape[0] != bundle.dim:
-            raise ValidationError("field 'starts': dimension does not match the problem")
+    if any(s.shape[0] != bundle.dim for s in starts):
+        raise ValidationError("field 'starts': dimension does not match the problem")
+    if y0 is not None and y0.shape[0] != bundle.dim:
+        raise ValidationError("field 'y0': dimension does not match the problem")
     return config
 
 
@@ -345,70 +356,31 @@ def run_experiment(config: ExperimentConfig) -> list[ReportRow]:
 
 def grid_row(run: GridRun) -> ReportRow:
     return ReportRow(
-        start=tuple(float(v) for v in run.start),
+        start=run.start,
         schedule=run.schedule_label,
         iterations=run.report.iterations,
         elapsed_s=run.report.elapsed_s,
-        final_x=tuple(float(v) for v in run.report.final_x),
+        final_x=run.report.final_x,
         stop_reason=run.report.stop_reason,
     )
 
 
 def table1_config() -> ExperimentConfig:
-    """Benchmark grid #1: three starts, residual stopping at 1e-4."""
-    bundle = builtin_example1()
-    return ExperimentConfig(
-        bundle=bundle,
-        label="example1",
-        algorithm="hybrid",
-        schedules=(AlphaSchedule("ratio"),),
-        lam=default_lambda(bundle.constants),
-        k=6.0,
-        alpha_cap=0.99,
-        slack_convention="standard",
-        cut_variant="two_halfspaces",
-        cuts_within_feasible=False,
-        starts=(
-            as_point([1.0, 3.0, 1.0]),
-            as_point([-3.0, 4.0, 1.0]),
-            as_point([3.0, -2.0, 1.0]),
-        ),
-        y0=None,
-        stopping=StoppingRule("residual_w", 1e-4, 10000),
-    )
+    """Benchmark grid #1 (``TABLE1``): three starts, residual stopping at 1e-4."""
+    return config_from_dict(TABLE1)
 
 
 def table2_config() -> ExperimentConfig:
-    """Benchmark grid #2: four starts x three schedules, distance stopping at 1e-3."""
-    bundle = builtin_example2()
-    return ExperimentConfig(
-        bundle=bundle,
-        label="example2",
-        algorithm="hybrid",
-        schedules=(
-            AlphaSchedule("ratio"),
-            AlphaSchedule("pow10"),
-            AlphaSchedule("invlog"),
-        ),
-        lam=default_lambda(bundle.constants),
-        k=6.0,
-        alpha_cap=0.99,
-        slack_convention="standard",
-        cut_variant="three_halfspaces",
-        cuts_within_feasible=True,
-        starts=(
-            as_point([1.0, 3.0, 1.0]),
-            as_point([-3.0, 4.0, 1.0]),
-            as_point([3.0, -2.0, 1.0]),
-            as_point([-2.0, 3.0, -1.0]),
-        ),
-        y0=None,
-        stopping=StoppingRule("distance_to_target", 1e-3, 10000),
-    )
+    """Benchmark grid #2 (``TABLE2``): four starts x three schedules, distance stopping at 1e-3."""
+    return config_from_dict(TABLE2)
 
 
-def with_audit(config: ExperimentConfig) -> ExperimentConfig:
-    return replace(config, audit=True)
+def _parsed(convert, raw, field: str):
+    """``convert(raw)``; a value it rejects (not a number) raises :class:`ParseError`."""
+    try:
+        return convert(raw)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"field {field!r}: {exc}") from exc
 
 
 def _parse_schedule(raw) -> AlphaSchedule:
@@ -417,20 +389,22 @@ def _parse_schedule(raw) -> AlphaSchedule:
     if isinstance(raw, dict):
         kind = raw["type"]
         if kind == "constant":
-            return AlphaSchedule("constant", float(raw["value"]))
+            return AlphaSchedule("constant", _parsed(float, raw["value"], "params.alpha_schedule"))
         return AlphaSchedule(kind)
     raise TypeError(f"schedule must be a name or an object, got {type(raw).__name__}")
 
 
 def _parse_stopping(raw, bundle: ProblemBundle) -> StoppingRule:
     if raw is None:
-        if bundle.target is not None:
-            return StoppingRule("distance_to_target", 1e-3, 10000)
-        return StoppingRule("residual_w", 1e-4, 10000)
+        raw = {} if bundle.target is None else {"rule": "distance_to_target", "tol": 1e-3}
     if not isinstance(raw, dict):
         raise ParseError("field 'stopping': must be an object")
-    kind = raw.get("rule", "residual_w")
+    tol = _parsed(float, raw.get("tol", 1e-4), "stopping.tol")
+    max_iter = _parsed(int, raw.get("max_iter", 10000), "stopping.max_iter")
     try:
-        return StoppingRule(kind, float(raw.get("tol", 1e-4)), int(raw.get("max_iter", 10000)))
+        rule = StoppingRule(raw.get("rule", "residual_w"), tol, max_iter)
     except ValueError as exc:
         raise ValidationError(f"field 'stopping': {exc}") from exc
+    if rule.kind == "distance_to_target" and bundle.target is None:
+        raise ValidationError("field 'stopping': the distance rule needs a known target")
+    return rule

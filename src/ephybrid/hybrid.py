@@ -56,7 +56,7 @@ class LambdaOutOfRange(ParameterError):
 
 
 class KTooSmall(ParameterError):
-    """Slack weight must satisfy k > 1/(1 - 2*lam*(c1+c2))."""
+    """Slack weight must satisfy 1/(1 - 2*lam*(c1+c2)) < k < inf."""
 
 
 class AlphaOutOfRange(ParameterError):
@@ -169,7 +169,7 @@ def validate_params(
     """Check the admissibility conditions and freeze the parameters.
 
     Requires ``0 < lam < 1/(2*(c1+c2))`` and
-    ``k > 1/(1 - 2*lam*(c1+c2))``, both strict, plus an averaging cap
+    ``1/(1 - 2*lam*(c1+c2)) < k < inf``, all strict, plus an averaging cap
     in (0, 1).
     """
     csum = constants.c1 + constants.c2
@@ -180,8 +180,8 @@ def validate_params(
         raise LambdaOutOfRange(f"need 0 < lam < {lam_max:.6g}, got {lam}")
     coupling = 2.0 * lam * csum
     k_min = 1.0 / (1.0 - coupling)
-    if not k > k_min * (1.0 + 1e-12):
-        raise KTooSmall(f"need k > {k_min:.6g}, got {k}")
+    if not k_min * (1.0 + 1e-12) < k < math.inf:
+        raise KTooSmall(f"need {k_min:.6g} < k < inf, got {k}")
     if not (0.0 < alpha_cap < 1.0):
         raise AlphaOutOfRange(f"cap must lie in (0, 1), got {alpha_cap}")
     if slack_convention not in SLACK_CONVENTIONS:
@@ -242,7 +242,11 @@ class InvariantFlags:
 
 @dataclass(eq=False)
 class IterationRecord:
-    """Everything one iteration produced, immutable once emitted."""
+    """Everything one iteration produced, immutable once emitted.
+
+    The arrays are the step's own, never copied or mutated in place (see
+    :class:`SolverState`), so ``w_next is y_next`` tells where ``w`` came from.
+    """
 
     n: int
     y_next: np.ndarray
@@ -348,7 +352,7 @@ def hybrid_iterate(
     mapped = bundle.mapping(y_next)
     if np.array_equal(mapped, y_next):
         # Fixed point of the mapping: the average is y itself for every alpha.
-        z_next = y_next.copy()
+        z_next = y_next
     else:
         z_next = alpha * y_next + (1.0 - alpha) * mapped
 
@@ -366,11 +370,7 @@ def hybrid_iterate(
     else:
         # Split the contraction cut: points that the averaging step does
         # not move away from, and points the prox point stays near.
-        avg_normal = 2.0 * (y_next - z_next)
-        if np.any(avg_normal):
-            averaging = Halfspace(avg_normal, float(y_next @ y_next - z_next @ z_next))
-        else:
-            averaging = WholeSpace(y_next.shape[0])
+        averaging = build_contraction_cut(y_next, z_next, 0.0)
         cuts = [averaging, build_contraction_cut(state.x_cur, y_next, epsilon), anchor]
 
     try:
@@ -399,10 +399,10 @@ def hybrid_iterate(
 
     record = IterationRecord(
         n=state.n,
-        y_next=y_next.copy(),
-        z_next=z_next.copy(),
-        w_next=w_next.copy(),
-        x_next=x_next.copy(),
+        y_next=y_next,
+        z_next=z_next,
+        w_next=w_next,
+        x_next=x_next,
         epsilon=epsilon,
         residual_w=residual_w,
         dist_to_target=dist_to_target,
@@ -515,10 +515,10 @@ def extragradient_solve(bundle: ProblemBundle, lam: float, stopping: StoppingRul
         dist = None if bundle.target is None else float(np.linalg.norm(x_next - bundle.target))
         record = IterationRecord(
             n=n,
-            y_next=y.copy(),
-            z_next=x_next.copy(),
-            w_next=x_next.copy(),
-            x_next=x_next.copy(),
+            y_next=y,
+            z_next=x_next,
+            w_next=x_next,
+            x_next=x_next,
             epsilon=None,
             residual_w=float(np.linalg.norm(y - x)),
             dist_to_target=dist,
@@ -567,9 +567,8 @@ def _drive(step, state, stopping: StoppingRule, bundle: ProblemBundle, audit: bo
 
 
 def _audit_record(record: IterationRecord, bundle: ProblemBundle) -> None:
+    """Assert a hybrid record's flags and that the known solution lies in both cuts."""
     flags = record.flags
-    if flags is None:
-        return
     if flags.contraction_ok is False:
         raise InvariantViolation(
             f"iteration {record.n}: contraction certificate failed "
@@ -588,7 +587,7 @@ def _audit_record(record: IterationRecord, bundle: ProblemBundle) -> None:
             ("contraction", record.contraction_cut),
             ("anchor", record.anchor_cut),
         ):
-            if cut is not None and not cut.contains(bundle.target, 1e-8):
+            if not cut.contains(bundle.target, 1e-8):
                 raise InvariantViolation(
                     f"iteration {record.n}: known solution left the {cut_name} cut"
                 )

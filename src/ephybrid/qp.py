@@ -82,34 +82,54 @@ def reduce_prox_to_qp(f: QuadraticBifunction, v, x, lam: float, feasible: Convex
     ``M = 2*lam*Q + I`` is SPD, so the QP has a unique minimizer equal
     to the prox minimizer.
     """
-    if not lam > 0.0:
-        raise NonPositiveLambda(f"lam must be > 0, got {lam}")
-    pv = as_point(v)
-    px = as_point(x)
-    if pv.shape[0] != f.dim or px.shape[0] != f.dim or feasible.dim != f.dim:
-        raise DimensionMismatch("prox arguments must match the bifunction dimension")
-    M = 2.0 * lam * f.Q + np.eye(f.dim)
-    c = lam * (f.P @ pv + f.q - f.Q @ pv) - px
-    return QPInstance(M, c, feasible)
+    return QPInstance(_prox_hessian(f, lam, feasible), _prox_linear_term(f, v, x, lam), feasible)
 
 
 def prox_step(f: QuadraticBifunction, v, x, lam: float, feasible: ConvexSet) -> np.ndarray:
     """One-shot prox evaluation (no warm start)."""
-    return solve_qp_active_set(reduce_prox_to_qp(f, v, x, lam, feasible))
+    return ProxSolver().step(f, v, x, lam, feasible)
+
+
+def _prox_hessian(f: QuadraticBifunction, lam: float, feasible: ConvexSet) -> np.ndarray:
+    """``M = 2*lam*Q + I``; ``lam`` is checked before the product, where inf would warn."""
+    if not 0.0 < lam < np.inf:
+        raise NonPositiveLambda(f"lam must be finite and > 0, got {lam}")
+    if not isinstance(feasible, ConvexSet):
+        raise TypeError(f"unsupported feasible set: {type(feasible).__name__}")
+    if feasible.dim != f.dim:
+        raise DimensionMismatch("prox arguments must match the bifunction dimension")
+    return 2.0 * lam * f.Q + np.eye(f.dim)
+
+
+def _prox_linear_term(f: QuadraticBifunction, v, x, lam: float) -> np.ndarray:
+    """``c = lam*(P v + q - Q v) - x``.
+
+    ``v`` is checked before the products, where an inf entry would warn
+    (inf * 0); ``x`` only enters ``c`` by subtraction.
+    """
+    v = np.asarray(v, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if v.shape != (f.dim,) or x.shape != (f.dim,):
+        raise DimensionMismatch("prox arguments must match the bifunction dimension")
+    if not all_finite(v):
+        raise ValueError("prox arguments must be finite")
+    c = lam * (f.P @ v + f.q - f.Q @ v) - x
+    if not all_finite(c):
+        raise ValueError("prox arguments must be finite")
+    return c
 
 
 class ProxSolver:
     """Prox evaluator with per-run state that warm-starts from the previous call.
 
     The first step, and every step where the triple ``(f, lam,
-    feasible)`` changes, checks all arguments as :func:`reduce_prox_to_qp`
-    does and builds the run's :class:`_DualQP` from the factor of
-    ``M = 2*lam*Q + I`` and the set's prepared rows.  ``f`` and the set
-    are compared by identity, which is sound because both are immutable,
-    and ``lam`` by value.  Every other step checks the shapes of ``v`` and
-    ``x``, the finiteness of ``v`` and then of ``c``, and rejects what the
-    first step rejects.  Warm starting seeds the dual method with the
-    last working set; the minimizer is unique, so this changes nothing
+    feasible)`` changes, checks ``lam`` and the set and builds the run's
+    :class:`_DualQP` from the factor of ``M = 2*lam*Q + I`` and the set's
+    prepared rows.  ``f`` and the set are compared by identity, which is
+    sound because both are immutable, and ``lam`` by value.  Every step
+    checks ``v`` and ``x`` and computes ``c`` the same way.  Warm starting
+    seeds the dual method with the last working set, kept across key
+    changes; the minimizer is unique, so this changes nothing
     mathematically.  One instance per sequential run; instances share no
     state and may be created freely.
     """
@@ -122,23 +142,10 @@ class ProxSolver:
     def step(self, f: QuadraticBifunction, v, x, lam: float, feasible: ConvexSet) -> np.ndarray:
         key = self._key
         if key is None or key[0] is not f or key[1] != lam or key[2] is not feasible:
-            inst = reduce_prox_to_qp(f, v, x, lam, feasible)
-            self._qp = _DualQP(cholesky_spd(inst.M), _prepared_rows(feasible))
+            M = _prox_hessian(f, lam, feasible)
+            self._qp = _DualQP(cholesky_spd(M), _prepared_rows(feasible))
             self._key = (f, lam, feasible)
-            c = inst.c
-        else:
-            v = np.asarray(v, dtype=float)
-            x = np.asarray(x, dtype=float)
-            if v.shape != (f.dim,) or x.shape != (f.dim,):
-                raise DimensionMismatch("prox arguments must match the bifunction dimension")
-            # ``v`` is checked before the products, where an inf entry
-            # would warn (inf * 0); ``x`` only enters ``c`` by subtraction.
-            if not all_finite(v):
-                raise ValueError("prox arguments must be finite")
-            c = lam * (f.P @ v + f.q - f.Q @ v) - x
-            if not all_finite(c):
-                raise ValueError("prox arguments must be finite")
-        y, self._working = self._qp.solve(c, self._working)
+        y, self._working = self._qp.solve(_prox_linear_term(f, v, x, lam), self._working)
         return y
 
 

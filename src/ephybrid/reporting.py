@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 from .hybrid import IterationRecord, RunReport
 from .sets import set_to_dict
@@ -26,6 +26,12 @@ class ReportRow:
     elapsed_s: float
     final_x: tuple[float, ...]
     stop_reason: str
+
+    def __post_init__(self):
+        # Grid runs pass arrays and JSON passes lists; rows keep Python floats.
+        object.__setattr__(self, "start", tuple(map(float, self.start)))
+        object.__setattr__(self, "elapsed_s", float(self.elapsed_s))
+        object.__setattr__(self, "final_x", tuple(map(float, self.final_x)))
 
 
 def format_point(values) -> str:
@@ -74,37 +80,18 @@ def write_report_json(report: RunReport, path) -> None:
 def emit_reports(rows, fmt: str, path) -> None:
     """Write summary rows as ``csv`` or ``json``.
 
-    The CSV header is ``start,schedule,iterations,elapsed_s,final_x,
-    stop_reason`` with floats at 7 decimals; the JSON form keeps full
+    Both forms hold one field per :class:`ReportRow` field, in order.  The
+    CSV prints points and seconds at 7 decimals; the JSON form keeps full
     precision and round-trips through :func:`rows_from_json`.
     """
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["start", "schedule", "iterations", "elapsed_s", "final_x", "stop_reason"])
+            writer.writerow([f.name for f in fields(ReportRow)])
             for row in rows:
-                writer.writerow(
-                    [
-                        format_point(row.start),
-                        row.schedule,
-                        row.iterations,
-                        f"{row.elapsed_s:.7f}",
-                        format_point(row.final_x),
-                        row.stop_reason,
-                    ]
-                )
+                writer.writerow([_summary_cell(v) for v in astuple(row)])
     elif fmt == "json":
-        payload = [
-            {
-                "start": list(row.start),
-                "schedule": row.schedule,
-                "iterations": row.iterations,
-                "elapsed_s": row.elapsed_s,
-                "final_x": list(row.final_x),
-                "stop_reason": row.stop_reason,
-            }
-            for row in rows
-        ]
+        payload = [asdict(row) for row in rows]
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1)
             fh.write("\n")
@@ -116,17 +103,7 @@ def rows_from_json(path) -> list[ReportRow]:
     """Read back rows written by ``emit_reports(..., "json", ...)``."""
     with open(path) as fh:
         payload = json.load(fh)
-    return [
-        ReportRow(
-            start=tuple(item["start"]),
-            schedule=item["schedule"],
-            iterations=item["iterations"],
-            elapsed_s=item["elapsed_s"],
-            final_x=tuple(item["final_x"]),
-            stop_reason=item["stop_reason"],
-        )
-        for item in payload
-    ]
+    return [ReportRow(**item) for item in payload]
 
 
 def _record_to_dict(rec: IterationRecord) -> dict:
@@ -150,6 +127,13 @@ def _record_to_dict(rec: IterationRecord) -> dict:
             "membership_ok": rec.flags.membership_ok,
         }
     return out
+
+
+def _summary_cell(value):
+    """A summary CSV cell: points as :func:`format_point`, seconds at 7 decimals."""
+    if isinstance(value, tuple):
+        return format_point(value)
+    return f"{value:.7f}" if isinstance(value, float) else value
 
 
 def _cell(value) -> str:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,15 +18,16 @@ from ephybrid.experiments import (
     builtin_example1,
     builtin_example2,
     bundle_from_dict,
+    config_from_dict,
     default_lambda,
     load_config,
     run_experiment,
     run_grid,
     table1_config,
     table2_config,
-    with_audit,
 )
-from ephybrid.problems import validate_conditions
+from ephybrid.hybrid import AlphaSchedule, StoppingRule
+from ephybrid.problems import IdentityMapping, validate_conditions
 from ephybrid.reporting import (
     ReportRow,
     emit_reports,
@@ -142,6 +144,61 @@ def test_inline_bundle_round_trip(example2):
     bundle = bundle_from_dict(data)
     assert bundle.constants.c1 == pytest.approx(example2.constants.c1)
     assert np.array_equal(bundle.mapping(np.zeros(3)), np.zeros(3))
+
+
+def test_config_from_inline_problem(example1):
+    """The inline-problem path the nc64 game takes, with every default it can pick."""
+    f = example1.bifunction
+    problem = {
+        "bifunction": {"P": f.P.tolist(), "Q": f.Q.tolist(), "q": f.q.tolist()},
+        "feasible": set_to_dict(example1.feasible),
+        "mapping": {"type": "identity"},
+        "constants": {"c1": example1.constants.c1, "c2": example1.constants.c2},
+    }
+    rest = {"params": {"alpha_schedule": {"type": "constant", "value": 0.5}}, "starts": [[1.0, 3.0, 1.0]]}
+    config = config_from_dict({"problem": problem, **rest})
+    assert config.label == "inline"
+    assert isinstance(config.bundle.mapping, IdentityMapping)
+    assert config.bundle.constants == example1.constants
+    assert config.lam == default_lambda(example1.constants)
+    assert config.schedules == (AlphaSchedule("constant", 0.5),)
+    # No stopping given and no target: the residual rule.
+    assert config.stopping == StoppingRule("residual_w", 1e-4, 10000)
+    # The inline copy of example1 runs bit for bit like the builtin.
+    (inline,), (builtin,) = run_grid(config), run_grid(config_from_dict({"problem": "example1", **rest}))
+    assert inline.report.iterations == builtin.report.iterations
+    assert inline.report.final_x.tobytes() == builtin.report.final_x.tobytes()
+
+    # Constants left out are derived from P and Q; a target makes the
+    # default stopping rule the distance to it.
+    del problem["constants"]
+    config = config_from_dict({"problem": {**problem, "target": [0.0, 1.0, 0.0]}, "starts": [[1, 3, 1]]})
+    assert config.bundle.constants == example1.constants
+    assert config.stopping == StoppingRule("distance_to_target", 1e-3, 10000)
+
+
+def test_benchmark_grids_pin_every_field():
+    """The grids inherit the parser's defaults; a changed default must fail here."""
+    t1, t2 = table1_config(), table2_config()
+    assert t1.bundle.label == t1.label == "example1"
+    assert t2.bundle.label == t2.label == "example2"
+    assert t1.lam == pytest.approx(0.1438447187, rel=1e-9) == t2.lam
+    assert [s.kind for s in t1.schedules] == ["ratio"]
+    assert [s.kind for s in t2.schedules] == ["ratio", "pow10", "invlog"]
+    assert (t1.cut_variant, t1.cuts_within_feasible) == ("two_halfspaces", False)
+    assert (t2.cut_variant, t2.cuts_within_feasible) == ("three_halfspaces", True)
+    assert [s.tolist() for s in t1.starts] == [[1.0, 3.0, 1.0], [-3.0, 4.0, 1.0], [3.0, -2.0, 1.0]]
+    assert [s.tolist() for s in t2.starts] == [
+        [1.0, 3.0, 1.0], [-3.0, 4.0, 1.0], [3.0, -2.0, 1.0], [-2.0, 3.0, -1.0],
+    ]
+    assert t1.stopping == StoppingRule("residual_w", 1e-4, 10000)
+    assert t2.stopping == StoppingRule("distance_to_target", 1e-3, 10000)
+    for config in (t1, t2):
+        assert config.algorithm == "hybrid"
+        assert (config.k, config.alpha_cap, config.slack_convention) == (6.0, 0.99, "standard")
+        assert config.y0 is None
+        assert not config.audit
+        assert (config.csv_path, config.json_path, config.trace_dir) == (None, None, None)
 
 
 def test_run_experiment_records_capped_rows(tmp_path):
@@ -271,7 +328,7 @@ def test_table2_grid_solves_no_linear_program():
 
 
 def test_audit_grid_clean():
-    runs = run_grid(with_audit(table2_config()))
+    runs = run_grid(replace(table2_config(), audit=True))
     assert all(r.report.stop_reason == "DistanceToKnown" for r in runs)
 
 
@@ -301,16 +358,53 @@ def test_cli_solve_config(tmp_path, capsys):
     assert len(list(trace_dir.glob("trace_*.json"))) == 1  # full run report per trace
 
 
+INLINE_BOX_PROBLEM = {
+    "bifunction": {"P": [[2.0, 0.0], [0.0, 2.0]], "Q": [[1.0, 0.0], [0.0, 1.0]], "q": [0.0, 0.0]},
+    "feasible": {"type": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+}
+
+
+def assert_config_error(tmp_path, capsys, error, **fields):
+    """The parser raises ``error`` for an example1 config with ``fields``; the CLI exits 2."""
+    data = {"problem": "example1", "starts": [[1, 3, 1]], **fields}
+    with pytest.raises(error):
+        config_from_dict(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["solve", "--config", str(path)]) == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_cli_validation_error_exit_code(tmp_path, capsys):
     path = minimal_config(tmp_path, params={"k": 5.0})
     assert cli.main(["solve", "--config", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+    # A seed of the wrong length, a distance rule on a problem without a
+    # known target and an infinite k are caught by the parser, not the solver.
+    for fields in (
+        {"y0": [0, 0]},
+        {"stopping": {"rule": "distance_to_target"}},
+        {"params": {"k": float("inf")}},
+    ):
+        assert_config_error(tmp_path, capsys, ValidationError, **fields)
 
 
 def test_cli_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{")
     assert cli.main(["solve", "--config", str(path)]) == 2
+    for fields in (
+        {"params": {"k": "abc"}},
+        {"params": {"lambda": "x"}},
+        {"params": {"alpha_schedule": {"type": "constant", "value": "x"}}},
+        {"y0": [0, 0, "x"]},
+        {"problem": {**INLINE_BOX_PROBLEM, "mapping": "identity"}},
+        {"problem": {**INLINE_BOX_PROBLEM, "feasible": "box"}},
+        {"output": {"csv": 7}},
+        {"params": {"cuts_within_feasible": "false"}},
+        {"audit": "false"},
+    ):
+        assert_config_error(tmp_path, capsys, ParseError, **fields)
 
 
 def test_cli_audit_subcommand(tmp_path, capsys):

@@ -337,20 +337,36 @@ def test_audit_mode_clean_run(example2):
 def test_audit_detects_fabricated_violation(example2):
     from ephybrid.hybrid import InvariantFlags, IterationRecord, _audit_record
 
-    rec = IterationRecord(
-        n=3,
-        y_next=np.zeros(3),
-        z_next=np.zeros(3),
-        w_next=np.zeros(3),
-        x_next=np.zeros(3),
-        epsilon=0.0,
-        residual_w=1.0,
-        dist_to_target=1.0,
-        alpha=0.0,
-        flags=InvariantFlags(contraction_ok=False, monotone_ok=True, membership_ok=True),
-    )
-    with pytest.raises(InvariantViolation):
-        _audit_record(rec, example2)
+    def record(contraction_ok=True, monotone_ok=True, membership_ok=True, cuts=None):
+        contraction, anchor = cuts or (WholeSpace(3), WholeSpace(3))
+        return IterationRecord(
+            n=3,
+            y_next=np.zeros(3),
+            z_next=np.zeros(3),
+            w_next=np.zeros(3),
+            x_next=np.zeros(3),
+            epsilon=0.0,
+            residual_w=1.0,
+            dist_to_target=1.0,
+            alpha=0.0,
+            contraction_cut=contraction,
+            anchor_cut=anchor,
+            flags=InvariantFlags(contraction_ok, monotone_ok, membership_ok),
+        )
+
+    # example2's known solution is the origin, which this cut excludes.
+    outside, inside = Halfspace([1.0, 0.0, 0.0], -1.0), Halfspace([1.0, 0.0, 0.0], 1.0)
+    for rec, message in (
+        (record(contraction_ok=False), "contraction certificate"),
+        (record(monotone_ok=False), "distance to the initial point"),
+        (record(membership_ok=False), "escaped the cuts"),
+        (record(cuts=(outside, inside)), "left the contraction cut"),
+        (record(cuts=(inside, outside)), "left the anchor cut"),
+    ):
+        with pytest.raises(InvariantViolation, match=message):
+            _audit_record(rec, example2)
+    _audit_record(record(cuts=(inside, WholeSpace(3))), example2)
+    _audit_record(record(contraction_ok=None), example2)
 
 
 def test_random_bundles_keep_independent_solution_in_cuts():

@@ -80,6 +80,11 @@ def test_reduction_rejects_nonpositive_step():
     f = QuadraticBifunction(P, Q, [0.0, 0.0, 0.0])
     with pytest.raises(NonPositiveLambda):
         reduce_prox_to_qp(f, np.zeros(3), np.zeros(3), 0.0, UNIT_BOX)
+    # A non-finite step is rejected before ``2*lam*Q`` (inf * 0 would warn).
+    for lam in (np.inf, np.nan, -np.inf):
+        for prox in (reduce_prox_to_qp, prox_step, ProxSolver().step):
+            with pytest.raises(NonPositiveLambda):
+                prox(f, np.zeros(3), np.zeros(3), lam, UNIT_BOX)
 
 
 def test_box_qp_equals_clamp():
@@ -515,3 +520,7 @@ def test_constraint_rows_skip_infinite_bounds():
         constraint_rows(object())
     with pytest.raises(TypeError):
         QPInstance(np.eye(2), np.zeros(2), object())
+    f = QuadraticBifunction(P, Q, [0.0, 0.0, 0.0])
+    for prox in (reduce_prox_to_qp, prox_step, ProxSolver().step):
+        with pytest.raises(TypeError):
+            prox(f, np.zeros(3), np.zeros(3), 0.1, object())
