@@ -383,6 +383,16 @@ def _parsed(convert, raw, field: str):
         raise ParseError(f"field {field!r}: {exc}") from exc
 
 
+def _whole_number(raw) -> int:
+    """``int(raw)`` for a count, rejecting what ``int`` would take silently:
+    a bool (``true`` is 1) or a number with a fractional part (``1.5`` is 1).
+    A float with none, such as ``10000.0``, is that integer.
+    """
+    if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(f"must be a whole number, got {raw!r}")
+    return int(raw)
+
+
 def _parse_schedule(raw) -> AlphaSchedule:
     if isinstance(raw, str):
         return AlphaSchedule(raw)
@@ -400,7 +410,7 @@ def _parse_stopping(raw, bundle: ProblemBundle) -> StoppingRule:
     if not isinstance(raw, dict):
         raise ParseError("field 'stopping': must be an object")
     tol = _parsed(float, raw.get("tol", 1e-4), "stopping.tol")
-    max_iter = _parsed(int, raw.get("max_iter", 10000), "stopping.max_iter")
+    max_iter = _parsed(_whole_number, raw.get("max_iter", 10000), "stopping.max_iter")
     try:
         rule = StoppingRule(raw.get("rule", "residual_w"), tol, max_iter)
     except ValueError as exc:

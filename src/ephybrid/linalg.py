@@ -2,9 +2,12 @@
 
 Vectors are 1-D float numpy arrays, matrices 2-D.  The two nontrivial
 kernels are a pivot-checked Cholesky solve for symmetric positive
-definite systems and the spectral (operator-2) norm.  Everything is a
-pure function on immutable inputs; problems here are small and dense
-(a few hundred dimensions at most), so direct factorizations only.
+definite systems and the spectral (operator-2) norm.  The factorization
+is LAPACK ``dpotrf`` and the triangular solves are ``dtrtrs``, both
+called directly; the symmetry and pivot checks around them are this
+module's own.  Everything is a pure function on immutable inputs;
+problems here are small and dense (a few hundred dimensions at most), so
+direct factorizations only.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 SYMMETRY_TOL = 1e-10
 PIVOT_TOL = 1e-12
@@ -72,8 +75,11 @@ def cholesky_spd(m) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
     Symmetry is checked to ``SYMMETRY_TOL`` relative to the largest
-    entry; every pivot must exceed ``PIVOT_TOL``.  Raises
-    :class:`NotSPD` otherwise.
+    entry; every pivot ``L_jj^2`` must exceed ``PIVOT_TOL``.  Raises
+    :class:`NotSPD` otherwise.  LAPACK ``dpotrf`` factors the
+    Fortran-ordered view ``m^T`` (it reads the lower triangle of ``m``)
+    into an upper factor whose transpose, returned, is a C-ordered lower
+    factor with an exactly zero strict upper triangle.
     """
     a = as_matrix(m)
     n, k = a.shape
@@ -82,14 +88,14 @@ def cholesky_spd(m) -> np.ndarray:
     scale = max(1.0, float(np.abs(a).max()))
     if float(np.abs(a - a.T).max()) > SYMMETRY_TOL * scale:
         raise NotSPD("matrix is not symmetric")
-    lower = np.zeros_like(a)
-    for j in range(n):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if pivot <= PIVOT_TOL:
-            raise NotSPD(f"pivot {pivot:.3e} at column {j}")
-        lower[j, j] = math.sqrt(pivot)
-        if j + 1 < n:
-            lower[j + 1:, j] = (a[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / lower[j, j]
+    upper, info = dpotrf(a.T, lower=0, clean=1)
+    if info > 0:
+        raise NotSPD(f"leading minor of order {info} is not positive definite")
+    lower = upper.T
+    diag = lower.diagonal()
+    j = int(np.argmin(diag))
+    if diag[j] * diag[j] <= PIVOT_TOL:
+        raise NotSPD(f"pivot {diag[j] * diag[j]:.3e} at column {j}")
     return lower
 
 
@@ -109,6 +115,20 @@ def solve_with_factor(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     z, info = dtrtrs(upper, rhs, lower=0, trans=1)
     if info == 0:
         z, info = dtrtrs(upper, z, lower=0, trans=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return z
+
+
+def triangular_solve(lower: np.ndarray, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """``L^-1 rhs``, or ``L^-T rhs`` with ``transpose``, for a lower factor ``L``.
+
+    One of the two ``dtrtrs`` calls of :func:`solve_with_factor`, alone:
+    ``triangular_solve(L, triangular_solve(L, rhs), transpose=True)`` is
+    bitwise ``solve_with_factor(L, rhs)``.  Inputs are trusted.  Raises
+    ``numpy.linalg.LinAlgError`` on an exactly zero diagonal.
+    """
+    z, info = dtrtrs(lower.T, rhs, lower=0, trans=0 if transpose else 1)
     if info != 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     return z

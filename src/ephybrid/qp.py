@@ -20,9 +20,12 @@ Within a run the bifunction, ``lam`` and the feasible set stay the
 same, so the factor of ``M`` and the set's prepared rows do too; most
 of the time so does the working set, and only ``c`` changes.  So
 :class:`ProxSolver` keeps one :class:`_DualQP` per run, which keeps its
-last face factor.  A reused value is exactly what recomputing it would
-give, so results are bitwise those of a solve without any reuse.
-:func:`project_polyhedral` is the one identity-metric projection.
+last face factor.  A row entering the working set grows that factor by
+one bordered row instead of a refactorization.  A factor reused or
+grown agrees with a fresh factorization to about 1e-12, not bit
+for bit, so the solves with and without it round differently; repeated
+runs are byte-identical.  :func:`project_polyhedral` is the one
+identity-metric projection.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    PIVOT_TOL,
     DimensionMismatch,
     NotSPD,
     all_finite,
@@ -40,6 +44,7 @@ from .linalg import (
     as_point,
     cholesky_spd,
     solve_with_factor,
+    triangular_solve,
 )
 from .problems import QuadraticBifunction
 from .sets import ConvexSet, InfeasibleSet, halfspaces_and_box
@@ -130,8 +135,10 @@ class ProxSolver:
     checks ``v`` and ``x`` and computes ``c`` the same way.  Warm starting
     seeds the dual method with the last working set, kept across key
     changes; the minimizer is unique, so this changes nothing
-    mathematically.  One instance per sequential run; instances share no
-    state and may be created freely.
+    mathematically.  The kept face factor, reused or grown, agrees with
+    a refactored one to about 1e-12, not bit for bit; the same sequence
+    of steps gives the same bits every time.  One instance per
+    sequential run; instances share no state and may be created freely.
     """
 
     def __init__(self):
@@ -170,14 +177,15 @@ def project_polyhedral(x0: np.ndarray, cuts, feasible: ConvexSet | None) -> np.n
     cut projection passes its cuts and the feasible set, or ``None``.  The
     unit cut rows go on top of the set's cached rows before deduplication,
     so the result is bitwise that of the polyhedron of the cuts, the set's
-    halfspaces and its box.  ``M = I`` is its own Cholesky factor, exactly
-    as :func:`cholesky_spd` returns it.  ``x0`` is trusted.  Raises
-    :class:`InfeasibleSet` when the intersection is empty.
+    halfspaces and its box.  With ``M = I`` the dual method runs no
+    triangular solve: ``M^-1`` is a copy and ``K = A_W^T``, bitwise what
+    solving against the identity factor gives.  ``x0`` is trusted.
+    Raises :class:`InfeasibleSet` when the intersection is empty.
     """
     rows = None if feasible is None else _prepared_rows(feasible)
     if cuts:
         rows = _unit_rows(np.array([h.a for h in cuts]), np.array([h.b for h in cuts]), rows)
-    return _DualQP(np.eye(x0.shape[0]), rows).solve(-x0)[0]
+    return _DualQP(None, rows).solve(-x0)[0]
 
 
 def constraint_rows(feasible: ConvexSet) -> tuple[np.ndarray, np.ndarray]:
@@ -241,26 +249,55 @@ class _DualQP:
 
     Goldfarb & Idnani, *A numerically stable dual method for solving
     strictly convex quadratic programs*, Math. Programming 27 (1983).
-    ``L`` is the Cholesky factor of ``M`` and ``rows`` a prepared
-    ``(A, b, feas_tol)`` triple (:func:`_unit_rows`).  Both are fixed for
-    the object's life, so the one kept face factor (the working set
-    rarely changes between solves) never goes stale.
+    ``L`` is the Cholesky factor of ``M``, or ``None`` for ``M = I``,
+    where ``M^-1`` is a copy and no triangular solve runs.  ``rows`` is a
+    prepared ``(A, b, feas_tol)`` triple (:func:`_unit_rows`).  Both are
+    fixed for the object's life, so the one kept face factor (the working
+    set rarely changes between solves) never goes stale.
     """
 
-    def __init__(self, L: np.ndarray, rows):
+    def __init__(self, L: np.ndarray | None, rows):
         self.L = L
         self.A, self.b, self.feas_tol = rows
         self._face_key = self._face = None
+
+    def minv(self, v: np.ndarray) -> np.ndarray:
+        """``M^-1 v``: a copy of ``v`` when ``M = I``."""
+        return np.array(v) if self.L is None else solve_with_factor(self.L, v)
 
     def face(self, working) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(A_W, K = M^-1 A_W^T, chol(A_W K))``; raises :class:`NotSPD`."""
         key = tuple(working)
         if key != self._face_key:
             AW = self.A[working]
-            K = solve_with_factor(self.L, AW.T)
+            K = self.minv(AW.T)
             self._face = (AW, K, cholesky_spd(AW @ K))
             self._face_key = key
         return self._face
+
+    def _border(self, working, face, p, minv_a, l, pivot) -> list[int]:
+        """``working + [p]``, its face grown from ``face``, the face of ``working``.
+
+        Row ``p`` appends a row to ``A_W``, the column ``M^-1 a_p`` to
+        ``K`` and the row ``(l, sqrt(pivot))`` to the Gram factor, where
+        ``l = Lg^-1 A_W M^-1 a_p`` and ``pivot = a_p^T M^-1 a_p - l.l``:
+        the Cholesky factor of the grown ``A_W K``, with no product or
+        factorization.  The grown face becomes the kept one.
+        """
+        k = len(working)
+        grown = np.zeros((k + 1, k + 1))
+        grown[k, k] = np.sqrt(pivot)
+        if k:
+            AW, K, Lg = face
+            grown[:k, :k] = Lg
+            grown[k, :k] = l
+            AW, K = np.vstack((AW, self.A[p])), np.column_stack((K, minv_a))
+        else:
+            AW, K = self.A[p : p + 1], minv_a[:, None]
+        working = working + [p]
+        self._face = (AW, K, grown)
+        self._face_key = tuple(working)
+        return working
 
     def solve(self, c: np.ndarray, working=()) -> tuple[np.ndarray, tuple[int, ...]]:
         """Minimizer for the linear term ``c`` and its final working set.
@@ -271,14 +308,12 @@ class _DualQP:
         multiplier would turn negative first.  A row that depends on the
         working set is never added, and when nothing can be dropped either
         the set is empty.  ``working`` seeds the method (row indices out of
-        range are ignored).  ``c`` is trusted: callers check it.
+        range are ignored) and is kept in its order, as added rows are
+        appended, so that the rows of the kept face factor follow it.
+        ``c`` is trusted: callers check it.
         """
-        A, b, L = self.A, self.b, self.L
-        d = L.shape[0]
-
-        def minv(v):
-            return solve_with_factor(L, v)
-
+        A, b, minv = self.A, self.b, self.minv
+        d = c.shape[0]
         m = A.shape[0]
         if m == 0:
             return minv(-c), ()
@@ -294,7 +329,7 @@ class _DualQP:
 
         # Warm start: the given working set, less the rows whose multiplier
         # on its face is negative (the face minimizer is then dual feasible).
-        working = sorted(i for i in set(working) if 0 <= i < m)
+        working = list(dict.fromkeys(i for i in working if 0 <= i < m))
         while True:
             try:
                 y, u = on_face(working)
@@ -316,19 +351,24 @@ class _DualQP:
                     break
             ap = A[p]
             minv_a = minv(ap)
+            # r = Lg^-T l is how fast the working multipliers fall per unit
+            # of p's.  Its forward half l and the curvature are the new row
+            # and pivot of the Gram factor if p enters.
             if working:
-                AW, K, Lg = self.face(working)
-                r = solve_with_factor(Lg, AW @ minv_a)
-                z = K @ r - minv_a
+                face = self.face(working)
+                AW, K, Lg = face
+                l = triangular_solve(Lg, AW @ minv_a)
+                r = triangular_solve(Lg, l, transpose=True)
             else:
-                r = np.zeros(0)
-                z = -minv_a
+                face, l, r = None, np.zeros(0), np.zeros(0)
             # Full step: the multiplier of p that makes its row tight.  Zero
-            # curvature (or a singular new face) means ap depends on the rows
-            # of the working set and can only enter by replacing one of them.
-            curvature = -float(ap @ z)
+            # curvature (a pivot at or below PIVOT_TOL, as in cholesky_spd)
+            # means ap depends on the rows of the working set and can only
+            # enter by replacing one of them.
+            a_minv_a = float(ap @ minv_a)
+            curvature = a_minv_a - float(l @ l)
             full = np.inf
-            if curvature > 1e-12 * float(ap @ minv_a):
+            if curvature > max(1e-12 * a_minv_a, PIVOT_TOL):
                 full = (float(ap @ y) - b[p]) / curvature
             # Partial step: the first working multiplier to reach zero.
             partial, block = np.inf, None
@@ -337,17 +377,13 @@ class _DualQP:
                 if t < partial:
                     partial, block = t, int(k)
             if full != np.inf and full <= partial:
-                grown = sorted(working + [p])
-                try:
-                    y, u = on_face(grown)
-                except NotSPD:
-                    pass
-                else:
-                    working, p = grown, None
-                    continue
+                working = self._border(working, face, p, minv_a, l, curvature)
+                y, u = on_face(working)
+                p = None
+                continue
             if block is None:
                 raise InfeasibleSet("no point satisfies all constraints")
-            y = y + partial * z
+            y = y + partial * (K @ r - minv_a)
             u = np.delete(u - partial * r, block)
             del working[block]
         else:

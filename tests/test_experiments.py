@@ -403,6 +403,9 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         {"output": {"csv": 7}},
         {"params": {"cuts_within_feasible": "false"}},
         {"audit": "false"},
+        {"stopping": {"max_iter": 1.5}},
+        {"stopping": {"max_iter": True}},
+        {"stopping": {"max_iter": float("inf")}},
     ):
         assert_config_error(tmp_path, capsys, ParseError, **fields)
 
@@ -429,12 +432,13 @@ def test_load_config_builtin_example1_defaults(tmp_path):
     path = minimal_config(
         tmp_path,
         problem="example1",
-        stopping={"rule": "residual_w", "tol": 1e-4, "max_iter": 100},
+        stopping={"rule": "residual_w", "tol": 1e-4, "max_iter": 10000.0},
     )
     config = load_config(path)
     assert config.lam == pytest.approx(1.0 / (5.0 * builtin_example1().constants.c1))
     assert config.k == 6.0
     assert config.stopping.kind == "residual_w"
+    assert config.stopping.max_iter == 10000 and type(config.stopping.max_iter) is int
 
 
 def test_extragradient_trace_csv(tmp_path):

@@ -7,6 +7,7 @@ from scipy.linalg import solve_triangular
 from ephybrid.linalg import (
     DimensionMismatch,
     NonSquare,
+    PIVOT_TOL,
     NotSPD,
     as_matrix,
     as_point,
@@ -64,6 +65,31 @@ def test_spd_solve_random_roundtrip():
         M = G @ G.T + 1e-3 * np.eye(d)
         y = rng.normal(size=d)
         assert np.linalg.norm(spd_solve(M, M @ y) - y) <= 1e-9 * (1 + np.linalg.norm(y))
+
+
+def test_cholesky_rejects_small_and_negative_pivots_anywhere():
+    # A pivot is the Schur complement left at its column, not the diagonal
+    # entry: each matrix here has a comfortable diagonal.
+    last_tiny = [[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0 + 1e-13]]
+    mid_negative = [[4.0, 2.0, 0.0], [2.0, 0.5, 1.0], [0.0, 1.0, 3.0]]
+    for m in (np.diag([1.0, 1.0, 1e-13]), last_tiny, mid_negative):
+        with pytest.raises(NotSPD):
+            cholesky_spd(m)
+    # Just above the tolerance is accepted.
+    assert cholesky_spd(np.diag([1.0, 1.0, 2e-12]))[2, 2] ** 2 > PIVOT_TOL
+
+
+def test_cholesky_layout_and_agreement_with_numpy():
+    rng = np.random.default_rng(29)
+    for d in range(1, 65):
+        G = rng.normal(size=(d, d))
+        M = G @ G.T + 0.1 * np.eye(d)
+        for m in (M, np.asfortranarray(M)):
+            L = cholesky_spd(m)
+            assert L.flags.c_contiguous
+            assert not np.triu(L, 1).any()
+            ref = np.linalg.cholesky(M)
+            assert np.abs(L - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_solve_with_factor_matches_scipy_bitwise():

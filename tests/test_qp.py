@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from ephybrid.linalg import cholesky_spd, spectral_norm
+from ephybrid.linalg import cholesky_spd, solve_with_factor, spectral_norm
 from ephybrid.problems import AffineOperator, QuadraticBifunction, vip_as_bifunction
 from ephybrid.qp import (
+    CyclingDetected,
     NonPositiveLambda,
     ProxSolver,
     QPInstance,
@@ -223,19 +224,12 @@ def test_warm_start_changes_nothing():
         y_prev = warm
 
 
-def test_memo_reuse_is_bitwise_neutral():
-    """ProxSolver's cached factors change no bit of any prox step.
+def _nc64_shaped_prox():
+    """A seeded d=64 Nash-Cournot-shaped prox problem (the ``nc64`` benchmark shape).
 
-    A seeded d=64 Nash-Cournot-shaped instance (the ``nc64`` benchmark
-    shape) drives extragradient-style steps with periodic kicks, so the
-    working set both repeats and changes often.  The reference is the
-    same warm-started dual solver with a face factor that is never kept.
+    Returns ``(f, feasible, lam, L, rng)``: ``L`` factors the prox Hessian
+    and ``rng`` continues the seeded stream for the caller's iterates.
     """
-
-    class Forgetful(_DualQP):
-        def face(self, working):
-            self._face_key = None
-            return super().face(working)
 
     def spd(rng, d):
         a = rng.standard_normal((d, d))
@@ -253,8 +247,27 @@ def test_memo_reuse_is_bitwise_neutral():
     f = QuadraticBifunction(Pn, Qn, mu - (Pn + Qn) @ x_star)
     feasible = Polyhedron([Halfspace(-np.ones(d), -1.0)], Box(np.zeros(d), np.ones(d)))
     lam = 1.0 / (6.0 * spectral_norm(Pn - Qn))
-    L = cholesky_spd(2.0 * lam * Qn + np.eye(d))
+    return f, feasible, lam, cholesky_spd(2.0 * lam * Qn + np.eye(d)), rng
 
+
+def test_memo_reuse_is_bitwise_neutral():
+    """ProxSolver's kept face factor moves no prox step beyond roundoff.
+
+    Extragradient-style steps with periodic kicks make the working set
+    both repeat and change often.  The reference is the same
+    warm-started dual solver with a face factor that is never kept, so
+    every face it reads is refactored.  A kept factor was grown by
+    bordering, which rounds differently from a refactorization: each
+    step agrees to 1e-12 and each working set as a set, not bit for bit.
+    """
+
+    class Forgetful(_DualQP):
+        def face(self, working):
+            self._face_key = None
+            return super().face(working)
+
+    f, feasible, lam, L, rng = _nc64_shaped_prox()
+    d = f.dim
     solver = ProxSolver()
     forgetful = Forgetful(L, _prepared_rows(feasible))
     working = ()
@@ -266,12 +279,48 @@ def test_memo_reuse_is_bitwise_neutral():
         inst = reduce_prox_to_qp(f, v, x, lam, feasible)
         ref, working = forgetful.solve(inst.c, working)
         y = solver.step(f, v, x, lam, feasible)
-        assert y.tobytes() == ref.tobytes(), f"step {n}"
+        assert np.abs(y - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max()), f"step {n}"
+        assert set(solver._working) == set(working), f"step {n}"
         faces.append(working)
         if n % 2 == 1:
             x = y + (rng.normal(scale=0.1, size=d) if n % 6 == 5 else 0.0)
     changes = sum(a != b for a, b in zip(faces, faces[1:]))
     assert 30 <= changes <= len(faces) - 30
+
+
+def test_bordered_face_is_the_refactored_face():
+    """Every face grown by a full step is the face built by `face()`, to 1e-12.
+
+    The grown ``A_W`` is the working rows in entry order, bit for bit;
+    ``K`` is ``M^-1 A_W^T`` and the grown Gram factor is
+    ``cholesky_spd(A_W K)`` to 1e-12 relative to the largest entry.
+    """
+    grown = []
+
+    class Checked(_DualQP):
+        def _border(self, working, face, p, minv_a, l, pivot):
+            working = super()._border(working, face, p, minv_a, l, pivot)
+            AW, K, Lg = self._face
+            assert AW.tobytes() == self.A[working].tobytes()
+            K_ref = solve_with_factor(self.L, AW.T)
+            assert np.abs(K - K_ref).max() <= 1e-12 * np.abs(K_ref).max()
+            Lg_ref = cholesky_spd(AW @ K_ref)
+            assert np.abs(Lg - Lg_ref).max() <= 1e-12 * np.abs(Lg_ref).max()
+            grown.append(len(working))
+            return working
+
+    f, feasible, lam, L, rng = _nc64_shaped_prox()
+    d = f.dim
+    qp = Checked(L, _prepared_rows(feasible))
+    working = ()
+    x = rng.normal(0.5, 1.0, d)
+    y = x
+    for n in range(40):
+        v = x if n % 2 == 0 else y
+        y, working = qp.solve(reduce_prox_to_qp(f, v, x, lam, feasible).c, working)
+        if n % 2 == 1:
+            x = y + (rng.normal(scale=0.1, size=d) if n % 6 == 5 else 0.0)
+    assert len(grown) >= 40 and max(grown) >= 20
 
 
 def test_prox_step_first_iterate_vs_oracle():
@@ -432,6 +481,44 @@ def test_warm_row_with_negative_multiplier_is_released():
         got = solve_qp_active_set(inst, warm=(np.zeros(d), warm))
         assert np.linalg.norm(got - ref) <= 1e-9
         checked += 1
+
+
+def test_ill_conditioned_cycling_and_oracle_gap_do_not_grow():
+    """At cond(M) 1e8 and 1e10 the dual method gets no worse than the pinned counts.
+
+    Small random QPs (d in [2, 4], at most 8 rows) with eigenvalues of
+    ``M`` log-spaced from 1 down to ``1/cond``.  Two counts per condition
+    number, out of 300 cases: ``CyclingDetected``, and answers farther
+    than 1e-6 relative from the enumeration oracle (cases where the oracle
+    finds no point are not counted).  The bounds are the counts of the
+    refactoring solver with the Python Cholesky loop that preceded the
+    LAPACK factor and the bordered face.  Any other exception fails.
+    """
+    bounds = {1e8: (136, 0), 1e10: (174, 26)}
+    for cond, (max_cycling, max_off) in bounds.items():
+        rng = np.random.default_rng(2024)
+        cycling = off = cases = 0
+        while cases < 300:
+            d = int(rng.integers(2, 5))
+            Qo, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            c = rng.normal(size=d)
+            M = Qo @ np.diag(np.logspace(0, -np.log10(cond), d)) @ Qo.T
+            M = 0.5 * (M + M.T)
+            feas = random_feasible(rng, d)
+            A, b = halfspace_rows(feas)
+            if A.shape[0] > 8:
+                continue
+            cases += 1
+            ref = enumeration_qp(M, c, A, b)
+            try:
+                got = solve_qp_active_set(QPInstance(M, c, feas))
+            except CyclingDetected:
+                cycling += 1
+                continue
+            if ref is not None and np.linalg.norm(got - ref) > 1e-6 * (1.0 + np.linalg.norm(ref)):
+                off += 1
+        assert cycling <= max_cycling, f"cond {cond:.0e}: {cycling}/300 cycled"
+        assert off <= max_off, f"cond {cond:.0e}: {off}/300 off the oracle"
 
 
 def test_inconsistent_rows_raise_cold_and_warm():
