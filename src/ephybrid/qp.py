@@ -232,15 +232,19 @@ def _unit_rows(A: np.ndarray, b: np.ndarray, below=None) -> tuple[np.ndarray, np
     Unit-length rows make violations geometric distances, so one
     tolerance scale serves constraints of wildly different norms.
     ``below`` is a prepared triple of rows to stack under these before
-    the deduplication.
+    the deduplication; its rows are already pairwise non-parallel, so
+    only pairs involving one of the new rows are compared.
     """
+    new = A.shape[0]
     norms = np.linalg.norm(A, axis=1)
     A = A / norms[:, None]
     b = b / norms
     if below is not None:
         A = np.vstack([A, below[0]])
         b = np.concatenate([b, below[1]])
-    A, b = _drop_redundant_parallel(A, b)
+    keep = _drop_redundant_parallel(A, b, new)
+    if not keep.all():
+        A, b = A[keep], b[keep]
     return A, b, 1e-9 * (1.0 + float(np.abs(b).max(initial=0.0)))
 
 
@@ -391,30 +395,34 @@ class _DualQP:
         return y, tuple(working)
 
 
-def _drop_redundant_parallel(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Remove rows made redundant by a (nearly) parallel tighter row.
+def _drop_redundant_parallel(A: np.ndarray, b: np.ndarray, new: int) -> np.ndarray:
+    """Keep mask of the rows not made redundant by a (nearly) parallel tighter row.
 
     Split cuts converge toward the same bisector as a run progresses,
     which would otherwise feed the active-set loop numerically
-    dependent working sets.
+    dependent working sets.  Only the pairs that involve one of the
+    first ``new`` rows are compared, through one product of those rows
+    with all rows: the rows after them must be pairwise non-parallel
+    already.  Pairs are visited greedily, lowest index first; of a
+    parallel pair the tighter offset stays, the later row on a tie
+    goes, and a row that goes compares with nothing further.
     """
-    m = A.shape[0]
+    keep = np.ones(A.shape[0], dtype=bool)
+    if new == 0:
+        return keep
     norms = np.linalg.norm(A, axis=1)
-    keep = np.ones(m, dtype=bool)
-    for i in range(m):
+    cos = (A[:new] @ A.T) / np.outer(norms[:new], norms)
+    parallel = np.triu(cos >= 1.0 - 1e-12, 1)
+    offsets = b / norms
+    for i in np.flatnonzero(parallel.any(axis=1)):
         if not keep[i]:
             continue
-        for j in range(i + 1, m):
+        for j in np.flatnonzero(parallel[i]):
             if not keep[j]:
                 continue
-            cos = float(A[i] @ A[j]) / (norms[i] * norms[j])
-            if cos >= 1.0 - 1e-12:
-                # Same direction: keep whichever offset is tighter.
-                if b[j] / norms[j] >= b[i] / norms[i]:
-                    keep[j] = False
-                else:
-                    keep[i] = False
-                    break
-    if bool(keep.all()):
-        return A, b
-    return A[keep], b[keep]
+            if offsets[j] >= offsets[i]:
+                keep[j] = False
+            else:
+                keep[i] = False
+                break
+    return keep

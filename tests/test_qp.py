@@ -11,6 +11,7 @@ from ephybrid.qp import (
     ProxSolver,
     QPInstance,
     _DualQP,
+    _drop_redundant_parallel,
     _prepared_rows,
     constraint_rows,
     prox_step,
@@ -611,3 +612,75 @@ def test_constraint_rows_skip_infinite_bounds():
     for prox in (reduce_prox_to_qp, prox_step, ProxSolver().step):
         with pytest.raises(TypeError):
             prox(f, np.zeros(3), np.zeros(3), 0.1, object())
+
+
+def greedy_parallel_reference(A, b):
+    """The all-pairs O(m^2) greedy pass the new-rows deduplication replaced."""
+    m = A.shape[0]
+    norms = np.linalg.norm(A, axis=1)
+    keep = np.ones(m, dtype=bool)
+    for i in range(m):
+        if not keep[i]:
+            continue
+        for j in range(i + 1, m):
+            if not keep[j]:
+                continue
+            cos = float(A[i] @ A[j]) / (norms[i] * norms[j])
+            if cos >= 1.0 - 1e-12:
+                if b[j] / norms[j] >= b[i] / norms[i]:
+                    keep[j] = False
+                else:
+                    keep[i] = False
+                    break
+    return keep
+
+
+def tilted(e, u, angle, scale):
+    """``e`` turned by ``angle`` toward the unit ``u`` (orthogonal to ``e``), times ``scale``."""
+    return scale * (np.cos(angle) * e + np.sin(angle) * u)
+
+
+def test_new_row_dedup_is_the_greedy_pass():
+    # The parallel threshold 1 - 1e-12 is an angle of about 1.41e-6 rad.
+    # Tilts of 0, 3e-7, 1e-6, 2e-6 and 4e-6 in one plane differ pairwise by
+    # angles well clear of it, so the rounding of a product cannot decide,
+    # and 0 ~ 1e-6 ~ 2e-6 is a chain the greedy pass resolves non-transitively.
+    e, u = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    chain = np.array([tilted(e, u, t, 1.0) for t in (0.0, 1e-6, 2e-6)])
+    for offsets, expected in (
+        ([1.0, 0.9, 0.8], [False, False, True]),
+        ([0.8, 0.9, 1.0], [True, False, True]),
+        ([0.8, 0.8, 0.8], [True, False, True]),
+    ):
+        offsets = np.array(offsets)
+        assert _drop_redundant_parallel(chain, offsets, 3).tolist() == expected
+        assert greedy_parallel_reference(chain, offsets).tolist() == expected
+
+    rng = np.random.default_rng(2029)
+    dropped_below = ties = 0
+    for case in range(400):
+        d = int(rng.integers(2, 6))
+        bases = np.linalg.qr(rng.normal(size=(d, d)))[0].T
+        rows, offs = [], []
+        for _ in range(int(rng.integers(2, 12))):
+            k = int(rng.integers(0, min(d, 3)))
+            e, u = bases[k], bases[(k + 1) % d]
+            rows.append(tilted(e, u, rng.choice([0.0, 3e-7, 1e-6, 2e-6, 4e-6]), rng.uniform(0.5, 2.0)))
+            offs.append(rng.choice([-0.5, 0.5, 1.0]) * np.linalg.norm(rows[-1]))
+            if rng.random() < 0.2:  # an exact duplicate: a tie
+                rows.append(rows[-1].copy())
+                offs.append(offs[-1])
+                ties += 1
+        A, b = np.array(rows), np.array(offs)
+        keep = greedy_parallel_reference(A, b)
+        assert _drop_redundant_parallel(A, b, len(b)).tolist() == keep.tolist(), case
+        # Rows already deduplicated go below a few new rows, as in the cut projection.
+        new = int(rng.integers(1, 4))
+        cuts = A[rng.integers(0, len(b), new)] * rng.uniform(0.5, 2.0, (new, 1))
+        cut_offs = rng.choice([-0.5, 0.5, 1.0], new) * np.linalg.norm(cuts, axis=1)
+        stacked = np.vstack([cuts, A[keep]])
+        stacked_b = np.concatenate([cut_offs, b[keep]])
+        ref = greedy_parallel_reference(stacked, stacked_b)
+        assert _drop_redundant_parallel(stacked, stacked_b, new).tolist() == ref.tolist(), case
+        dropped_below += not ref[new:].all()
+    assert dropped_below > 50 and ties > 50
