@@ -29,7 +29,7 @@ import numpy as np
 
 from .linalg import DimensionMismatch, all_finite, as_point
 from .problems import LipschitzConstants, ProblemBundle
-from .qp import ProxSolver, project_polyhedral
+from .qp import CutProjector, ProxSolver
 from .sets import (
     EmptyIntersection,
     Halfspace,
@@ -336,15 +336,20 @@ def hybrid_iterate(
     bundle: ProblemBundle,
     params: HybridParams,
     prox: ProxSolver | None = None,
+    projector: CutProjector | None = None,
 ) -> tuple[SolverState, IterationRecord]:
     """Advance the iteration window by one step.
 
     Computes the prox point, its averaged image under the mapping, the
     farther of the two (``w``), the contraction and anchor cuts, and
     the projection of the initial point onto their intersection.
+    ``prox`` and ``projector`` carry a run's warm starts from step to
+    step; fresh ones are made when they are omitted.
     """
     if prox is None:
         prox = ProxSolver()
+    if projector is None:
+        projector = CutProjector()
     f = bundle.bifunction
     alpha = params.alpha(state.n)
 
@@ -376,8 +381,9 @@ def hybrid_iterate(
     try:
         x_next = _project_onto_cuts(
             state.x0,
-            [c for c in cuts if isinstance(c, Halfspace)],
+            cuts,
             bundle.feasible if params.cuts_within_feasible else None,
+            projector,
         )
     except (EmptyIntersection, InfeasibleSet) as exc:
         raise EmptyOmega(
@@ -422,22 +428,27 @@ def hybrid_iterate(
     return new_state, record
 
 
-def _project_onto_cuts(x0, cuts: list[Halfspace], feasible) -> np.ndarray:
-    """Project the initial point onto the cut intersection.
+def _project_onto_cuts(x0, cuts, feasible, projector: CutProjector | None = None) -> np.ndarray:
+    """Project the initial point onto the intersection of the cuts.
 
-    When the feasible set adds nothing (``None`` or the whole space), up
-    to two cuts go through the closed-form projector; anything larger,
-    or any request to stay within the feasible set, goes through
-    :func:`qp.project_polyhedral`, which stacks the cut rows over the
-    set's cached rows.
+    ``cuts`` are halfspaces or whole spaces.  When the feasible set adds
+    nothing (``None`` or the whole space), up to two halfspaces go through
+    the closed-form projector; anything larger, or any request to stay
+    within the feasible set, goes through the run's
+    :class:`qp.CutProjector`, which stacks the cut rows over the set's
+    cached rows and warm-starts from its last working set.  Without a
+    projector the call is cold, bitwise :func:`qp.project_polyhedral`.
     """
-    if (feasible is None or isinstance(feasible, WholeSpace)) and len(cuts) <= 2:
-        if not cuts:
+    halves = [c for c in cuts if isinstance(c, Halfspace)]
+    if (feasible is None or isinstance(feasible, WholeSpace)) and len(halves) <= 2:
+        if not halves:
             return as_point(x0).copy()
-        if len(cuts) == 1:
-            return cuts[0].project(x0)
-        return project_two_halfspaces(x0, cuts[0], cuts[1])
-    return project_polyhedral(x0, cuts, feasible)
+        if len(halves) == 1:
+            return halves[0].project(x0)
+        return project_two_halfspaces(x0, halves[0], halves[1])
+    if projector is None:
+        projector = CutProjector()
+    return projector.project(x0, cuts, feasible)
 
 
 def solve(
@@ -482,8 +493,9 @@ def solve(
         x0=start.copy(),
     )
     prox = ProxSolver()
+    projector = CutProjector()
     return _drive(
-        lambda s: hybrid_iterate(s, bundle, params, prox), state, stopping, bundle, audit
+        lambda s: hybrid_iterate(s, bundle, params, prox, projector), state, stopping, bundle, audit
     )
 
 

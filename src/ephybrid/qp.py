@@ -24,8 +24,14 @@ last face factor.  A row entering the working set grows that factor by
 one bordered row instead of a refactorization.  A factor reused or
 grown agrees with a fresh factorization to about 1e-12, not bit
 for bit, so the solves with and without it round differently; repeated
-runs are byte-identical.  :func:`project_polyhedral` is the one
-identity-metric projection.
+runs are byte-identical.
+
+:class:`CutProjector` is the one identity-metric projection.  The hybrid
+solver keeps one per run next to its :class:`ProxSolver`: the feasible
+set's rows stay, only the few cut rows are new each iteration, so only
+they are deduplicated, and the last working set, labelled by where each
+row came from, seeds the next call.  :func:`project_polyhedral` (and so
+:meth:`sets.Polyhedron.project`) is a cold call of a fresh one.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from .linalg import (
     triangular_solve,
 )
 from .problems import QuadraticBifunction
-from .sets import ConvexSet, InfeasibleSet, halfspaces_and_box
+from .sets import ConvexSet, InfeasibleSet, WholeSpace, halfspaces_and_box
 
 MULTIPLIER_TOL = 1e-10
 
@@ -173,19 +179,62 @@ def solve_qp_active_set(qp: QPInstance, warm=None) -> np.ndarray:
 def project_polyhedral(x0: np.ndarray, cuts, feasible: ConvexSet | None) -> np.ndarray:
     """Nearest point to ``x0`` in the intersection of the halfspaces ``cuts`` and ``feasible``.
 
-    :meth:`sets.Polyhedron.project` passes no cuts; the hybrid solver's
-    cut projection passes its cuts and the feasible set, or ``None``.  The
-    unit cut rows go on top of the set's cached rows before deduplication,
-    so the result is bitwise that of the polyhedron of the cuts, the set's
-    halfspaces and its box.  With ``M = I`` the dual method runs no
-    triangular solve: ``M^-1`` is a copy and ``K = A_W^T``, bitwise what
-    solving against the identity factor gives.  ``x0`` is trusted.
-    Raises :class:`InfeasibleSet` when the intersection is empty.
+    A cold call of a fresh :class:`CutProjector`.  :meth:`sets.Polyhedron.project`
+    passes no cuts.  The unit cut rows go on top of the set's cached rows
+    before deduplication, so the result is bitwise that of the polyhedron of
+    the cuts, the set's halfspaces and its box.  With ``M = I`` the dual
+    method runs no triangular solve: ``M^-1`` is a copy and ``K = A_W^T``,
+    bitwise what solving against the identity factor gives.  ``x0`` is
+    trusted.  Raises :class:`InfeasibleSet` when the intersection is empty.
     """
-    rows = None if feasible is None else _prepared_rows(feasible)
-    if cuts:
-        rows = _unit_rows(np.array([h.a for h in cuts]), np.array([h.b for h in cuts]), rows)
-    return _DualQP(None, rows).solve(-x0)[0]
+    return CutProjector().project(x0, cuts, feasible)
+
+
+class CutProjector:
+    """Identity-metric cut projection with per-run state, warm-started from the previous call.
+
+    The hybrid solver's cut rows are new every iteration, but the feasible
+    set's rows are not, and the working set seldom changes much.  So the
+    projector keeps the set's prepared rows, keyed on the set by identity
+    (``None`` for none), and the last working set, each row labelled by its
+    origin: a cut by its slot in the list of cuts (a :class:`sets.WholeSpace`
+    slot adds no row but keeps its place), the set's prepared row ``i`` by
+    ``-1 - i``.  Each call stacks the unit cut rows over the set's rows and
+    deduplicates only the cut rows (:func:`_unit_rows`), maps the labels onto
+    the stacked rows, skipping those whose row was dropped or is absent, and
+    seeds the dual method with the rest.  The minimizer is unique, so the
+    seed moves only roundoff; a fresh projector's call is cold and is
+    :func:`project_polyhedral`.  The same sequence of calls gives the same
+    bits every time.  One instance per sequential run.
+    """
+
+    def __init__(self):
+        self._set = self._set_rows = self._set_labels = None
+        self._working = ()
+
+    def project(self, x0: np.ndarray, cuts, feasible: ConvexSet | None) -> np.ndarray:
+        """Nearest point to ``x0`` in the intersection of ``cuts`` and ``feasible``.
+
+        ``cuts`` are halfspaces or whole spaces; ``x0`` is trusted.  Raises
+        :class:`InfeasibleSet` when the intersection is empty.
+        """
+        if self._set_labels is None or feasible is not self._set:
+            self._set_rows = None if feasible is None else _prepared_rows(feasible)
+            m = 0 if feasible is None else self._set_rows[0].shape[0]
+            self._set_labels = list(range(-1, -1 - m, -1))
+            self._set = feasible
+        rows, labels = self._set_rows, self._set_labels
+        slots = [s for s, cut in enumerate(cuts) if not isinstance(cut, WholeSpace)]
+        if slots:
+            A = np.array([cuts[s].a for s in slots])
+            b = np.array([cuts[s].b for s in slots])
+            rows, keep = _unit_rows(A, b, rows)
+            labels = [label for label, k in zip(slots + labels, keep.tolist()) if k]
+        where = {label: i for i, label in enumerate(labels)}
+        warm = [where[label] for label in self._working if label in where]
+        y, working = _DualQP(None, rows).solve(-x0, warm)
+        self._working = tuple(labels[i] for i in working)
+        return y
 
 
 def constraint_rows(feasible: ConvexSet) -> tuple[np.ndarray, np.ndarray]:
@@ -222,18 +271,19 @@ def _prepared_rows(feasible: ConvexSet) -> tuple[np.ndarray, np.ndarray, float]:
     """
     cached = _PREPARED_ROWS.get(feasible)
     if cached is None:
-        cached = _PREPARED_ROWS[feasible] = _unit_rows(*constraint_rows(feasible))
+        cached = _PREPARED_ROWS[feasible] = _unit_rows(*constraint_rows(feasible))[0]
     return cached
 
 
-def _unit_rows(A: np.ndarray, b: np.ndarray, below=None) -> tuple[np.ndarray, np.ndarray, float]:
-    """Rows ``A y <= b`` at unit length, deduplicated, and their feasibility tolerance.
+def _unit_rows(A: np.ndarray, b: np.ndarray, below=None):
+    """Rows ``A y <= b`` at unit length, deduplicated, and the keep mask.
 
-    Unit-length rows make violations geometric distances, so one
-    tolerance scale serves constraints of wildly different norms.
-    ``below`` is a prepared triple of rows to stack under these before
-    the deduplication; its rows are already pairwise non-parallel, so
-    only pairs involving one of the new rows are compared.
+    Returns the prepared triple ``(A, b, feas_tol)`` and the mask of the
+    stacked rows it kept.  Unit-length rows make violations geometric
+    distances, so one tolerance scale serves constraints of wildly
+    different norms.  ``below`` is a prepared triple of rows to stack
+    under these before the deduplication; its rows are already pairwise
+    non-parallel, so only pairs involving one of the new rows are compared.
     """
     new = A.shape[0]
     norms = np.linalg.norm(A, axis=1)
@@ -245,7 +295,7 @@ def _unit_rows(A: np.ndarray, b: np.ndarray, below=None) -> tuple[np.ndarray, np
     keep = _drop_redundant_parallel(A, b, new)
     if not keep.all():
         A, b = A[keep], b[keep]
-    return A, b, 1e-9 * (1.0 + float(np.abs(b).max(initial=0.0)))
+    return (A, b, 1e-9 * (1.0 + float(np.abs(b).max(initial=0.0)))), keep
 
 
 class _DualQP:
@@ -411,18 +461,16 @@ def _drop_redundant_parallel(A: np.ndarray, b: np.ndarray, new: int) -> np.ndarr
     if new == 0:
         return keep
     norms = np.linalg.norm(A, axis=1)
-    cos = (A[:new] @ A.T) / np.outer(norms[:new], norms)
-    parallel = np.triu(cos >= 1.0 - 1e-12, 1)
+    first, second = np.nonzero((A[:new] @ A.T) / (norms[:new, None] * norms) >= 1.0 - 1e-12)
+    pairs = second > first
+    if not pairs.any():
+        return keep
     offsets = b / norms
-    for i in np.flatnonzero(parallel.any(axis=1)):
-        if not keep[i]:
-            continue
-        for j in np.flatnonzero(parallel[i]):
-            if not keep[j]:
-                continue
+    # Row-major order is the greedy order; a row that goes skips its later pairs.
+    for i, j in zip(first[pairs].tolist(), second[pairs].tolist()):
+        if keep[i] and keep[j]:
             if offsets[j] >= offsets[i]:
                 keep[j] = False
             else:
                 keep[i] = False
-                break
     return keep

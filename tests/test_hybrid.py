@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ephybrid.experiments import default_lambda
+from ephybrid.experiments import default_lambda, run_grid, table2_config
 from ephybrid.hybrid import (
     AlphaSchedule,
     AlphaOutOfRange,
@@ -35,7 +35,7 @@ from ephybrid.problems import (
     vip_as_bifunction,
 )
 from ephybrid.linalg import DimensionMismatch
-from ephybrid.qp import ProxSolver, QPInstance, solve_qp_active_set
+from ephybrid.qp import CutProjector, ProxSolver, QPInstance, solve_qp_active_set
 from ephybrid.sets import Box, Halfspace, Polyhedron, TwoHalfspaces, WholeSpace, halfspaces_and_box
 from oracles import enumeration_qp, halfspace_rows
 
@@ -637,3 +637,108 @@ def test_non_finite_values_raise_where_they_first_appear(example1):
             solver.step(f, v, anchor, lam, feasible)
     # ... and still steps on afterwards.
     assert np.array_equal(solver.step(f, y, x, lam, feasible), ProxSolver().step(f, y, x, lam, feasible))
+
+
+def trace_bytes(report):
+    """A run's every recorded array and scalar, its final point and stop reason, as bytes."""
+    parts = []
+    for r in report.trace:
+        parts += [r.y_next.tobytes(), r.z_next.tobytes(), r.w_next.tobytes(), r.x_next.tobytes()]
+        # repr of a float round-trips exactly.
+        parts.append(repr((r.n, r.epsilon, r.residual_w, r.dist_to_target, r.alpha, r.flags)).encode())
+        for cut in (r.contraction_cut, r.anchor_cut):
+            parts.append(b"whole" if isinstance(cut, WholeSpace) else cut.a.tobytes() + repr(cut.b).encode())
+    return b"".join(parts + [report.final_x.tobytes(), report.stop_reason.encode()])
+
+
+def test_runs_do_not_depend_on_earlier_runs(table2_runs):
+    # Every run builds its own prox solver and cut projector, so a cell's
+    # warm starts come from that cell alone: run alone, in reverse order,
+    # or in a second grid, it gives the same bits as inside the first grid.
+    config = table2_config()
+    again = run_grid(config)
+    assert [trace_bytes(r.report) for r in again] == [trace_bytes(r.report) for r in table2_runs]
+    for run in reversed(table2_runs):
+        alone = solve(
+            config.bundle, config.params_for(run.schedule), config.stopping, run.start, y0=config.y0
+        )
+        assert trace_bytes(alone) == trace_bytes(run.report), (run.start, run.schedule_label)
+
+
+def stacked_rows(cuts, feasible):
+    """The oracle's rows of the cut halfspaces over the set's."""
+    A_feas, b_feas = halfspace_rows(feasible)
+    halves = [c for c in cuts if isinstance(c, Halfspace)]
+    A = np.vstack([h.a for h in halves] + [A_feas])
+    return A, np.concatenate([[h.b for h in halves], b_feas])
+
+
+def replay_against_cold_calls(sequence):
+    """Replay ``(x0, cuts, feasible)`` calls through one projector, checking each
+    against a cold call and the enumeration oracle; returns the warm-seeded calls."""
+    warm = CutProjector()
+    seeded = 0
+    for x0, cuts, feasible in sequence:
+        seeded += bool(warm._working)
+        got = warm.project(x0, cuts, feasible)
+        cold = CutProjector()
+        ref = cold.project(x0, cuts, feasible)
+        assert ref.tobytes() == _project_onto_cuts(x0, cuts, feasible).tobytes()
+        assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref))), (got, ref)
+        assert set(warm._working) == set(cold._working)
+        oracle = enumeration_qp(np.eye(x0.shape[0]), -x0, *stacked_rows(cuts, feasible))
+        assert np.linalg.norm(got - oracle) <= 1e-8
+    return seeded
+
+
+def test_cut_projector_replays_table2_like_cold_calls(monkeypatch):
+    # Record every cut projection of the table2 cells, one sequence per run.
+    config = table2_config()
+    sequences = []
+    project = CutProjector.project
+
+    def record(self, x0, cuts, feasible):
+        sequences[-1].append((x0, list(cuts), feasible))
+        return project(self, x0, cuts, feasible)
+
+    monkeypatch.setattr(CutProjector, "project", record)
+    for start in config.starts:
+        for schedule in config.schedules:
+            sequences.append([])
+            solve(config.bundle, config.params_for(schedule), config.stopping, start, y0=config.y0)
+    monkeypatch.undo()
+    assert sum(map(len, sequences)) == 348
+    # The first anchor cut of every run is the whole space, in its slot.
+    assert all(isinstance(seq[0][1][2], WholeSpace) for seq in sequences)
+    seeded = sum(replay_against_cold_calls(seq) for seq in sequences)
+    assert seeded > 200
+
+
+def test_cut_projector_warm_labels_follow_row_origin():
+    # Seeded drifting cuts over a box-capped polyhedron: whole-space slots,
+    # cuts parallel to a box row that drop it, near-parallel cut pairs, and
+    # a switch to another set (whose rows the projector must not mistake
+    # for the first set's) every 40 calls.
+    rng = np.random.default_rng(4242)
+    box = Box([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])
+    sets = (
+        Polyhedron([Halfspace([1.0, 1.0, 1.0], 1.5)], box),
+        Polyhedron([Halfspace([1.0, -1.0, 0.5], 0.5)], Box([-1.0, -2.0, -1.0], [0.5, 1.0, 0.8])),
+    )
+    normals = rng.normal(size=(3, 3))
+    x0 = np.array([2.5, 1.5, 2.0])
+    sequence = []
+    for n in range(120):
+        normals += 0.05 * rng.normal(size=(3, 3))
+        cuts = [Halfspace(a, rng.uniform(0.2, 0.6) * np.linalg.norm(a)) for a in normals]
+        roll = rng.random()
+        if roll < 0.15:
+            cuts[int(rng.integers(0, 3))] = WholeSpace(3)
+        elif roll < 0.3:
+            k = int(rng.integers(0, 3))
+            cuts[int(rng.integers(0, 3))] = Halfspace(np.eye(3)[k] * rng.uniform(0.5, 2.0), 0.0)
+        elif roll < 0.4:
+            a = cuts[0].a
+            cuts[1] = Halfspace(a + 1e-8 * rng.normal(size=3), cuts[0].b * (1.0 + 1e-9))
+        sequence.append((x0 + 0.1 * rng.normal(size=3), cuts, sets[n // 40 % 2]))
+    assert replay_against_cold_calls(sequence) > 60
