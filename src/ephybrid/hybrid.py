@@ -22,6 +22,7 @@ stopping rule, the trace, the timing, the audit and the iteration cap.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -204,7 +205,8 @@ def validate_params(
 @dataclass(frozen=True)
 class StoppingRule:
     """``residual_w`` stops on the step residual, ``distance_to_target``
-    on the distance to a known solution attached to the bundle."""
+    on the distance to a known solution attached to the bundle.
+    ``max_iter``, the iteration cap, is an integer >= 1 (not a bool)."""
 
     kind: str
     tol: float
@@ -215,6 +217,8 @@ class StoppingRule:
             raise ValueError(f"unknown stopping rule {self.kind!r}")
         if not self.tol > 0.0:
             raise ValueError("tolerance must be > 0")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 

@@ -49,6 +49,9 @@ REFERENCE_ITERS_TABLE1 = {
     (3.0, -2.0, 1.0): 480,
 }
 REFERENCE_ITERS_CELL_TABLE2 = 7  # schedule (n-1)/(2(n+1)), start (-2, 3, -1)
+# The limit of the table1 runs, from an extragradient run at a residual of
+# 1e-13; the reference finals above are 2.67e-4 from it.
+TABLE1_LIMIT = np.array([0.0, 50.0 / 51.0, 1.0 / 51.0])
 
 
 def test_criterion_1_benchmark_one_final_iterates(table1_runs):
@@ -65,9 +68,12 @@ def test_criterion_1_benchmark_one_final_iterates(table1_runs):
         finals[key] = got
         ref = REFERENCE_ITERS_TABLE1[key]
         within = ref / 3.0 <= run.report.iterations <= ref * 3.0
+        at = min(ref, run.report.iterations)
+        x_at = run.report.trace[at - 1].x_next
         band_notes.append(
             f"start {key}: {run.report.iterations} iterations "
-            f"({'within' if within else 'OUTSIDE'} 3x of reference {ref})"
+            f"({'within' if within else 'OUTSIDE'} 3x of reference {ref}); "
+            f"iterate {at} is {np.linalg.norm(x_at - TABLE1_LIMIT):.2e} from x* = (0, 50/51, 1/51)"
         )
     values = list(finals.values())
     for i in range(len(values)):

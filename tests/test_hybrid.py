@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from ephybrid.experiments import default_lambda, run_grid, table2_config
+from ephybrid.experiments import default_lambda, run_grid, table1_config, table2_config
 from ephybrid.hybrid import (
     AlphaSchedule,
     AlphaOutOfRange,
@@ -14,6 +15,7 @@ from ephybrid.hybrid import (
     KTooSmall,
     LambdaOutOfRange,
     MaxIterExceeded,
+    RunReport,
     SolverState,
     StoppingRule,
     _project_onto_cuts,
@@ -639,6 +641,14 @@ def test_non_finite_values_raise_where_they_first_appear(example1):
     assert np.array_equal(solver.step(f, y, x, lam, feasible), ProxSolver().step(f, y, x, lam, feasible))
 
 
+def test_stopping_rule_rejects_non_integer_caps():
+    # True would run one iteration and 2.5 would fail in range() after set-up.
+    for bad in (True, False, 2.5, 3.0, "10"):
+        with pytest.raises(ValueError, match="max_iter"):
+            StoppingRule("residual_w", 1e-4, bad)
+    assert StoppingRule("residual_w", 1e-4, np.int64(7)).max_iter == 7
+
+
 def trace_bytes(report):
     """A run's every recorded array and scalar, its final point and stop reason, as bytes."""
     parts = []
@@ -663,6 +673,36 @@ def test_runs_do_not_depend_on_earlier_runs(table2_runs):
             config.bundle, config.params_for(run.schedule), config.stopping, run.start, y0=config.y0
         )
         assert trace_bytes(alone) == trace_bytes(run.report), (run.start, run.schedule_label)
+
+
+@pytest.mark.parametrize("case", ["table2 (-3,4,1) 1/log10(n+1)", "table1 (1,3,1) lam=1/(20 c1)"])
+def test_run_that_stops_exactly_at_the_cap(case):
+    if case.startswith("table2"):
+        config = table2_config()
+        params = config.params_for(AlphaSchedule("invlog"))
+        start = [-3.0, 4.0, 1.0]
+    else:
+        config = table1_config()
+        constants = config.bundle.constants
+        params = validate_params(1.0 / (20.0 * constants.c1), 6.0, AlphaSchedule("ratio"), constants)
+        start = [1.0, 3.0, 1.0]
+
+    def run(max_iter):
+        stopping = dataclasses.replace(config.stopping, max_iter=max_iter)
+        return solve(config.bundle, params, stopping, start, y0=config.y0)
+
+    full = run(config.stopping.max_iter)
+    n = full.iterations
+    assert n > 1 and full.stop_reason != "MaxIter"
+    at_cap = run(n)
+    assert at_cap.stop_reason == full.stop_reason
+    assert trace_bytes(at_cap) == trace_bytes(full)
+    with pytest.raises(MaxIterExceeded) as exc:
+        run(n - 1)
+    partial = exc.value.report
+    assert partial.iterations == n - 1 and partial.stop_reason == "MaxIter"
+    first = RunReport(n - 1, full.trace[n - 2].x_next, 0.0, "MaxIter", full.trace[: n - 1])
+    assert trace_bytes(partial) == trace_bytes(first)
 
 
 def stacked_rows(cuts, feasible):
