@@ -352,8 +352,6 @@ def hybrid_iterate(
     """
     if prox is None:
         prox = ProxSolver()
-    if projector is None:
-        projector = CutProjector()
     f = bundle.bifunction
     alpha = params.alpha(state.n)
 
