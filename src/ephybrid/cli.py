@@ -15,6 +15,7 @@ mode (a config's own ``"audit": true`` audits under ``solve`` too).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -110,10 +111,23 @@ def _print_rows(rows) -> None:
 def _warn_clamped_schedules(config) -> None:
     if any(s.kind == "invlog" for s in config.schedules):
         print(
-            "note: the 1/log10(n+1) schedule exceeds the averaging cap for n <= 9; "
+            "note: the 1/log10(n+1) schedule exceeds the averaging cap for "
+            f"{_invlog_clamped_range(config.alpha_cap)}; "
             f"those values are clamped to {config.alpha_cap}",
             file=sys.stderr,
         )
+
+
+def _invlog_clamped_range(cap: float) -> str:
+    """The n at which 1/log10(n+1) exceeds ``cap``: those with n + 1 < 10^(1/cap)."""
+    if 1.0 / cap > 15:
+        return f"n + 1 < 10^{1.0 / cap:.6g}"
+    last = math.ceil(10.0 ** (1.0 / cap)) - 2  # settled below on the schedule's own values
+    while 1.0 / math.log10(last + 2) > cap:
+        last += 1
+    while 1.0 / math.log10(last + 1) <= cap:
+        last -= 1
+    return f"n <= {last}"
 
 
 if __name__ == "__main__":

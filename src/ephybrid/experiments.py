@@ -215,9 +215,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(params, dict):
         raise ParseError("field 'params': must be an object")
     lam = params.get("lambda")
-    lam = default_lambda(bundle.constants) if lam is None else _parsed(float, lam, "params.lambda")
-    k = _parsed(float, params.get("k", 6.0), "params.k")
-    alpha_cap = _parsed(float, params.get("alpha_cap", 0.99), "params.alpha_cap")
+    lam = default_lambda(bundle.constants) if lam is None else _parsed(_number, lam, "params.lambda")
+    k = _parsed(_number, params.get("k", 6.0), "params.k")
+    alpha_cap = _parsed(_number, params.get("alpha_cap", 0.99), "params.alpha_cap")
     slack_convention = params.get("slack_convention", "standard")
     cut_variant = params.get("cut_variant", "two_halfspaces")
     cuts_within_feasible = params.get("cuts_within_feasible", False)
@@ -237,9 +237,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ParseError("field 'starts': must be a list of vectors")
     if not raw_starts:
         raise ValidationError("field 'starts': at least one start point is required")
-    starts = tuple(_parsed(as_point, s, "starts") for s in raw_starts)
+    starts = tuple(_parsed(_vector, s, "starts") for s in raw_starts)
     y0 = data.get("y0")
-    y0 = None if y0 is None else _parsed(as_point, y0, "y0")
+    y0 = None if y0 is None else _parsed(_vector, y0, "y0")
 
     stopping = _parse_stopping(data.get("stopping"), bundle)
 
@@ -379,18 +379,30 @@ def _parsed(convert, raw, field: str):
     """``convert(raw)``; a value it rejects (not a number) raises :class:`ParseError`."""
     try:
         return convert(raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"field {field!r}: {exc}") from exc
 
 
+def _number(raw) -> float:
+    """``float(raw)`` for a JSON number; not for a bool (``true``) or a string (``"6"``)."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise TypeError(f"must be a number, got {raw!r}")
+    return float(raw)
+
+
+def _vector(raw) -> np.ndarray:
+    """A point (:func:`linalg.as_point`) of :func:`_number` entries."""
+    return as_point([_number(v) for v in raw])
+
+
 def _whole_number(raw) -> int:
-    """``int(raw)`` for a count, rejecting what ``int`` would take silently:
-    a bool (``true`` is 1) or a number with a fractional part (``1.5`` is 1).
+    """A count: a :func:`_number` without a fractional part (``1.5`` is not 1).
     A float with none, such as ``10000.0``, is that integer.
     """
-    if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
+    value = _number(raw)
+    if not value.is_integer():
         raise ValueError(f"must be a whole number, got {raw!r}")
-    return int(raw)
+    return int(value)
 
 
 def _parse_schedule(raw) -> AlphaSchedule:
@@ -399,7 +411,7 @@ def _parse_schedule(raw) -> AlphaSchedule:
     if isinstance(raw, dict):
         kind = raw["type"]
         if kind == "constant":
-            return AlphaSchedule("constant", _parsed(float, raw["value"], "params.alpha_schedule"))
+            return AlphaSchedule("constant", _parsed(_number, raw["value"], "params.alpha_schedule"))
         return AlphaSchedule(kind)
     raise TypeError(f"schedule must be a name or an object, got {type(raw).__name__}")
 
@@ -409,7 +421,7 @@ def _parse_stopping(raw, bundle: ProblemBundle) -> StoppingRule:
         raw = {} if bundle.target is None else {"rule": "distance_to_target", "tol": 1e-3}
     if not isinstance(raw, dict):
         raise ParseError("field 'stopping': must be an object")
-    tol = _parsed(float, raw.get("tol", 1e-4), "stopping.tol")
+    tol = _parsed(_number, raw.get("tol", 1e-4), "stopping.tol")
     max_iter = _parsed(_whole_number, raw.get("max_iter", 10000), "stopping.max_iter")
     try:
         rule = StoppingRule(raw.get("rule", "residual_w"), tol, max_iter)

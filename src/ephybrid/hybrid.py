@@ -93,8 +93,8 @@ class AlphaSchedule:
     """Averaging-weight schedule, evaluated at outer iteration n >= 1.
 
     Kinds: ``constant`` (fixed value), ``ratio`` ((n-1)/(2(n+1))),
-    ``pow10`` (10^-n), ``invlog`` (1/log10(n+1), which exceeds 1 for
-    n <= 9 and is therefore clamped to the cap).
+    ``pow10`` (10^-n), ``invlog`` (1/log10(n+1), which exceeds the cap
+    while n + 1 < 10^(1/cap) and is clamped to it there).
     """
 
     kind: str
@@ -235,21 +235,13 @@ class SolverState:
     x0: np.ndarray
 
 
-@dataclass(frozen=True)
-class InvariantFlags:
-    """Per-iteration health checks (``contraction_ok`` needs a known target)."""
-
-    contraction_ok: bool | None
-    monotone_ok: bool
-    membership_ok: bool
-
-
 @dataclass(eq=False)
 class IterationRecord:
     """Everything one iteration produced, immutable once emitted.
 
     The arrays are the step's own, never copied or mutated in place (see
     :class:`SolverState`), so ``w_next is y_next`` tells where ``w`` came from.
+    The step's cuts are not kept; :func:`_audit_record` rebuilds them.
     """
 
     n: int
@@ -261,9 +253,6 @@ class IterationRecord:
     residual_w: float
     dist_to_target: float | None
     alpha: float | None
-    contraction_cut: Halfspace | WholeSpace | None = None
-    anchor_cut: Halfspace | WholeSpace | None = None
-    flags: InvariantFlags | None = None
 
 
 @dataclass(eq=False)
@@ -369,11 +358,9 @@ def hybrid_iterate(
     residual_w = max(dist_y, dist_z)
 
     epsilon = contraction_slack(state, y_next, params, bundle.constants)
-    contraction = build_contraction_cut(state.x_cur, w_next, epsilon)
     anchor = build_anchor_cut(state.x0, state.x_cur)
-
     if params.cut_variant == "two_halfspaces":
-        cuts = [contraction, anchor]
+        cuts = [build_contraction_cut(state.x_cur, w_next, epsilon), anchor]
     else:
         # Split the contraction cut: points that the averaging step does
         # not move away from, and points the prox point stays near.
@@ -395,16 +382,6 @@ def hybrid_iterate(
 
     target = bundle.target
     dist_to_target = None if target is None else float(np.linalg.norm(x_next - target))
-    flags = InvariantFlags(
-        contraction_ok=None
-        if target is None
-        else float(((w_next - target) ** 2).sum())
-        <= float(((state.x_cur - target) ** 2).sum()) + epsilon + 1e-8,
-        monotone_ok=float(np.linalg.norm(x_next - state.x0))
-        >= float(np.linalg.norm(state.x_cur - state.x0)) - 1e-10,
-        membership_ok=contraction.contains(x_next, 1e-9) and anchor.contains(x_next, 1e-9),
-    )
-
     record = IterationRecord(
         n=state.n,
         y_next=y_next,
@@ -415,9 +392,6 @@ def hybrid_iterate(
         residual_w=residual_w,
         dist_to_target=dist_to_target,
         alpha=alpha,
-        contraction_cut=contraction,
-        anchor_cut=anchor,
-        flags=flags,
     )
     new_state = SolverState(
         n=state.n + 1,
@@ -496,8 +470,9 @@ def solve(
     )
     prox = ProxSolver()
     projector = CutProjector()
+    check = (lambda before, record: _audit_record(before, record, bundle)) if audit else None
     return _drive(
-        lambda s: hybrid_iterate(s, bundle, params, prox, projector), state, stopping, bundle, audit
+        lambda s: hybrid_iterate(s, bundle, params, prox, projector), state, stopping, check
     )
 
 
@@ -540,31 +515,32 @@ def extragradient_solve(bundle: ProblemBundle, lam: float, stopping: StoppingRul
         )
         return (n + 1, x_next), record
 
-    return _drive(step, (1, x), stopping, bundle, audit=False)
+    return _drive(step, (1, x), stopping)
 
 
-def _drive(step, state, stopping: StoppingRule, bundle: ProblemBundle, audit: bool) -> RunReport:
+def _drive(step, state, stopping: StoppingRule, audit=None) -> RunReport:
     """Apply ``step`` (state -> (state, record)) until the stopping rule holds.
 
-    Keeps the trace and times the loop; with ``audit`` every record's
-    invariants are asserted.  Each record's ``y``, ``z`` and ``x`` are
-    checked once here, so the helpers inside a step need not re-check
-    what the step made: a non-finite entry raises ``ValueError``.
-    Raises :class:`MaxIterExceeded` carrying the partial report when the
-    cap is hit.
+    Keeps the trace and times the loop.  Each record's ``y``, ``z`` and
+    ``x`` are checked once here, so the helpers inside a step need not
+    re-check what the step made: a non-finite entry raises ``ValueError``.
+    ``audit``, when given, is called as ``audit(state_before, record)``
+    on every checked record.  Raises :class:`MaxIterExceeded` carrying the
+    partial report when the cap is hit.
     """
     trace: list[IterationRecord] = []
     stop_reason = None
     tic = time.perf_counter()
     for _ in range(stopping.max_iter):
+        before = state
         state, record = step(state)
         if not (
             all_finite(record.y_next) and all_finite(record.z_next) and all_finite(record.x_next)
         ):
             raise ValueError(f"iteration {record.n}: an iterate has non-finite entries")
         trace.append(record)
-        if audit:
-            _audit_record(record, bundle)
+        if audit is not None:
+            audit(before, record)
         if stopping.kind == "residual_w" and record.residual_w <= stopping.tol:
             stop_reason = STOP_RESIDUAL
             break
@@ -580,28 +556,32 @@ def _drive(step, state, stopping: StoppingRule, bundle: ProblemBundle, audit: bo
     return report
 
 
-def _audit_record(record: IterationRecord, bundle: ProblemBundle) -> None:
-    """Assert a hybrid record's flags and that the known solution lies in both cuts."""
-    flags = record.flags
-    if flags.contraction_ok is False:
+def _audit_record(state: SolverState, record: IterationRecord, bundle: ProblemBundle) -> None:
+    """Assert the invariants of the hybrid step from ``state`` to ``record``; the
+    step's two cuts are rebuilt from ``x_n``, ``w``, the slack and ``x0``."""
+    contraction = build_contraction_cut(state.x_cur, record.w_next, record.epsilon)
+    anchor = build_anchor_cut(state.x0, state.x_cur)
+    target = bundle.target
+    if target is not None and not (
+        float(((record.w_next - target) ** 2).sum())
+        <= float(((state.x_cur - target) ** 2).sum()) + record.epsilon + 1e-8
+    ):
         raise InvariantViolation(
             f"iteration {record.n}: contraction certificate failed "
             f"(slack {record.epsilon:.3e}, residual {record.residual_w:.3e})"
         )
-    if not flags.monotone_ok:
-        raise InvariantViolation(
-            f"iteration {record.n}: distance to the initial point decreased"
-        )
-    if not flags.membership_ok:
+    if not (
+        float(np.linalg.norm(record.x_next - state.x0))
+        >= float(np.linalg.norm(state.x_cur - state.x0)) - 1e-10
+    ):
+        raise InvariantViolation(f"iteration {record.n}: distance to the initial point decreased")
+    if not (contraction.contains(record.x_next, 1e-9) and anchor.contains(record.x_next, 1e-9)):
         raise InvariantViolation(
             f"iteration {record.n}: new iterate escaped the cuts it was projected onto"
         )
-    if bundle.target is not None:
-        for cut_name, cut in (
-            ("contraction", record.contraction_cut),
-            ("anchor", record.anchor_cut),
-        ):
-            if not cut.contains(bundle.target, 1e-8):
+    if target is not None:
+        for cut_name, cut in (("contraction", contraction), ("anchor", anchor)):
+            if not cut.contains(target, 1e-8):
                 raise InvariantViolation(
                     f"iteration {record.n}: known solution left the {cut_name} cut"
                 )

@@ -13,7 +13,6 @@ import json
 from dataclasses import asdict, astuple, dataclass, fields
 
 from .hybrid import IterationRecord, RunReport
-from .sets import set_to_dict
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,7 @@ def rows_from_json(path) -> list[ReportRow]:
 
 
 def _record_to_dict(rec: IterationRecord) -> dict:
-    out = {
+    return {
         "n": rec.n,
         "residual_w": rec.residual_w,
         "epsilon": rec.epsilon,
@@ -118,15 +117,6 @@ def _record_to_dict(rec: IterationRecord) -> dict:
         "z": [float(v) for v in rec.z_next],
         "w": [float(v) for v in rec.w_next],
     }
-    out["contraction_cut"] = None if rec.contraction_cut is None else set_to_dict(rec.contraction_cut)
-    out["anchor_cut"] = None if rec.anchor_cut is None else set_to_dict(rec.anchor_cut)
-    if rec.flags is not None:
-        out["flags"] = {
-            "contraction_ok": rec.flags.contraction_ok,
-            "monotone_ok": rec.flags.monotone_ok,
-            "membership_ok": rec.flags.membership_ok,
-        }
-    return out
 
 
 def _summary_cell(value):

@@ -129,7 +129,6 @@ def test_criterion_4_contraction_certificate(table2_runs):
             lhs = float(rec.w_next @ rec.w_next)
             rhs = float(x_cur @ x_cur) + rec.epsilon
             assert lhs <= rhs + 1e-8, (run.schedule_label, rec.n, lhs - rhs)
-            assert rec.flags.contraction_ok
             x_cur = rec.x_next
             checked += 1
     print(f"criterion 4: PASS - certificate held at all {checked} iterations of the 12 runs")

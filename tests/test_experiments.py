@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -271,7 +270,16 @@ def test_trace_csv_and_json(tmp_path, table2_runs):
     assert payload["iterations"] == report.iterations
     assert payload["stop_reason"] == "DistanceToKnown"
     assert len(payload["trace"]) == report.iterations
-    assert payload["trace"][0]["flags"]["membership_ok"] is True
+    # A record holds the step's arrays and scalars only, and reads back bit for bit.
+    for rec, item in zip(report.trace, payload["trace"]):
+        assert set(item) == {
+            "n", "residual_w", "epsilon", "dist_to_target", "alpha", "x", "y", "z", "w"
+        }
+        for key, values in (("x", rec.x_next), ("y", rec.y_next), ("z", rec.z_next), ("w", rec.w_next)):
+            assert np.array(item[key]).tobytes() == values.tobytes()
+        assert (item["n"], item["residual_w"], item["epsilon"], item["dist_to_target"], item["alpha"]) == (
+            rec.n, rec.residual_w, rec.epsilon, rec.dist_to_target, rec.alpha
+        )
 
 
 def test_traces_are_deterministic(tmp_path, table1_runs):
@@ -327,9 +335,14 @@ def test_table2_grid_solves_no_linear_program():
     assert done.returncode == 0, done.stderr or "scipy.optimize was imported"
 
 
-def test_audit_grid_clean():
-    runs = run_grid(replace(table2_config(), audit=True))
-    assert all(r.report.stop_reason == "DistanceToKnown" for r in runs)
+@pytest.mark.parametrize("cap, last", [(0.99, 9), (0.5, 98)])
+def test_cli_invlog_note_names_the_last_clamped_iteration(tmp_path, capsys, cap, last):
+    # 1/log10(n+1) exceeds the cap while n + 1 < 10^(1/cap).
+    path = minimal_config(tmp_path, params={"alpha_schedule": "invlog", "alpha_cap": cap})
+    assert cli.main(["solve", "--config", str(path)]) == 0
+    assert f"exceeds the averaging cap for n <= {last}; those values are clamped to {cap}" in (
+        capsys.readouterr().err
+    )
 
 
 def test_cli_reproduce_table2(tmp_path, capsys):
@@ -406,6 +419,24 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         {"stopping": {"max_iter": 1.5}},
         {"stopping": {"max_iter": True}},
         {"stopping": {"max_iter": float("inf")}},
+        {"stopping": {"max_iter": "10"}},
+        {"stopping": {"tol": True}},
+        {"stopping": {"tol": "1e-4"}},
+        {"params": {"k": "6"}},
+        {"params": {"k": True}},
+        {"params": {"lambda": "0.05"}},
+        {"params": {"lambda": False}},
+        {"params": {"alpha_cap": "0.5"}},
+        {"params": {"alpha_cap": True}},
+        {"params": {"alpha_schedule": {"type": "constant", "value": True}}},
+        {"params": {"alpha_schedule": {"type": "constant", "value": "0.5"}}},
+        {"starts": [["1", "3", "1"]]},
+        {"starts": [[True, 3, 1]]},
+        {"starts": ["131"]},
+        {"y0": ["0", "0", "0"]},
+        {"y0": [0, 0, False]},
+        {"params": {"k": 10**400}},
+        {"stopping": {"max_iter": 10**400}},
     ):
         assert_config_error(tmp_path, capsys, ParseError, **fields)
 

@@ -204,8 +204,9 @@ def test_first_iteration_anchor_is_whole_space(example2):
     )
     state = fresh_state([1.0, 3.0, 1.0])
     _, rec = hybrid_iterate(state, example2, params, ProxSolver())
-    assert isinstance(rec.anchor_cut, WholeSpace)
-    assert isinstance(rec.contraction_cut, Halfspace)
+    contraction, anchor = step_cuts(state, rec)
+    assert isinstance(anchor, WholeSpace)
+    assert isinstance(contraction, Halfspace)
 
 
 def test_iterate_record_invariants(example2):
@@ -227,15 +228,32 @@ def test_iterate_record_invariants(example2):
         assert np.linalg.norm(rec.z_next - blend) <= 1e-12
 
 
+def step_cuts(state, rec):
+    """The contraction and anchor cuts of the step from ``state`` to ``rec``, rebuilt."""
+    return (
+        build_contraction_cut(state.x_cur, rec.w_next, rec.epsilon),
+        build_anchor_cut(state.x0, state.x_cur),
+    )
+
+
+def trace_cuts(report, x0):
+    """``(rec, contraction, anchor)`` for every record of a hybrid run from ``x0``."""
+    state = fresh_state(x0)
+    for rec in report.trace:
+        yield (rec, *step_cuts(state, rec))
+        state = SolverState(rec.n + 1, state.x_cur, rec.x_next, state.y_cur, rec.y_next, state.x0)
+
+
 def test_known_solution_stays_in_cuts(example2):
     params = validate_params(
         default_lambda(example2.constants), 6.0, AlphaSchedule("ratio"), example2.constants
     )
-    report = solve(example2, params, StoppingRule("distance_to_target", 1e-3, 10000), [1.0, 3.0, 1.0])
-    for rec in report.trace:
-        assert rec.contraction_cut.contains(np.zeros(3), tol=1e-8)
-        assert rec.anchor_cut.contains(np.zeros(3), tol=1e-8)
-        assert rec.flags.contraction_ok and rec.flags.monotone_ok and rec.flags.membership_ok
+    x0 = [1.0, 3.0, 1.0]
+    # The audit asserts the certificate, monotonicity and membership too.
+    report = solve(example2, params, StoppingRule("distance_to_target", 1e-3, 10000), x0, audit=True)
+    for _, contraction, anchor in trace_cuts(report, x0):
+        assert contraction.contains(np.zeros(3), tol=1e-8)
+        assert anchor.contains(np.zeros(3), tol=1e-8)
 
 
 def test_two_halfspace_projection_consistent_with_qp(example2):
@@ -243,10 +261,10 @@ def test_two_halfspace_projection_consistent_with_qp(example2):
     params = validate_params(
         default_lambda(example2.constants), 6.0, AlphaSchedule("ratio"), example2.constants
     )
-    report = solve(example2, params, StoppingRule("distance_to_target", 1e-3, 10000), [3.0, -2.0, 1.0])
     x0 = np.array([3.0, -2.0, 1.0])
-    for rec in report.trace:
-        halves = [c for c in (rec.contraction_cut, rec.anchor_cut) if isinstance(c, Halfspace)]
+    report = solve(example2, params, StoppingRule("distance_to_target", 1e-3, 10000), x0)
+    for rec, contraction, anchor in trace_cuts(report, x0):
+        halves = [c for c in (contraction, anchor) if isinstance(c, Halfspace)]
         if not halves:
             continue
         ref = Polyhedron(halves).project(x0)
@@ -337,38 +355,55 @@ def test_audit_mode_clean_run(example2):
 
 
 def test_audit_detects_fabricated_violation(example2):
-    from ephybrid.hybrid import InvariantFlags, IterationRecord, _audit_record
+    from ephybrid.hybrid import IterationRecord, _audit_record
 
-    def record(contraction_ok=True, monotone_ok=True, membership_ok=True, cuts=None):
-        contraction, anchor = cuts or (WholeSpace(3), WholeSpace(3))
-        return IterationRecord(
-            n=3,
-            y_next=np.zeros(3),
-            z_next=np.zeros(3),
-            w_next=np.zeros(3),
-            x_next=np.zeros(3),
-            epsilon=0.0,
-            residual_w=1.0,
-            dist_to_target=1.0,
-            alpha=0.0,
-            contraction_cut=contraction,
-            anchor_cut=anchor,
-            flags=InvariantFlags(contraction_ok, monotone_ok, membership_ok),
+    # By default a step from x_n = (1, 0, 0) with x0 = (2, 0, 0): the anchor
+    # cut is {z1 <= 1} and, with w = 0 and no slack, the contraction cut is
+    # {z1 <= 1/2}.  example2's known solution is the origin.
+    def pair(x_cur=(1.0, 0.0, 0.0), x0=(2.0, 0.0, 0.0), w=(0.0, 0.0, 0.0), x_next=(0.5, 0.0, 0.0),
+             epsilon=0.0):
+        state = SolverState(3, np.zeros(3), np.array(x_cur), np.zeros(3), np.zeros(3), np.array(x0))
+        w, x_next = np.array(w), np.array(x_next)
+        record = IterationRecord(
+            n=3, y_next=w, z_next=w, w_next=w, x_next=x_next, epsilon=epsilon,
+            residual_w=1.0, dist_to_target=float(np.linalg.norm(x_next)), alpha=0.0,
         )
+        return state, record
 
-    # example2's known solution is the origin, which this cut excludes.
-    outside, inside = Halfspace([1.0, 0.0, 0.0], -1.0), Halfspace([1.0, 0.0, 0.0], 1.0)
-    for rec, message in (
-        (record(contraction_ok=False), "contraction certificate"),
-        (record(monotone_ok=False), "distance to the initial point"),
-        (record(membership_ok=False), "escaped the cuts"),
-        (record(cuts=(outside, inside)), "left the contraction cut"),
-        (record(cuts=(inside, outside)), "left the anchor cut"),
+    # |w|^2 = 4 exceeds |x_n|^2 + slack = 1; x_next = w lies in both cuts,
+    # {z1 >= 3/2} and, from x0 = 0, {z1 >= 1}.
+    certificate = pair(x0=(0.0, 0.0, 0.0), w=(2.0, 0.0, 0.0), x_next=(2.0, 0.0, 0.0))
+    # |x_next - x0| = 1.9 is below |x_n - x0| = 2.
+    monotone = pair(x_cur=(0.0, 0.0, 0.0), x_next=(0.1, 0.0, 0.0))
+    # x_next lies past the contraction cut's face z1 = 1/2.
+    membership = pair(x_next=(0.9, 0.0, 0.0))
+    # With a known solution the contraction cut's membership test is the
+    # certificate's inequality, rounded otherwise: at |x_n|^2 = |w|^2 = 1e16
+    # the certificate's 1e-8 band is lost in rounding, while the cut's offset
+    # is the slack alone, -1.5e-8, and the origin misses it by 1.5e-8.
+    contraction = pair(
+        x_cur=(1e8, 0.0, 0.0), x0=(2e8, 0.0, 0.0), w=(0.0, 1e8, 0.0), x_next=(0.0, 1.0, 0.0),
+        epsilon=-1.5e-8,
+    )
+    # x0 = (-1, 0, 0) turns the anchor cut into {z1 >= 1}, away from the origin;
+    # w = (0.9, 0, 0) with slack 1/2 makes the contraction cut {z1 <= 3.45}.
+    anchor = pair(x0=(-1.0, 0.0, 0.0), w=(0.9, 0.0, 0.0), x_next=(1.0, 0.0, 0.0), epsilon=0.5)
+    for (state, rec), message in (
+        (certificate, "contraction certificate"),
+        (monotone, "distance to the initial point"),
+        (membership, "escaped the cuts"),
+        (contraction, "left the contraction cut"),
+        (anchor, "left the anchor cut"),
     ):
         with pytest.raises(InvariantViolation, match=message):
-            _audit_record(rec, example2)
-    _audit_record(record(cuts=(inside, WholeSpace(3))), example2)
-    _audit_record(record(contraction_ok=None), example2)
+            _audit_record(state, rec, example2)
+    _audit_record(*pair(), example2)
+    # Without a known solution the checks against it do not run.
+    no_target = ProblemBundle(
+        example2.bifunction, example2.feasible, example2.mapping, example2.constants
+    )
+    for state, rec in (certificate, contraction, anchor):
+        _audit_record(state, rec, no_target)
 
 
 def test_random_bundles_keep_independent_solution_in_cuts():
@@ -393,15 +428,15 @@ def test_random_bundles_keep_independent_solution_in_cuts():
             bundle, lam, StoppingRule("residual_w", 1e-9, 20000), x0
         ).final_x
         params = validate_params(lam, 6.0, AlphaSchedule("ratio"), consts)
+        # The audit asserts monotonicity and membership at every step.
         try:
-            report = solve(bundle, params, StoppingRule("residual_w", 1e-7, 150), x0)
+            report = solve(bundle, params, StoppingRule("residual_w", 1e-7, 150), x0, audit=True)
         except MaxIterExceeded as exc:
             report = exc.report
         start_gap = float(np.linalg.norm(x0 - limit))
-        for rec in report.trace:
-            assert rec.contraction_cut.contains(limit, tol=1e-6)
-            assert rec.anchor_cut.contains(limit, tol=1e-6)
-            assert rec.flags.monotone_ok and rec.flags.membership_ok
+        for _, contraction, anchor in trace_cuts(report, x0):
+            assert contraction.contains(limit, tol=1e-6)
+            assert anchor.contains(limit, tol=1e-6)
         assert float(np.linalg.norm(report.final_x - limit)) < start_gap
 
 
@@ -445,7 +480,8 @@ def test_first_iteration_projects_onto_contraction_alone(example2):
     x0 = np.array([1.0, 3.0, 1.0])
     state = fresh_state(x0)
     _, rec = hybrid_iterate(state, example2, params, ProxSolver())
-    assert np.allclose(rec.x_next, rec.contraction_cut.project(x0), atol=1e-12)
+    contraction, _ = step_cuts(state, rec)
+    assert np.allclose(rec.x_next, contraction.project(x0), atol=1e-12)
 
 
 def test_extragradient_pure_projection_case():
@@ -592,7 +628,7 @@ def test_cut_projection_routing_per_feasible_kind(kind, example2):
         # The split cuts of the three_halfspaces variant, rebuilt from the record.
         y, z = rec.y_next, rec.z_next
         averaging = Halfspace(2.0 * (y - z), y @ y - z @ z) if np.any(y - z) else WholeSpace(3)
-        cuts = [averaging, build_contraction_cut(prev.x_cur, y, rec.epsilon), rec.anchor_cut]
+        cuts = [averaging, build_contraction_cut(prev.x_cur, y, rec.epsilon), step_cuts(prev, rec)[1]]
         halves = [c for c in cuts if isinstance(c, Halfspace)]
         A = np.vstack([h.a for h in halves] + [A_feas])
         b = np.concatenate([[h.b for h in halves], b_feas])
@@ -655,9 +691,7 @@ def trace_bytes(report):
     for r in report.trace:
         parts += [r.y_next.tobytes(), r.z_next.tobytes(), r.w_next.tobytes(), r.x_next.tobytes()]
         # repr of a float round-trips exactly.
-        parts.append(repr((r.n, r.epsilon, r.residual_w, r.dist_to_target, r.alpha, r.flags)).encode())
-        for cut in (r.contraction_cut, r.anchor_cut):
-            parts.append(b"whole" if isinstance(cut, WholeSpace) else cut.a.tobytes() + repr(cut.b).encode())
+        parts.append(repr((r.n, r.epsilon, r.residual_w, r.dist_to_target, r.alpha)).encode())
     return b"".join(parts + [report.final_x.tobytes(), report.stop_reason.encode()])
 
 
@@ -673,6 +707,13 @@ def test_runs_do_not_depend_on_earlier_runs(table2_runs):
             config.bundle, config.params_for(run.schedule), config.stopping, run.start, y0=config.y0
         )
         assert trace_bytes(alone) == trace_bytes(run.report), (run.start, run.schedule_label)
+
+
+def test_audit_only_observes(table2_runs):
+    # The audited table2 grid runs clean, and the audit changes nothing a run records.
+    audited = run_grid(dataclasses.replace(table2_config(), audit=True))
+    assert all(r.report.stop_reason == "DistanceToKnown" for r in audited)
+    assert [trace_bytes(r.report) for r in audited] == [trace_bytes(r.report) for r in table2_runs]
 
 
 @pytest.mark.parametrize("case", ["table2 (-3,4,1) 1/log10(n+1)", "table1 (1,3,1) lam=1/(20 c1)"])
