@@ -289,9 +289,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def bundle_from_dict(data: dict) -> ProblemBundle:
-    """Build a problem bundle from its JSON object form."""
+    """Build a problem bundle from its JSON object form; a non-number raises ``TypeError``."""
     bif = data["bifunction"]
-    f = QuadraticBifunction(bif["P"], bif["Q"], bif["q"])
+    P, Q = (np.array([_vector(row) for row in bif[key]]) for key in ("P", "Q"))
+    f = QuadraticBifunction(P, Q, _vector(bif["q"]))
     feasible = set_from_dict(data["feasible"])
     mapping_data = data.get("mapping", {"type": "identity"})
     kind = mapping_data.get("type")
@@ -306,15 +307,16 @@ def bundle_from_dict(data: dict) -> ProblemBundle:
         raise ValueError(f"unknown mapping type {kind!r}")
     constants_data = data.get("constants")
     if constants_data is None:
-        constants = nash_cournot_constants(bif["P"], bif["Q"])
+        constants = nash_cournot_constants(P, Q)
     else:
-        constants = LipschitzConstants(float(constants_data["c1"]), float(constants_data["c2"]))
+        constants = LipschitzConstants(_number(constants_data["c1"]), _number(constants_data["c2"]))
+    target = data.get("target")
     return ProblemBundle(
         bifunction=f,
         feasible=feasible,
         mapping=mapping,
         constants=constants,
-        target=data.get("target"),
+        target=None if target is None else _vector(target),
         label=data.get("label", ""),
     )
 

@@ -33,9 +33,9 @@ from .problems import LipschitzConstants, ProblemBundle
 from .qp import CutProjector, ProxSolver
 from .sets import (
     EmptyIntersection,
-    Halfspace,
     InfeasibleSet,
     WholeSpace,
+    project_halfspace,
     project_two_halfspaces,
 )
 
@@ -287,41 +287,34 @@ def contraction_slack(
     return params.k * dx2 + 2.0 * params.lam * c_prev * dy_prev2 - lead * dy_next2
 
 
-def build_contraction_cut(x_cur, w_next, epsilon: float) -> Halfspace | WholeSpace:
-    """Halfspace form of ``{z : |w - z|^2 <= |x - z|^2 + eps}``.
+def build_contraction_cut(x_cur: np.ndarray, w_next: np.ndarray, epsilon: float):
+    """Row ``(a, b)`` of ``{z : |w - z|^2 <= |x - z|^2 + eps}``, as ``<a, z> <= b``.
 
     The quadratic terms in ``z`` cancel, leaving
     ``2 <x - w, z> <= |x|^2 - |w|^2 + eps``.  When ``w == x`` the
-    normal vanishes: the cut is the whole space for ``eps >= 0`` and
-    empty otherwise.
+    normal vanishes: the cut is the whole space (``None``) for
+    ``eps >= 0`` and empty otherwise.  The points are trusted arrays of
+    one shape.
     """
-    x = as_point(x_cur)
-    w = as_point(w_next)
-    if x.shape != w.shape:
-        raise DimensionMismatch("cut endpoints must share a dimension")
-    normal = 2.0 * (x - w)
-    if not np.any(normal):
+    normal = 2.0 * (x_cur - w_next)
+    if not normal.any():
         if epsilon >= 0.0:
-            return WholeSpace(x.shape[0])
+            return None
         raise EmptyHalfspace("zero normal with negative slack describes an empty set")
-    offset = float(x @ x - w @ w) + epsilon
-    return Halfspace(normal, offset)
+    return normal, float(x_cur @ x_cur - w_next @ w_next) + epsilon
 
 
-def build_anchor_cut(x0, x_cur) -> Halfspace | WholeSpace:
-    """Halfspace form of ``{z : <x0 - x, z - x> <= 0}``.
+def build_anchor_cut(x0: np.ndarray, x_cur: np.ndarray):
+    """Row ``(a, b)`` of ``{z : <x0 - x, z - x> <= 0}``, as ``<a, z> <= b``.
 
     The current iterate always lies on its boundary; when the iterate
-    equals the initial point the cut is the whole space.
+    equals the initial point the cut is the whole space (``None``).  The
+    points are trusted arrays of one shape.
     """
-    p0 = as_point(x0)
-    pc = as_point(x_cur)
-    if p0.shape != pc.shape:
-        raise DimensionMismatch("anchor endpoints must share a dimension")
-    normal = p0 - pc
-    if not np.any(normal):
-        return WholeSpace(p0.shape[0])
-    return Halfspace(normal, float(normal @ pc))
+    normal = x0 - x_cur
+    if not normal.any():
+        return None
+    return normal, float(normal @ x_cur)
 
 
 def hybrid_iterate(
@@ -346,31 +339,22 @@ def hybrid_iterate(
 
     y_next = prox.step(f, state.y_cur, state.x_cur, params.lam, bundle.feasible)
     mapped = bundle.mapping(y_next)
-    if np.array_equal(mapped, y_next):
+    if (mapped == y_next).all():
         # Fixed point of the mapping: the average is y itself for every alpha.
         z_next = y_next
     else:
         z_next = alpha * y_next + (1.0 - alpha) * mapped
 
-    dist_y = float(np.linalg.norm(y_next - state.x_cur))
-    dist_z = float(np.linalg.norm(z_next - state.x_cur))
+    dist_y = _norm(y_next - state.x_cur)
+    dist_z = _norm(z_next - state.x_cur)
     w_next = y_next if dist_y >= dist_z else z_next
     residual_w = max(dist_y, dist_z)
 
     epsilon = contraction_slack(state, y_next, params, bundle.constants)
-    anchor = build_anchor_cut(state.x0, state.x_cur)
-    if params.cut_variant == "two_halfspaces":
-        cuts = [build_contraction_cut(state.x_cur, w_next, epsilon), anchor]
-    else:
-        # Split the contraction cut: points that the averaging step does
-        # not move away from, and points the prox point stays near.
-        averaging = build_contraction_cut(y_next, z_next, 0.0)
-        cuts = [averaging, build_contraction_cut(state.x_cur, y_next, epsilon), anchor]
-
     try:
         x_next = _project_onto_cuts(
             state.x0,
-            cuts,
+            _step_rows(state, y_next, z_next, w_next, epsilon, params.cut_variant),
             bundle.feasible if params.cuts_within_feasible else None,
             projector,
         )
@@ -380,8 +364,7 @@ def hybrid_iterate(
             "parameters violate the admissibility conditions or no solution exists"
         ) from exc
 
-    target = bundle.target
-    dist_to_target = None if target is None else float(np.linalg.norm(x_next - target))
+    dist_to_target = None if bundle.target is None else _norm(x_next - bundle.target)
     record = IterationRecord(
         n=state.n,
         y_next=y_next,
@@ -404,24 +387,49 @@ def hybrid_iterate(
     return new_state, record
 
 
+def _norm(v: np.ndarray) -> float:
+    """``|v|`` of a 1-D vector: numpy's own formula for it, ``sqrt(v @ v)``, bit for bit."""
+    return math.sqrt(v @ v)
+
+
+def _step_rows(state: SolverState, y_next, z_next, w_next, epsilon: float, cut_variant: str):
+    """The cut rows a step from ``state`` projects onto; ``None`` is a whole-space slot.
+
+    ``two_halfspaces``: the contraction cut of ``(x_n, w)``, then the anchor
+    cut.  ``three_halfspaces`` splits the contraction cut into the averaging
+    cut of ``(y, z)``, points the averaging step does not move away from, and
+    the prox cut of ``(x_n, y)``, points the prox point stays near.
+    """
+    anchor = build_anchor_cut(state.x0, state.x_cur)
+    if cut_variant == "two_halfspaces":
+        return [build_contraction_cut(state.x_cur, w_next, epsilon), anchor]
+    return [
+        build_contraction_cut(y_next, z_next, 0.0),
+        build_contraction_cut(state.x_cur, y_next, epsilon),
+        anchor,
+    ]
+
+
 def _project_onto_cuts(x0, cuts, feasible, projector: CutProjector | None = None) -> np.ndarray:
     """Project the initial point onto the intersection of the cuts.
 
-    ``cuts`` are halfspaces or whole spaces.  When the feasible set adds
-    nothing (``None`` or the whole space), up to two halfspaces go through
-    the closed-form projector; anything larger, or any request to stay
-    within the feasible set, goes through the run's
-    :class:`qp.CutProjector`, which stacks the cut rows over the set's
-    cached rows and warm-starts from its last working set.  Without a
-    projector the call is cold, bitwise :func:`qp.project_polyhedral`.
+    ``cuts`` are rows ``(a, b)`` of ``<a, z> <= b``, or ``None`` for a cut
+    that is the whole space.  When the feasible set adds nothing
+    (``None`` or the whole space), up to two rows are projected in closed
+    form; anything larger, or any request to stay within the feasible
+    set, goes through the run's :class:`qp.CutProjector`, which stacks
+    the cut rows over the set's cached rows and warm-starts from its last
+    working set.  Without a projector the call is cold, bitwise
+    :func:`qp.project_polyhedral`.  ``x0`` is trusted.
     """
-    halves = [c for c in cuts if isinstance(c, Halfspace)]
-    if (feasible is None or isinstance(feasible, WholeSpace)) and len(halves) <= 2:
-        if not halves:
-            return as_point(x0).copy()
-        if len(halves) == 1:
-            return halves[0].project(x0)
-        return project_two_halfspaces(x0, halves[0], halves[1])
+    if feasible is None or isinstance(feasible, WholeSpace):
+        rows = [row for row in cuts if row is not None]
+        if not rows:
+            return x0.copy()
+        if len(rows) == 1:
+            return project_halfspace(x0, *rows[0])
+        if len(rows) == 2:
+            return project_two_halfspaces(x0, *rows)
     if projector is None:
         projector = CutProjector()
     return projector.project(x0, cuts, feasible)
@@ -470,7 +478,7 @@ def solve(
     )
     prox = ProxSolver()
     projector = CutProjector()
-    check = (lambda before, record: _audit_record(before, record, bundle)) if audit else None
+    check = (lambda before, rec: _audit_record(before, rec, bundle, params)) if audit else None
     return _drive(
         lambda s: hybrid_iterate(s, bundle, params, prox, projector), state, stopping, check
     )
@@ -501,7 +509,7 @@ def extragradient_solve(bundle: ProblemBundle, lam: float, stopping: StoppingRul
         n, x = state
         y = first_prox.step(f, x, x, lam, bundle.feasible)
         x_next = second_prox.step(f, y, x, lam, bundle.feasible)
-        dist = None if bundle.target is None else float(np.linalg.norm(x_next - bundle.target))
+        dist = None if bundle.target is None else _norm(x_next - bundle.target)
         record = IterationRecord(
             n=n,
             y_next=y,
@@ -509,7 +517,7 @@ def extragradient_solve(bundle: ProblemBundle, lam: float, stopping: StoppingRul
             w_next=x_next,
             x_next=x_next,
             epsilon=None,
-            residual_w=float(np.linalg.norm(y - x)),
+            residual_w=_norm(y - x),
             dist_to_target=dist,
             alpha=None,
         )
@@ -556,11 +564,15 @@ def _drive(step, state, stopping: StoppingRule, audit=None) -> RunReport:
     return report
 
 
-def _audit_record(state: SolverState, record: IterationRecord, bundle: ProblemBundle) -> None:
-    """Assert the invariants of the hybrid step from ``state`` to ``record``; the
-    step's two cuts are rebuilt from ``x_n``, ``w``, the slack and ``x0``."""
-    contraction = build_contraction_cut(state.x_cur, record.w_next, record.epsilon)
-    anchor = build_anchor_cut(state.x0, state.x_cur)
+def _audit_record(
+    state: SolverState, record: IterationRecord, bundle: ProblemBundle, params: HybridParams
+) -> None:
+    """Assert the invariants of the hybrid step from ``state`` to ``record``.
+
+    The rows the step projected onto are rebuilt (:func:`_step_rows`) from
+    ``x_n``, the record, the slack and ``x0``; ``x_next`` must lie in each
+    of them, and so must the known solution, if any.
+    """
     target = bundle.target
     if target is not None and not (
         float(((record.w_next - target) ** 2).sum())
@@ -575,13 +587,14 @@ def _audit_record(state: SolverState, record: IterationRecord, bundle: ProblemBu
         >= float(np.linalg.norm(state.x_cur - state.x0)) - 1e-10
     ):
         raise InvariantViolation(f"iteration {record.n}: distance to the initial point decreased")
-    if not (contraction.contains(record.x_next, 1e-9) and anchor.contains(record.x_next, 1e-9)):
-        raise InvariantViolation(
-            f"iteration {record.n}: new iterate escaped the cuts it was projected onto"
-        )
-    if target is not None:
-        for cut_name, cut in (("contraction", contraction), ("anchor", anchor)):
-            if not cut.contains(target, 1e-8):
-                raise InvariantViolation(
-                    f"iteration {record.n}: known solution left the {cut_name} cut"
-                )
+    rows = _step_rows(
+        state, record.y_next, record.z_next, record.w_next, record.epsilon, params.cut_variant
+    )
+    names = ("averaging", "prox", "anchor") if len(rows) == 3 else ("contraction", "anchor")
+    for point, tol, message in (
+        (record.x_next, 1e-9, "new iterate escaped the {} cut it was projected onto"),
+        (target, 1e-8, "known solution left the {} cut"),
+    ):
+        for name, row in zip(names, rows):
+            if point is not None and row is not None and not float(row[0] @ point - row[1]) <= tol:
+                raise InvariantViolation(f"iteration {record.n}: " + message.format(name))

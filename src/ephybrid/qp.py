@@ -53,7 +53,7 @@ from .linalg import (
     triangular_solve,
 )
 from .problems import QuadraticBifunction
-from .sets import ConvexSet, InfeasibleSet, WholeSpace, halfspaces_and_box
+from .sets import ConvexSet, InfeasibleSet, halfspaces_and_box
 
 MULTIPLIER_TOL = 1e-10
 
@@ -177,7 +177,7 @@ def solve_qp_active_set(qp: QPInstance, warm=None) -> np.ndarray:
 
 
 def project_polyhedral(x0: np.ndarray, cuts, feasible: ConvexSet | None) -> np.ndarray:
-    """Nearest point to ``x0`` in the intersection of the halfspaces ``cuts`` and ``feasible``.
+    """Nearest point to ``x0`` in the intersection of the cut rows ``cuts`` and ``feasible``.
 
     A cold call of a fresh :class:`CutProjector`.  :meth:`sets.Polyhedron.project`
     passes no cuts.  The unit cut rows go on top of the set's cached rows
@@ -197,8 +197,8 @@ class CutProjector:
     set's rows are not, and the working set seldom changes much.  So the
     projector keeps the set's prepared rows, keyed on the set by identity
     (``None`` for none), and the last working set, each row labelled by its
-    origin: a cut by its slot in the list of cuts (a :class:`sets.WholeSpace`
-    slot adds no row but keeps its place), the set's prepared row ``i`` by
+    origin: a cut by its slot in the list of cuts (a ``None`` slot adds no
+    row but keeps its place), the set's prepared row ``i`` by
     ``-1 - i``.  Each call stacks the unit cut rows over the set's rows and
     deduplicates only the cut rows (:func:`_unit_rows`), maps the labels onto
     the stacked rows, skipping those whose row was dropped or is absent, and
@@ -215,7 +215,8 @@ class CutProjector:
     def project(self, x0: np.ndarray, cuts, feasible: ConvexSet | None) -> np.ndarray:
         """Nearest point to ``x0`` in the intersection of ``cuts`` and ``feasible``.
 
-        ``cuts`` are halfspaces or whole spaces; ``x0`` is trusted.  Raises
+        ``cuts`` are rows ``(a, b)`` of ``<a, z> <= b``, or ``None`` for a cut
+        that is the whole space; ``x0`` is trusted.  Raises
         :class:`InfeasibleSet` when the intersection is empty.
         """
         if self._set_labels is None or feasible is not self._set:
@@ -224,10 +225,10 @@ class CutProjector:
             self._set_labels = list(range(-1, -1 - m, -1))
             self._set = feasible
         rows, labels = self._set_rows, self._set_labels
-        slots = [s for s, cut in enumerate(cuts) if not isinstance(cut, WholeSpace)]
+        slots = [s for s, row in enumerate(cuts) if row is not None]
         if slots:
-            A = np.array([cuts[s].a for s in slots])
-            b = np.array([cuts[s].b for s in slots])
+            A = np.array([cuts[s][0] for s in slots])
+            b = np.array([cuts[s][1] for s in slots])
             rows, keep = _unit_rows(A, b, rows)
             labels = [label for label, k in zip(slots + labels, keep.tolist()) if k]
         where = {label: i for i, label in enumerate(labels)}

@@ -49,17 +49,11 @@ class WholeSpace:
         self.dim = int(dim)
 
     def contains(self, x, tol: float | None = None) -> bool:
-        self._check(x)
+        _point_in(x, self.dim)
         return True
 
     def project(self, x) -> np.ndarray:
-        return self._check(x).copy()
-
-    def _check(self, x) -> np.ndarray:
-        p = as_point(x)
-        if p.shape[0] != self.dim:
-            raise DimensionMismatch(f"point has dim {p.shape[0]}, set has dim {self.dim}")
-        return p
+        return _point_in(x, self.dim).copy()
 
     def __repr__(self):
         return f"WholeSpace(dim={self.dim})"
@@ -78,14 +72,7 @@ class Halfspace:
 
     def violation(self, x) -> float:
         """Signed constraint value ``<a, x> - b`` (positive means outside)."""
-        p = as_point(x)
-        if p.shape[0] != self.dim:
-            raise DimensionMismatch(f"point has dim {p.shape[0]}, set has dim {self.dim}")
-        return self._violation(p)
-
-    def _violation(self, p: np.ndarray) -> float:
-        """:meth:`violation` of a point the caller has already checked."""
-        return float(self.a @ p - self.b)
+        return float(self.a @ _point_in(x, self.dim) - self.b)
 
     def contains(self, x, tol: float | None = None) -> bool:
         if tol is None:
@@ -93,15 +80,8 @@ class Halfspace:
         return self.violation(x) <= tol
 
     def project(self, x) -> np.ndarray:
-        """Closed-form projection ``x - max(0, (<a,x> - b)/|a|^2) a``.
-
-        Points already inside are returned unchanged.
-        """
-        p = as_point(x)
-        v = self.violation(p)
-        if v <= 0.0:
-            return p.copy()
-        return p - (v / self.norm2) * self.a
+        """Closed-form projection (:func:`project_halfspace`)."""
+        return project_halfspace(_point_in(x, self.dim), self.a, self.b)
 
     def __repr__(self):
         return f"Halfspace(a={self.a.tolist()}, b={self.b})"
@@ -120,7 +100,7 @@ class Box:
         self.dim = self.lo.shape[0]
 
     def contains(self, x, tol: float | None = None) -> bool:
-        p = self._check(x)
+        p = _point_in(x, self.dim)
         lo_tol = np.array([tol if tol is not None else membership_tol(v) for v in self.lo])
         hi_tol = np.array([tol if tol is not None else membership_tol(v) for v in self.hi])
         with np.errstate(invalid="ignore"):
@@ -130,13 +110,7 @@ class Box:
 
     def project(self, x) -> np.ndarray:
         """Elementwise clamp; the result lies in the box exactly."""
-        return np.clip(self._check(x), self.lo, self.hi)
-
-    def _check(self, x) -> np.ndarray:
-        p = as_point(x)
-        if p.shape[0] != self.dim:
-            raise DimensionMismatch(f"point has dim {p.shape[0]}, box has dim {self.dim}")
-        return p
+        return np.clip(_point_in(x, self.dim), self.lo, self.hi)
 
     def __repr__(self):
         return f"Box(lo={self.lo.tolist()}, hi={self.hi.tolist()})"
@@ -156,7 +130,8 @@ class TwoHalfspaces:
         return self.first.contains(x, tol) and self.second.contains(x, tol)
 
     def project(self, x) -> np.ndarray:
-        return project_two_halfspaces(x, self.first, self.second)
+        rows = [(h.a, h.b) for h in (self.first, self.second)]
+        return project_two_halfspaces(_point_in(x, self.dim), *rows)
 
     def __repr__(self):
         return f"TwoHalfspaces({self.first!r}, {self.second!r})"
@@ -192,10 +167,7 @@ class Polyhedron:
         """
         from . import qp  # deferred: qp builds on the set types above
 
-        p = as_point(x)
-        if p.shape[0] != self.dim:
-            raise DimensionMismatch(f"point has dim {p.shape[0]}, set has dim {self.dim}")
-        return qp.project_polyhedral(p, (), self)
+        return qp.project_polyhedral(_point_in(x, self.dim), (), self)
 
     def __repr__(self):
         return f"Polyhedron(halfspaces={list(self.halfspaces)!r}, box={self.box!r})"
@@ -223,46 +195,48 @@ def halfspaces_and_box(s: ConvexSet) -> tuple[tuple[Halfspace, ...], Box | None]
     raise TypeError(f"unsupported feasible set: {type(s).__name__}")
 
 
-def project_two_halfspaces(x, first, second) -> np.ndarray:
-    """Exact projection onto the intersection of two halfspaces.
+def project_halfspace(x: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
+    """Closed-form projection ``x - max(0, (<a,x> - b)/|a|^2) a`` onto ``<a, z> <= b``.
 
-    Either argument may be :class:`WholeSpace`, in which case it is
-    dropped.  The case analysis: return ``x`` when feasible; otherwise
-    try the single-halfspace projections; otherwise both boundary
-    hyperplanes are active and the multipliers come from the 2x2 Gram
-    system.  Raises :class:`EmptyIntersection` for anti-parallel
-    normals bounding a slab with no interior.  ``x`` is checked once;
-    the cases then use each halfspace's stored ``a``, ``b`` and
-    ``norm2`` with the formulas of :meth:`Halfspace.project` and
-    :meth:`Halfspace.contains`, so results match them bit for bit.
+    Points already inside are returned unchanged (as a copy).  ``x`` is
+    trusted: a finite vector of the dimension of ``a``, which is nonzero.
     """
-    p = as_point(x)
-    if isinstance(first, WholeSpace) and isinstance(second, WholeSpace):
-        return first.project(p)
-    if isinstance(first, WholeSpace):
-        return second.project(p)
-    if isinstance(second, WholeSpace):
-        return first.project(p)
-    if first.dim != second.dim or p.shape[0] != first.dim:
-        raise DimensionMismatch("point and halfspaces must share one dimension")
+    v = float(a @ x - b)
+    if v <= 0.0:
+        return x.copy()
+    return x - (v / float(a @ a)) * a
 
-    v1 = first._violation(p)
-    v2 = second._violation(p)
-    if v1 <= membership_tol(first.b) and v2 <= membership_tol(second.b):
-        return p.copy()
+
+def project_two_halfspaces(x: np.ndarray, first, second) -> np.ndarray:
+    """Exact projection onto ``{z : <a1, z> <= b1, <a2, z> <= b2}``.
+
+    ``first`` and ``second`` are the rows ``(a1, b1)`` and ``(a2, b2)``,
+    nonzero normals with offsets.  The case analysis: return ``x`` when
+    feasible (within :func:`membership_tol`); otherwise try the
+    single-halfspace projections, :func:`project_halfspace`'s formula;
+    otherwise both boundary hyperplanes are active and the multipliers
+    come from the 2x2 Gram system.  Raises :class:`EmptyIntersection`
+    for anti-parallel normals bounding a slab with no interior.  ``x``
+    is trusted: callers check it (:meth:`TwoHalfspaces.project` does).
+    """
+    (a1, b1), (a2, b2) = first, second
+    v1 = float(a1 @ x - b1)
+    v2 = float(a2 @ x - b2)
+    tol1, tol2 = membership_tol(b1), membership_tol(b2)
+    if v1 <= tol1 and v2 <= tol2:
+        return x.copy()
+    g11, g22 = float(a1 @ a1), float(a2 @ a2)
     if v1 > 0.0:
-        cand = p - (v1 / first.norm2) * first.a
-        if second._violation(cand) <= membership_tol(second.b):
+        cand = x - (v1 / g11) * a1
+        if float(a2 @ cand - b2) <= tol2:
             return cand
     if v2 > 0.0:
-        cand = p - (v2 / second.norm2) * second.a
-        if first._violation(cand) <= membership_tol(first.b):
+        cand = x - (v2 / g22) * a2
+        if float(a1 @ cand - b1) <= tol1:
             return cand
 
     # Both boundary hyperplanes active: solve the Gram system in the
     # two multipliers, z = x - mu1 a1 - mu2 a2 with both constraints tight.
-    a1, a2 = first.a, second.a
-    g11, g22 = first.norm2, second.norm2
     g12 = float(a1 @ a2)
     det = g11 * g22 - g12 * g12
     if det <= 1e-14 * g11 * g22:
@@ -277,7 +251,7 @@ def project_two_halfspaces(x, first, second) -> np.ndarray:
         # Cannot happen once the single-projection cases have failed;
         # guards against inconsistent tolerance slivers.
         raise ArithmeticError("two-halfspace projection produced negative multipliers")
-    return p - max(mu1, 0.0) * a1 - max(mu2, 0.0) * a2
+    return x - max(mu1, 0.0) * a1 - max(mu2, 0.0) * a2
 
 
 def set_to_dict(s: ConvexSet) -> dict:
@@ -335,6 +309,14 @@ def set_from_dict(d: dict) -> ConvexSet:
             halves.append(parsed)
         return Polyhedron(halves, parsed_box)
     raise ValueError(f"unknown set type: {kind!r}")
+
+
+def _point_in(x, dim: int) -> np.ndarray:
+    """``x`` as a checked point (:func:`linalg.as_point`) of dimension ``dim``."""
+    p = as_point(x)
+    if p.shape[0] != dim:
+        raise DimensionMismatch(f"point has dim {p.shape[0]}, set has dim {dim}")
+    return p
 
 
 def _as_bounds(v) -> np.ndarray:

@@ -7,9 +7,8 @@ counts in that regime are highly sensitive to the inner QP path.
 """
 
 import numpy as np
-import pytest
 
-from ephybrid.experiments import default_lambda, table1_config
+from ephybrid.experiments import default_lambda
 from ephybrid.hybrid import (
     AlphaSchedule,
     MaxIterExceeded,
@@ -24,7 +23,7 @@ from ephybrid.problems import (
     ProblemBundle,
     vip_as_bifunction,
 )
-from ephybrid.qp import QPInstance, prox_step, reduce_prox_to_qp, solve_qp_active_set
+from ephybrid.qp import QPInstance, prox_step, solve_qp_active_set
 from ephybrid.sets import (
     Box,
     EmptyIntersection,
@@ -178,7 +177,7 @@ def test_criterion_5b_two_halfspace_projector_vs_oracle():
         h2 = Halfspace(rng.normal(size=d), rng.normal())
         x = rng.normal(scale=2.0, size=d)
         try:
-            got = project_two_halfspaces(x, h1, h2)
+            got = project_two_halfspaces(x, (h1.a, h1.b), (h2.a, h2.b))
         except EmptyIntersection:
             continue
         ref = projection_oracle(x, TwoHalfspaces(h1, h2))

@@ -11,7 +11,6 @@ import pytest
 import ephybrid
 from ephybrid import cli
 from ephybrid.experiments import (
-    ExperimentConfig,
     ParseError,
     ValidationError,
     builtin_example1,
@@ -31,7 +30,6 @@ from ephybrid.reporting import (
     ReportRow,
     emit_reports,
     format_point,
-    report_to_dict,
     rows_from_json,
     trace_to_csv,
     write_report_json,
@@ -377,6 +375,21 @@ INLINE_BOX_PROBLEM = {
 }
 
 
+BOX_BIFUNCTION = INLINE_BOX_PROBLEM["bifunction"]
+INLINE_NON_NUMBERS = (
+    {"constants": {"c1": "2.5", "c2": 1.0}},
+    {"constants": {"c1": 1.0, "c2": True}},
+    {"bifunction": {**BOX_BIFUNCTION, "q": ["1", 0.0]}},
+    {"bifunction": {**BOX_BIFUNCTION, "q": [True, 0.0]}},
+    {"bifunction": {**BOX_BIFUNCTION, "P": [["2.0", 0.0], [0.0, 2.0]]}},
+    {"bifunction": {**BOX_BIFUNCTION, "P": [[2.0, 0.0], [False, 2.0]]}},
+    {"bifunction": {**BOX_BIFUNCTION, "Q": [[True, 0.0], [0.0, 1.0]]}},
+    {"bifunction": {**BOX_BIFUNCTION, "Q": [[1.0, "0"], [0.0, 1.0]]}},
+    {"target": ["0", "0"]},
+    {"target": [0.0, False]},
+)
+
+
 def assert_config_error(tmp_path, capsys, error, **fields):
     """The parser raises ``error`` for an example1 config with ``fields``; the CLI exits 2."""
     data = {"problem": "example1", "starts": [[1, 3, 1]], **fields}
@@ -437,6 +450,8 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         {"y0": [0, 0, False]},
         {"params": {"k": 10**400}},
         {"stopping": {"max_iter": 10**400}},
+        # Inside an inline problem, too, only JSON numbers are numbers.
+        *({"problem": {**INLINE_BOX_PROBLEM, **part}} for part in INLINE_NON_NUMBERS),
     ):
         assert_config_error(tmp_path, capsys, ParseError, **fields)
 

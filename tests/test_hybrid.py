@@ -9,7 +9,6 @@ from ephybrid.hybrid import (
     AlphaSchedule,
     AlphaOutOfRange,
     EmptyHalfspace,
-    HybridParams,
     InfeasibleStart,
     InvariantViolation,
     KTooSmall,
@@ -141,9 +140,15 @@ def test_slack_conventions_differ_for_unequal_constants():
     assert contraction_slack(st, y_next, std, consts) != contraction_slack(st, y_next, swp, consts)
 
 
+def inside(row, point, tol):
+    """Whether ``point`` satisfies the cut row ``(a, b)`` within ``tol``; ``None`` is the whole space."""
+    return row is None or float(row[0] @ point - row[1]) <= tol
+
+
 def test_contraction_cut_is_perpendicular_bisector():
-    cut = build_contraction_cut([1.0, 0.0], [0.0, 0.0], 0.0)
-    assert isinstance(cut, Halfspace)
+    a, b = build_contraction_cut(np.array([1.0, 0.0]), np.zeros(2), 0.0)
+    assert a.tolist() == [2.0, 0.0] and b == 1.0
+    cut = Halfspace(a, b)
     # z1 <= 1/2: the midpoint sits on the boundary
     assert cut.violation([0.5, 0.0]) == pytest.approx(0.0, abs=1e-15)
     assert cut.contains([0.49, 7.0])
@@ -151,9 +156,11 @@ def test_contraction_cut_is_perpendicular_bisector():
 
 
 def test_contraction_cut_degenerate_cases():
-    assert isinstance(build_contraction_cut([1.0, 2.0], [1.0, 2.0], 0.1), WholeSpace)
+    x = np.array([1.0, 2.0])
+    assert build_contraction_cut(x, x.copy(), 0.1) is None
+    assert build_contraction_cut(x, x.copy(), 0.0) is None
     with pytest.raises(EmptyHalfspace):
-        build_contraction_cut([1.0, 2.0], [1.0, 2.0], -0.1)
+        build_contraction_cut(x, x.copy(), -0.1)
 
 
 def test_contraction_cut_matches_quadratic_membership():
@@ -169,21 +176,22 @@ def test_contraction_cut_matches_quadratic_membership():
             quad = float((w - z) @ (w - z) - (x - z) @ (x - z)) - eps
             if abs(quad) < 1e-9:
                 continue  # boundary slivers can round either way
-            if isinstance(cut, WholeSpace):
+            if cut is None:
                 assert quad <= 0.0
             else:
-                assert (quad <= 0.0) == cut.contains(z, tol=0.0)
+                assert (quad <= 0.0) == inside(cut, z, 0.0)
 
 
 def test_anchor_cut_structure():
-    assert isinstance(build_anchor_cut([1.0, 1.0], [1.0, 1.0]), WholeSpace)
-    cut = build_anchor_cut([1.0, 0.0], [0.0, 0.0])
-    assert isinstance(cut, Halfspace)
-    assert cut.contains([0.0, 5.0])
-    assert not cut.contains([0.1, 0.0])
+    assert build_anchor_cut(np.ones(2), np.ones(2)) is None
+    a, b = build_anchor_cut(np.array([1.0, 0.0]), np.zeros(2))
+    assert a.tolist() == [1.0, 0.0] and b == 0.0
+    assert inside((a, b), np.array([0.0, 5.0]), 0.0)
+    assert not inside((a, b), np.array([0.1, 0.0]), 1e-9)
     # the defining iterate always sits on the boundary
-    cut = build_anchor_cut([1.0, 2.0], [-0.3, 0.4])
-    assert cut.violation([-0.3, 0.4]) == pytest.approx(0.0, abs=1e-15)
+    x_cur = np.array([-0.3, 0.4])
+    cut = build_anchor_cut(np.array([1.0, 2.0]), x_cur)
+    assert float(cut[0] @ x_cur - cut[1]) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_identity_mapping_collapses_averaging(example1):
@@ -205,8 +213,8 @@ def test_first_iteration_anchor_is_whole_space(example2):
     state = fresh_state([1.0, 3.0, 1.0])
     _, rec = hybrid_iterate(state, example2, params, ProxSolver())
     contraction, anchor = step_cuts(state, rec)
-    assert isinstance(anchor, WholeSpace)
-    assert isinstance(contraction, Halfspace)
+    assert anchor is None
+    assert contraction is not None
 
 
 def test_iterate_record_invariants(example2):
@@ -229,7 +237,7 @@ def test_iterate_record_invariants(example2):
 
 
 def step_cuts(state, rec):
-    """The contraction and anchor cuts of the step from ``state`` to ``rec``, rebuilt."""
+    """The contraction and anchor rows of the step from ``state`` to ``rec``, rebuilt."""
     return (
         build_contraction_cut(state.x_cur, rec.w_next, rec.epsilon),
         build_anchor_cut(state.x0, state.x_cur),
@@ -252,8 +260,8 @@ def test_known_solution_stays_in_cuts(example2):
     # The audit asserts the certificate, monotonicity and membership too.
     report = solve(example2, params, StoppingRule("distance_to_target", 1e-3, 10000), x0, audit=True)
     for _, contraction, anchor in trace_cuts(report, x0):
-        assert contraction.contains(np.zeros(3), tol=1e-8)
-        assert anchor.contains(np.zeros(3), tol=1e-8)
+        assert inside(contraction, np.zeros(3), 1e-8)
+        assert inside(anchor, np.zeros(3), 1e-8)
 
 
 def test_two_halfspace_projection_consistent_with_qp(example2):
@@ -264,7 +272,7 @@ def test_two_halfspace_projection_consistent_with_qp(example2):
     x0 = np.array([3.0, -2.0, 1.0])
     report = solve(example2, params, StoppingRule("distance_to_target", 1e-3, 10000), x0)
     for rec, contraction, anchor in trace_cuts(report, x0):
-        halves = [c for c in (contraction, anchor) if isinstance(c, Halfspace)]
+        halves = [Halfspace(*c) for c in (contraction, anchor) if c is not None]
         if not halves:
             continue
         ref = Polyhedron(halves).project(x0)
@@ -357,15 +365,23 @@ def test_audit_mode_clean_run(example2):
 def test_audit_detects_fabricated_violation(example2):
     from ephybrid.hybrid import IterationRecord, _audit_record
 
+    two = validate_params(
+        default_lambda(example2.constants), 6.0, AlphaSchedule("ratio"), example2.constants
+    )
+    three = dataclasses.replace(two, cut_variant="three_halfspaces")
+
     # By default a step from x_n = (1, 0, 0) with x0 = (2, 0, 0): the anchor
-    # cut is {z1 <= 1} and, with w = 0 and no slack, the contraction cut is
-    # {z1 <= 1/2}.  example2's known solution is the origin.
+    # cut is {z1 <= 1} and, with y = z = w = 0 and no slack, the contraction
+    # cut (three_halfspaces: the prox cut) is {z1 <= 1/2}; the averaging
+    # cut of y = z is the whole space.  example2's known solution is the origin.
     def pair(x_cur=(1.0, 0.0, 0.0), x0=(2.0, 0.0, 0.0), w=(0.0, 0.0, 0.0), x_next=(0.5, 0.0, 0.0),
-             epsilon=0.0):
+             epsilon=0.0, y=None, z=None):
         state = SolverState(3, np.zeros(3), np.array(x_cur), np.zeros(3), np.zeros(3), np.array(x0))
         w, x_next = np.array(w), np.array(x_next)
+        y = w if y is None else np.array(y)
+        z = w if z is None else np.array(z)
         record = IterationRecord(
-            n=3, y_next=w, z_next=w, w_next=w, x_next=x_next, epsilon=epsilon,
+            n=3, y_next=y, z_next=z, w_next=w, x_next=x_next, epsilon=epsilon,
             residual_w=1.0, dist_to_target=float(np.linalg.norm(x_next)), alpha=0.0,
         )
         return state, record
@@ -375,8 +391,13 @@ def test_audit_detects_fabricated_violation(example2):
     certificate = pair(x0=(0.0, 0.0, 0.0), w=(2.0, 0.0, 0.0), x_next=(2.0, 0.0, 0.0))
     # |x_next - x0| = 1.9 is below |x_n - x0| = 2.
     monotone = pair(x_cur=(0.0, 0.0, 0.0), x_next=(0.1, 0.0, 0.0))
-    # x_next lies past the contraction cut's face z1 = 1/2.
+    # x_next lies past the contraction (prox) cut's face z1 = 1/2.
     membership = pair(x_next=(0.9, 0.0, 0.0))
+    # w = (0.9, 0, 0) with slack 1/2 makes the contraction cut {z1 <= 3.45};
+    # x_next lies past the anchor cut's face z1 = 1, yet farther from x0.
+    escaped_anchor = pair(w=(0.9, 0.0, 0.0), x_next=(1.5, 10.0, 0.0), epsilon=0.5)
+    # y = (0.5, 0, 0), z = w = (0.4, 0, 0): the averaging cut is {z1 <= 0.45}.
+    escaped_averaging = pair(w=(0.4, 0.0, 0.0), y=(0.5, 0.0, 0.0), x_next=(0.5, 0.0, 0.0))
     # With a known solution the contraction cut's membership test is the
     # certificate's inequality, rounded otherwise: at |x_n|^2 = |w|^2 = 1e16
     # the certificate's 1e-8 band is lost in rounding, while the cut's offset
@@ -388,22 +409,38 @@ def test_audit_detects_fabricated_violation(example2):
     # x0 = (-1, 0, 0) turns the anchor cut into {z1 >= 1}, away from the origin;
     # w = (0.9, 0, 0) with slack 1/2 makes the contraction cut {z1 <= 3.45}.
     anchor = pair(x0=(-1.0, 0.0, 0.0), w=(0.9, 0.0, 0.0), x_next=(1.0, 0.0, 0.0), epsilon=0.5)
-    for (state, rec), message in (
-        (certificate, "contraction certificate"),
-        (monotone, "distance to the initial point"),
-        (membership, "escaped the cuts"),
-        (contraction, "left the contraction cut"),
-        (anchor, "left the anchor cut"),
+    # z = w = (0.6, 0, 0) is farther from the origin than y = (0.5, 0, 0): the
+    # averaging cut {z1 >= 0.55} leaves it out.  The certificate holds for w.
+    averaging = pair(w=(0.6, 0.0, 0.0), y=(0.5, 0.0, 0.0), x_next=(0.6, 0.0, 0.0))
+    # |y|^2 = 1.21 exceeds |x_n|^2 + slack = 1, so the prox cut leaves the
+    # origin out, while w = z = (-0.5, 0, 0), the farther from x_n, passes
+    # the certificate and the averaging cut keeps the origin.
+    prox = pair(w=(-0.5, 0.0, 0.0), y=(0.0, 1.1, 0.0), x_next=(-0.5, 0.3, 0.0))
+    for params, (state, rec), message in (
+        (two, certificate, "contraction certificate"),
+        (two, monotone, "distance to the initial point"),
+        (two, membership, "escaped the contraction cut"),
+        (two, escaped_anchor, "escaped the anchor cut"),
+        (two, contraction, "left the contraction cut"),
+        (two, anchor, "left the anchor cut"),
+        (three, membership, "escaped the prox cut"),
+        (three, escaped_averaging, "escaped the averaging cut"),
+        (three, averaging, "left the averaging cut"),
+        (three, prox, "left the prox cut"),
+        (three, anchor, "left the anchor cut"),
     ):
         with pytest.raises(InvariantViolation, match=message):
-            _audit_record(state, rec, example2)
-    _audit_record(*pair(), example2)
+            _audit_record(state, rec, example2, params)
+    _audit_record(*pair(), example2, two)
+    _audit_record(*pair(), example2, three)
     # Without a known solution the checks against it do not run.
     no_target = ProblemBundle(
         example2.bifunction, example2.feasible, example2.mapping, example2.constants
     )
-    for state, rec in (certificate, contraction, anchor):
-        _audit_record(state, rec, no_target)
+    for params, (state, rec) in (
+        (two, certificate), (two, contraction), (two, anchor), (three, averaging), (three, prox)
+    ):
+        _audit_record(state, rec, no_target, params)
 
 
 def test_random_bundles_keep_independent_solution_in_cuts():
@@ -435,8 +472,8 @@ def test_random_bundles_keep_independent_solution_in_cuts():
             report = exc.report
         start_gap = float(np.linalg.norm(x0 - limit))
         for _, contraction, anchor in trace_cuts(report, x0):
-            assert contraction.contains(limit, tol=1e-6)
-            assert anchor.contains(limit, tol=1e-6)
+            assert inside(contraction, limit, 1e-6)
+            assert inside(anchor, limit, 1e-6)
         assert float(np.linalg.norm(report.final_x - limit)) < start_gap
 
 
@@ -481,7 +518,7 @@ def test_first_iteration_projects_onto_contraction_alone(example2):
     state = fresh_state(x0)
     _, rec = hybrid_iterate(state, example2, params, ProxSolver())
     contraction, _ = step_cuts(state, rec)
-    assert np.allclose(rec.x_next, contraction.project(x0), atol=1e-12)
+    assert np.allclose(rec.x_next, Halfspace(*contraction).project(x0), atol=1e-12)
 
 
 def test_extragradient_pure_projection_case():
@@ -591,11 +628,11 @@ def test_cut_projection_is_bitwise_the_polyhedron_qp(kind):
             u -= (u @ a[0]) / (a[0] @ a[0]) * a[0]
             a[1] = a[0] + (3e-7 if n % 4 == 0 else 3e-5) * np.linalg.norm(a[0]) / np.linalg.norm(u) * u
             b[1] = b[0] * np.linalg.norm(a[1]) / np.linalg.norm(a[0])
-        cuts = [Halfspace(a[i], b[i]) for i in range(3)]
+        cuts = [(a[i], b[i]) for i in range(3)]
         x0 = rng.normal(scale=3.0, size=3)
         if n % 4 < 2:
             x0 += 3.0 * a[0] / np.linalg.norm(a[0])  # outside the pair, so it binds
-        poly = Polyhedron(cuts + list(halfspaces), box)
+        poly = Polyhedron([Halfspace(*c) for c in cuts] + list(halfspaces), box)
         ref = solve_qp_active_set(QPInstance(np.eye(3), -x0, poly))
         assert _project_onto_cuts(x0, cuts, feasible).tobytes() == ref.tobytes(), n
         assert poly.project(x0).tobytes() == ref.tobytes(), n
@@ -619,7 +656,6 @@ def test_cut_projection_routing_per_feasible_kind(kind, example2):
         cuts_within_feasible=True,
     )
     x0 = np.array([1.0, 3.0, 1.0])
-    A_feas, b_feas = halfspace_rows(feasible)
     state = fresh_state(x0)
     prox = ProxSolver()
     for _ in range(4):
@@ -627,14 +663,46 @@ def test_cut_projection_routing_per_feasible_kind(kind, example2):
         state, rec = hybrid_iterate(state, bundle, params, prox)
         # The split cuts of the three_halfspaces variant, rebuilt from the record.
         y, z = rec.y_next, rec.z_next
-        averaging = Halfspace(2.0 * (y - z), y @ y - z @ z) if np.any(y - z) else WholeSpace(3)
+        averaging = (2.0 * (y - z), float(y @ y - z @ z)) if np.any(y - z) else None
         cuts = [averaging, build_contraction_cut(prev.x_cur, y, rec.epsilon), step_cuts(prev, rec)[1]]
-        halves = [c for c in cuts if isinstance(c, Halfspace)]
-        A = np.vstack([h.a for h in halves] + [A_feas])
-        b = np.concatenate([[h.b for h in halves], b_feas])
-        ref = enumeration_qp(np.eye(3), -x0, A, b)
+        ref = enumeration_qp(np.eye(3), -x0, *stacked_rows(cuts, feasible))
         assert ref is not None
         assert np.linalg.norm(rec.x_next - ref) <= 1e-8
+
+
+def test_cut_projection_drops_whole_space_slots():
+    # A None slot is a cut that is the whole space: it adds no row, in
+    # closed form or through the projector.
+    row = (np.array([1.0, 0.0]), 0.0)
+    x = np.array([2.0, 3.0])
+    kept = _project_onto_cuts(x, [None, None], None)
+    assert np.array_equal(kept, x) and kept is not x
+    for cuts in ([row, None], [None, row], [None, row, None], [row, None, row]):
+        for feasible in (None, WholeSpace(2)):
+            assert np.allclose(_project_onto_cuts(x, cuts, feasible), [0.0, 3.0], atol=1e-14)
+        assert np.allclose(CutProjector().project(x, cuts, None), [0.0, 3.0], atol=1e-14)
+
+
+def test_step_builds_no_set_object(monkeypatch):
+    # A step's cuts are rows, projected as rows: no set object is built, and
+    # no point re-checked, inside it.  Only solve's start and seed are checked.
+    from ephybrid import hybrid, sets
+    from ephybrid.linalg import as_point
+
+    cells = [(c, c.params_for(c.schedules[0]), c.starts[0]) for c in (table1_config(), table2_config())]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a set object was built inside a step")
+
+    monkeypatch.setattr(sets.Halfspace, "__init__", refuse)
+    monkeypatch.setattr(sets.WholeSpace, "__init__", refuse)
+    checked = []
+    monkeypatch.setattr(hybrid, "as_point", lambda x: checked.append(x) or as_point(x))
+    for config, params, start in cells:
+        checked.clear()
+        report = solve(config.bundle, params, config.stopping, start, y0=config.y0, audit=False)
+        assert report.stop_reason != "MaxIter" and report.iterations > 5
+        assert len(checked) == (1 if config.y0 is None else 2)
 
 
 def test_non_finite_values_raise_where_they_first_appear(example1):
@@ -747,11 +815,11 @@ def test_run_that_stops_exactly_at_the_cap(case):
 
 
 def stacked_rows(cuts, feasible):
-    """The oracle's rows of the cut halfspaces over the set's."""
+    """The oracle's rows: the cut rows (``None`` slots skipped) over the set's."""
     A_feas, b_feas = halfspace_rows(feasible)
-    halves = [c for c in cuts if isinstance(c, Halfspace)]
-    A = np.vstack([h.a for h in halves] + [A_feas])
-    return A, np.concatenate([[h.b for h in halves], b_feas])
+    rows = [c for c in cuts if c is not None]
+    A = np.vstack([a for a, _ in rows] + [A_feas])
+    return A, np.concatenate([[b for _, b in rows], b_feas])
 
 
 def replay_against_cold_calls(sequence):
@@ -790,13 +858,13 @@ def test_cut_projector_replays_table2_like_cold_calls(monkeypatch):
     monkeypatch.undo()
     assert sum(map(len, sequences)) == 348
     # The first anchor cut of every run is the whole space, in its slot.
-    assert all(isinstance(seq[0][1][2], WholeSpace) for seq in sequences)
+    assert all(seq[0][1][2] is None for seq in sequences)
     seeded = sum(replay_against_cold_calls(seq) for seq in sequences)
     assert seeded > 200
 
 
 def test_cut_projector_warm_labels_follow_row_origin():
-    # Seeded drifting cuts over a box-capped polyhedron: whole-space slots,
+    # Seeded drifting cuts over a box-capped polyhedron: ``None`` (whole-space) slots,
     # cuts parallel to a box row that drop it, near-parallel cut pairs, and
     # a switch to another set (whose rows the projector must not mistake
     # for the first set's) every 40 calls.
@@ -811,15 +879,16 @@ def test_cut_projector_warm_labels_follow_row_origin():
     sequence = []
     for n in range(120):
         normals += 0.05 * rng.normal(size=(3, 3))
-        cuts = [Halfspace(a, rng.uniform(0.2, 0.6) * np.linalg.norm(a)) for a in normals]
+        # Copies: the rows of ``normals`` drift in place.
+        cuts = [(a.copy(), rng.uniform(0.2, 0.6) * np.linalg.norm(a)) for a in normals]
         roll = rng.random()
         if roll < 0.15:
-            cuts[int(rng.integers(0, 3))] = WholeSpace(3)
+            cuts[int(rng.integers(0, 3))] = None
         elif roll < 0.3:
             k = int(rng.integers(0, 3))
-            cuts[int(rng.integers(0, 3))] = Halfspace(np.eye(3)[k] * rng.uniform(0.5, 2.0), 0.0)
+            cuts[int(rng.integers(0, 3))] = (np.eye(3)[k] * rng.uniform(0.5, 2.0), 0.0)
         elif roll < 0.4:
-            a = cuts[0].a
-            cuts[1] = Halfspace(a + 1e-8 * rng.normal(size=3), cuts[0].b * (1.0 + 1e-9))
+            a, b = cuts[0]
+            cuts[1] = (a + 1e-8 * rng.normal(size=3), b * (1.0 + 1e-9))
         sequence.append((x0 + 0.1 * rng.normal(size=3), cuts, sets[n // 40 % 2]))
     assert replay_against_cold_calls(sequence) > 60

@@ -5,7 +5,6 @@ import pytest
 
 from ephybrid.problems import (
     AffineOperator,
-    AveragedProjections,
     DegenerateConstants,
     IdentityMapping,
     LipschitzConstants,

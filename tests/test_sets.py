@@ -11,11 +11,13 @@ from ephybrid.sets import (
     TwoHalfspaces,
     WholeSpace,
     ZeroNormal,
+    project_halfspace,
     project_two_halfspaces,
     set_from_dict,
     set_to_dict,
 )
-from oracles import projection_oracle
+from ephybrid.qp import CyclingDetected, project_polyhedral
+from oracles import enumeration_qp, projection_oracle
 
 UNIT_BOX = Box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
 SIMPLEX_CAP = Polyhedron([Halfspace([-1.0, -1.0, -1.0], -1.0)], UNIT_BOX)
@@ -112,35 +114,53 @@ def test_halfspace_zero_normal_rejected():
         Halfspace([0.0, 0.0], 1.0)
 
 
+def rows(*halfspaces):
+    """The ``(a, b)`` rows of halfspaces, as the closed-form kernel takes them."""
+    return [(h.a, h.b) for h in halfspaces]
+
+
 def test_two_halfspaces_orthogonal_corner():
     h1 = Halfspace([1.0, 0.0, 0.0], 0.0)
     h2 = Halfspace([0.0, 1.0, 0.0], 0.0)
-    assert np.allclose(project_two_halfspaces([1.0, 1.0, 0.0], h1, h2), [0.0, 0.0, 0.0], atol=1e-14)
-    assert np.allclose(project_two_halfspaces([-1.0, 2.0, 0.0], h1, h2), [-1.0, 0.0, 0.0], atol=1e-14)
+    corner = TwoHalfspaces(h1, h2)
+    assert np.allclose(corner.project([1.0, 1.0, 0.0]), [0.0, 0.0, 0.0], atol=1e-14)
+    assert np.allclose(corner.project([-1.0, 2.0, 0.0]), [-1.0, 0.0, 0.0], atol=1e-14)
+    x = np.array([1.0, 1.0, 0.0])
+    assert project_two_halfspaces(x, *rows(h1, h2)).tobytes() == corner.project(x).tobytes()
 
 
 def test_two_halfspaces_both_active_vs_oracle():
     h1 = Halfspace([1.0, 1.0], 0.0)
     h2 = Halfspace([1.0, -1.0], -1.0)
     x = np.array([1.0, 0.0])
-    got = project_two_halfspaces(x, h1, h2)
+    got = project_two_halfspaces(x, *rows(h1, h2))
     ref = projection_oracle(x, TwoHalfspaces(h1, h2))
     assert np.allclose(got, ref, atol=1e-8)
 
 
-def test_two_halfspaces_accepts_whole_space_parts():
-    h = Halfspace([1.0, 0.0], 0.0)
-    w = WholeSpace(2)
-    x = np.array([2.0, 3.0])
-    assert np.array_equal(project_two_halfspaces(x, w, w), x)
-    assert np.allclose(project_two_halfspaces(x, h, w), [0.0, 3.0], atol=1e-14)
-    assert np.allclose(project_two_halfspaces(x, w, h), [0.0, 3.0], atol=1e-14)
+def test_two_halfspaces_check_the_point_at_the_boundary():
+    pair = TwoHalfspaces(Halfspace([1.0, 0.0], 0.0), Halfspace([0.0, 1.0], 0.0))
+    with pytest.raises(DimensionMismatch):
+        pair.project([1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        pair.project([np.nan, 1.0])
+
+
+def test_halfspace_projection_is_the_row_kernel():
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        d = int(rng.integers(1, 5))
+        h = Halfspace(rng.normal(size=d), rng.normal())
+        x = rng.normal(scale=2.0, size=d)
+        assert h.project(x).tobytes() == project_halfspace(x, h.a, h.b).tobytes()
 
 
 def test_two_halfspaces_empty_slab():
     a = np.array([1.0, 0.0])
     with pytest.raises(EmptyIntersection):
-        project_two_halfspaces([0.0, 0.0], Halfspace(a, -1.0), Halfspace(-a, -1.0))
+        TwoHalfspaces(Halfspace(a, -1.0), Halfspace(-a, -1.0)).project([0.0, 0.0])
+    with pytest.raises(EmptyIntersection):
+        project_two_halfspaces(np.zeros(2), (a, -1.0), (-a, -1.0))
 
 
 def test_two_halfspaces_vs_qp_oracle_randomized():
@@ -153,15 +173,59 @@ def test_two_halfspaces_vs_qp_oracle_randomized():
         h2 = Halfspace(rng.normal(size=d), rng.normal())
         x = rng.normal(scale=2.0, size=d)
         try:
-            got = project_two_halfspaces(x, h1, h2)
+            got = project_two_halfspaces(x, *rows(h1, h2))
         except EmptyIntersection:
             continue
+        assert TwoHalfspaces(h1, h2).project(x).tobytes() == got.tobytes()
         qp_path = Polyhedron([h1, h2]).project(x)
         assert np.linalg.norm(got - qp_path) <= 1e-8
         ref = projection_oracle(x, TwoHalfspaces(h1, h2))
         assert ref is not None
         assert np.linalg.norm(got - ref) <= 1e-8
         checked += 1
+
+
+def test_two_halfspace_kernel_fuzz_vs_enumeration_oracle():
+    """The closed form against the enumeration oracle on 1200 seeded row pairs, d in [2, 4].
+
+    Even cases are general pairs; odd ones nearly anti-parallel,
+    ``a2 = -s a1 + 1e-3 noise``, whose projections lie up to ~1e4 away.  The
+    oracle's feasibility band scales with the answer's size, and emptiness
+    must agree.  Errors are relative to ``1 + |ref|``: at most 1e-8 for the
+    general pairs and 1e-4 for the nearly anti-parallel ones (1.2e-5 seen),
+    whose Gram systems are that ill-conditioned.  No exception but
+    :class:`EmptyIntersection` may escape the kernel.  The cold polyhedron
+    QP (:func:`qp.project_polyhedral`) on the same nonempty nearly
+    anti-parallel pairs raises :class:`qp.CyclingDetected` on 15 of them;
+    that count may not grow.  It never cycles on the general pairs.
+    """
+    rng = np.random.default_rng(31)
+    cycling = 0
+    for n in range(1200):
+        near = n % 2 == 1
+        d = int(rng.integers(2, 5))
+        a1 = rng.normal(size=d)
+        a2 = -rng.uniform(0.5, 2.0) * a1 + 1e-3 * rng.normal(size=d) if near else rng.normal(size=d)
+        rows = [(a1, rng.normal()), (a2, rng.normal())]
+        x = rng.normal(scale=2.0, size=d)
+        try:
+            got = project_two_halfspaces(x, *rows)
+        except EmptyIntersection:
+            got = None
+        band = 1e-9 * (1.0 + (0.0 if got is None else float(np.linalg.norm(got))))
+        A, b = np.array([a1, a2]), np.array([rows[0][1], rows[1][1]])
+        ref = enumeration_qp(np.eye(d), -x, A, b, feas_tol=band)
+        assert (got is None) == (ref is None), n
+        if ref is None:
+            continue
+        err = np.linalg.norm(got - ref) / (1.0 + np.linalg.norm(ref))
+        assert err <= (1e-4 if near else 1e-8), (n, err)
+        try:
+            project_polyhedral(x, rows, None)
+        except CyclingDetected:
+            assert near, n
+            cycling += 1
+    assert cycling <= 15, f"{cycling}/600 nearly anti-parallel pairs cycled"
 
 
 def test_polyhedron_projection_of_origin():
