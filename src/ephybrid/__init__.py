@@ -22,7 +22,7 @@ from .hybrid import (
     solve,
     validate_params,
 )
-from .linalg import spd_solve, spectral_norm
+from .linalg import spectral_norm
 from .problems import (
     AffineOperator,
     AveragedProjections,
@@ -34,12 +34,11 @@ from .problems import (
     validate_conditions,
     vip_as_bifunction,
 )
-from .qp import ProxSolver, QPInstance, prox_step, reduce_prox_to_qp, solve_qp_active_set
+from .qp import ProxSolver, prox_step, solve_qp_active_set
 from .sets import (
     Box,
     Halfspace,
     Polyhedron,
-    TwoHalfspaces,
     WholeSpace,
     project_two_halfspaces,
 )
@@ -71,12 +70,10 @@ __all__ = [
     "Polyhedron",
     "ProblemBundle",
     "ProxSolver",
-    "QPInstance",
     "QuadraticBifunction",
     "ReportRow",
     "RunReport",
     "StoppingRule",
-    "TwoHalfspaces",
     "WholeSpace",
     "builtin_example1",
     "builtin_example2",
@@ -87,12 +84,10 @@ __all__ = [
     "nash_cournot_constants",
     "project_two_halfspaces",
     "prox_step",
-    "reduce_prox_to_qp",
     "run_experiment",
     "run_grid",
     "solve",
     "solve_qp_active_set",
-    "spd_solve",
     "spectral_norm",
     "trace_to_csv",
     "validate_conditions",

@@ -45,7 +45,7 @@ from .problems import (
     nash_cournot_constants,
 )
 from .reporting import ReportRow
-from .sets import Box, Halfspace, Polyhedron, set_from_dict
+from .sets import Box, Halfspace, Polyhedron, UnknownSetType, set_from_dict
 
 _P = [[3.1, 2.0, 0.0], [2.0, 3.6, 0.0], [0.0, 0.0, 3.5]]
 _Q = [[1.6, 1.0, 0.0], [1.0, 1.6, 0.0], [0.0, 0.0, 1.5]]
@@ -134,7 +134,6 @@ class ExperimentConfig:
     lam: float
     k: float
     alpha_cap: float
-    slack_convention: str
     cut_variant: str
     cuts_within_feasible: bool
     starts: tuple[np.ndarray, ...]
@@ -152,7 +151,6 @@ class ExperimentConfig:
             schedule,
             self.bundle.constants,
             alpha_cap=self.alpha_cap,
-            slack_convention=self.slack_convention,
             cut_variant=self.cut_variant,
             cuts_within_feasible=self.cuts_within_feasible,
         )
@@ -183,11 +181,12 @@ def load_config(path) -> ExperimentConfig:
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Parse and validate an experiment config object.
 
-    Structural problems, a value that is not a number among them, raise
-    :class:`ParseError`; value-domain problems raise
-    :class:`ValidationError`.  Parameter conditions are checked eagerly
-    for every schedule in the grid.
+    Structural problems, a value that is not a number or a key the format
+    does not have among them, raise :class:`ParseError`; value-domain
+    problems raise :class:`ValidationError`.  Parameter conditions are
+    checked eagerly for every schedule in the grid.
     """
+    _known_keys(data, _CONFIG_KEYS, "top level")
     problem = data.get("problem")
     if problem is None:
         raise ParseError("field 'problem': required")
@@ -199,7 +198,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     elif isinstance(problem, dict):
         try:
             bundle = bundle_from_dict(problem)
-        except (AttributeError, KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError, UnknownSetType) as exc:
             raise ParseError(f"field 'problem': {exc}") from exc
         except ValueError as exc:
             raise ValidationError(f"field 'problem': {exc}") from exc
@@ -214,11 +213,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ParseError("field 'params': must be an object")
+    _known_keys(params, _PARAMS_KEYS, "field 'params'")
     lam = params.get("lambda")
     lam = default_lambda(bundle.constants) if lam is None else _parsed(_number, lam, "params.lambda")
     k = _parsed(_number, params.get("k", 6.0), "params.k")
     alpha_cap = _parsed(_number, params.get("alpha_cap", 0.99), "params.alpha_cap")
-    slack_convention = params.get("slack_convention", "standard")
     cut_variant = params.get("cut_variant", "two_halfspaces")
     cuts_within_feasible = params.get("cuts_within_feasible", False)
 
@@ -250,7 +249,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     output = data.get("output", {})
     if not isinstance(output, dict):
         raise ParseError("field 'output': must be an object")
-    paths = {key: output.get(key) for key in ("csv", "json", "trace_dir")}
+    _known_keys(output, _OUTPUT_KEYS, "field 'output'")
+    paths = {key: output.get(key) for key in _OUTPUT_KEYS}
     # open() would take an int path as a file descriptor.
     if any(p is not None and not isinstance(p, str) for p in paths.values()):
         raise ParseError("field 'output': paths must be strings")
@@ -263,7 +263,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         lam=lam,
         k=k,
         alpha_cap=alpha_cap,
-        slack_convention=slack_convention,
         cut_variant=cut_variant,
         cuts_within_feasible=cuts_within_feasible,
         starts=starts,
@@ -377,6 +376,18 @@ def table2_config() -> ExperimentConfig:
     return config_from_dict(TABLE2)
 
 
+_CONFIG_KEYS = ("problem", "algorithm", "params", "starts", "y0", "stopping", "audit", "output")
+_PARAMS_KEYS = ("lambda", "k", "alpha_cap", "alpha_schedule", "cut_variant", "cuts_within_feasible")
+_OUTPUT_KEYS = ("csv", "json", "trace_dir")
+
+
+def _known_keys(data: dict, keys, where: str) -> None:
+    """Raise :class:`ParseError` for a key of ``data`` that is not in ``keys``."""
+    unknown = [key for key in data if key not in keys]
+    if unknown:
+        raise ParseError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
+
+
 def _parsed(convert, raw, field: str):
     """``convert(raw)``; a value it rejects (not a number) raises :class:`ParseError`."""
     try:
@@ -423,6 +434,7 @@ def _parse_stopping(raw, bundle: ProblemBundle) -> StoppingRule:
         raw = {} if bundle.target is None else {"rule": "distance_to_target", "tol": 1e-3}
     if not isinstance(raw, dict):
         raise ParseError("field 'stopping': must be an object")
+    _known_keys(raw, ("rule", "tol", "max_iter"), "field 'stopping'")
     tol = _parsed(_number, raw.get("tol", 1e-4), "stopping.tol")
     max_iter = _parsed(_whole_number, raw.get("max_iter", 10000), "stopping.max_iter")
     try:

@@ -44,7 +44,6 @@ STOP_DISTANCE = "DistanceToKnown"
 STOP_MAX_ITER = "MaxIter"
 
 SCHEDULE_KINDS = ("constant", "ratio", "pow10", "invlog")
-SLACK_CONVENTIONS = ("standard", "swapped")
 CUT_VARIANTS = ("two_halfspaces", "three_halfspaces")
 
 
@@ -70,10 +69,6 @@ class EmptyHalfspace(RuntimeError):
 
 class EmptyOmega(RuntimeError):
     """The cut intersection is empty; parameters are inadmissible."""
-
-
-class InfeasibleStart(ValueError):
-    """Strict mode requires the prox seed to lie in the feasible set."""
 
 
 class InvariantViolation(AssertionError):
@@ -133,10 +128,7 @@ class HybridParams:
 
     ``coupling`` stores the derived bound ``2*lam*(c1+c2)`` and
     ``k_min`` the minimum admissible slack weight.
-    ``slack_convention`` selects which of the two published orderings
-    of the c1/c2 coefficients the contraction slack uses ("standard"
-    puts c2 on the previous prox displacement); the orderings coincide
-    when c1 == c2.  ``cuts_within_feasible`` additionally intersects
+    ``cuts_within_feasible`` additionally intersects
     the cut region with the feasible set before projecting, the way
     the older cuts-on-C constructions do; the solution set lies in
     every cut and in the feasible set, so this is equally valid and is
@@ -147,7 +139,6 @@ class HybridParams:
     k: float
     alpha_schedule: AlphaSchedule
     alpha_cap: float = 0.99
-    slack_convention: str = "standard"
     cut_variant: str = "two_halfspaces"
     cuts_within_feasible: bool = False
     coupling: float = 0.0
@@ -163,7 +154,6 @@ def validate_params(
     alpha_schedule: AlphaSchedule,
     constants: LipschitzConstants,
     alpha_cap: float = 0.99,
-    slack_convention: str = "standard",
     cut_variant: str = "two_halfspaces",
     cuts_within_feasible: bool = False,
 ) -> HybridParams:
@@ -185,8 +175,6 @@ def validate_params(
         raise KTooSmall(f"need {k_min:.6g} < k < inf, got {k}")
     if not (0.0 < alpha_cap < 1.0):
         raise AlphaOutOfRange(f"cap must lie in (0, 1), got {alpha_cap}")
-    if slack_convention not in SLACK_CONVENTIONS:
-        raise ParameterError(f"unknown slack convention {slack_convention!r}")
     if cut_variant not in CUT_VARIANTS:
         raise ParameterError(f"unknown cut variant {cut_variant!r}")
     return HybridParams(
@@ -194,7 +182,6 @@ def validate_params(
         k=float(k),
         alpha_schedule=alpha_schedule,
         alpha_cap=float(alpha_cap),
-        slack_convention=slack_convention,
         cut_variant=cut_variant,
         cuts_within_feasible=bool(cuts_within_feasible),
         coupling=coupling,
@@ -272,19 +259,16 @@ def contraction_slack(
     """Slack term of the contraction cut.
 
     Combines the squared displacements of the two previous iterates
-    and the incoming prox displacement; the sign structure guarantees
-    the slack is summable along the run whenever the parameters are
-    admissible.
+    and the incoming prox displacement, weighing the previous prox
+    displacement by ``c2`` and the incoming one by ``c1``; the sign
+    structure guarantees the slack is summable along the run whenever
+    the parameters are admissible.
     """
     dx2 = float(((state.x_cur - state.x_prev) ** 2).sum())
     dy_prev2 = float(((state.y_cur - state.y_prev) ** 2).sum())
     dy_next2 = float(((y_next - state.y_cur) ** 2).sum())
-    if params.slack_convention == "standard":
-        c_prev, c_next = constants.c2, constants.c1
-    else:
-        c_prev, c_next = constants.c1, constants.c2
-    lead = 1.0 - 1.0 / params.k - 2.0 * params.lam * c_next
-    return params.k * dx2 + 2.0 * params.lam * c_prev * dy_prev2 - lead * dy_next2
+    lead = 1.0 - 1.0 / params.k - 2.0 * params.lam * constants.c1
+    return params.k * dx2 + 2.0 * params.lam * constants.c2 * dy_prev2 - lead * dy_next2
 
 
 def build_contraction_cut(x_cur: np.ndarray, w_next: np.ndarray, epsilon: float):
@@ -420,7 +404,8 @@ def _project_onto_cuts(x0, cuts, feasible, projector: CutProjector | None = None
     set, goes through the run's :class:`qp.CutProjector`, which stacks
     the cut rows over the set's cached rows and warm-starts from its last
     working set.  Without a projector the call is cold, bitwise
-    :func:`qp.project_polyhedral`.  ``x0`` is trusted.
+    :meth:`sets.Polyhedron.project` of the polyhedron of the cuts and the
+    set.  ``x0`` is trusted.
     """
     if feasible is None or isinstance(feasible, WholeSpace):
         rows = [row for row in cuts if row is not None]
@@ -442,12 +427,11 @@ def solve(
     x0,
     y0=None,
     audit: bool = False,
-    require_feasible_start: bool = False,
 ) -> RunReport:
     """Run the hybrid iteration to the stopping rule.
 
     ``y0`` seeds the prox recursion (zero vector by default; it need
-    not lie in the feasible set unless ``require_feasible_start``).
+    not lie in the feasible set).
     With ``audit`` every iteration's invariants are asserted and an
     :class:`InvariantViolation` aborts the run with diagnostics.
     Raises :class:`MaxIterExceeded` carrying the partial report when
@@ -459,8 +443,6 @@ def solve(
     seed = np.zeros(bundle.dim) if y0 is None else as_point(y0)
     if seed.shape[0] != bundle.dim:
         raise DimensionMismatch("prox seed must match the problem dimension")
-    if require_feasible_start and not bundle.feasible.contains(seed):
-        raise InfeasibleStart("prox seed lies outside the feasible set")
     if stopping.kind == "distance_to_target" and bundle.target is None:
         raise ValueError("distance stopping rule needs a bundle with a known target")
 

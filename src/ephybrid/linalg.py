@@ -1,8 +1,9 @@
 """Dense linear-algebra kernels shared by the solver stack.
 
 Vectors are 1-D float numpy arrays, matrices 2-D.  The two nontrivial
-kernels are a pivot-checked Cholesky solve for symmetric positive
-definite systems and the spectral (operator-2) norm.  The factorization
+kernels are a pivot-checked Cholesky factorization of symmetric
+positive definite matrices, with its triangular solves, and the spectral
+(operator-2) norm.  The factorization
 is LAPACK ``dpotrf`` and the triangular solves are ``dtrtrs``, both
 called directly; the symmetry and pivot checks around them are this
 module's own.  Everything is a pure function on immutable inputs;
@@ -132,25 +133,6 @@ def triangular_solve(lower: np.ndarray, rhs: np.ndarray, transpose: bool = False
     if info != 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     return z
-
-
-def spd_solve(m, b) -> np.ndarray:
-    """Solve ``M y = b`` for symmetric positive definite ``M``.
-
-    The residual satisfies ``norm(M y - b) <= 1e-10 * (1 + norm(b))``
-    for well-conditioned inputs.  Raises :class:`NotSPD` when the
-    factorization hits a pivot at or below ``PIVOT_TOL`` and
-    :class:`DimensionMismatch` when shapes disagree.
-    """
-    a = as_matrix(m)
-    rhs = as_point(b)
-    if a.shape[0] != a.shape[1]:
-        raise NonSquare(f"matrix is {a.shape[0]}x{a.shape[1]}")
-    if a.shape[0] != rhs.shape[0]:
-        raise DimensionMismatch(
-            f"matrix is {a.shape[0]}x{a.shape[1]} but right-hand side has length {rhs.shape[0]}"
-        )
-    return solve_with_factor(cholesky_spd(a), rhs)
 
 
 def spectral_norm(m) -> float:

@@ -30,14 +30,14 @@ runs are byte-identical.
 solver keeps one per run next to its :class:`ProxSolver`: the feasible
 set's rows stay, only the few cut rows are new each iteration, so only
 they are deduplicated, and the last working set, labelled by where each
-row came from, seeds the next call.  :func:`project_polyhedral` (and so
-:meth:`sets.Polyhedron.project`) is a cold call of a fresh one.
+row came from, seeds the next call.  :meth:`sets.Polyhedron.project`
+is a cold call of a fresh one.  :func:`solve_qp_active_set` is the
+entry for a QP with any SPD ``M``.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .linalg import (
     DimensionMismatch,
     NotSPD,
     all_finite,
-    as_matrix,
     as_point,
     cholesky_spd,
     solve_with_factor,
@@ -64,36 +63,6 @@ class NonPositiveLambda(ValueError):
 
 class CyclingDetected(RuntimeError):
     """Active-set iteration cap exceeded."""
-
-
-@dataclass(frozen=True, eq=False)
-class QPInstance:
-    """``min 0.5 y^T M y + <c, y>`` over a convex set; ``M`` must be SPD."""
-
-    M: np.ndarray
-    c: np.ndarray
-    feasible: ConvexSet
-
-    def __post_init__(self):
-        if not isinstance(self.feasible, ConvexSet):
-            raise TypeError(f"unsupported feasible set: {type(self.feasible).__name__}")
-        M = as_matrix(self.M)
-        c = as_point(self.c)
-        n = M.shape[0]
-        if M.shape != (n, n) or c.shape != (n,) or self.feasible.dim != n:
-            raise DimensionMismatch("QP instance shapes are inconsistent")
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "c", c)
-
-
-def reduce_prox_to_qp(f: QuadraticBifunction, v, x, lam: float, feasible: ConvexSet) -> QPInstance:
-    """Rewrite the prox subproblem at anchor ``x`` and base point ``v`` as a QP.
-
-    With ``Q`` positive semidefinite and ``lam > 0`` the Hessian
-    ``M = 2*lam*Q + I`` is SPD, so the QP has a unique minimizer equal
-    to the prox minimizer.
-    """
-    return QPInstance(_prox_hessian(f, lam, feasible), _prox_linear_term(f, v, x, lam), feasible)
 
 
 def prox_step(f: QuadraticBifunction, v, x, lam: float, feasible: ConvexSet) -> np.ndarray:
@@ -162,32 +131,25 @@ class ProxSolver:
         return y
 
 
-def solve_qp_active_set(qp: QPInstance, warm=None) -> np.ndarray:
-    """Unique minimizer of a strictly convex QP over the supported sets.
+def solve_qp_active_set(M, c, feasible: ConvexSet, working=()) -> np.ndarray:
+    """Unique minimizer of ``0.5 y^T M y + <c, y>`` over ``feasible`` for SPD ``M``.
 
-    Solved by the dual active-set method.  ``warm`` may be a
-    ``(point, working_set)`` pair from a previous solve of a related
-    instance; only its working set seeds the method.  Raises
-    :class:`InfeasibleSet` when the feasible set is empty and
-    :class:`CyclingDetected` if the iteration cap
-    ``3 * (n_constraints + dim)`` is exceeded.
+    Solved by the dual active-set method.  ``working`` seeds it with
+    indices into the set's prepared rows (:func:`_prepared_rows`; indices
+    out of range are ignored); the minimizer is the same from any seed.
+    ``M`` is checked by :func:`linalg.cholesky_spd`, ``c`` and the set
+    against its order.  Raises :class:`InfeasibleSet` when the
+    feasible set is empty and :class:`CyclingDetected` if the iteration
+    cap ``3 * (n_constraints + dim)`` is exceeded.
     """
-    dual = _DualQP(cholesky_spd(qp.M), _prepared_rows(qp.feasible))
-    return dual.solve(qp.c, () if warm is None else warm[1])[0]
-
-
-def project_polyhedral(x0: np.ndarray, cuts, feasible: ConvexSet | None) -> np.ndarray:
-    """Nearest point to ``x0`` in the intersection of the cut rows ``cuts`` and ``feasible``.
-
-    A cold call of a fresh :class:`CutProjector`.  :meth:`sets.Polyhedron.project`
-    passes no cuts.  The unit cut rows go on top of the set's cached rows
-    before deduplication, so the result is bitwise that of the polyhedron of
-    the cuts, the set's halfspaces and its box.  With ``M = I`` the dual
-    method runs no triangular solve: ``M^-1`` is a copy and ``K = A_W^T``,
-    bitwise what solving against the identity factor gives.  ``x0`` is
-    trusted.  Raises :class:`InfeasibleSet` when the intersection is empty.
-    """
-    return CutProjector().project(x0, cuts, feasible)
+    L = cholesky_spd(M)
+    c = as_point(c)
+    n = L.shape[0]
+    if not isinstance(feasible, ConvexSet):
+        raise TypeError(f"unsupported feasible set: {type(feasible).__name__}")
+    if c.shape != (n,) or feasible.dim != n:
+        raise DimensionMismatch("QP arguments must match the order of M")
+    return _DualQP(L, _prepared_rows(feasible)).solve(c, working)[0]
 
 
 class CutProjector:
@@ -204,8 +166,8 @@ class CutProjector:
     the stacked rows, skipping those whose row was dropped or is absent, and
     seeds the dual method with the rest.  The minimizer is unique, so the
     seed moves only roundoff; a fresh projector's call is cold and is
-    :func:`project_polyhedral`.  The same sequence of calls gives the same
-    bits every time.  One instance per sequential run.
+    :meth:`sets.Polyhedron.project`'s.  The same sequence of calls gives the
+    same bits every time.  One instance per sequential run.
     """
 
     def __init__(self):

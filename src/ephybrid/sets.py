@@ -1,11 +1,13 @@
 """Convex-set descriptions with exact metric projections.
 
-Five set kinds are supported: the whole space, a single halfspace
-``{z : <a, z> <= b}``, an axis-aligned box, the intersection of exactly
-two halfspaces (projected by closed-form case analysis), and a general
-polyhedron (halfspaces plus an optional box, projected through the
-dense QP solver).  :func:`halfspaces_and_box` splits every kind into
-those two parts; it is the one place that does.  Greater-or-equal
+Four set kinds are supported: the whole space, a single halfspace
+``{z : <a, z> <= b}``, an axis-aligned box, and a general polyhedron
+(halfspaces plus an optional box, projected through the dense QP
+solver).  :func:`halfspaces_and_box` splits every kind into those two
+parts; it is the one place that does.  The closed-form kernels
+:func:`project_halfspace` and :func:`project_two_halfspaces` project a
+point onto one or two rows ``(a, b)``; the hybrid solver's cuts are
+such rows.  Greater-or-equal
 constraints are expected to be normalized to ``<=`` form with negated
 normals at construction time.
 
@@ -33,6 +35,10 @@ class EmptyIntersection(ValueError):
 
 class InfeasibleSet(ValueError):
     """Feasible region is empty."""
+
+
+class UnknownSetType(ValueError):
+    """A set's tagged-JSON form names no set kind."""
 
 
 def membership_tol(offset: float) -> float:
@@ -116,27 +122,6 @@ class Box:
         return f"Box(lo={self.lo.tolist()}, hi={self.hi.tolist()})"
 
 
-class TwoHalfspaces:
-    """Intersection of exactly two halfspaces, projected in closed form."""
-
-    def __init__(self, first: Halfspace, second: Halfspace):
-        if first.dim != second.dim:
-            raise DimensionMismatch("halfspaces have different dimensions")
-        self.first = first
-        self.second = second
-        self.dim = first.dim
-
-    def contains(self, x, tol: float | None = None) -> bool:
-        return self.first.contains(x, tol) and self.second.contains(x, tol)
-
-    def project(self, x) -> np.ndarray:
-        rows = [(h.a, h.b) for h in (self.first, self.second)]
-        return project_two_halfspaces(_point_in(x, self.dim), *rows)
-
-    def __repr__(self):
-        return f"TwoHalfspaces({self.first!r}, {self.second!r})"
-
-
 class Polyhedron:
     """Finite intersection of halfspaces with an optional bounding box.
 
@@ -161,26 +146,26 @@ class Polyhedron:
         return all(h.contains(x, tol) for h in self.halfspaces)
 
     def project(self, x) -> np.ndarray:
-        """Nearest point in the polyhedron, via :func:`qp.project_polyhedral`.
+        """Nearest point in the polyhedron: a cold :class:`qp.CutProjector` call with no cuts.
 
         Raises :class:`InfeasibleSet` when the description is empty.
         """
-        from . import qp  # deferred: qp builds on the set types above
+        from .qp import CutProjector  # deferred: qp builds on the set types above
 
-        return qp.project_polyhedral(_point_in(x, self.dim), (), self)
+        return CutProjector().project(_point_in(x, self.dim), (), self)
 
     def __repr__(self):
         return f"Polyhedron(halfspaces={list(self.halfspaces)!r}, box={self.box!r})"
 
 
-ConvexSet = WholeSpace | Halfspace | Box | TwoHalfspaces | Polyhedron
+ConvexSet = WholeSpace | Halfspace | Box | Polyhedron
 
 
 def halfspaces_and_box(s: ConvexSet) -> tuple[tuple[Halfspace, ...], Box | None]:
     """A set as its halfspaces plus an optional box, whose intersection it is.
 
     The whole space is ``((), None)``.  Raises :class:`TypeError` for
-    anything that is not one of the five set kinds.
+    anything that is not one of the four set kinds.
     """
     if isinstance(s, WholeSpace):
         return (), None
@@ -188,8 +173,6 @@ def halfspaces_and_box(s: ConvexSet) -> tuple[tuple[Halfspace, ...], Box | None]
         return (s,), None
     if isinstance(s, Box):
         return (), s
-    if isinstance(s, TwoHalfspaces):
-        return (s.first, s.second), None
     if isinstance(s, Polyhedron):
         return s.halfspaces, s.box
     raise TypeError(f"unsupported feasible set: {type(s).__name__}")
@@ -217,7 +200,7 @@ def project_two_halfspaces(x: np.ndarray, first, second) -> np.ndarray:
     otherwise both boundary hyperplanes are active and the multipliers
     come from the 2x2 Gram system.  Raises :class:`EmptyIntersection`
     for anti-parallel normals bounding a slab with no interior.  ``x``
-    is trusted: callers check it (:meth:`TwoHalfspaces.project` does).
+    is trusted: callers check it.
     """
     (a1, b1), (a2, b2) = first, second
     v1 = float(a1 @ x - b1)
@@ -254,33 +237,11 @@ def project_two_halfspaces(x: np.ndarray, first, second) -> np.ndarray:
     return x - max(mu1, 0.0) * a1 - max(mu2, 0.0) * a2
 
 
-def set_to_dict(s: ConvexSet) -> dict:
-    """Serialize a set description to the tagged-JSON form."""
-    if isinstance(s, WholeSpace):
-        return {"type": "whole_space", "dim": s.dim}
-    if isinstance(s, Halfspace):
-        return {"type": "halfspace", "a": s.a.tolist(), "b": s.b}
-    if isinstance(s, Box):
-        lo = [None if v == -np.inf else v for v in s.lo.tolist()]
-        hi = [None if v == np.inf else v for v in s.hi.tolist()]
-        return {"type": "box", "lo": lo, "hi": hi}
-    if isinstance(s, TwoHalfspaces):
-        return {
-            "type": "two_halfspaces",
-            "first": set_to_dict(s.first),
-            "second": set_to_dict(s.second),
-        }
-    if isinstance(s, Polyhedron):
-        return {
-            "type": "polyhedron",
-            "halfspaces": [set_to_dict(h) for h in s.halfspaces],
-            "box": None if s.box is None else set_to_dict(s.box),
-        }
-    raise TypeError(f"not a convex set: {type(s).__name__}")
-
-
 def set_from_dict(d: dict) -> ConvexSet:
-    """Build a set from its tagged-JSON form (inverse of :func:`set_to_dict`)."""
+    """Build a set from its tagged-JSON form: an object whose ``type`` names the kind.
+
+    Raises :class:`UnknownSetType` for a ``type`` that names no kind.
+    """
     kind = d.get("type")
     if kind == "whole_space":
         return WholeSpace(int(d["dim"]))
@@ -290,12 +251,6 @@ def set_from_dict(d: dict) -> ConvexSet:
         lo = [-np.inf if v is None else v for v in d["lo"]]
         hi = [np.inf if v is None else v for v in d["hi"]]
         return Box(lo, hi)
-    if kind == "two_halfspaces":
-        first = set_from_dict(d["first"])
-        second = set_from_dict(d["second"])
-        if not isinstance(first, Halfspace) or not isinstance(second, Halfspace):
-            raise ValueError("two_halfspaces parts must be halfspaces")
-        return TwoHalfspaces(first, second)
     if kind == "polyhedron":
         box = d.get("box")
         parsed_box = set_from_dict(box) if box is not None else None
@@ -308,7 +263,7 @@ def set_from_dict(d: dict) -> ConvexSet:
                 raise ValueError("polyhedron halfspaces entries must be halfspaces")
             halves.append(parsed)
         return Polyhedron(halves, parsed_box)
-    raise ValueError(f"unknown set type: {kind!r}")
+    raise UnknownSetType(f"unknown set type: {kind!r}")
 
 
 def _point_in(x, dim: int) -> np.ndarray:

@@ -27,7 +27,7 @@ def power_iteration_norm(M, iters=500, seed=0):
 
 def halfspace_rows(feasible):
     """Extract all inequalities A y <= b of a set description."""
-    from ephybrid.sets import Box, Halfspace, Polyhedron, TwoHalfspaces, WholeSpace
+    from ephybrid.sets import Box, Halfspace, Polyhedron, WholeSpace
 
     rows, offs = [], []
 
@@ -49,8 +49,6 @@ def halfspace_rows(feasible):
         return np.zeros((0, feasible.dim)), np.zeros(0)
     if isinstance(feasible, Halfspace):
         rows, offs = [feasible.a], [feasible.b]
-    elif isinstance(feasible, TwoHalfspaces):
-        rows, offs = [feasible.first.a, feasible.second.a], [feasible.first.b, feasible.second.b]
     elif isinstance(feasible, Box):
         add_box(feasible)
     elif isinstance(feasible, Polyhedron):

@@ -23,14 +23,13 @@ from ephybrid.problems import (
     ProblemBundle,
     vip_as_bifunction,
 )
-from ephybrid.qp import QPInstance, prox_step, solve_qp_active_set
+from ephybrid.qp import prox_step, solve_qp_active_set
 from ephybrid.sets import (
     Box,
     EmptyIntersection,
     Halfspace,
     InfeasibleSet,
     Polyhedron,
-    TwoHalfspaces,
     project_two_halfspaces,
 )
 from oracles import enumeration_qp, halfspace_rows, projection_oracle
@@ -142,26 +141,25 @@ def test_criterion_5a_projection_properties():
         kind = rng.integers(0, 4)
         if kind == 0:
             lo = rng.uniform(-2.0, 0.0, d)
-            s = Box(lo, lo + rng.uniform(0.5, 2.0, d))
+            project = Box(lo, lo + rng.uniform(0.5, 2.0, d)).project
         elif kind == 1:
-            s = Halfspace(rng.normal(size=d), rng.normal())
+            project = Halfspace(rng.normal(size=d), rng.normal()).project
         elif kind == 2:
-            s = TwoHalfspaces(
-                Halfspace(rng.normal(size=d), rng.uniform(0.1, 1.5)),
-                Halfspace(rng.normal(size=d), rng.uniform(0.1, 1.5)),
-            )
+            # The closed-form kernel on two rows, as the hybrid step calls it.
+            rows = [(rng.normal(size=d), rng.uniform(0.1, 1.5)) for _ in range(2)]
+            project = lambda p, rows=rows: project_two_halfspaces(p, *rows)  # noqa: E731
         else:
-            s = Polyhedron(
+            project = Polyhedron(
                 [Halfspace(rng.normal(size=d), rng.uniform(0.1, 1.5)) for _ in range(int(rng.integers(1, 4)))],
                 Box(np.full(d, -2.0), np.full(d, 2.0)),
-            )
+            ).project
         x = rng.normal(scale=2.0, size=d)
         try:
-            z = s.project(x)
+            z = project(x)
         except InfeasibleSet:
             continue
-        assert np.linalg.norm(s.project(z) - z) <= 1e-9
-        y = s.project(rng.normal(scale=2.0, size=d))
+        assert np.linalg.norm(project(z) - z) <= 1e-9
+        y = project(rng.normal(scale=2.0, size=d))
         assert float((x - z) @ (z - y)) >= -1e-9
         assert float((y - z) @ (y - z) + (z - x) @ (z - x)) <= float((y - x) @ (y - x)) + 1e-9
         cases += 1
@@ -180,7 +178,7 @@ def test_criterion_5b_two_halfspace_projector_vs_oracle():
             got = project_two_halfspaces(x, (h1.a, h1.b), (h2.a, h2.b))
         except EmptyIntersection:
             continue
-        ref = projection_oracle(x, TwoHalfspaces(h1, h2))
+        ref = projection_oracle(x, Polyhedron([h1, h2]))
         assert np.linalg.norm(got - ref) <= 1e-8
         cases += 1
     print(f"criterion 5b: PASS - explicit two-halfspace projector vs QP oracle, {cases} cases (tol 1e-8)")
@@ -205,7 +203,7 @@ def test_criterion_5c_active_set_vs_enumeration_oracle():
         A, b = halfspace_rows(feas)
         if A.shape[0] > 8:
             continue
-        got = solve_qp_active_set(QPInstance(M, c, feas))
+        got = solve_qp_active_set(M, c, feas)
         ref = enumeration_qp(M, c, A, b)
         assert ref is not None
         assert np.linalg.norm(got - ref) <= 1e-9

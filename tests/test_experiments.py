@@ -34,7 +34,19 @@ from ephybrid.reporting import (
     trace_to_csv,
     write_report_json,
 )
-from ephybrid.sets import set_to_dict
+
+UNIT_BOX = {"type": "box", "lo": [0.0, 0.0, 0.0], "hi": [1.0, 1.0, 1.0]}
+# example1's feasible set and example2's inner halfspaces, as tagged JSON.
+EXAMPLE1_FEASIBLE = {
+    "type": "polyhedron",
+    "halfspaces": [{"type": "halfspace", "a": [-1.0, -1.0, -1.0], "b": -1.0}],
+    "box": UNIT_BOX,
+}
+EXAMPLE2_INNER = [
+    {"type": "halfspace", "a": [3.0, 2.0, 1.0], "b": -6.0},
+    {"type": "halfspace", "a": [5.0, 4.0, 3.0], "b": -12.0},
+    {"type": "halfspace", "a": [2.0, 1.0, 1.0], "b": -4.0},
+]
 
 
 def minimal_config(tmp_path, **overrides):
@@ -129,12 +141,8 @@ def test_inline_bundle_round_trip(example2):
             "Q": example2.bifunction.Q.tolist(),
             "q": example2.bifunction.q.tolist(),
         },
-        "feasible": set_to_dict(example2.feasible),
-        "mapping": {
-            "type": "averaged_projections",
-            "outer": set_to_dict(example2.mapping.outer),
-            "inner": [set_to_dict(s) for s in example2.mapping.inner],
-        },
+        "feasible": UNIT_BOX,
+        "mapping": {"type": "averaged_projections", "outer": UNIT_BOX, "inner": EXAMPLE2_INNER},
         "target": [0.0, 0.0, 0.0],
         "label": "inline-copy",
     }
@@ -148,7 +156,7 @@ def test_config_from_inline_problem(example1):
     f = example1.bifunction
     problem = {
         "bifunction": {"P": f.P.tolist(), "Q": f.Q.tolist(), "q": f.q.tolist()},
-        "feasible": set_to_dict(example1.feasible),
+        "feasible": EXAMPLE1_FEASIBLE,
         "mapping": {"type": "identity"},
         "constants": {"c1": example1.constants.c1, "c2": example1.constants.c2},
     }
@@ -192,7 +200,7 @@ def test_benchmark_grids_pin_every_field():
     assert t2.stopping == StoppingRule("distance_to_target", 1e-3, 10000)
     for config in (t1, t2):
         assert config.algorithm == "hybrid"
-        assert (config.k, config.alpha_cap, config.slack_convention) == (6.0, 0.99, "standard")
+        assert (config.k, config.alpha_cap) == (6.0, 0.99)
         assert config.y0 is None
         assert not config.audit
         assert (config.csv_path, config.json_path, config.trace_dir) == (None, None, None)
@@ -313,6 +321,16 @@ def test_tracer_targets_resolve():
     assert [t for t in targets if tracer._resolve(t) is None] == []
 
 
+def test_public_names_resolve():
+    """Every name in ``ephybrid.__all__`` exists, once each, and ``import *`` binds them all."""
+    names = ephybrid.__all__
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(ephybrid, n)] == []
+    scope = {}
+    exec("from ephybrid import *", scope)
+    assert set(names) <= set(scope)
+
+
 def test_table2_grid_solves_no_linear_program():
     """Every table2 cut projection goes through the dual QP: no LP, no scipy.optimize."""
     code = (
@@ -376,6 +394,11 @@ INLINE_BOX_PROBLEM = {
 
 
 BOX_BIFUNCTION = INLINE_BOX_PROBLEM["bifunction"]
+TWO_HALFSPACES = {
+    "type": "two_halfspaces",
+    "first": {"type": "halfspace", "a": [1.0, 0.0], "b": 1.0},
+    "second": {"type": "halfspace", "a": [0.0, 1.0], "b": 1.0},
+}
 INLINE_NON_NUMBERS = (
     {"constants": {"c1": "2.5", "c2": 1.0}},
     {"constants": {"c1": 1.0, "c2": True}},
@@ -452,6 +475,13 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         {"stopping": {"max_iter": 10**400}},
         # Inside an inline problem, too, only JSON numbers are numbers.
         *({"problem": {**INLINE_BOX_PROBLEM, **part}} for part in INLINE_NON_NUMBERS),
+        # A key or a set type the format does not have.
+        {"params": {"slack_convention": "standard"}},
+        {"params": {"lamda": 0.01}},
+        {"stoping": {"tol": 1}},
+        {"stopping": {"tol": 1e-4, "max_iters": 10}},
+        {"output": {"cvs": "rows.csv"}},
+        {"problem": {**INLINE_BOX_PROBLEM, "feasible": TWO_HALFSPACES}},
     ):
         assert_config_error(tmp_path, capsys, ParseError, **fields)
 

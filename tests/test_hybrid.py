@@ -9,7 +9,6 @@ from ephybrid.hybrid import (
     AlphaSchedule,
     AlphaOutOfRange,
     EmptyHalfspace,
-    InfeasibleStart,
     InvariantViolation,
     KTooSmall,
     LambdaOutOfRange,
@@ -36,8 +35,8 @@ from ephybrid.problems import (
     vip_as_bifunction,
 )
 from ephybrid.linalg import DimensionMismatch
-from ephybrid.qp import CutProjector, ProxSolver, QPInstance, solve_qp_active_set
-from ephybrid.sets import Box, Halfspace, Polyhedron, TwoHalfspaces, WholeSpace, halfspaces_and_box
+from ephybrid.qp import CutProjector, ProxSolver, solve_qp_active_set
+from ephybrid.sets import Box, Halfspace, Polyhedron, WholeSpace, halfspaces_and_box
 from oracles import enumeration_qp, halfspace_rows
 
 
@@ -111,33 +110,19 @@ def test_contraction_slack_hand_coefficients(example1):
     expected = 6.0 * dx2 + 0.4 * dyp2 - (1.0 - 1.0 / 6.0 - 0.4) * dyn2
     assert contraction_slack(st, y_next, params, consts) == pytest.approx(expected, rel=1e-12)
 
-
-def test_slack_conventions_coincide_for_equal_constants(example1):
-    consts = example1.constants
-    lam = default_lambda(consts)
-    std = validate_params(lam, 6.0, AlphaSchedule("ratio"), consts)
-    swp = validate_params(lam, 6.0, AlphaSchedule("ratio"), consts, slack_convention="swapped")
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        st = fresh_state(rng.normal(size=3))
-        st.x_prev = rng.normal(size=3)
-        st.y_prev = rng.normal(size=3)
-        st.y_cur = rng.normal(size=3)
-        y_next = rng.normal(size=3)
-        assert contraction_slack(st, y_next, std, consts) == pytest.approx(
-            contraction_slack(st, y_next, swp, consts), rel=1e-12
-        )
-
-
-def test_slack_conventions_differ_for_unequal_constants():
+    # Unequal constants pin the ordering: 2*lam*c2 = 0.4 weighs the previous
+    # prox displacement and 2*lam*c1 = 0.2 the incoming one.  The orderings
+    # differ by 2*lam*(c2 - c1)*(dy_prev2 - dy_next2), so here dx2 = 1,
+    # dy_prev2 = 1 and dy_next2 = 4; the other ordering gives 4.4667, not 3.8667.
     consts = LipschitzConstants(1.0, 2.0)
-    std = validate_params(0.1, 6.0, AlphaSchedule("ratio"), consts)
-    swp = validate_params(0.1, 6.0, AlphaSchedule("ratio"), consts, slack_convention="swapped")
+    params = validate_params(0.1, 6.0, AlphaSchedule("ratio"), consts)
     st = fresh_state([1.0, 0.0])
+    st.x_prev = np.array([0.0, 0.0])
     st.y_prev = np.array([0.0, 0.0])
     st.y_cur = np.array([1.0, 0.0])
-    y_next = np.array([1.0, 1.0])
-    assert contraction_slack(st, y_next, std, consts) != contraction_slack(st, y_next, swp, consts)
+    y_next = np.array([1.0, 2.0])
+    expected = 6.0 * 1.0 + 0.4 * 1.0 - (1.0 - 1.0 / 6.0 - 0.2) * 4.0
+    assert contraction_slack(st, y_next, params, consts) == pytest.approx(expected, rel=1e-12)
 
 
 def inside(row, point, tol):
@@ -340,14 +325,12 @@ def test_solve_start_at_target(example2):
     assert report.stop_reason == "DistanceToKnown"
 
 
-def test_strict_mode_rejects_infeasible_seed(example1):
+def test_solve_accepts_a_seed_outside_the_feasible_set(example1):
     params = validate_params(
         default_lambda(example1.constants), 6.0, AlphaSchedule("ratio"), example1.constants
     )
-    stopping = StoppingRule("residual_w", 1e-4, 10)
-    with pytest.raises(InfeasibleStart):
-        solve(example1, params, stopping, [1.0, 3.0, 1.0], require_feasible_start=True)
-    # default mode permits the conventional zero seed
+    # The conventional zero seed lies outside example1's set; the run goes on to the cap.
+    assert not example1.feasible.contains(np.zeros(3))
     with pytest.raises(MaxIterExceeded):
         solve(example1, params, StoppingRule("residual_w", 1e-12, 5), [1.0, 3.0, 1.0])
 
@@ -604,7 +587,7 @@ ROUTING_SETS = {
     "whole_space": WholeSpace(3),
     "halfspace": CAP,
     "box": Box([-0.5, -0.5, -0.5], [1.0, 1.0, 1.0]),
-    "two_halfspaces": TwoHalfspaces(CAP, TILT),
+    "two_halfspaces": Polyhedron([CAP, TILT]),
     "polyhedron": Polyhedron([CAP, TILT], Box([-0.5, -np.inf, -0.5], [np.inf, 0.6, 0.1])),
 }
 
@@ -633,7 +616,7 @@ def test_cut_projection_is_bitwise_the_polyhedron_qp(kind):
         if n % 4 < 2:
             x0 += 3.0 * a[0] / np.linalg.norm(a[0])  # outside the pair, so it binds
         poly = Polyhedron([Halfspace(*c) for c in cuts] + list(halfspaces), box)
-        ref = solve_qp_active_set(QPInstance(np.eye(3), -x0, poly))
+        ref = solve_qp_active_set(np.eye(3), -x0, poly)
         assert _project_onto_cuts(x0, cuts, feasible).tobytes() == ref.tobytes(), n
         assert poly.project(x0).tobytes() == ref.tobytes(), n
 

@@ -5,7 +5,6 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from ephybrid.linalg import (
-    DimensionMismatch,
     NonSquare,
     PIVOT_TOL,
     NotSPD,
@@ -13,7 +12,6 @@ from ephybrid.linalg import (
     as_point,
     cholesky_spd,
     solve_with_factor,
-    spd_solve,
     spectral_norm,
 )
 from oracles import power_iteration_norm
@@ -21,40 +19,35 @@ from oracles import power_iteration_norm
 COST_DIFF = [[1.5, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 2.0]]
 
 
+# An SPD solve is the factor, then the two triangular solves with it.
+
+
 def test_spd_solve_identity():
-    assert np.allclose(spd_solve(np.eye(3), [1.0, -2.0, 3.0]), [1.0, -2.0, 3.0], atol=0)
+    b = np.array([1.0, -2.0, 3.0])
+    assert np.allclose(solve_with_factor(cholesky_spd(np.eye(3)), b), b, atol=0)
 
 
 def test_spd_solve_diagonal():
-    assert np.allclose(spd_solve(np.diag([2.0, 4.0]), [2.0, 8.0]), [1.0, 2.0], atol=1e-15)
+    y = solve_with_factor(cholesky_spd(np.diag([2.0, 4.0])), np.array([2.0, 8.0]))
+    assert np.allclose(y, [1.0, 2.0], atol=1e-15)
 
 
 def test_spd_solve_residual_bound():
     M = np.array([[2.0, 1.0], [1.0, 2.0]])
     b = np.array([3.0, 3.0])
-    y = spd_solve(M, b)
+    y = solve_with_factor(cholesky_spd(M), b)
     assert np.allclose(y, [1.0, 1.0], atol=1e-12)
     assert np.linalg.norm(M @ y - b) <= 1e-10 * (1 + np.linalg.norm(b))
 
 
-def test_spd_solve_rejects_indefinite():
-    with pytest.raises(NotSPD):
-        spd_solve(np.diag([1.0, -1.0]), [1.0, 1.0])
-
-
 def test_spd_solve_rejects_asymmetric():
     with pytest.raises(NotSPD):
-        spd_solve([[1.0, 2.0], [0.0, 1.0]], [1.0, 1.0])
+        cholesky_spd([[1.0, 2.0], [0.0, 1.0]])
 
 
 def test_spd_solve_rejects_tiny_pivot():
     with pytest.raises(NotSPD):
-        spd_solve([[1e-13]], [1.0])
-
-
-def test_spd_solve_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        spd_solve(np.eye(2), [1.0, 2.0, 3.0])
+        cholesky_spd([[1e-13]])
 
 
 def test_spd_solve_random_roundtrip():
@@ -64,7 +57,8 @@ def test_spd_solve_random_roundtrip():
         G = rng.normal(size=(d, d))
         M = G @ G.T + 1e-3 * np.eye(d)
         y = rng.normal(size=d)
-        assert np.linalg.norm(spd_solve(M, M @ y) - y) <= 1e-9 * (1 + np.linalg.norm(y))
+        got = solve_with_factor(cholesky_spd(M), M @ y)
+        assert np.linalg.norm(got - y) <= 1e-9 * (1 + np.linalg.norm(y))
 
 
 def test_cholesky_rejects_small_and_negative_pivots_anywhere():
@@ -72,7 +66,7 @@ def test_cholesky_rejects_small_and_negative_pivots_anywhere():
     # entry: each matrix here has a comfortable diagonal.
     last_tiny = [[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0 + 1e-13]]
     mid_negative = [[4.0, 2.0, 0.0], [2.0, 0.5, 1.0], [0.0, 1.0, 3.0]]
-    for m in (np.diag([1.0, 1.0, 1e-13]), last_tiny, mid_negative):
+    for m in (np.diag([1.0, 1.0, 1e-13]), last_tiny, mid_negative, np.diag([1.0, -1.0])):
         with pytest.raises(NotSPD):
             cholesky_spd(m)
     # Just above the tolerance is accepted.

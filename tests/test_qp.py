@@ -3,19 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
-from ephybrid.linalg import cholesky_spd, solve_with_factor, spectral_norm
+from ephybrid.linalg import DimensionMismatch, NotSPD, cholesky_spd, solve_with_factor, spectral_norm
 from ephybrid.problems import AffineOperator, QuadraticBifunction, vip_as_bifunction
 from ephybrid.qp import (
     CyclingDetected,
     NonPositiveLambda,
     ProxSolver,
-    QPInstance,
     _DualQP,
     _drop_redundant_parallel,
     _prepared_rows,
     constraint_rows,
     prox_step,
-    reduce_prox_to_qp,
     solve_qp_active_set,
 )
 from ephybrid.sets import (
@@ -23,7 +21,6 @@ from ephybrid.sets import (
     Halfspace,
     InfeasibleSet,
     Polyhedron,
-    TwoHalfspaces,
     WholeSpace,
     halfspaces_and_box,
 )
@@ -33,6 +30,11 @@ P = np.array([[3.1, 2.0, 0.0], [2.0, 3.6, 0.0], [0.0, 0.0, 3.5]])
 Q = np.array([[1.6, 1.0, 0.0], [1.0, 1.6, 0.0], [0.0, 0.0, 1.5]])
 UNIT_BOX = Box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
 SIMPLEX_CAP = Polyhedron([Halfspace([-1.0, -1.0, -1.0], -1.0)], UNIT_BOX)
+
+
+def prox_qp(f, v, x, lam):
+    """``(M, c)`` of the prox QP: ``M = 2 lam Q + I`` and ``c = lam (P v + q - Q v) - x``."""
+    return 2.0 * lam * f.Q + np.eye(f.dim), lam * (f.P @ v + f.q - f.Q @ v) - x
 
 
 def random_feasible(rng, d):
@@ -53,22 +55,24 @@ def test_reduction_shapes_vip_case():
     lam = 1.0 / (5.0 * consts.c1)
     v = np.array([0.2, 0.4, 0.1])
     x = np.array([1.0, 3.0, 1.0])
-    inst = reduce_prox_to_qp(f, v, x, lam, UNIT_BOX)
-    assert np.array_equal(inst.M, np.eye(3))
-    assert np.allclose(inst.c, lam * op(v) - x, atol=1e-15)
-    # the minimizer is the projection of the shifted anchor
-    got = solve_qp_active_set(inst)
+    M, c = prox_qp(f, v, x, lam)
+    assert np.array_equal(M, np.eye(3))
+    assert np.allclose(c, lam * op(v) - x, atol=1e-15)
+    # the minimizer is the projection of the shifted anchor, and the prox step
+    got = solve_qp_active_set(M, c, UNIT_BOX)
     assert np.allclose(got, UNIT_BOX.project(x - lam * op(v)), atol=1e-9)
+    assert prox_step(f, v, x, lam, UNIT_BOX).tobytes() == got.tobytes()
 
 
 def test_reduction_unconstrained_symmetric_case():
     f = QuadraticBifunction(Q, Q, [0.0, 0.0, 0.0])
     lam = 0.37
     x = np.array([0.4, -1.2, 2.0])
-    inst = reduce_prox_to_qp(f, x, x, lam, WholeSpace(3))
-    assert np.allclose(inst.c, -x, atol=1e-15)
-    got = solve_qp_active_set(inst)
+    M, c = prox_qp(f, x, x, lam)
+    assert np.allclose(c, -x, atol=1e-15)
+    got = solve_qp_active_set(M, c, WholeSpace(3))
     assert np.allclose((2.0 * lam * Q + np.eye(3)) @ got, x, atol=1e-10)
+    assert prox_step(f, x, x, lam, WholeSpace(3)).tobytes() == got.tobytes()
 
 
 def test_zero_bifunction_reduces_to_projection():
@@ -81,22 +85,35 @@ def test_zero_bifunction_reduces_to_projection():
 def test_reduction_rejects_nonpositive_step():
     f = QuadraticBifunction(P, Q, [0.0, 0.0, 0.0])
     with pytest.raises(NonPositiveLambda):
-        reduce_prox_to_qp(f, np.zeros(3), np.zeros(3), 0.0, UNIT_BOX)
+        prox_step(f, np.zeros(3), np.zeros(3), 0.0, UNIT_BOX)
     # A non-finite step is rejected before ``2*lam*Q`` (inf * 0 would warn).
     for lam in (np.inf, np.nan, -np.inf):
-        for prox in (reduce_prox_to_qp, prox_step, ProxSolver().step):
+        for prox in (prox_step, ProxSolver().step):
             with pytest.raises(NonPositiveLambda):
                 prox(f, np.zeros(3), np.zeros(3), lam, UNIT_BOX)
 
 
+def test_qp_entry_checks_its_arguments():
+    box = Box([0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(NotSPD):
+        solve_qp_active_set([[1.0, 2.0], [0.0, 1.0]], np.zeros(2), box)
+    for c, feasible in ((np.zeros(3), box), (np.zeros(2), UNIT_BOX)):
+        with pytest.raises(DimensionMismatch):
+            solve_qp_active_set(np.eye(2), c, feasible)
+    with pytest.raises(ValueError, match="finite"):
+        solve_qp_active_set(np.eye(2), [np.nan, 0.0], box)
+    with pytest.raises(TypeError):
+        solve_qp_active_set(np.eye(2), np.zeros(2), object())
+
+
 def test_box_qp_equals_clamp():
     x0 = np.array([1.7, -0.4, 0.5])
-    got = solve_qp_active_set(QPInstance(np.eye(3), -x0, UNIT_BOX))
+    got = solve_qp_active_set(np.eye(3), -x0, UNIT_BOX)
     assert np.allclose(got, np.clip(x0, 0.0, 1.0), atol=1e-12)
 
 
 def test_symmetric_projection_onto_cap():
-    got = solve_qp_active_set(QPInstance(np.eye(3), np.zeros(3), SIMPLEX_CAP))
+    got = solve_qp_active_set(np.eye(3), np.zeros(3), SIMPLEX_CAP)
     assert np.allclose(got, [1.0 / 3.0] * 3, atol=1e-10)
 
 
@@ -109,7 +126,7 @@ def test_active_set_matches_box_pattern_oracle():
         c = rng.normal(size=d)
         lo = rng.uniform(-2.0, 0.0, d)
         hi = lo + rng.uniform(0.5, 2.5, d)
-        got = solve_qp_active_set(QPInstance(M, c, Box(lo, hi)))
+        got = solve_qp_active_set(M, c, Box(lo, hi))
         ref = box_pattern_qp(M, c, lo, hi)
         assert ref is not None
         assert np.linalg.norm(got - ref) <= 1e-9
@@ -127,7 +144,7 @@ def test_active_set_matches_enumeration_oracle():
         A, b = halfspace_rows(feas)
         if A.shape[0] > 8:
             continue
-        got = solve_qp_active_set(QPInstance(M, c, feas))
+        got = solve_qp_active_set(M, c, feas)
         ref = enumeration_qp(M, c, A, b)
         assert ref is not None
         assert np.linalg.norm(got - ref) <= 1e-9
@@ -135,8 +152,8 @@ def test_active_set_matches_enumeration_oracle():
 
 
 def test_active_set_matches_enumeration_oracle_on_closed_form_kinds():
-    # Halfspace and TwoHalfspaces start from their own projection and the
-    # whole space has no rows at all; the draws above never reach these.
+    # The whole space has no rows, a halfspace one and a pair of halfspaces
+    # two; the draws above never reach these.
     rng = np.random.default_rng(61)
     for n in range(600):
         d = int(rng.integers(1, 4))
@@ -150,20 +167,22 @@ def test_active_set_matches_enumeration_oracle_on_closed_form_kinds():
             feas = Halfspace(rng.normal(size=d), rng.uniform(-1.0, 1.0))
         else:
             # Offsets > 0 keep the origin inside, so the pair is never empty.
-            feas = TwoHalfspaces(
-                Halfspace(rng.normal(size=d), rng.uniform(0.2, 2.0)),
-                Halfspace(rng.normal(size=d), rng.uniform(0.2, 2.0)),
+            feas = Polyhedron(
+                [
+                    Halfspace(rng.normal(size=d), rng.uniform(0.2, 2.0)),
+                    Halfspace(rng.normal(size=d), rng.uniform(0.2, 2.0)),
+                ]
             )
         A, b = halfspace_rows(feas)
-        got = solve_qp_active_set(QPInstance(M, c, feas))
+        got = solve_qp_active_set(M, c, feas)
         ref = enumeration_qp(M, c, A, b)
         assert ref is not None
         assert np.linalg.norm(got - ref) <= 1e-9
 
     a = np.array([1.0, 0.0, 0.0])
-    slab = TwoHalfspaces(Halfspace(a, -1.0), Halfspace(-a, -2.0))  # x1 <= -1 and x1 >= 2
+    slab = Polyhedron([Halfspace(a, -1.0), Halfspace(-a, -2.0)])  # x1 <= -1 and x1 >= 2
     with pytest.raises(InfeasibleSet):
-        solve_qp_active_set(QPInstance(np.eye(3), np.zeros(3), slab))
+        solve_qp_active_set(np.eye(3), np.zeros(3), slab)
 
 
 def test_kkt_residual_contract():
@@ -174,8 +193,7 @@ def test_kkt_residual_contract():
         M = G @ G.T + 0.5 * np.eye(d)
         c = rng.normal(size=d)
         feas = random_feasible(rng, d)
-        inst = QPInstance(M, c, feas)
-        y = solve_qp_active_set(inst)
+        y = solve_qp_active_set(M, c, feas)
         A, b = halfspace_rows(feas)
         stat, mu_min, comp, viol = kkt_report(M, c, A, b, y)
         assert stat <= 1e-9
@@ -277,8 +295,7 @@ def test_memo_reuse_is_bitwise_neutral():
     y = x
     for n in range(150):
         v = x if n % 2 == 0 else y
-        inst = reduce_prox_to_qp(f, v, x, lam, feasible)
-        ref, working = forgetful.solve(inst.c, working)
+        ref, working = forgetful.solve(prox_qp(f, v, x, lam)[1], working)
         y = solver.step(f, v, x, lam, feasible)
         assert np.abs(y - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max()), f"step {n}"
         assert set(solver._working) == set(working), f"step {n}"
@@ -318,7 +335,7 @@ def test_bordered_face_is_the_refactored_face():
     y = x
     for n in range(40):
         v = x if n % 2 == 0 else y
-        y, working = qp.solve(reduce_prox_to_qp(f, v, x, lam, feasible).c, working)
+        y, working = qp.solve(prox_qp(f, v, x, lam)[1], working)
         if n % 2 == 1:
             x = y + (rng.normal(scale=0.1, size=d) if n % 6 == 5 else 0.0)
     assert len(grown) >= 40 and max(grown) >= 20
@@ -330,9 +347,8 @@ def test_prox_step_first_iterate_vs_oracle():
     lam = 1.0 / (5.0 * c1)
     x0 = np.array([1.0, 3.0, 1.0])
     got = prox_step(f, np.zeros(3), x0, lam, SIMPLEX_CAP)
-    inst = reduce_prox_to_qp(f, np.zeros(3), x0, lam, SIMPLEX_CAP)
     A, b = halfspace_rows(SIMPLEX_CAP)
-    ref = enumeration_qp(inst.M, inst.c, A, b)
+    ref = enumeration_qp(*prox_qp(f, np.zeros(3), x0, lam), A, b)
     assert SIMPLEX_CAP.contains(got, tol=1e-10)
     assert np.linalg.norm(got - ref) <= 1e-9
 
@@ -390,15 +406,14 @@ def test_infeasible_set_raises():
     a = np.array([1.0, 0.0, 0.0])
     poly = Polyhedron([Halfspace(a, -1.0), Halfspace(-a, -2.0)])  # x1 <= -1 and x1 >= 2
     with pytest.raises(InfeasibleSet):
-        solve_qp_active_set(QPInstance(np.eye(3), np.zeros(3), poly))
+        solve_qp_active_set(np.eye(3), np.zeros(3), poly)
 
 
 def warm_starts(d, rows, largest=None):
     """A cold start, then every subset of ``rows`` (up to ``largest``) as a warm working set."""
-    yield None
+    yield ()
     for size in range(len(rows) + 1 if largest is None else largest + 1):
-        for working in itertools.combinations(rows, size):
-            yield np.zeros(d), working
+        yield from itertools.combinations(rows, size)
 
 
 def test_degenerate_vertex_matches_oracle_cold_and_warm():
@@ -416,11 +431,10 @@ def test_degenerate_vertex_matches_oracle_cold_and_warm():
         M = G @ G.T + 0.3 * np.eye(3)
         weights = rng.uniform(0.0, 1.0, 4) * (rng.uniform(size=4) < 0.8)
         c = -M @ vertex - A[active].T @ weights
-        inst = QPInstance(M, c, SIMPLEX_CAP)
         ref = enumeration_qp(M, c, A_ref, b_ref)
         assert np.linalg.norm(ref - vertex) <= 1e-9
         for warm in warm_starts(3, active):
-            got = solve_qp_active_set(inst, warm=warm)
+            got = solve_qp_active_set(M, c, SIMPLEX_CAP, warm)
             assert np.linalg.norm(got - ref) <= 1e-9, warm
 
 
@@ -431,9 +445,8 @@ def test_dependent_row_takes_pure_dual_step():
     # only enter after a step that moves the multipliers alone.
     a = np.array([1.0, 1.0])
     square = Polyhedron([Halfspace(a, 1.0), Halfspace(-a, -1.0)], Box([0.0, 0.0], [1.0, 1.0]))
-    inst = QPInstance(np.eye(2), np.array([0.3, 0.2]), square)
-    for warm in (None, (np.zeros(2), (2, 3))):
-        got = solve_qp_active_set(inst, warm=warm)
+    for warm in ((), (2, 3)):
+        got = solve_qp_active_set(np.eye(2), np.array([0.3, 0.2]), square, warm)
         assert np.linalg.norm(got - [0.45, 0.55]) <= 1e-12
 
     # The same in 3-D with random equalities, Hessians and warm sets.
@@ -446,12 +459,11 @@ def test_dependent_row_takes_pure_dual_step():
         G = rng.normal(size=(3, 3))
         M = G @ G.T + 0.3 * np.eye(3)
         c = rng.normal(scale=3.0, size=3)
-        inst = QPInstance(M, c, feas)
         A_ref, b_ref = halfspace_rows(feas)
         ref = enumeration_qp(M, c, A_ref, b_ref)
         assert ref is not None
         for warm in warm_starts(3, range(8), largest=3):
-            got = solve_qp_active_set(inst, warm=warm)
+            got = solve_qp_active_set(M, c, feas, warm)
             assert np.linalg.norm(got - ref) <= 1e-9, warm
 
 
@@ -472,14 +484,13 @@ def test_warm_row_with_negative_multiplier_is_released():
         A_ref, b_ref = halfspace_rows(feas)
         if A_ref.shape[0] > 8:
             continue
-        inst = QPInstance(M, c, feas)
         ref = enumeration_qp(M, c, A_ref, b_ref)
         rows = _prepared_rows(feas)
         _, cold = _DualQP(cholesky_spd(M), rows).solve(c)
         # Warm-start from every row outside the final working set: the
         # warm loop must release (or, when dependent, pop) rows first.
         warm = tuple(i for i in range(len(rows[1])) if i not in cold)
-        got = solve_qp_active_set(inst, warm=(np.zeros(d), warm))
+        got = solve_qp_active_set(M, c, feas, warm)
         assert np.linalg.norm(got - ref) <= 1e-9
         checked += 1
 
@@ -512,7 +523,7 @@ def test_ill_conditioned_cycling_and_oracle_gap_do_not_grow():
             cases += 1
             ref = enumeration_qp(M, c, A, b)
             try:
-                got = solve_qp_active_set(QPInstance(M, c, feas))
+                got = solve_qp_active_set(M, c, feas)
             except CyclingDetected:
                 cycling += 1
                 continue
@@ -532,10 +543,9 @@ def test_inconsistent_rows_raise_cold_and_warm():
     for feas in (slab, triangle):
         d = feas.dim
         m = constraint_rows(feas)[0].shape[0]
-        inst = QPInstance(np.eye(d), np.zeros(d), feas)
         for warm in warm_starts(d, range(m)):
             with pytest.raises(InfeasibleSet):
-                solve_qp_active_set(inst, warm=warm)
+                solve_qp_active_set(np.eye(d), np.zeros(d), feas, warm)
 
 
 def test_constraint_rows_are_bitwise_the_per_row_build():
@@ -569,7 +579,7 @@ def test_constraint_rows_are_bitwise_the_per_row_build():
         cap,
         Box([-np.inf] * 3, [np.inf] * 3),
         signed_box,
-        TwoHalfspaces(cap, Halfspace([1.0, -2.0, 0.5], 3.0)),
+        Polyhedron([cap, Halfspace([1.0, -2.0, 0.5], 3.0)]),
         Polyhedron([Halfspace([0.0, 1.0, -1.0, 2.0], 0.0)], signed_box),
         Polyhedron([cap]),
     ):
@@ -597,7 +607,7 @@ def test_constraint_rows_skip_infinite_bounds():
         WholeSpace(3),
         cap,
         half_box,
-        TwoHalfspaces(cap, Halfspace([1.0, -2.0, 0.5], 3.0)),
+        Polyhedron([cap, Halfspace([1.0, -2.0, 0.5], 3.0)]),
         Polyhedron([cap, Halfspace([0.0, 1.0, 1.0], 4.0)], half_box),
     ):
         A, b = constraint_rows(feas)
@@ -606,10 +616,8 @@ def test_constraint_rows_skip_infinite_bounds():
         assert row_multiset(A, b) == row_multiset(A_ref, b_ref)
     with pytest.raises(TypeError):
         constraint_rows(object())
-    with pytest.raises(TypeError):
-        QPInstance(np.eye(2), np.zeros(2), object())
     f = QuadraticBifunction(P, Q, [0.0, 0.0, 0.0])
-    for prox in (reduce_prox_to_qp, prox_step, ProxSolver().step):
+    for prox in (prox_step, ProxSolver().step):
         with pytest.raises(TypeError):
             prox(f, np.zeros(3), np.zeros(3), 0.1, object())
 

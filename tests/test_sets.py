@@ -8,15 +8,14 @@ from ephybrid.sets import (
     Halfspace,
     InfeasibleSet,
     Polyhedron,
-    TwoHalfspaces,
+    UnknownSetType,
     WholeSpace,
     ZeroNormal,
     project_halfspace,
     project_two_halfspaces,
     set_from_dict,
-    set_to_dict,
 )
-from ephybrid.qp import CyclingDetected, project_polyhedral
+from ephybrid.qp import CutProjector, CyclingDetected
 from oracles import enumeration_qp, projection_oracle
 
 UNIT_BOX = Box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
@@ -56,7 +55,7 @@ def random_set(rng, d):
         # offsets >= small positive keep the origin feasible
         a1 = rng.normal(size=d)
         a2 = rng.normal(size=d)
-        return TwoHalfspaces(Halfspace(a1, rng.uniform(0.1, 1.5)), Halfspace(a2, rng.uniform(0.1, 1.5)))
+        return Polyhedron([Halfspace(a1, rng.uniform(0.1, 1.5)), Halfspace(a2, rng.uniform(0.1, 1.5))])
     hs = [Halfspace(rng.normal(size=d), rng.uniform(0.1, 1.5)) for _ in range(int(rng.integers(1, 4)))]
     box = Box(np.full(d, -2.0), np.full(d, 2.0)) if rng.integers(0, 2) else None
     return Polyhedron(hs, box)
@@ -120,13 +119,11 @@ def rows(*halfspaces):
 
 
 def test_two_halfspaces_orthogonal_corner():
-    h1 = Halfspace([1.0, 0.0, 0.0], 0.0)
-    h2 = Halfspace([0.0, 1.0, 0.0], 0.0)
-    corner = TwoHalfspaces(h1, h2)
-    assert np.allclose(corner.project([1.0, 1.0, 0.0]), [0.0, 0.0, 0.0], atol=1e-14)
-    assert np.allclose(corner.project([-1.0, 2.0, 0.0]), [-1.0, 0.0, 0.0], atol=1e-14)
-    x = np.array([1.0, 1.0, 0.0])
-    assert project_two_halfspaces(x, *rows(h1, h2)).tobytes() == corner.project(x).tobytes()
+    corner = rows(Halfspace([1.0, 0.0, 0.0], 0.0), Halfspace([0.0, 1.0, 0.0], 0.0))
+    got = project_two_halfspaces(np.array([1.0, 1.0, 0.0]), *corner)
+    assert np.allclose(got, [0.0, 0.0, 0.0], atol=1e-14)
+    got = project_two_halfspaces(np.array([-1.0, 2.0, 0.0]), *corner)
+    assert np.allclose(got, [-1.0, 0.0, 0.0], atol=1e-14)
 
 
 def test_two_halfspaces_both_active_vs_oracle():
@@ -134,12 +131,12 @@ def test_two_halfspaces_both_active_vs_oracle():
     h2 = Halfspace([1.0, -1.0], -1.0)
     x = np.array([1.0, 0.0])
     got = project_two_halfspaces(x, *rows(h1, h2))
-    ref = projection_oracle(x, TwoHalfspaces(h1, h2))
+    ref = projection_oracle(x, Polyhedron([h1, h2]))
     assert np.allclose(got, ref, atol=1e-8)
 
 
 def test_two_halfspaces_check_the_point_at_the_boundary():
-    pair = TwoHalfspaces(Halfspace([1.0, 0.0], 0.0), Halfspace([0.0, 1.0], 0.0))
+    pair = Polyhedron([Halfspace([1.0, 0.0], 0.0), Halfspace([0.0, 1.0], 0.0)])
     with pytest.raises(DimensionMismatch):
         pair.project([1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="finite"):
@@ -158,8 +155,6 @@ def test_halfspace_projection_is_the_row_kernel():
 def test_two_halfspaces_empty_slab():
     a = np.array([1.0, 0.0])
     with pytest.raises(EmptyIntersection):
-        TwoHalfspaces(Halfspace(a, -1.0), Halfspace(-a, -1.0)).project([0.0, 0.0])
-    with pytest.raises(EmptyIntersection):
         project_two_halfspaces(np.zeros(2), (a, -1.0), (-a, -1.0))
 
 
@@ -176,10 +171,9 @@ def test_two_halfspaces_vs_qp_oracle_randomized():
             got = project_two_halfspaces(x, *rows(h1, h2))
         except EmptyIntersection:
             continue
-        assert TwoHalfspaces(h1, h2).project(x).tobytes() == got.tobytes()
-        qp_path = Polyhedron([h1, h2]).project(x)
-        assert np.linalg.norm(got - qp_path) <= 1e-8
-        ref = projection_oracle(x, TwoHalfspaces(h1, h2))
+        pair = Polyhedron([h1, h2])
+        assert np.linalg.norm(got - pair.project(x)) <= 1e-8
+        ref = projection_oracle(x, pair)
         assert ref is not None
         assert np.linalg.norm(got - ref) <= 1e-8
         checked += 1
@@ -195,7 +189,7 @@ def test_two_halfspace_kernel_fuzz_vs_enumeration_oracle():
     general pairs and 1e-4 for the nearly anti-parallel ones (1.2e-5 seen),
     whose Gram systems are that ill-conditioned.  No exception but
     :class:`EmptyIntersection` may escape the kernel.  The cold polyhedron
-    QP (:func:`qp.project_polyhedral`) on the same nonempty nearly
+    QP (a fresh :class:`qp.CutProjector`) on the same nonempty nearly
     anti-parallel pairs raises :class:`qp.CyclingDetected` on 15 of them;
     that count may not grow.  It never cycles on the general pairs.
     """
@@ -221,7 +215,7 @@ def test_two_halfspace_kernel_fuzz_vs_enumeration_oracle():
         err = np.linalg.norm(got - ref) / (1.0 + np.linalg.norm(ref))
         assert err <= (1e-4 if near else 1e-8), (n, err)
         try:
-            project_polyhedral(x, rows, None)
+            CutProjector().project(x, rows, None)
         except CyclingDetected:
             assert near, n
             cycling += 1
@@ -278,24 +272,29 @@ def test_projection_idempotent_and_characterized():
 
 
 def test_serialization_round_trip():
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        s = random_set(rng, int(rng.integers(1, 5)))
-        back = set_from_dict(set_to_dict(s))
-        assert type(back) is type(s)
-        x = rng.normal(size=s.dim)
-        try:
-            assert np.allclose(s.project(x), back.project(x), atol=1e-12)
-        except InfeasibleSet:
-            with pytest.raises(InfeasibleSet):
-                back.project(x)
-    ws = WholeSpace(4)
-    assert set_from_dict(set_to_dict(ws)).dim == 4
-    unbounded = Box([-np.inf, 0.0], [np.inf, 1.0])
-    back = set_from_dict(set_to_dict(unbounded))
-    assert back.lo[0] == -np.inf and back.hi[0] == np.inf
+    # One tagged-JSON object per kind, parsed to the set it names; a null
+    # box bound is an infinite one.
+    half = {"type": "halfspace", "a": [1.0, -2.0], "b": 0.5}
+    box = {"type": "box", "lo": [None, 0.0], "hi": [1.0, None]}
+    ws = set_from_dict({"type": "whole_space", "dim": 4})
+    assert type(ws) is WholeSpace and ws.dim == 4
+    h = set_from_dict(half)
+    assert type(h) is Halfspace and h.a.tolist() == [1.0, -2.0] and h.b == 0.5
+    b = set_from_dict(box)
+    assert type(b) is Box and b.lo.tolist() == [-np.inf, 0.0] and b.hi.tolist() == [1.0, np.inf]
+    poly = set_from_dict({"type": "polyhedron", "halfspaces": [half, half], "box": box})
+    assert type(poly) is Polyhedron and poly.box.hi.tolist() == b.hi.tolist()
+    assert [p.a.tolist() + [p.b] for p in poly.halfspaces] == [[1.0, -2.0, 0.5]] * 2
+    assert set_from_dict({"type": "polyhedron", "halfspaces": [half]}).box is None
+    for bad in (
+        {"type": "polyhedron", "halfspaces": [box]},
+        {"type": "polyhedron", "halfspaces": [half], "box": half},
+    ):
+        with pytest.raises(ValueError):
+            set_from_dict(bad)
 
 
 def test_set_from_dict_rejects_unknown_type():
-    with pytest.raises(ValueError):
-        set_from_dict({"type": "cone", "dim": 2})
+    for kind in ("cone", "two_halfspaces"):
+        with pytest.raises(UnknownSetType):
+            set_from_dict({"type": kind, "dim": 2})
