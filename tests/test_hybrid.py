@@ -110,6 +110,8 @@ def test_contraction_slack_hand_coefficients(example1):
     expected = 6.0 * dx2 + 0.4 * dyp2 - (1.0 - 1.0 / 6.0 - 0.4) * dyn2
     assert contraction_slack(st, y_next, params, consts) == pytest.approx(expected, rel=1e-12)
 
+
+def test_slack_conventions_differ_for_unequal_constants():
     # Unequal constants pin the ordering: 2*lam*c2 = 0.4 weighs the previous
     # prox displacement and 2*lam*c1 = 0.2 the incoming one.  The orderings
     # differ by 2*lam*(c2 - c1)*(dy_prev2 - dy_next2), so here dx2 = 1,
@@ -122,6 +124,8 @@ def test_contraction_slack_hand_coefficients(example1):
     st.y_cur = np.array([1.0, 0.0])
     y_next = np.array([1.0, 2.0])
     expected = 6.0 * 1.0 + 0.4 * 1.0 - (1.0 - 1.0 / 6.0 - 0.2) * 4.0
+    swapped = 6.0 * 1.0 + 0.2 * 1.0 - (1.0 - 1.0 / 6.0 - 0.4) * 4.0
+    assert abs(expected - swapped) > 0.5
     assert contraction_slack(st, y_next, params, consts) == pytest.approx(expected, rel=1e-12)
 
 

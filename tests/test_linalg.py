@@ -40,6 +40,11 @@ def test_spd_solve_residual_bound():
     assert np.linalg.norm(M @ y - b) <= 1e-10 * (1 + np.linalg.norm(b))
 
 
+def test_spd_solve_rejects_indefinite():
+    with pytest.raises(NotSPD):
+        solve_with_factor(cholesky_spd(np.diag([1.0, -1.0])), np.array([1.0, 1.0]))
+
+
 def test_spd_solve_rejects_asymmetric():
     with pytest.raises(NotSPD):
         cholesky_spd([[1.0, 2.0], [0.0, 1.0]])
@@ -66,7 +71,7 @@ def test_cholesky_rejects_small_and_negative_pivots_anywhere():
     # entry: each matrix here has a comfortable diagonal.
     last_tiny = [[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0 + 1e-13]]
     mid_negative = [[4.0, 2.0, 0.0], [2.0, 0.5, 1.0], [0.0, 1.0, 3.0]]
-    for m in (np.diag([1.0, 1.0, 1e-13]), last_tiny, mid_negative, np.diag([1.0, -1.0])):
+    for m in (np.diag([1.0, 1.0, 1e-13]), last_tiny, mid_negative):
         with pytest.raises(NotSPD):
             cholesky_spd(m)
     # Just above the tolerance is accepted.
