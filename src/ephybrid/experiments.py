@@ -198,7 +198,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     elif isinstance(problem, dict):
         try:
             bundle = bundle_from_dict(problem)
-        except (AttributeError, KeyError, TypeError, UnknownSetType) as exc:
+        except (AttributeError, KeyError, TypeError, UnknownSetType, ParseError) as exc:
             raise ParseError(f"field 'problem': {exc}") from exc
         except ValueError as exc:
             raise ValidationError(f"field 'problem': {exc}") from exc
@@ -211,8 +211,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ValidationError(f"field 'algorithm': unknown value {algorithm!r}")
 
     params = data.get("params", {})
-    if not isinstance(params, dict):
-        raise ParseError("field 'params': must be an object")
     _known_keys(params, _PARAMS_KEYS, "field 'params'")
     lam = params.get("lambda")
     lam = default_lambda(bundle.constants) if lam is None else _parsed(_number, lam, "params.lambda")
@@ -247,8 +245,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if not isinstance(flag, bool):
             raise ParseError(f"field {field!r}: must be true or false, got {flag!r}")
     output = data.get("output", {})
-    if not isinstance(output, dict):
-        raise ParseError("field 'output': must be an object")
     _known_keys(output, _OUTPUT_KEYS, "field 'output'")
     paths = {key: output.get(key) for key in _OUTPUT_KEYS}
     # open() would take an int path as a file descriptor.
@@ -288,26 +284,34 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def bundle_from_dict(data: dict) -> ProblemBundle:
-    """Build a problem bundle from its JSON object form; a non-number raises ``TypeError``."""
+    """Build a problem bundle from its JSON object form.
+
+    A non-number raises ``TypeError``; a key or a mapping type the format
+    does not have raises :class:`ParseError`.
+    """
+    _known_keys(data, _PROBLEM_KEYS, "problem")
     bif = data["bifunction"]
+    _known_keys(bif, ("P", "Q", "q"), "problem.bifunction")
     P, Q = (np.array([_vector(row) for row in bif[key]]) for key in ("P", "Q"))
     f = QuadraticBifunction(P, Q, _vector(bif["q"]))
     feasible = set_from_dict(data["feasible"])
     mapping_data = data.get("mapping", {"type": "identity"})
     kind = mapping_data.get("type")
+    if kind not in _MAPPING_KEYS:
+        raise ParseError(f"unknown mapping type {kind!r}")
+    _known_keys(mapping_data, _MAPPING_KEYS[kind], "problem.mapping")
     if kind == "identity":
         mapping = IdentityMapping()
-    elif kind == "averaged_projections":
+    else:
         mapping = AveragedProjections(
             set_from_dict(mapping_data["outer"]),
             [set_from_dict(s) for s in mapping_data["inner"]],
         )
-    else:
-        raise ValueError(f"unknown mapping type {kind!r}")
     constants_data = data.get("constants")
     if constants_data is None:
         constants = nash_cournot_constants(P, Q)
     else:
+        _known_keys(constants_data, ("c1", "c2"), "problem.constants")
         constants = LipschitzConstants(_number(constants_data["c1"]), _number(constants_data["c2"]))
     target = data.get("target")
     return ProblemBundle(
@@ -379,10 +383,14 @@ def table2_config() -> ExperimentConfig:
 _CONFIG_KEYS = ("problem", "algorithm", "params", "starts", "y0", "stopping", "audit", "output")
 _PARAMS_KEYS = ("lambda", "k", "alpha_cap", "alpha_schedule", "cut_variant", "cuts_within_feasible")
 _OUTPUT_KEYS = ("csv", "json", "trace_dir")
+_PROBLEM_KEYS = ("label", "bifunction", "feasible", "mapping", "constants", "target")
+_MAPPING_KEYS = {"identity": ("type",), "averaged_projections": ("type", "outer", "inner")}
 
 
 def _known_keys(data: dict, keys, where: str) -> None:
-    """Raise :class:`ParseError` for a key of ``data`` that is not in ``keys``."""
+    """Raise :class:`ParseError` unless ``data`` is an object whose keys are all in ``keys``."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{where}: must be an object")
     unknown = [key for key in data if key not in keys]
     if unknown:
         raise ParseError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
@@ -432,8 +440,6 @@ def _parse_schedule(raw) -> AlphaSchedule:
 def _parse_stopping(raw, bundle: ProblemBundle) -> StoppingRule:
     if raw is None:
         raw = {} if bundle.target is None else {"rule": "distance_to_target", "tol": 1e-3}
-    if not isinstance(raw, dict):
-        raise ParseError("field 'stopping': must be an object")
     _known_keys(raw, ("rule", "tol", "max_iter"), "field 'stopping'")
     tol = _parsed(_number, raw.get("tol", 1e-4), "stopping.tol")
     max_iter = _parsed(_whole_number, raw.get("max_iter", 10000), "stopping.max_iter")

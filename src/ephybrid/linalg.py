@@ -3,12 +3,14 @@
 Vectors are 1-D float numpy arrays, matrices 2-D.  The two nontrivial
 kernels are a pivot-checked Cholesky factorization of symmetric
 positive definite matrices, with its triangular solves, and the spectral
-(operator-2) norm.  The factorization
-is LAPACK ``dpotrf`` and the triangular solves are ``dtrtrs``, both
-called directly; the symmetry and pivot checks around them are this
-module's own.  Everything is a pure function on immutable inputs;
-problems here are small and dense (a few hundred dimensions at most), so
-direct factorizations only.
+(operator-2) norm.  The factorization has a checked boundary,
+:func:`cholesky_spd` (finite, square, symmetric), around a trusted core,
+:func:`gram_factor` (LAPACK ``dpotrf`` and the pivot check), which
+serves matrices the caller built itself; the triangular solves are
+LAPACK ``dtrtrs``.  Both LAPACK routines are called directly.
+Everything is a pure function on immutable inputs; problems here are
+small and dense (a few hundred dimensions at most), so direct
+factorizations only.
 """
 
 from __future__ import annotations
@@ -75,12 +77,9 @@ def frozen_copy(a: np.ndarray) -> np.ndarray:
 def cholesky_spd(m) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
-    Symmetry is checked to ``SYMMETRY_TOL`` relative to the largest
-    entry; every pivot ``L_jj^2`` must exceed ``PIVOT_TOL``.  Raises
-    :class:`NotSPD` otherwise.  LAPACK ``dpotrf`` factors the
-    Fortran-ordered view ``m^T`` (it reads the lower triangle of ``m``)
-    into an upper factor whose transpose, returned, is a C-ordered lower
-    factor with an exactly zero strict upper triangle.
+    The checked boundary of :func:`gram_factor`: finite entries, a square
+    shape and symmetry to ``SYMMETRY_TOL`` relative to the largest entry.
+    Raises :class:`NotSPD` otherwise, or where :func:`gram_factor` does.
     """
     a = as_matrix(m)
     n, k = a.shape
@@ -89,6 +88,17 @@ def cholesky_spd(m) -> np.ndarray:
     scale = max(1.0, float(np.abs(a).max()))
     if float(np.abs(a - a.T).max()) > SYMMETRY_TOL * scale:
         raise NotSPD("matrix is not symmetric")
+    return gram_factor(a)
+
+
+def gram_factor(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a trusted square matrix; :class:`NotSPD` for a pivot at most ``PIVOT_TOL``.
+
+    :func:`cholesky_spd`'s core, for matrices the caller built itself.
+    LAPACK ``dpotrf`` factors the Fortran-ordered view ``a^T`` (it reads
+    the lower triangle of ``a``) into an upper factor whose transpose,
+    returned, is C-ordered with an exactly zero strict upper triangle.
+    """
     upper, info = dpotrf(a.T, lower=0, clean=1)
     if info > 0:
         raise NotSPD(f"leading minor of order {info} is not positive definite")

@@ -19,12 +19,11 @@ come from its halfspaces and box (:func:`sets.halfspaces_and_box`).
 Within a run the bifunction, ``lam`` and the feasible set stay the
 same, so the factor of ``M`` and the set's prepared rows do too; most
 of the time so does the working set, and only ``c`` changes.  So
-:class:`ProxSolver` keeps one :class:`_DualQP` per run, which keeps its
-last face factor.  A row entering the working set grows that factor by
-one bordered row instead of a refactorization.  A factor reused or
-grown agrees with a fresh factorization to about 1e-12, not bit
-for bit, so the solves with and without it round differently; repeated
-runs are byte-identical.
+:class:`ProxSolver` keeps one :class:`_DualQP` per run.  It forms the
+dual coordinates ``K = M^-1 A^T`` and their Gram matrix ``G = A K``
+once, factors every face from a block of ``G`` and keeps the last face
+factor.  A face factor is a pure function of its working set, so a kept
+one is bit for bit a fresh one; repeated runs are byte-identical.
 
 :class:`CutProjector` is the one identity-metric projection.  The hybrid
 solver keeps one per run next to its :class:`ProxSolver`: the feasible
@@ -48,6 +47,7 @@ from .linalg import (
     all_finite,
     as_point,
     cholesky_spd,
+    gram_factor,
     solve_with_factor,
     triangular_solve,
 )
@@ -110,9 +110,9 @@ class ProxSolver:
     checks ``v`` and ``x`` and computes ``c`` the same way.  Warm starting
     seeds the dual method with the last working set, kept across key
     changes; the minimizer is unique, so this changes nothing
-    mathematically.  The kept face factor, reused or grown, agrees with
-    a refactored one to about 1e-12, not bit for bit; the same sequence
-    of steps gives the same bits every time.  One instance per
+    mathematically, and the seed moves only roundoff.  The kept face
+    factor is the one a fresh factorization gives, bit for bit; the same
+    sequence of steps gives the same bits every time.  One instance per
     sequential run; instances share no state and may be created freely.
     """
 
@@ -164,7 +164,8 @@ class CutProjector:
     ``-1 - i``.  Each call stacks the unit cut rows over the set's rows and
     deduplicates only the cut rows (:func:`_unit_rows`), maps the labels onto
     the stacked rows, skipping those whose row was dropped or is absent, and
-    seeds the dual method with the rest.  The minimizer is unique, so the
+    seeds the dual method with the rest; for ``M = I`` the dual coordinates
+    are the stacked rows themselves.  The minimizer is unique, so the
     seed moves only roundoff; a fresh projector's call is cold and is
     :meth:`sets.Polyhedron.project`'s.  The same sequence of calls gives the
     same bits every time.  One instance per sequential run.
@@ -266,55 +267,30 @@ class _DualQP:
 
     Goldfarb & Idnani, *A numerically stable dual method for solving
     strictly convex quadratic programs*, Math. Programming 27 (1983).
-    ``L`` is the Cholesky factor of ``M``, or ``None`` for ``M = I``,
-    where ``M^-1`` is a copy and no triangular solve runs.  ``rows`` is a
-    prepared ``(A, b, feas_tol)`` triple (:func:`_unit_rows`).  Both are
-    fixed for the object's life, so the one kept face factor (the working
-    set rarely changes between solves) never goes stale.
+    ``L`` is the Cholesky factor of ``M``, or ``None`` for ``M = I``.
+    ``rows`` is a prepared ``(A, b, feas_tol)`` triple (:func:`_unit_rows`).
+    Both are fixed for the object's life, so the dual coordinates are
+    formed once: ``K = M^-1 A^T`` (``A^T`` itself for ``M = I``) and the
+    Gram matrix ``G = A K``.  The face factor of a working set ``W`` is
+    :func:`linalg.gram_factor` of ``G[W, W]``, a pure function of ``W``;
+    the last one is kept, since the working set rarely changes between
+    solves.
     """
 
     def __init__(self, L: np.ndarray | None, rows):
         self.L = L
         self.A, self.b, self.feas_tol = rows
+        self.K = self.A.T if L is None else solve_with_factor(L, self.A.T)
+        self.G = self.A @ self.K
         self._face_key = self._face = None
 
-    def minv(self, v: np.ndarray) -> np.ndarray:
-        """``M^-1 v``: a copy of ``v`` when ``M = I``."""
-        return np.array(v) if self.L is None else solve_with_factor(self.L, v)
-
-    def face(self, working) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(A_W, K = M^-1 A_W^T, chol(A_W K))``; raises :class:`NotSPD`."""
+    def face(self, working) -> np.ndarray:
+        """Cholesky factor of ``G[W, W]`` for ``W = working``; raises :class:`NotSPD`."""
         key = tuple(working)
         if key != self._face_key:
-            AW = self.A[working]
-            K = self.minv(AW.T)
-            self._face = (AW, K, cholesky_spd(AW @ K))
+            self._face = gram_factor(self.G[np.ix_(key, key)])
             self._face_key = key
         return self._face
-
-    def _border(self, working, face, p, minv_a, l, pivot) -> list[int]:
-        """``working + [p]``, its face grown from ``face``, the face of ``working``.
-
-        Row ``p`` appends a row to ``A_W``, the column ``M^-1 a_p`` to
-        ``K`` and the row ``(l, sqrt(pivot))`` to the Gram factor, where
-        ``l = Lg^-1 A_W M^-1 a_p`` and ``pivot = a_p^T M^-1 a_p - l.l``:
-        the Cholesky factor of the grown ``A_W K``, with no product or
-        factorization.  The grown face becomes the kept one.
-        """
-        k = len(working)
-        grown = np.zeros((k + 1, k + 1))
-        grown[k, k] = np.sqrt(pivot)
-        if k:
-            AW, K, Lg = face
-            grown[:k, :k] = Lg
-            grown[k, :k] = l
-            AW, K = np.vstack((AW, self.A[p])), np.column_stack((K, minv_a))
-        else:
-            AW, K = self.A[p : p + 1], minv_a[:, None]
-        working = working + [p]
-        self._face = (AW, K, grown)
-        self._face_key = tuple(working)
-        return working
 
     def solve(self, c: np.ndarray, working=()) -> tuple[np.ndarray, tuple[int, ...]]:
         """Minimizer for the linear term ``c`` and its final working set.
@@ -326,23 +302,23 @@ class _DualQP:
         working set is never added, and when nothing can be dropped either
         the set is empty.  ``working`` seeds the method (row indices out of
         range are ignored) and is kept in its order, as added rows are
-        appended, so that the rows of the kept face factor follow it.
-        ``c`` is trusted: callers check it.
+        appended.  ``c`` is trusted: callers check it.
         """
-        A, b, minv = self.A, self.b, self.minv
+        A, b, K, G = self.A, self.b, self.K, self.G
         d = c.shape[0]
         m = A.shape[0]
+        minv_c = c if self.L is None else solve_with_factor(self.L, c)
         if m == 0:
-            return minv(-c), ()
-        minv_c = minv(c)
+            return -minv_c, ()
+        # The multipliers on a face W solve G[W, W] u = rhs[W].
+        rhs = -(A @ minv_c) - b
 
         def on_face(working):
             """Minimizer on the face of ``working`` and its multipliers."""
             if not working:
-                return minv(-c), np.zeros(0)
-            AW, K, Lg = self.face(working)
-            u = solve_with_factor(Lg, -(AW @ minv_c) - b[working])
-            return -minv(c + AW.T @ u), u
+                return -minv_c, np.zeros(0)
+            u = solve_with_factor(self.face(working), rhs[working])
+            return -(minv_c + K[:, working] @ u), u
 
         # Warm start: the given working set, less the rows whose multiplier
         # on its face is negative (the face minimizer is then dual feasible).
@@ -366,27 +342,23 @@ class _DualQP:
                 p = int(np.argmax(s))
                 if s[p] <= self.feas_tol:
                     break
-            ap = A[p]
-            minv_a = minv(ap)
             # r = Lg^-T l is how fast the working multipliers fall per unit
-            # of p's.  Its forward half l and the curvature are the new row
-            # and pivot of the Gram factor if p enters.
+            # of p's; l.l is the part of p's curvature the working rows take.
             if working:
-                face = self.face(working)
-                AW, K, Lg = face
-                l = triangular_solve(Lg, AW @ minv_a)
+                Lg = self.face(working)
+                l = triangular_solve(Lg, G[working, p])
                 r = triangular_solve(Lg, l, transpose=True)
             else:
-                face, l, r = None, np.zeros(0), np.zeros(0)
+                l = r = np.zeros(0)
             # Full step: the multiplier of p that makes its row tight.  Zero
-            # curvature (a pivot at or below PIVOT_TOL, as in cholesky_spd)
-            # means ap depends on the rows of the working set and can only
+            # curvature (a pivot at or below PIVOT_TOL, as in gram_factor)
+            # means row p depends on the rows of the working set and can only
             # enter by replacing one of them.
-            a_minv_a = float(ap @ minv_a)
+            a_minv_a = float(G[p, p])
             curvature = a_minv_a - float(l @ l)
             full = np.inf
             if curvature > max(1e-12 * a_minv_a, PIVOT_TOL):
-                full = (float(ap @ y) - b[p]) / curvature
+                full = (float(A[p] @ y) - b[p]) / curvature
             # Partial step: the first working multiplier to reach zero.
             partial, block = np.inf, None
             for k in np.flatnonzero(r > 0.0):
@@ -394,13 +366,13 @@ class _DualQP:
                 if t < partial:
                     partial, block = t, int(k)
             if full != np.inf and full <= partial:
-                working = self._border(working, face, p, minv_a, l, curvature)
+                working.append(p)
                 y, u = on_face(working)
                 p = None
                 continue
             if block is None:
                 raise InfeasibleSet("no point satisfies all constraints")
-            y = y + partial * (K @ r - minv_a)
+            y = y + partial * (K[:, working] @ r - K[:, p])
             u = np.delete(u - partial * r, block)
             del working[block]
         else:

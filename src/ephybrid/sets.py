@@ -240,9 +240,14 @@ def project_two_halfspaces(x: np.ndarray, first, second) -> np.ndarray:
 def set_from_dict(d: dict) -> ConvexSet:
     """Build a set from its tagged-JSON form: an object whose ``type`` names the kind.
 
-    Raises :class:`UnknownSetType` for a ``type`` that names no kind.
+    Raises :class:`UnknownSetType` for a ``type`` that names no kind and
+    ``TypeError`` for a key the kind does not have.
     """
     kind = d.get("type")
+    if kind not in _SET_KEYS:
+        raise UnknownSetType(f"unknown set type: {kind!r}")
+    if not d.keys() <= _SET_KEYS[kind]:
+        raise TypeError(f"{kind} set: unknown keys {sorted(d.keys() - _SET_KEYS[kind])}")
     if kind == "whole_space":
         return WholeSpace(int(d["dim"]))
     if kind == "halfspace":
@@ -251,19 +256,25 @@ def set_from_dict(d: dict) -> ConvexSet:
         lo = [-np.inf if v is None else v for v in d["lo"]]
         hi = [np.inf if v is None else v for v in d["hi"]]
         return Box(lo, hi)
-    if kind == "polyhedron":
-        box = d.get("box")
-        parsed_box = set_from_dict(box) if box is not None else None
-        if parsed_box is not None and not isinstance(parsed_box, Box):
-            raise ValueError("polyhedron box entry must be a box")
-        halves = []
-        for h in d.get("halfspaces", []):
-            parsed = set_from_dict(h)
-            if not isinstance(parsed, Halfspace):
-                raise ValueError("polyhedron halfspaces entries must be halfspaces")
-            halves.append(parsed)
-        return Polyhedron(halves, parsed_box)
-    raise UnknownSetType(f"unknown set type: {kind!r}")
+    box = d.get("box")
+    parsed_box = set_from_dict(box) if box is not None else None
+    if parsed_box is not None and not isinstance(parsed_box, Box):
+        raise ValueError("polyhedron box entry must be a box")
+    halves = []
+    for h in d.get("halfspaces", []):
+        parsed = set_from_dict(h)
+        if not isinstance(parsed, Halfspace):
+            raise ValueError("polyhedron halfspaces entries must be halfspaces")
+        halves.append(parsed)
+    return Polyhedron(halves, parsed_box)
+
+
+_SET_KEYS = {
+    "whole_space": {"type", "dim"},
+    "halfspace": {"type", "a", "b"},
+    "box": {"type", "lo", "hi"},
+    "polyhedron": {"type", "halfspaces", "box"},
+}
 
 
 def _point_in(x, dim: int) -> np.ndarray:

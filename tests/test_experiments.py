@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ephybrid
-from ephybrid import cli
+from ephybrid import cli, qp
 from ephybrid.experiments import (
     ParseError,
     ValidationError,
@@ -25,6 +25,7 @@ from ephybrid.experiments import (
     table2_config,
 )
 from ephybrid.hybrid import AlphaSchedule, StoppingRule
+from ephybrid.linalg import cholesky_spd
 from ephybrid.problems import IdentityMapping, validate_conditions
 from ephybrid.reporting import (
     ReportRow,
@@ -351,6 +352,25 @@ def test_table2_grid_solves_no_linear_program():
     assert done.returncode == 0, done.stderr or "scipy.optimize was imported"
 
 
+def test_table2_grid_runs_one_checked_factorization_per_run(monkeypatch):
+    """The checked Cholesky factors each run's prox Hessian once and nothing else.
+
+    Every face factor of the dual QP comes from the Gram matrix the solver
+    formed itself, through the trusted core, so the table2 grid's 12 runs
+    make 12 checked factorizations.
+    """
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return cholesky_spd(m)
+
+    monkeypatch.setattr(qp, "cholesky_spd", counting)
+    runs = run_grid(table2_config())
+    assert len(runs) == 12
+    assert len(calls) == 12
+
+
 @pytest.mark.parametrize("cap, last", [(0.99, 9), (0.5, 98)])
 def test_cli_invlog_note_names_the_last_clamped_iteration(tmp_path, capsys, cap, last):
     # 1/log10(n+1) exceeds the cap while n + 1 < 10^(1/cap).
@@ -410,6 +430,20 @@ INLINE_NON_NUMBERS = (
     {"bifunction": {**BOX_BIFUNCTION, "Q": [[1.0, "0"], [0.0, 1.0]]}},
     {"target": ["0", "0"]},
     {"target": [0.0, False]},
+)
+UNIT_SQUARE = {"type": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}
+INLINE_UNKNOWN_KEYS = (
+    {"constans": {"c1": 5.0, "c2": 5.0}},
+    {"constants": {"c1": 5.0, "c2": 5.0, "c3": 1.0}},
+    {"bifunction": {**BOX_BIFUNCTION, "R": [[1.0, 0.0], [0.0, 1.0]]}},
+    {"mapping": {"type": "identity", "outer": UNIT_SQUARE}},
+    {"mapping": {"type": "averaged_projections", "outer": UNIT_SQUARE, "inner": [UNIT_SQUARE], "weights": [1.0]}},
+    {"mapping": {"type": "rotation"}},
+    {"mapping": {"type": "averaged_projections", "outer": UNIT_SQUARE, "inner": [{**UNIT_SQUARE, "lo_typo": 0}]}},
+    {"feasible": {**UNIT_SQUARE, "hi_typo": 3}},
+    {"feasible": {"type": "whole_space", "dim": 2, "lo": [0.0, 0.0]}},
+    {"feasible": {"type": "polyhedron", "halfspaces": [{"type": "halfspace", "a": [1.0, 0.0], "bb": 1.0}]}},
+    {"feasible": {"type": "polyhedron", "halfspaces": [], "box": UNIT_SQUARE, "boxes": []}},
 )
 
 
@@ -482,6 +516,8 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         {"stopping": {"tol": 1e-4, "max_iters": 10}},
         {"output": {"cvs": "rows.csv"}},
         {"problem": {**INLINE_BOX_PROBLEM, "feasible": TWO_HALFSPACES}},
+        # Inside an inline problem, too: a misspelt key is not ignored.
+        *({"problem": {**INLINE_BOX_PROBLEM, **part}} for part in INLINE_UNKNOWN_KEYS),
     ):
         assert_config_error(tmp_path, capsys, ParseError, **fields)
 

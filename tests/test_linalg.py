@@ -11,6 +11,7 @@ from ephybrid.linalg import (
     as_matrix,
     as_point,
     cholesky_spd,
+    gram_factor,
     solve_with_factor,
     spectral_norm,
 )
@@ -71,11 +72,13 @@ def test_cholesky_rejects_small_and_negative_pivots_anywhere():
     # entry: each matrix here has a comfortable diagonal.
     last_tiny = [[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0 + 1e-13]]
     mid_negative = [[4.0, 2.0, 0.0], [2.0, 0.5, 1.0], [0.0, 1.0, 3.0]]
-    for m in (np.diag([1.0, 1.0, 1e-13]), last_tiny, mid_negative):
-        with pytest.raises(NotSPD):
-            cholesky_spd(m)
-    # Just above the tolerance is accepted.
-    assert cholesky_spd(np.diag([1.0, 1.0, 2e-12]))[2, 2] ** 2 > PIVOT_TOL
+    # The trusted core checks the pivots as the checked boundary does.
+    for factor in (cholesky_spd, gram_factor):
+        for m in (np.diag([1.0, 1.0, 1e-13]), last_tiny, mid_negative):
+            with pytest.raises(NotSPD):
+                factor(np.array(m))
+        # Just above the tolerance is accepted.
+        assert factor(np.diag([1.0, 1.0, 2e-12]))[2, 2] ** 2 > PIVOT_TOL
 
 
 def test_cholesky_layout_and_agreement_with_numpy():

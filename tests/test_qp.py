@@ -270,14 +270,14 @@ def _nc64_shaped_prox():
 
 
 def test_memo_reuse_is_bitwise_neutral():
-    """ProxSolver's kept face factor moves no prox step beyond roundoff.
+    """ProxSolver's kept face factor moves no prox step by a single bit.
 
     Extragradient-style steps with periodic kicks make the working set
     both repeat and change often.  The reference is the same
     warm-started dual solver with a face factor that is never kept, so
-    every face it reads is refactored.  A kept factor was grown by
-    bordering, which rounds differently from a refactorization: each
-    step agrees to 1e-12 and each working set as a set, not bit for bit.
+    every face it reads is factored afresh.  A face factor is a pure
+    function of the working set, so each step and each working set agree
+    bit for bit.
     """
 
     class Forgetful(_DualQP):
@@ -297,8 +297,8 @@ def test_memo_reuse_is_bitwise_neutral():
         v = x if n % 2 == 0 else y
         ref, working = forgetful.solve(prox_qp(f, v, x, lam)[1], working)
         y = solver.step(f, v, x, lam, feasible)
-        assert np.abs(y - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max()), f"step {n}"
-        assert set(solver._working) == set(working), f"step {n}"
+        assert y.tobytes() == ref.tobytes(), f"step {n}"
+        assert solver._working == working, f"step {n}"
         faces.append(working)
         if n % 2 == 1:
             x = y + (rng.normal(scale=0.1, size=d) if n % 6 == 5 else 0.0)
@@ -306,26 +306,23 @@ def test_memo_reuse_is_bitwise_neutral():
     assert 30 <= changes <= len(faces) - 30
 
 
-def test_bordered_face_is_the_refactored_face():
-    """Every face grown by a full step is the face built by `face()`, to 1e-12.
+def test_every_face_factor_is_the_checked_gram_factor():
+    """Every face factor the solver reads is ``cholesky_spd(A_W M^-1 A_W^T)``, to 1e-12.
 
-    The grown ``A_W`` is the working rows in entry order, bit for bit;
-    ``K`` is ``M^-1 A_W^T`` and the grown Gram factor is
-    ``cholesky_spd(A_W K)`` to 1e-12 relative to the largest entry.
+    The solver factors ``G[W, W]`` of the Gram matrix it formed once; the
+    reference forms ``M^-1 A_W^T`` for the face alone and goes through the
+    checked factorization.  Relative to the largest entry.
     """
-    grown = []
+    read = []
 
     class Checked(_DualQP):
-        def _border(self, working, face, p, minv_a, l, pivot):
-            working = super()._border(working, face, p, minv_a, l, pivot)
-            AW, K, Lg = self._face
-            assert AW.tobytes() == self.A[working].tobytes()
-            K_ref = solve_with_factor(self.L, AW.T)
-            assert np.abs(K - K_ref).max() <= 1e-12 * np.abs(K_ref).max()
-            Lg_ref = cholesky_spd(AW @ K_ref)
-            assert np.abs(Lg - Lg_ref).max() <= 1e-12 * np.abs(Lg_ref).max()
-            grown.append(len(working))
-            return working
+        def face(self, working):
+            Lg = super().face(working)
+            AW = self.A[list(working)]
+            ref = cholesky_spd(AW @ solve_with_factor(self.L, AW.T))
+            assert np.abs(Lg - ref).max() <= 1e-12 * np.abs(ref).max()
+            read.append(tuple(working))
+            return Lg
 
     f, feasible, lam, L, rng = _nc64_shaped_prox()
     d = f.dim
@@ -338,7 +335,8 @@ def test_bordered_face_is_the_refactored_face():
         y, working = qp.solve(prox_qp(f, v, x, lam)[1], working)
         if n % 2 == 1:
             x = y + (rng.normal(scale=0.1, size=d) if n % 6 == 5 else 0.0)
-    assert len(grown) >= 40 and max(grown) >= 20
+    faces = set(read)
+    assert len(faces) >= 40 and max(map(len, faces)) >= 20
 
 
 def test_prox_step_first_iterate_vs_oracle():
@@ -503,10 +501,10 @@ def test_ill_conditioned_cycling_and_oracle_gap_do_not_grow():
     number, out of 300 cases: ``CyclingDetected``, and answers farther
     than 1e-6 relative from the enumeration oracle (cases where the oracle
     finds no point are not counted).  The bounds are the counts of the
-    refactoring solver with the Python Cholesky loop that preceded the
-    LAPACK factor and the bordered face.  Any other exception fails.
+    solver that factors every face from the Gram matrix of its precomputed
+    dual coordinates.  Any other exception fails.
     """
-    bounds = {1e8: (136, 0), 1e10: (174, 26)}
+    bounds = {1e8: (90, 0), 1e10: (141, 18)}
     for cond, (max_cycling, max_off) in bounds.items():
         rng = np.random.default_rng(2024)
         cycling = off = cases = 0

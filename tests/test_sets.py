@@ -190,7 +190,7 @@ def test_two_halfspace_kernel_fuzz_vs_enumeration_oracle():
     whose Gram systems are that ill-conditioned.  No exception but
     :class:`EmptyIntersection` may escape the kernel.  The cold polyhedron
     QP (a fresh :class:`qp.CutProjector`) on the same nonempty nearly
-    anti-parallel pairs raises :class:`qp.CyclingDetected` on 15 of them;
+    anti-parallel pairs raises :class:`qp.CyclingDetected` on 9 of them;
     that count may not grow.  It never cycles on the general pairs.
     """
     rng = np.random.default_rng(31)
@@ -219,7 +219,7 @@ def test_two_halfspace_kernel_fuzz_vs_enumeration_oracle():
         except CyclingDetected:
             assert near, n
             cycling += 1
-    assert cycling <= 15, f"{cycling}/600 nearly anti-parallel pairs cycled"
+    assert cycling <= 9, f"{cycling}/600 nearly anti-parallel pairs cycled"
 
 
 def test_polyhedron_projection_of_origin():
@@ -298,3 +298,12 @@ def test_set_from_dict_rejects_unknown_type():
     for kind in ("cone", "two_halfspaces"):
         with pytest.raises(UnknownSetType):
             set_from_dict({"type": kind, "dim": 2})
+    # A key the kind does not have is not ignored.
+    for bad in (
+        {"type": "whole_space", "dim": 2, "b": 1.0},
+        {"type": "halfspace", "a": [1.0, 0.0], "b": 1.0, "dim": 2},
+        {"type": "box", "lo": [0.0], "hi": [1.0], "hi_typo": [2.0]},
+        {"type": "polyhedron", "halfspaces": [], "lo": [0.0]},
+    ):
+        with pytest.raises(TypeError, match="unknown key"):
+            set_from_dict(bad)
