@@ -104,7 +104,7 @@ def gram_factor(a: np.ndarray) -> np.ndarray:
         raise NotSPD(f"leading minor of order {info} is not positive definite")
     lower = upper.T
     diag = lower.diagonal()
-    j = int(np.argmin(diag))
+    j = int(diag.argmin())
     if diag[j] * diag[j] <= PIVOT_TOL:
         raise NotSPD(f"pivot {diag[j] * diag[j]:.3e} at column {j}")
     return lower

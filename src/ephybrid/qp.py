@@ -21,9 +21,11 @@ same, so the factor of ``M`` and the set's prepared rows do too; most
 of the time so does the working set, and only ``c`` changes.  So
 :class:`ProxSolver` keeps one :class:`_DualQP` per run.  It forms the
 dual coordinates ``K = M^-1 A^T`` and their Gram matrix ``G = A K``
-once, factors every face from a block of ``G`` and keeps the last face
-factor.  A face factor is a pure function of its working set, so a kept
-one is bit for bit a fresh one; repeated runs are byte-identical.
+once.  A working set ``W`` is gathered once into one face entry
+``(idx, Lg, K_W)``: its row indices, the factor of ``G[W, W]`` and the
+columns ``K[:, W]``; every active-set step reads from it, and the last
+entry is kept.  An entry is a pure function of its working set, so a
+kept one is bit for bit a fresh one; repeated runs are byte-identical.
 
 :class:`CutProjector` is the one identity-metric projection.  The hybrid
 solver keeps one per run next to its :class:`ProxSolver`: the feasible
@@ -271,10 +273,13 @@ class _DualQP:
     ``rows`` is a prepared ``(A, b, feas_tol)`` triple (:func:`_unit_rows`).
     Both are fixed for the object's life, so the dual coordinates are
     formed once: ``K = M^-1 A^T`` (``A^T`` itself for ``M = I``) and the
-    Gram matrix ``G = A K``.  The face factor of a working set ``W`` is
-    :func:`linalg.gram_factor` of ``G[W, W]``, a pure function of ``W``;
-    the last one is kept, since the working set rarely changes between
-    solves.
+    Gram matrix ``G = A K``.  The face entry of a working set ``W`` is
+    ``(idx, Lg, K_W)``: ``idx`` the rows of ``W`` as an index array,
+    ``Lg`` :func:`linalg.gram_factor` of ``G[W, W]`` and ``K_W = K[:, W]``.
+    It is a pure function of ``W``, gathered once per face, and the last
+    one is kept, since the working set rarely changes between solves.
+    ``K_W`` keeps ``K``'s Fortran order: a C-ordered copy holds the same
+    numbers, but BLAS rounds ``K_W @ u`` differently on it.
     """
 
     def __init__(self, L: np.ndarray | None, rows):
@@ -284,11 +289,12 @@ class _DualQP:
         self.G = self.A @ self.K
         self._face_key = self._face = None
 
-    def face(self, working) -> np.ndarray:
-        """Cholesky factor of ``G[W, W]`` for ``W = working``; raises :class:`NotSPD`."""
+    def face(self, working) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The face entry ``(idx, Lg, K_W)`` of ``W = working``; raises :class:`NotSPD`."""
         key = tuple(working)
         if key != self._face_key:
-            self._face = gram_factor(self.G[np.ix_(key, key)])
+            idx = np.array(key, dtype=np.intp)
+            self._face = (idx, gram_factor(self.G.take(idx, 0).take(idx, 1)), self.K[:, idx])
             self._face_key = key
         return self._face
 
@@ -317,12 +323,13 @@ class _DualQP:
             """Minimizer on the face of ``working`` and its multipliers."""
             if not working:
                 return -minv_c, np.zeros(0)
-            u = solve_with_factor(self.face(working), rhs[working])
-            return -(minv_c + K[:, working] @ u), u
+            idx, Lg, K_W = self.face(working)
+            u = solve_with_factor(Lg, rhs.take(idx))
+            return -(minv_c + K_W @ u), u
 
         # Warm start: the given working set, less the rows whose multiplier
         # on its face is negative (the face minimizer is then dual feasible).
-        working = list(dict.fromkeys(i for i in working if 0 <= i < m))
+        working = [i for i in dict.fromkeys(working) if 0 <= i < m]
         while True:
             try:
                 y, u = on_face(working)
@@ -339,14 +346,14 @@ class _DualQP:
         for _ in range(cap):
             if p is None:
                 s = A @ y - b
-                p = int(np.argmax(s))
+                p = int(s.argmax())
                 if s[p] <= self.feas_tol:
                     break
             # r = Lg^-T l is how fast the working multipliers fall per unit
             # of p's; l.l is the part of p's curvature the working rows take.
             if working:
-                Lg = self.face(working)
-                l = triangular_solve(Lg, G[working, p])
+                idx, Lg, K_W = self.face(working)
+                l = triangular_solve(Lg, G[idx, p])
                 r = triangular_solve(Lg, l, transpose=True)
             else:
                 l = r = np.zeros(0)
@@ -360,11 +367,7 @@ class _DualQP:
             if curvature > max(1e-12 * a_minv_a, PIVOT_TOL):
                 full = (float(A[p] @ y) - b[p]) / curvature
             # Partial step: the first working multiplier to reach zero.
-            partial, block = np.inf, None
-            for k in np.flatnonzero(r > 0.0):
-                t = max(float(u[k]), 0.0) / r[k]
-                if t < partial:
-                    partial, block = t, int(k)
+            partial, block = _blocking_row(u, r)
             if full != np.inf and full <= partial:
                 working.append(p)
                 y, u = on_face(working)
@@ -372,12 +375,28 @@ class _DualQP:
                 continue
             if block is None:
                 raise InfeasibleSet("no point satisfies all constraints")
-            y = y + partial * (K[:, working] @ r - K[:, p])
+            y = y + partial * (K_W @ r - K[:, p])
             u = np.delete(u - partial * r, block)
             del working[block]
         else:
             raise CyclingDetected(f"active set did not settle within {cap} iterations")
         return y, tuple(working)
+
+
+def _blocking_row(u: np.ndarray, r: np.ndarray) -> tuple[float, int | None]:
+    """Ratio test: the least ``max(u_k, 0) / r_k`` over ``r_k > 0`` and its index ``k``.
+
+    The lowest index wins a tie.  A NaN or infinite ratio never blocks;
+    ``(inf, None)`` when no ratio is finite.
+    """
+    rising = (r > 0.0).nonzero()[0]
+    if rising.size:
+        ratios = np.maximum(u[rising], 0.0) / r[rising]
+        ratios[np.isnan(ratios)] = np.inf
+        k = int(ratios.argmin())
+        if ratios[k] < np.inf:
+            return ratios[k], int(rising[k])
+    return np.inf, None
 
 
 def _drop_redundant_parallel(A: np.ndarray, b: np.ndarray, new: int) -> np.ndarray:

@@ -64,10 +64,17 @@ def halfspace_rows(feasible):
 def enumeration_qp(M, c, A, b, feas_tol=1e-9):
     """Minimize 0.5 y^T M y + <c, y> s.t. A y <= b by KKT enumeration.
 
-    Tries every subset of constraints as the active set, solves the
-    equality KKT system, and keeps the feasible point with nonnegative
-    multipliers (unique by strict convexity).  Returns None when no
-    subset yields a feasible KKT point (empty feasible set).
+    Tries every subset of linearly independent constraints as the active
+    set, solves the equality KKT system, and keeps the feasible point with
+    nonnegative multipliers (unique by strict convexity).  A subset of
+    dependent rows (rank below its size, by ``numpy.linalg.matrix_rank``)
+    is skipped: its KKT system is singular, and a solve of it can return
+    points of size ~1e16 from roundoff instead of failing.  No answer is
+    lost: by Caratheodory the minimizer's multipliers can always be
+    carried by independent active rows.  ``feas_tol`` is an
+    absolute band on ``A y - b``; callers whose answers may lie far out
+    scale it themselves.  Returns None when no subset yields a feasible
+    KKT point (empty feasible set).
     """
     d = M.shape[0]
     m = A.shape[0]
@@ -75,6 +82,8 @@ def enumeration_qp(M, c, A, b, feas_tol=1e-9):
     for r in range(0, min(m, d) + 1):
         for subset in itertools.combinations(range(m), r):
             S = A[list(subset)]
+            if r and np.linalg.matrix_rank(S) < r:
+                continue
             if r:
                 K = np.block([[M, S.T], [S, np.zeros((r, r))]])
                 rhs = np.concatenate([-c, b[list(subset)]])

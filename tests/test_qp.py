@@ -3,13 +3,23 @@ import itertools
 import numpy as np
 import pytest
 
-from ephybrid.linalg import DimensionMismatch, NotSPD, cholesky_spd, solve_with_factor, spectral_norm
+from ephybrid import hybrid
+from ephybrid.experiments import table1_config
+from ephybrid.linalg import (
+    DimensionMismatch,
+    NotSPD,
+    cholesky_spd,
+    gram_factor,
+    solve_with_factor,
+    spectral_norm,
+)
 from ephybrid.problems import AffineOperator, QuadraticBifunction, vip_as_bifunction
 from ephybrid.qp import (
     CyclingDetected,
     NonPositiveLambda,
     ProxSolver,
     _DualQP,
+    _blocking_row,
     _drop_redundant_parallel,
     _prepared_rows,
     constraint_rows,
@@ -270,14 +280,14 @@ def _nc64_shaped_prox():
 
 
 def test_memo_reuse_is_bitwise_neutral():
-    """ProxSolver's kept face factor moves no prox step by a single bit.
+    """ProxSolver's kept face entry moves no prox step by a single bit.
 
     Extragradient-style steps with periodic kicks make the working set
     both repeat and change often.  The reference is the same
-    warm-started dual solver with a face factor that is never kept, so
-    every face it reads is factored afresh.  A face factor is a pure
-    function of the working set, so each step and each working set agree
-    bit for bit.
+    warm-started dual solver with a face entry ``(idx, Lg, K_W)`` that is
+    never kept, so every face it reads is gathered and factored afresh.
+    An entry is a pure function of the working set, so each step, each
+    working set and the last entry each solver read agree bit for bit.
     """
 
     class Forgetful(_DualQP):
@@ -299,6 +309,9 @@ def test_memo_reuse_is_bitwise_neutral():
         y = solver.step(f, v, x, lam, feasible)
         assert y.tobytes() == ref.tobytes(), f"step {n}"
         assert solver._working == working, f"step {n}"
+        if working:
+            kept, fresh = solver._qp._face, forgetful._face
+            assert [a.tobytes() for a in kept] == [a.tobytes() for a in fresh], f"step {n}"
         faces.append(working)
         if n % 2 == 1:
             x = y + (rng.normal(scale=0.1, size=d) if n % 6 == 5 else 0.0)
@@ -306,27 +319,54 @@ def test_memo_reuse_is_bitwise_neutral():
     assert 30 <= changes <= len(faces) - 30
 
 
-def test_every_face_factor_is_the_checked_gram_factor():
-    """Every face factor the solver reads is ``cholesky_spd(A_W M^-1 A_W^T)``, to 1e-12.
+def assert_fresh_entry(qp, working, entry):
+    """``entry`` is byte for byte a fresh gather of ``working``'s face, in the same layout.
 
-    The solver factors ``G[W, W]`` of the Gram matrix it formed once; the
-    reference forms ``M^-1 A_W^T`` for the face alone and goes through the
-    checked factorization.  Relative to the largest entry.
+    ``K_W`` must also have the contiguity flags of ``K[:, list(W)]``: BLAS
+    rounds ``K_W @ u`` by the operand's layout, so a C-ordered copy of a
+    Fortran-ordered ``K`` would move every digit that depends on it.
+    """
+    W = list(working)
+    idx, Lg, K_W = entry
+    assert idx.dtype == np.intp and idx.tolist() == W
+    fresh_Lg = gram_factor(qp.G[np.ix_(W, W)])
+    fresh_K_W = qp.K[:, W]
+    for got, ref in ((Lg, fresh_Lg), (K_W, fresh_K_W)):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        assert (got.flags.c_contiguous, got.flags.f_contiguous) == (
+            ref.flags.c_contiguous,
+            ref.flags.f_contiguous,
+        )
+
+
+def test_every_face_factor_is_the_checked_gram_factor():
+    """Every face entry the solver reads holds ``cholesky_spd(A_W M^-1 A_W^T)`` and ``M^-1 A_W^T``, to 1e-12.
+
+    The solver gathers ``G[W, W]`` and ``K[:, W]`` from the dual
+    coordinates it formed once; the reference forms ``M^-1 A_W^T`` for the
+    face alone and goes through the checked factorization.  Relative to
+    the largest entry.  Each entry, kept or new, is also byte for byte a
+    fresh gather (:func:`assert_fresh_entry`); ``K`` is Fortran-ordered
+    here, as LAPACK returns it.
     """
     read = []
 
     class Checked(_DualQP):
         def face(self, working):
-            Lg = super().face(working)
+            idx, Lg, K_W = entry = super().face(working)
+            assert_fresh_entry(self, working, entry)
             AW = self.A[list(working)]
-            ref = cholesky_spd(AW @ solve_with_factor(self.L, AW.T))
+            minv_at = solve_with_factor(self.L, AW.T)
+            ref = cholesky_spd(AW @ minv_at)
             assert np.abs(Lg - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert np.abs(K_W - minv_at).max() <= 1e-12 * np.abs(minv_at).max()
             read.append(tuple(working))
-            return Lg
+            return entry
 
     f, feasible, lam, L, rng = _nc64_shaped_prox()
     d = f.dim
     qp = Checked(L, _prepared_rows(feasible))
+    assert qp.K.flags.f_contiguous and not qp.K.flags.c_contiguous
     working = ()
     x = rng.normal(0.5, 1.0, d)
     y = x
@@ -336,7 +376,65 @@ def test_every_face_factor_is_the_checked_gram_factor():
         if n % 2 == 1:
             x = y + (rng.normal(scale=0.1, size=d) if n % 6 == 5 else 0.0)
     faces = set(read)
-    assert len(faces) >= 40 and max(map(len, faces)) >= 20
+    assert len(faces) >= 40 and max(map(len, faces)) >= 20 and len(read) > len(faces)
+
+
+def test_face_entry_is_a_fresh_gather_on_the_table1_prox(monkeypatch):
+    """Every face entry table1's prox solver reads over its first start is a fresh gather.
+
+    The whole run of start (1, 3, 1) to its stopping rule: 1518 prox steps
+    on example 1's set, whose dual coordinates are also Fortran-ordered.
+    """
+    read = []
+    face = _DualQP.face
+
+    def checked(self, working):
+        entry = face(self, working)
+        assert_fresh_entry(self, working, entry)
+        read.append(tuple(working))
+        return entry
+
+    monkeypatch.setattr(_DualQP, "face", checked)
+    config = table1_config()
+    report = hybrid.solve(
+        config.bundle, config.params_for(config.schedules[0]), config.stopping, config.starts[0]
+    )
+    assert report.iterations == 1518
+    faces = set(read)
+    assert len(read) >= 1518 and len(faces) >= 10 and max(map(len, faces)) >= 2
+
+
+def test_blocking_row_is_the_first_least_ratio():
+    """The vectorized ratio test picks what a scan in index order picks.
+
+    The scan keeps a ratio only when it is strictly below the best so far,
+    so the lowest index wins a tie and a NaN or infinite ratio never
+    blocks.  Multipliers are drawn from a few values, with NaN, inf and
+    signed zeros among them, so ties and non-finite ratios are common.
+    """
+
+    def scan(u, r):
+        partial, block = np.inf, None
+        for k in np.flatnonzero(r > 0.0):
+            t = max(float(u[k]), 0.0) / r[k]
+            if t < partial:
+                partial, block = t, int(k)
+        return partial, block
+
+    rng = np.random.default_rng(71)
+    values = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, np.inf, np.nan])
+    blocked = 0
+    for _ in range(2000):
+        n = int(rng.integers(0, 7))
+        u = rng.choice(values, size=n)
+        r = rng.choice(np.array([-1.0, 0.0, 0.25, 0.5, 1.0]), size=n)
+        partial, block = _blocking_row(u, r)
+        ref_partial, ref_block = scan(u, r)
+        assert block == ref_block and partial == ref_partial, (u, r)
+        blocked += block is not None
+    assert 500 <= blocked <= 1900
+    assert _blocking_row(np.array([1.0, np.nan, 0.5]), np.array([2.0, 1.0, 1.0])) == (0.5, 0)
+    assert _blocking_row(np.array([np.nan]), np.array([1.0])) == (np.inf, None)
 
 
 def test_prox_step_first_iterate_vs_oracle():

@@ -222,6 +222,28 @@ def test_two_halfspace_kernel_fuzz_vs_enumeration_oracle():
     assert cycling <= 9, f"{cycling}/600 nearly anti-parallel pairs cycled"
 
 
+def test_enumeration_oracle_finds_no_point_in_an_anti_parallel_empty_slab():
+    """300 seeded exactly anti-parallel pairs ``a2 = -s a1`` bounding an empty slab, d in [2, 4].
+
+    The pair's KKT system is singular; a solve of it returned points of
+    size ~1e16 on 4 of these 300 before the oracle skipped dependent
+    active rows.  The oracle keeps its default absolute band (1e-9).  The
+    closed form finds every slab empty too.
+    """
+    rng = np.random.default_rng(5)
+    for n in range(300):
+        d = int(rng.integers(2, 5))
+        a1 = rng.normal(size=d)
+        s = rng.uniform(0.5, 2.0)
+        b1 = rng.normal()
+        # a1.y <= b1 and -s a1.y <= b2, i.e. a1.y >= b1 + gap.
+        b2 = -s * (b1 + rng.uniform(0.1, 1.0))
+        x = rng.normal(scale=2.0, size=d)
+        assert enumeration_qp(np.eye(d), -x, np.array([a1, -s * a1]), np.array([b1, b2])) is None, n
+        with pytest.raises(EmptyIntersection):
+            project_two_halfspaces(x, (a1, b1), (-s * a1, b2))
+
+
 def test_polyhedron_projection_of_origin():
     got = SIMPLEX_CAP.project([0.0, 0.0, 0.0])
     assert np.allclose(got, [1.0 / 3.0] * 3, atol=1e-10)
