@@ -159,11 +159,11 @@ class CutProjector:
 
     The hybrid solver's cut rows are new every iteration, but the feasible
     set's rows are not, and the working set seldom changes much.  So the
-    projector keeps the set's prepared rows, keyed on the set by identity
-    (``None`` for none), and the last working set, each row labelled by its
-    origin: a cut by its slot in the list of cuts (a ``None`` slot adds no
-    row but keeps its place), the set's prepared row ``i`` by
-    ``-1 - i``.  Each call stacks the unit cut rows over the set's rows and
+    projector keeps the set's prepared rows and their norms, keyed on the
+    set by identity (``None`` for none), and the last working set, each row
+    labelled by its origin: a cut by its slot in the list of cuts (a
+    ``None`` slot adds no row but keeps its place), the set's prepared row
+    ``i`` by ``-1 - i``.  Each call stacks the unit cut rows over the set's rows and
     deduplicates only the cut rows (:func:`_unit_rows`), maps the labels onto
     the stacked rows, skipping those whose row was dropped or is absent, and
     seeds the dual method with the rest; for ``M = I`` the dual coordinates
@@ -174,7 +174,7 @@ class CutProjector:
     """
 
     def __init__(self):
-        self._set = self._set_rows = self._set_labels = None
+        self._set = self._set_rows = self._set_norms = self._set_labels = None
         self._working = ()
 
     def project(self, x0: np.ndarray, cuts, feasible: ConvexSet | None) -> np.ndarray:
@@ -186,6 +186,7 @@ class CutProjector:
         """
         if self._set_labels is None or feasible is not self._set:
             self._set_rows = None if feasible is None else _prepared_rows(feasible)
+            self._set_norms = None if feasible is None else _row_norms(self._set_rows[0])
             m = 0 if feasible is None else self._set_rows[0].shape[0]
             self._set_labels = list(range(-1, -1 - m, -1))
             self._set = feasible
@@ -194,7 +195,7 @@ class CutProjector:
         if slots:
             A = np.array([cuts[s][0] for s in slots])
             b = np.array([cuts[s][1] for s in slots])
-            rows, keep = _unit_rows(A, b, rows)
+            rows, keep = _unit_rows(A, b, rows, self._set_norms)
             labels = [label for label, k in zip(slots + labels, keep.tolist()) if k]
         where = {label: i for i, label in enumerate(labels)}
         warm = [where[label] for label in self._working if label in where]
@@ -241,27 +242,35 @@ def _prepared_rows(feasible: ConvexSet) -> tuple[np.ndarray, np.ndarray, float]:
     return cached
 
 
-def _unit_rows(A: np.ndarray, b: np.ndarray, below=None):
+def _unit_rows(A: np.ndarray, b: np.ndarray, below=None, below_norms=None):
     """Rows ``A y <= b`` at unit length, deduplicated, and the keep mask.
 
     Returns the prepared triple ``(A, b, feas_tol)`` and the mask of the
     stacked rows it kept.  Unit-length rows make violations geometric
     distances, so one tolerance scale serves constraints of wildly
     different norms.  ``below`` is a prepared triple of rows to stack
-    under these before the deduplication; its rows are already pairwise
-    non-parallel, so only pairs involving one of the new rows are compared.
+    under these before the deduplication, and ``below_norms`` its
+    :func:`_row_norms`; its rows are already pairwise non-parallel, so
+    only pairs involving one of the new rows are compared.
     """
     new = A.shape[0]
-    norms = np.linalg.norm(A, axis=1)
+    norms = _row_norms(A)
     A = A / norms[:, None]
     b = b / norms
+    norms = _row_norms(A)
     if below is not None:
         A = np.vstack([A, below[0]])
         b = np.concatenate([b, below[1]])
-    keep = _drop_redundant_parallel(A, b, new)
+        norms = np.concatenate([norms, below_norms])
+    keep = _drop_redundant_parallel(A, b, new, norms)
     if not keep.all():
         A, b = A[keep], b[keep]
     return (A, b, 1e-9 * (1.0 + float(np.abs(b).max(initial=0.0)))), keep
+
+
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(A, axis=1)`` by numpy's own formula, bit for bit, without its dispatch."""
+    return np.sqrt(np.add.reduce(A * A, axis=1))
 
 
 class _DualQP:
@@ -399,7 +408,7 @@ def _blocking_row(u: np.ndarray, r: np.ndarray) -> tuple[float, int | None]:
     return np.inf, None
 
 
-def _drop_redundant_parallel(A: np.ndarray, b: np.ndarray, new: int) -> np.ndarray:
+def _drop_redundant_parallel(A: np.ndarray, b: np.ndarray, new: int, norms: np.ndarray):
     """Keep mask of the rows not made redundant by a (nearly) parallel tighter row.
 
     Split cuts converge toward the same bisector as a run progresses,
@@ -409,12 +418,12 @@ def _drop_redundant_parallel(A: np.ndarray, b: np.ndarray, new: int) -> np.ndarr
     with all rows: the rows after them must be pairwise non-parallel
     already.  Pairs are visited greedily, lowest index first; of a
     parallel pair the tighter offset stays, the later row on a tie
-    goes, and a row that goes compares with nothing further.
+    goes, and a row that goes compares with nothing further.  ``norms``
+    holds the rows' :func:`_row_norms`.
     """
     keep = np.ones(A.shape[0], dtype=bool)
     if new == 0:
         return keep
-    norms = np.linalg.norm(A, axis=1)
     first, second = np.nonzero((A[:new] @ A.T) / (norms[:new, None] * norms) >= 1.0 - 1e-12)
     pairs = second > first
     if not pairs.any():

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, astuple, dataclass, fields
 
-from .hybrid import IterationRecord, RunReport
+from .hybrid import RunReport
 
 
 @dataclass(frozen=True)
@@ -39,41 +40,49 @@ def format_point(values) -> str:
 
 
 def trace_to_csv(report: RunReport, path) -> None:
-    """Write the per-iteration trace of one run.
+    """Write the per-iteration trace of one run, one row at a time.
 
     Columns: n, residual_w, epsilon, dist_to_target, alpha_n, then the
-    iterate components x1..xd.
+    iterate components x1..xd.  The bytes are those of ``csv.writer``:
+    no cell needs quoting, ``None`` is an empty cell and lines end in
+    ``\\r\\n``.
     """
     dim = len(report.final_x)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["n", "residual_w", "epsilon", "dist_to_target", "alpha_n"]
-            + [f"x{i + 1}" for i in range(dim)]
-        )
+        fh.write(",".join(["n", "residual_w", "epsilon", "dist_to_target", "alpha_n"]
+                          + [f"x{i + 1}" for i in range(dim)]) + "\r\n")
         for rec in report.trace:
-            writer.writerow(
-                [rec.n, _cell(rec.residual_w), _cell(rec.epsilon), _cell(rec.dist_to_target),
-                 _cell(rec.alpha)]
-                + [_cell(v) for v in rec.x_next]
-            )
-
-
-def report_to_dict(report: RunReport) -> dict:
-    """JSON-ready form of a run report, trace included."""
-    return {
-        "iterations": report.iterations,
-        "final_x": [float(v) for v in report.final_x],
-        "elapsed_s": report.elapsed_s,
-        "stop_reason": report.stop_reason,
-        "trace": [_record_to_dict(rec) for rec in report.trace],
-    }
+            fh.write("%d,%s,%s,%s,%s,%s\r\n" % (
+                rec.n, _cell(rec.residual_w), _cell(rec.epsilon), _cell(rec.dist_to_target),
+                _cell(rec.alpha), ",".join(map(repr, rec.x_next.tolist())),
+            ))
 
 
 def write_report_json(report: RunReport, path) -> None:
+    """Write one run, trace included, a record at a time.
+
+    The bytes are those of ``json.dump(..., indent=1)`` of the run as a
+    dict (``iterations``, ``final_x``, ``elapsed_s``, ``stop_reason``,
+    ``trace``; a record holds ``n``, ``residual_w``, ``epsilon``,
+    ``dist_to_target``, ``alpha``, ``x``, ``y``, ``z``, ``w``) plus a
+    final newline, without holding the whole text.
+    """
     with open(path, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=1)
-        fh.write("\n")
+        fh.write(_HEAD % (report.iterations, _json_vector(report.final_x, _TOP_VECTOR),
+                          _json_scalar(report.elapsed_s), json.dumps(report.stop_reason)))
+        sep = "[\n"
+        for rec in report.trace:
+            y, z, w = rec.y_next, rec.z_next, rec.w_next
+            y_text = _json_vector(y, _RECORD_VECTOR)
+            z_text = y_text if z is y else _json_vector(z, _RECORD_VECTOR)
+            w_text = y_text if w is y else z_text if w is z else _json_vector(w, _RECORD_VECTOR)
+            fh.write(sep + _RECORD % (
+                rec.n, _json_scalar(rec.residual_w), _json_scalar(rec.epsilon),
+                _json_scalar(rec.dist_to_target), _json_scalar(rec.alpha),
+                _json_vector(rec.x_next, _RECORD_VECTOR), y_text, z_text, w_text,
+            ))
+            sep = ",\n"
+        fh.write("\n ]\n}\n" if report.trace else "[]\n}\n")
 
 
 def emit_reports(rows, fmt: str, path) -> None:
@@ -105,20 +114,6 @@ def rows_from_json(path) -> list[ReportRow]:
     return [ReportRow(**item) for item in payload]
 
 
-def _record_to_dict(rec: IterationRecord) -> dict:
-    return {
-        "n": rec.n,
-        "residual_w": rec.residual_w,
-        "epsilon": rec.epsilon,
-        "dist_to_target": rec.dist_to_target,
-        "alpha": rec.alpha,
-        "x": [float(v) for v in rec.x_next],
-        "y": [float(v) for v in rec.y_next],
-        "z": [float(v) for v in rec.z_next],
-        "w": [float(v) for v in rec.w_next],
-    }
-
-
 def _summary_cell(value):
     """A summary CSV cell: points as :func:`format_point`, seconds at 7 decimals."""
     if isinstance(value, tuple):
@@ -128,3 +123,35 @@ def _summary_cell(value):
 
 def _cell(value) -> str:
     return "" if value is None else repr(float(value))
+
+
+# The run JSON at ``indent=1``: the top dict up to its ``trace`` list, and
+# a record, which sits in that list, so its keys are indented 3 and its
+# vectors' entries 4.
+_HEAD = '{\n "iterations": %d,\n "final_x": %s,\n "elapsed_s": %s,\n "stop_reason": %s,\n "trace": '
+_RECORD = (
+    '  {\n   "n": %d,\n   "residual_w": %s,\n   "epsilon": %s,\n   "dist_to_target": %s,\n'
+    '   "alpha": %s,\n   "x": %s,\n   "y": %s,\n   "z": %s,\n   "w": %s\n  }'
+)
+# (opening, separator, closing) of a non-empty list whose entries sit at an indent.
+_TOP_VECTOR = ("[\n  ", ",\n  ", "\n ]")
+_RECORD_VECTOR = ("[\n    ", ",\n    ", "\n   ]")
+
+
+def _json_scalar(value) -> str:
+    """``json.dumps`` of a record scalar; a finite float is its ``repr``, as json writes it."""
+    if type(value) is float and math.isfinite(value):
+        return repr(value)
+    return json.dumps(value)
+
+
+def _json_vector(values, layout) -> str:
+    """A float vector as ``json.dump(indent=1)`` lays it out at ``layout``'s indent."""
+    values = values.tolist()
+    if not values:
+        return "[]"
+    opening, sep, closing = layout
+    # A finite sum proves every entry finite (see ``linalg.all_finite``).
+    if math.isfinite(sum(values)):
+        return opening + sep.join(map(repr, values)) + closing
+    return opening + sep.join(map(_json_scalar, values)) + closing

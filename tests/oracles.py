@@ -1,11 +1,16 @@
-"""Independent brute-force oracles used to cross-check the solvers.
+"""Independent brute-force oracles used to cross-check the solvers and writers.
 
 Everything here is plain numpy with no dependence on the package's
 solution paths: QPs are solved by exhaustive KKT enumeration over
-active subsets (or box sign patterns), norms by power iteration.
+active subsets (or box sign patterns), norms by power iteration.  The
+run JSON and the trace CSV are written by the stdlib's ``json`` and
+``csv`` modules.
 """
 
+import csv
+import io
 import itertools
+import json
 
 import numpy as np
 
@@ -178,3 +183,42 @@ def kkt_report(M, c, A, b, y):
         mu_min = 0.0
     viol = float(np.max(resid)) if resid.size else 0.0
     return stat, mu_min, comp, viol
+
+
+def run_json_bytes(report) -> bytes:
+    """The run JSON of a report as ``json.dump(..., indent=1)`` writes it, plus a newline."""
+    payload = {
+        "iterations": report.iterations,
+        "final_x": [float(v) for v in report.final_x],
+        "elapsed_s": report.elapsed_s,
+        "stop_reason": report.stop_reason,
+        "trace": [
+            {
+                "n": rec.n,
+                "residual_w": rec.residual_w,
+                "epsilon": rec.epsilon,
+                "dist_to_target": rec.dist_to_target,
+                "alpha": rec.alpha,
+                "x": [float(v) for v in rec.x_next],
+                "y": [float(v) for v in rec.y_next],
+                "z": [float(v) for v in rec.z_next],
+                "w": [float(v) for v in rec.w_next],
+            }
+            for rec in report.trace
+        ],
+    }
+    return (json.dumps(payload, indent=1) + "\n").encode()
+
+
+def trace_csv_bytes(report) -> bytes:
+    """The trace CSV of a report as ``csv.writer`` writes it (``None`` is an empty cell)."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    dim = len(report.final_x)
+    writer.writerow(["n", "residual_w", "epsilon", "dist_to_target", "alpha_n"]
+                    + [f"x{i + 1}" for i in range(dim)])
+    for rec in report.trace:
+        scalars = (rec.residual_w, rec.epsilon, rec.dist_to_target, rec.alpha)
+        writer.writerow([rec.n] + [None if v is None else float(v) for v in scalars]
+                        + [float(v) for v in rec.x_next])
+    return buf.getvalue().encode()

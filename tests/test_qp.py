@@ -22,6 +22,7 @@ from ephybrid.qp import (
     _blocking_row,
     _drop_redundant_parallel,
     _prepared_rows,
+    _row_norms,
     constraint_rows,
     prox_step,
     solve_qp_active_set,
@@ -744,6 +745,16 @@ def tilted(e, u, angle, scale):
     return scale * (np.cos(angle) * e + np.sin(angle) * u)
 
 
+def test_row_norms_are_numpys_bit_for_bit():
+    # Widths past 8 reach numpy's blocked pairwise summation.
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 3, 8, 9, 17, 64, 130):
+        A = rng.normal(size=(5, d)) * 10.0 ** rng.integers(-150, 150, (5, 1))
+        assert _row_norms(A).tobytes() == np.linalg.norm(A, axis=1).tobytes()
+        unit = A / _row_norms(A)[:, None]
+        assert _row_norms(unit).tobytes() == np.linalg.norm(unit, axis=1).tobytes()
+
+
 def test_new_row_dedup_is_the_greedy_pass():
     # The parallel threshold 1 - 1e-12 is an angle of about 1.41e-6 rad.
     # Tilts of 0, 3e-7, 1e-6, 2e-6 and 4e-6 in one plane differ pairwise by
@@ -757,7 +768,8 @@ def test_new_row_dedup_is_the_greedy_pass():
         ([0.8, 0.8, 0.8], [True, False, True]),
     ):
         offsets = np.array(offsets)
-        assert _drop_redundant_parallel(chain, offsets, 3).tolist() == expected
+        norms = np.linalg.norm(chain, axis=1)
+        assert _drop_redundant_parallel(chain, offsets, 3, norms).tolist() == expected
         assert greedy_parallel_reference(chain, offsets).tolist() == expected
 
     rng = np.random.default_rng(2029)
@@ -777,7 +789,8 @@ def test_new_row_dedup_is_the_greedy_pass():
                 ties += 1
         A, b = np.array(rows), np.array(offs)
         keep = greedy_parallel_reference(A, b)
-        assert _drop_redundant_parallel(A, b, len(b)).tolist() == keep.tolist(), case
+        norms = np.linalg.norm(A, axis=1)
+        assert _drop_redundant_parallel(A, b, len(b), norms).tolist() == keep.tolist(), case
         # Rows already deduplicated go below a few new rows, as in the cut projection.
         new = int(rng.integers(1, 4))
         cuts = A[rng.integers(0, len(b), new)] * rng.uniform(0.5, 2.0, (new, 1))
@@ -785,6 +798,8 @@ def test_new_row_dedup_is_the_greedy_pass():
         stacked = np.vstack([cuts, A[keep]])
         stacked_b = np.concatenate([cut_offs, b[keep]])
         ref = greedy_parallel_reference(stacked, stacked_b)
-        assert _drop_redundant_parallel(stacked, stacked_b, new).tolist() == ref.tolist(), case
+        assert _drop_redundant_parallel(
+            stacked, stacked_b, new, np.linalg.norm(stacked, axis=1)
+        ).tolist() == ref.tolist(), case
         dropped_below += not ref[new:].all()
     assert dropped_below > 50 and ties > 50
