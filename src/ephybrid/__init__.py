@@ -31,7 +31,6 @@ from .problems import (
     ProblemBundle,
     QuadraticBifunction,
     nash_cournot_constants,
-    validate_conditions,
     vip_as_bifunction,
 )
 from .qp import ProxSolver, prox_step, solve_qp_active_set
@@ -90,7 +89,6 @@ __all__ = [
     "solve_qp_active_set",
     "spectral_norm",
     "trace_to_csv",
-    "validate_conditions",
     "validate_params",
     "vip_as_bifunction",
     "write_report_json",

@@ -163,12 +163,7 @@ def validate_params(
     ``1/(1 - 2*lam*(c1+c2)) < k < inf``, all strict, plus an averaging cap
     in (0, 1).
     """
-    csum = constants.c1 + constants.c2
-    lam_max = 1.0 / (2.0 * csum)
-    # Strict inequalities, read at double precision: values within a
-    # relative 1e-12 of the bound count as violating it.
-    if not (0.0 < lam < lam_max * (1.0 - 1e-12)):
-        raise LambdaOutOfRange(f"need 0 < lam < {lam_max:.6g}, got {lam}")
+    csum = _check_lambda(lam, constants)
     coupling = 2.0 * lam * csum
     k_min = 1.0 / (1.0 - coupling)
     if not k_min * (1.0 + 1e-12) < k < math.inf:
@@ -187,6 +182,17 @@ def validate_params(
         coupling=coupling,
         k_min=k_min,
     )
+
+
+def _check_lambda(lam: float, constants: LipschitzConstants) -> float:
+    """Raise :class:`LambdaOutOfRange` unless ``0 < lam < 1/(2*(c1+c2))``; return ``c1 + c2``."""
+    csum = constants.c1 + constants.c2
+    lam_max = 1.0 / (2.0 * csum)
+    # Strict inequalities, read at double precision: values within a
+    # relative 1e-12 of the bound count as violating it.
+    if not (0.0 < lam < lam_max * (1.0 - 1e-12)):
+        raise LambdaOutOfRange(f"need 0 < lam < {lam_max:.6g}, got {lam}")
+    return csum
 
 
 @dataclass(frozen=True)
@@ -474,9 +480,7 @@ def extragradient_solve(bundle: ProblemBundle, lam: float, stopping: StoppingRul
     the first prox point stops moving (``residual_w`` rule) or on
     distance to a known target.
     """
-    csum = bundle.constants.c1 + bundle.constants.c2
-    if not (0.0 < lam < 1.0 / (2.0 * csum)):
-        raise LambdaOutOfRange(f"need 0 < lam < {1.0 / (2.0 * csum):.6g}, got {lam}")
+    _check_lambda(lam, bundle.constants)
     if stopping.kind == "distance_to_target" and bundle.target is None:
         raise ValueError("distance stopping rule needs a bundle with a known target")
 

@@ -12,8 +12,12 @@ Structural conditions the solvers rely on:
   for the quadratic family is equivalent to ``Q - P`` negative
   semidefinite.
 * Lipschitz-type continuity: ``f(x,y) + f(y,z) >= f(x,z)
-  - c1 |x-y|^2 - c2 |y-z|^2`` with positive constants ``c1, c2``; for
-  the quadratic family ``c1 = c2 = |P - Q| / 2`` (spectral norm).
+  - c1 |x-y|^2 - c2 |y-z|^2`` with positive constants ``c1, c2``.  For
+  the quadratic family ``f(x,y) + f(y,z) - f(x,z) = (x-y)^T (P^T - Q)
+  (y-z)``, so the inequality holds everywhere exactly when
+  ``|P^T - Q| <= 2 sqrt(c1 c2)`` (spectral norm).
+  :class:`ProblemBundle` checks this; ``c1 = c2 = |P^T - Q| / 2``
+  (:func:`nash_cournot_constants`) sits on the bound.
 * Convexity of ``f(x, .)``: ``Q`` positive semidefinite.
 * Weak continuity holds automatically for quadratics and is therefore
   documented rather than tested.
@@ -21,6 +25,7 @@ Structural conditions the solvers rely on:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +42,10 @@ class DegenerateConstants(ValueError):
 
 class NotMonotone(ValueError):
     """Monotonicity requirement is violated."""
+
+
+class ConstantsTooSmall(ValueError):
+    """The constants break the Lipschitz-type inequality: ``|P^T - Q| > 2 sqrt(c1 c2)``."""
 
 
 @dataclass(frozen=True)
@@ -57,13 +66,11 @@ class QuadraticBifunction:
     ``Q`` must be symmetric positive semidefinite (convexity in the
     second argument) and ``Q - P`` negative semidefinite
     (monotonicity).  Both are eigenvalue checks performed at
-    construction; pass ``validate=False`` to skip them when building
-    deliberately broken instances for diagnostics.  ``P``, ``Q`` and
-    ``q`` are kept as read-only copies, so the bifunction never changes
-    after construction.
+    construction.  ``P``, ``Q`` and ``q`` are kept as read-only copies,
+    so the bifunction never changes after construction.
     """
 
-    def __init__(self, P, Q, q, validate: bool = True):
+    def __init__(self, P, Q, q):
         self.P = frozen_copy(as_matrix(P))
         self.Q = frozen_copy(as_matrix(Q))
         self.q = frozen_copy(as_point(q))
@@ -73,16 +80,15 @@ class QuadraticBifunction:
                 f"P {self.P.shape}, Q {self.Q.shape}, q {self.q.shape} must share one order"
             )
         self.dim = n
-        if validate:
-            scale = max(1.0, float(np.abs(self.Q).max()))
-            if float(np.abs(self.Q - self.Q.T).max()) > PSD_TOL * scale:
-                raise ValueError("Q must be symmetric")
-            if eigvals_sym(self.Q).min() < -PSD_TOL * scale:
-                raise ValueError("Q must be positive semidefinite")
-            diff = self.Q - self.P
-            dscale = max(1.0, float(np.abs(diff).max()))
-            if eigvals_sym(diff).max() > PSD_TOL * dscale:
-                raise NotMonotone("Q - P must be negative semidefinite")
+        scale = max(1.0, float(np.abs(self.Q).max()))
+        if float(np.abs(self.Q - self.Q.T).max()) > PSD_TOL * scale:
+            raise ValueError("Q must be symmetric")
+        if eigvals_sym(self.Q).min() < -PSD_TOL * scale:
+            raise ValueError("Q must be positive semidefinite")
+        diff = self.Q - self.P
+        dscale = max(1.0, float(np.abs(diff).max()))
+        if eigvals_sym(diff).max() > PSD_TOL * dscale:
+            raise NotMonotone("Q - P must be negative semidefinite")
 
     def __call__(self, x, y) -> float:
         px = as_point(x)
@@ -98,26 +104,22 @@ class QuadraticBifunction:
 class AffineOperator:
     """Monotone affine operator ``x -> A x + b``."""
 
-    def __init__(self, A, b, validate: bool = True):
+    def __init__(self, A, b):
         self.A = as_matrix(A)
         self.b = as_point(b)
         n = self.A.shape[0]
         if self.A.shape != (n, n) or self.b.shape != (n,):
             raise DimensionMismatch("A must be square and match b")
         self.dim = n
-        if validate:
-            scale = max(1.0, float(np.abs(self.A).max()))
-            if eigvals_sym(self.A).min() < -PSD_TOL * scale:
-                raise NotMonotone("A + A^T must be positive semidefinite")
+        scale = max(1.0, float(np.abs(self.A).max()))
+        if eigvals_sym(self.A).min() < -PSD_TOL * scale:
+            raise NotMonotone("A + A^T must be positive semidefinite")
 
     def __call__(self, x) -> np.ndarray:
         px = as_point(x)
         if px.shape[0] != self.dim:
             raise DimensionMismatch("argument must match the operator dimension")
         return self.A @ px + self.b
-
-    def lipschitz_constant(self) -> float:
-        return spectral_norm(self.A)
 
 
 class IdentityMapping:
@@ -168,7 +170,8 @@ class ProblemBundle:
 
     ``target`` optionally records a known solution, enabling the
     distance-based stopping rule and the per-iteration contraction
-    certificate.
+    certificate.  Construction raises :class:`ConstantsTooSmall` unless
+    ``|P^T - Q| <= 2 sqrt(c1 c2)``, to a relative 1e-12.
     """
 
     def __init__(
@@ -194,17 +197,20 @@ class ProblemBundle:
         if len(dims) != 1:
             raise DimensionMismatch("bundle members have inconsistent dimensions")
         self.dim = dims.pop()
+        norm = _coupling_norm(bifunction.P, bifunction.Q)
+        bound = 2.0 * math.sqrt(constants.c1 * constants.c2)
+        if norm > bound * (1.0 + 1e-12):
+            raise ConstantsTooSmall(f"need |P^T - Q| = {norm:.6g} <= 2 sqrt(c1 c2) = {bound:.6g}")
 
     def __repr__(self):
         return f"ProblemBundle(label={self.label!r}, dim={self.dim})"
 
 
 def nash_cournot_constants(P, Q) -> LipschitzConstants:
-    """Lipschitz-type constants ``c1 = c2 = |P - Q| / 2`` of the quadratic family."""
-    diff = as_matrix(P) - as_matrix(Q)
-    c = spectral_norm(diff) / 2.0
+    """Lipschitz-type constants ``c1 = c2 = |P^T - Q| / 2`` of the quadratic family."""
+    c = _coupling_norm(as_matrix(P), as_matrix(Q)) / 2.0
     if c <= 0.0:
-        raise DegenerateConstants("P == Q gives zero constants")
+        raise DegenerateConstants("P^T == Q gives zero constants")
     return LipschitzConstants(c, c)
 
 
@@ -212,76 +218,16 @@ def vip_as_bifunction(op: AffineOperator) -> tuple[QuadraticBifunction, Lipschit
     """Wrap a variational inequality ``<A(x), y - x> >= 0`` as a bifunction.
 
     Returns the quadratic bifunction with ``P = A``, ``Q = 0``,
-    ``q = b`` together with constants ``c1 = c2 = L / 2`` where ``L``
-    is the Lipschitz constant of the affine map.
+    ``q = b`` together with the constants ``c1 = c2 = |A| / 2`` of
+    :func:`nash_cournot_constants`.
     """
-    L = op.lipschitz_constant()
-    if L <= 0.0:
-        raise DegenerateConstants("constant operator has zero Lipschitz constant")
     f = QuadraticBifunction(op.A, np.zeros_like(op.A), op.b)
-    return f, LipschitzConstants(L / 2.0, L / 2.0)
+    return f, nash_cournot_constants(f.P, f.Q)
 
 
-def validate_conditions(bundle: ProblemBundle, trials: int = 200, seed: int = 0) -> list[str]:
-    """Constructive spot checks of the structural conditions.
-
-    Runs randomized checks of the zero diagonal, monotonicity (via the
-    identity ``f(x,y) + f(y,x) = -(x-y)^T (P-Q) (x-y)``), convexity of
-    ``f(x, .)``, the Lipschitz-type inequality with the stored
-    constants, and nonexpansiveness of the mapping.  Sample points are
-    drawn around the feasible set and projected into it.  Returns the
-    names of violated conditions; an empty list means all checks pass.
-    """
-    f = bundle.bifunction
-    rng = np.random.default_rng(seed)
-    violations = []
-
-    def feasible_sample():
-        return bundle.feasible.project(rng.normal(scale=2.0, size=bundle.dim))
-
-    diff = f.P - f.Q
-    zero_diag_ok = True
-    monotone_ok = True
-    lipschitz_ok = True
-    for _ in range(trials):
-        x = feasible_sample()
-        y = feasible_sample()
-        z = feasible_sample()
-        if abs(f(x, x)) > 1e-12:
-            zero_diag_ok = False
-        s = f(x, y) + f(y, x)
-        if abs(s + (x - y) @ (diff @ (x - y))) > 1e-9 or s > 1e-9:
-            monotone_ok = False
-        lhs = f(x, y) + f(y, z)
-        rhs = (
-            f(x, z)
-            - bundle.constants.c1 * float((x - y) @ (x - y))
-            - bundle.constants.c2 * float((y - z) @ (y - z))
-        )
-        if lhs < rhs - 1e-9:
-            lipschitz_ok = False
-    if not zero_diag_ok:
-        violations.append("zero-diagonal")
-    if not monotone_ok:
-        violations.append("monotone")
-    if not lipschitz_ok:
-        violations.append("lipschitz-type")
-
-    scale = max(1.0, float(np.abs(f.Q).max()))
-    if eigvals_sym(f.Q).min() < -PSD_TOL * scale:
-        violations.append("convex-in-second-argument")
-
-    nonexpansive_ok = True
-    for _ in range(trials):
-        u = rng.normal(scale=2.0, size=bundle.dim)
-        v = rng.normal(scale=2.0, size=bundle.dim)
-        du = bundle.mapping(u) - bundle.mapping(v)
-        if np.linalg.norm(du) > np.linalg.norm(u - v) + 1e-12:
-            nonexpansive_ok = False
-    if not nonexpansive_ok:
-        violations.append("nonexpansive-mapping")
-
-    return violations
+def _coupling_norm(P: np.ndarray, Q: np.ndarray) -> float:
+    """``|P^T - Q|``: ``|f(x,y) + f(y,z) - f(x,z)| <= |P^T - Q| |x-y| |y-z|``."""
+    return spectral_norm(P.T - Q)
 
 
 def eigvals_sym(m: np.ndarray) -> np.ndarray:

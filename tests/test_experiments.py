@@ -26,7 +26,7 @@ from ephybrid.experiments import (
 )
 from ephybrid.hybrid import AlphaSchedule, StoppingRule
 from ephybrid.linalg import cholesky_spd
-from ephybrid.problems import IdentityMapping, validate_conditions
+from ephybrid.problems import IdentityMapping
 from ephybrid.reporting import (
     ReportRow,
     emit_reports,
@@ -62,11 +62,6 @@ def minimal_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
     return path
-
-
-def test_builtin_bundles_pass_condition_checks():
-    assert validate_conditions(builtin_example1()) == []
-    assert validate_conditions(builtin_example2()) == []
 
 
 def test_builtin_example1_structure(example1):
@@ -352,6 +347,24 @@ def test_table2_grid_solves_no_linear_program():
     assert done.returncode == 0, done.stderr or "scipy.optimize was imported"
 
 
+def test_trace_digests_do_not_depend_on_thread_count():
+    """``tools/trace_digest.py`` prints the same 28 digests on one BLAS thread and on two."""
+    script = Path(__file__).resolve().parent.parent / "tools" / "trace_digest.py"
+    outputs = []
+    for threads in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, str(script)],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert len(outputs[0].splitlines()) == 28
+    assert outputs[0] == outputs[1]
+
+
 def test_table2_grid_runs_one_checked_factorization_per_run(monkeypatch):
     """The checked Cholesky factors each run's prox Hessian once and nothing else.
 
@@ -458,16 +471,24 @@ def assert_config_error(tmp_path, capsys, error, **fields):
     assert "error" in capsys.readouterr().err
 
 
-def test_cli_validation_error_exit_code(tmp_path, capsys):
+def test_cli_validation_error_exit_code(tmp_path, capsys, example1):
     path = minimal_config(tmp_path, params={"k": 5.0})
     assert cli.main(["solve", "--config", str(path)]) == 2
     assert "error" in capsys.readouterr().err
     # A seed of the wrong length, a distance rule on a problem without a
-    # known target and an infinite k are caught by the parser, not the solver.
+    # known target, an infinite k and constants below example1's
+    # |P^T - Q| / 2 = 1.39 are caught by the parser, not the solver.
+    f = example1.bifunction
+    small_constants = {
+        "bifunction": {"P": f.P.tolist(), "Q": f.Q.tolist(), "q": f.q.tolist()},
+        "feasible": EXAMPLE1_FEASIBLE,
+        "constants": {"c1": 0.01, "c2": 0.01},
+    }
     for fields in (
         {"y0": [0, 0]},
         {"stopping": {"rule": "distance_to_target"}},
         {"params": {"k": float("inf")}},
+        {"problem": small_constants},
     ):
         assert_config_error(tmp_path, capsys, ValidationError, **fields)
 

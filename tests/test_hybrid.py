@@ -523,10 +523,13 @@ def test_extragradient_pure_projection_case():
 
 def test_extragradient_rejects_large_lambda(example1):
     csum = example1.constants.c1 + example1.constants.c2
-    with pytest.raises(LambdaOutOfRange):
-        extragradient_solve(
-            example1, 1.0 / (2.0 * csum), StoppingRule("residual_w", 1e-4, 10), [1.0, 3.0, 1.0]
-        )
+    lam_max = 1.0 / (2.0 * csum)
+    # Within a relative 1e-12 of the bound both solvers reject lam alike.
+    for lam in (lam_max, lam_max * (1.0 - 1e-13)):
+        with pytest.raises(LambdaOutOfRange):
+            extragradient_solve(example1, lam, StoppingRule("residual_w", 1e-4, 10), [1.0, 3.0, 1.0])
+        with pytest.raises(LambdaOutOfRange):
+            validate_params(lam, 6.0, AlphaSchedule("ratio"), example1.constants)
 
 
 def test_extragradient_matches_double_projection_form():

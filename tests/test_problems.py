@@ -5,6 +5,7 @@ import pytest
 
 from ephybrid.problems import (
     AffineOperator,
+    ConstantsTooSmall,
     DegenerateConstants,
     IdentityMapping,
     LipschitzConstants,
@@ -12,7 +13,6 @@ from ephybrid.problems import (
     ProblemBundle,
     QuadraticBifunction,
     nash_cournot_constants,
-    validate_conditions,
     vip_as_bifunction,
 )
 from ephybrid.sets import Box
@@ -172,22 +172,57 @@ def test_lipschitz_type_randomized(example1):
         assert lhs >= rhs - 1e-9
 
 
-def test_validate_conditions_builtin_bundles(example1, example2):
-    assert validate_conditions(example1) == []
-    assert validate_conditions(example2) == []
+def random_monotone_bifunction(rng, d):
+    """A bifunction with a non-symmetric ``P = Q + D + S``: ``Q, D`` SPD, ``S`` skew."""
+    a, b, c = (rng.normal(size=(d, d)) for _ in range(3))
+    Q = a @ a.T + np.eye(d)
+    Q = 0.5 * (Q + Q.T)
+    return QuadraticBifunction(Q + b @ b.T + (c - c.T), Q, rng.normal(size=d))
 
 
-def test_validate_conditions_flags_broken_monotonicity():
-    broken = QuadraticBifunction(
-        np.diag([-1.0, 1.0, -1.0]), np.zeros((3, 3)), np.zeros(3), validate=False
-    )
-    bundle = ProblemBundle(
-        bifunction=broken,
-        feasible=Box(np.zeros(3), np.ones(3)),
-        mapping=IdentityMapping(),
-        constants=LipschitzConstants(1.0, 1.0),
-    )
-    assert "monotone" in validate_conditions(bundle)
+def unit_box_bundle(f, constants):
+    return ProblemBundle(f, Box(-np.ones(f.dim), np.ones(f.dim)), IdentityMapping(), constants)
+
+
+def test_lipschitz_gap_closed_form():
+    # f(x,y) + f(y,z) - f(x,z) = (x-y)^T (P^T - Q) (y-z) for every P, Q.
+    rng = np.random.default_rng(31)
+    for d in (2, 3, 5):
+        f = random_monotone_bifunction(rng, d)
+        assert not np.array_equal(f.P, f.P.T)
+        for _ in range(200):
+            x, y, z = rng.normal(size=(3, d))
+            gap = f(x, y) + f(y, z) - f(x, z)
+            assert gap == pytest.approx((x - y) @ (f.P.T - f.Q) @ (y - z), rel=1e-9, abs=1e-9)
+
+
+def test_constants_below_the_bound_are_rejected_and_violated():
+    # Just below |P^T - Q| = 2 sqrt(c1 c2) the bundle is refused, and the
+    # top singular pair of P^T - Q gives a triple that breaks the inequality.
+    rng = np.random.default_rng(37)
+    for d in (2, 3, 5):
+        f = random_monotone_bifunction(rng, d)
+        u, s, vt = np.linalg.svd(f.P.T - f.Q)
+        c = (1.0 - 1e-9) * s[0] / 2.0
+        with pytest.raises(ConstantsTooSmall):
+            unit_box_bundle(f, LipschitzConstants(c, c))
+        # a = x - y = -u, b = y - z = v: a^T (P^T - Q) b = -s[0] < -2c.
+        y = rng.normal(scale=0.1, size=d)
+        x, z = y - u[:, 0], y - vt[0]
+        lhs = f(x, y) + f(y, z)
+        rhs = f(x, z) - c * float((x - y) @ (x - y)) - c * float((y - z) @ (y - z))
+        assert lhs < rhs - 1e-10 * s[0]
+
+
+def test_constants_on_the_bound_are_accepted():
+    rng = np.random.default_rng(41)
+    for d in (2, 3, 5):
+        f = random_monotone_bifunction(rng, d)
+        norm = np.linalg.norm(f.P.T - f.Q, 2)
+        derived = nash_cournot_constants(f.P, f.Q)
+        assert derived.c1 == derived.c2 == norm / 2.0
+        for constants in (derived, LipschitzConstants(norm / 4.0, norm)):
+            assert unit_box_bundle(f, constants).constants == constants
 
 
 def test_bundle_dimension_consistency():
