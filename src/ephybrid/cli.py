@@ -8,8 +8,11 @@ Subcommands::
 
 ``reproduce`` writes ``<table>.csv``, ``<table>.json`` and
 ``<table>_trace_NN.{csv,json}`` to ``--out``.  Exit codes: 0 on success,
-2 on any config or parameter error, 3 on an invariant violation in audit
-mode (a config's own ``"audit": true`` audits under ``solve`` too).
+2 on any config or parameter error or a path that cannot be read or
+written, 3 on an invariant violation in audit mode (a config's own
+``"audit": true`` audits under ``solve`` too), 4 on a run that fails
+(``InfeasibleSet``, ``EmptyOmega``, ``CyclingDetected``).  Each error
+prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ import sys
 from dataclasses import replace
 
 from . import experiments, reporting
-from .hybrid import InvariantViolation, ParameterError
-from .problems import DegenerateConstants, NotMonotone
+from .hybrid import EmptyOmega, InvariantViolation
+from .qp import CyclingDetected
+from .sets import InfeasibleSet
 
 
 def main(argv=None) -> int:
@@ -48,13 +52,15 @@ def main(argv=None) -> int:
             return _cmd_reproduce(args.table, args.out)
         config = experiments.load_config(args.config)
         return _run(replace(config, audit=True) if args.command == "audit" else config)
-    except (experiments.ParseError, experiments.ValidationError, ParameterError,
-            DegenerateConstants, NotMonotone) as exc:
+    except (experiments.ParseError, experiments.ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
+    except (InfeasibleSet, EmptyOmega, CyclingDetected) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def _cmd_reproduce(table: str, out_dir: str) -> int:

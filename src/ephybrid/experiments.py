@@ -167,12 +167,14 @@ class GridRun:
 
 
 def load_config(path) -> ExperimentConfig:
-    """:func:`config_from_dict` of a JSON file; a decode error names its line."""
+    """:func:`config_from_dict` of a JSON file; bad JSON or non-UTF-8 text is a ParseError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("top level must be an object")
     return config_from_dict(data)

@@ -17,6 +17,8 @@ initial point is the limit.  A two-prox-per-iteration extragradient
 scheme is included as an independent cross-check baseline.  Both
 solvers hand their per-iteration step to one loop, which owns the
 stopping rule, the trace, the timing, the audit and the iteration cap.
+Each run builds its prox solvers and cut projector once, bound to its
+bifunction, step size and sets (:func:`_cut_projector` picks the cut set).
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .qp import CutProjector, ProxSolver
 from .sets import (
     EmptyIntersection,
     InfeasibleSet,
-    WholeSpace,
     project_halfspace,
     project_two_halfspaces,
 )
@@ -126,8 +127,6 @@ def alpha_at(schedule: AlphaSchedule, n: int, cap: float = 0.99) -> float:
 class HybridParams:
     """Validated parameters; construct through :func:`validate_params`.
 
-    ``coupling`` stores the derived bound ``2*lam*(c1+c2)`` and
-    ``k_min`` the minimum admissible slack weight.
     ``cuts_within_feasible`` additionally intersects
     the cut region with the feasible set before projecting, the way
     the older cuts-on-C constructions do; the solution set lies in
@@ -141,8 +140,6 @@ class HybridParams:
     alpha_cap: float = 0.99
     cut_variant: str = "two_halfspaces"
     cuts_within_feasible: bool = False
-    coupling: float = 0.0
-    k_min: float = 0.0
 
     def alpha(self, n: int) -> float:
         return alpha_at(self.alpha_schedule, n, self.alpha_cap)
@@ -164,8 +161,7 @@ def validate_params(
     in (0, 1).
     """
     csum = _check_lambda(lam, constants)
-    coupling = 2.0 * lam * csum
-    k_min = 1.0 / (1.0 - coupling)
+    k_min = 1.0 / (1.0 - 2.0 * lam * csum)
     if not k_min * (1.0 + 1e-12) < k < math.inf:
         raise KTooSmall(f"need {k_min:.6g} < k < inf, got {k}")
     if not (0.0 < alpha_cap < 1.0):
@@ -179,8 +175,6 @@ def validate_params(
         alpha_cap=float(alpha_cap),
         cut_variant=cut_variant,
         cuts_within_feasible=bool(cuts_within_feasible),
-        coupling=coupling,
-        k_min=k_min,
     )
 
 
@@ -319,15 +313,17 @@ def hybrid_iterate(
     Computes the prox point, its averaged image under the mapping, the
     farther of the two (``w``), the contraction and anchor cuts, and
     the projection of the initial point onto their intersection.
-    ``prox`` and ``projector`` carry a run's warm starts from step to
-    step; fresh ones are made when they are omitted.
+    ``prox`` and ``projector`` are the run's, built for ``bundle`` and
+    ``params`` (:func:`_cut_projector`), and carry its warm starts from
+    step to step; fresh ones are made when they are omitted.
     """
     if prox is None:
-        prox = ProxSolver()
-    f = bundle.bifunction
+        prox = ProxSolver(bundle.bifunction, params.lam, bundle.feasible)
+    if projector is None:
+        projector = _cut_projector(bundle, params)
     alpha = params.alpha(state.n)
 
-    y_next = prox.step(f, state.y_cur, state.x_cur, params.lam, bundle.feasible)
+    y_next = prox.step(state.y_cur, state.x_cur)
     mapped = bundle.mapping(y_next)
     if (mapped == y_next).all():
         # Fixed point of the mapping: the average is y itself for every alpha.
@@ -345,7 +341,6 @@ def hybrid_iterate(
         x_next = _project_onto_cuts(
             state.x0,
             _step_rows(state, y_next, z_next, w_next, epsilon, params.cut_variant),
-            bundle.feasible if params.cuts_within_feasible else None,
             projector,
         )
     except (EmptyIntersection, InfeasibleSet) as exc:
@@ -400,20 +395,24 @@ def _step_rows(state: SolverState, y_next, z_next, w_next, epsilon: float, cut_v
     ]
 
 
-def _project_onto_cuts(x0, cuts, feasible, projector: CutProjector | None = None) -> np.ndarray:
-    """Project the initial point onto the intersection of the cuts.
+def _cut_projector(bundle: ProblemBundle, params: HybridParams) -> CutProjector:
+    """A run's cut projector: within the feasible set with ``cuts_within_feasible``, else none."""
+    return CutProjector(bundle.feasible if params.cuts_within_feasible else None)
+
+
+def _project_onto_cuts(x0, cuts, projector: CutProjector) -> np.ndarray:
+    """Project the initial point onto the intersection of the cuts and the projector's set.
 
     ``cuts`` are rows ``(a, b)`` of ``<a, z> <= b``, or ``None`` for a cut
-    that is the whole space.  When the feasible set adds nothing
-    (``None`` or the whole space), up to two rows are projected in closed
-    form; anything larger, or any request to stay within the feasible
-    set, goes through the run's :class:`qp.CutProjector`, which stacks
-    the cut rows over the set's cached rows and warm-starts from its last
-    working set.  Without a projector the call is cold, bitwise
-    :meth:`sets.Polyhedron.project` of the polyhedron of the cuts and the
-    set.  ``x0`` is trusted.
+    that is the whole space.  When the projector's set adds no rows (none,
+    the whole space or an unbounded box), up to two rows are projected in
+    closed form; anything larger, or any set with rows, goes through the
+    run's :class:`qp.CutProjector`, which stacks the cut rows over the
+    set's rows and warm-starts from its last working set.  A fresh
+    projector's call is cold, bitwise :meth:`sets.Polyhedron.project` of
+    the polyhedron of the cuts and the set.  ``x0`` is trusted.
     """
-    if feasible is None or isinstance(feasible, WholeSpace):
+    if not projector.set_row_count:
         rows = [row for row in cuts if row is not None]
         if not rows:
             return x0.copy()
@@ -421,9 +420,7 @@ def _project_onto_cuts(x0, cuts, feasible, projector: CutProjector | None = None
             return project_halfspace(x0, *rows[0])
         if len(rows) == 2:
             return project_two_halfspaces(x0, *rows)
-    if projector is None:
-        projector = CutProjector()
-    return projector.project(x0, cuts, feasible)
+    return projector.project(x0, cuts)
 
 
 def solve(
@@ -464,8 +461,8 @@ def solve(
         y_cur=seed.copy(),
         x0=start.copy(),
     )
-    prox = ProxSolver()
-    projector = CutProjector()
+    prox = ProxSolver(bundle.bifunction, params.lam, bundle.feasible)
+    projector = _cut_projector(bundle, params)
     check = (lambda before, rec: _audit_record(before, rec, bundle, params)) if audit else None
     return _drive(
         lambda s: hybrid_iterate(s, bundle, params, prox, projector), state, stopping, check
@@ -487,14 +484,13 @@ def extragradient_solve(bundle: ProblemBundle, lam: float, stopping: StoppingRul
     x = as_point(x0).copy()
     if x.shape[0] != bundle.dim:
         raise DimensionMismatch("start point must match the problem dimension")
-    f = bundle.bifunction
-    first_prox = ProxSolver()
-    second_prox = ProxSolver()
+    first_prox = ProxSolver(bundle.bifunction, lam, bundle.feasible)
+    second_prox = ProxSolver(bundle.bifunction, lam, bundle.feasible)
 
     def step(state):
         n, x = state
-        y = first_prox.step(f, x, x, lam, bundle.feasible)
-        x_next = second_prox.step(f, y, x, lam, bundle.feasible)
+        y = first_prox.step(x, x)
+        x_next = second_prox.step(y, x)
         dist = None if bundle.target is None else _norm(x_next - bundle.target)
         record = IterationRecord(
             n=n,

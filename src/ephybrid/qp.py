@@ -18,22 +18,23 @@ come from its halfspaces and box (:func:`sets.halfspaces_and_box`).
 
 Within a run the bifunction, ``lam`` and the feasible set stay the
 same, so the factor of ``M`` and the set's prepared rows do too; most
-of the time so does the working set, and only ``c`` changes.  So
-:class:`ProxSolver` keeps one :class:`_DualQP` per run.  It forms the
-dual coordinates ``K = M^-1 A^T`` and their Gram matrix ``G = A K``
-once.  A working set ``W`` is gathered once into one face entry
-``(idx, Lg, K_W)``: its row indices, the factor of ``G[W, W]`` and the
-columns ``K[:, W]``; every active-set step reads from it, and the last
-entry is kept.  An entry is a pure function of its working set, so a
-kept one is bit for bit a fresh one; repeated runs are byte-identical.
+of the time so does the working set, and only ``c`` changes.  So a
+:class:`ProxSolver` is built from a run's ``(f, lam, feasible)`` with one
+:class:`_DualQP`.  It forms the dual coordinates ``K = M^-1 A^T`` and
+their Gram matrix ``G = A K`` once.  A working set ``W`` is gathered
+once into one face entry ``(idx, Lg, K_W)``: its row indices, the factor
+of ``G[W, W]`` and the columns ``K[:, W]``; every active-set step reads
+from it, and the last entry is kept.  An entry is a pure function of its
+working set, so a kept one is bit for bit a fresh one; repeated runs are
+byte-identical.
 
 :class:`CutProjector` is the one identity-metric projection.  The hybrid
-solver keeps one per run next to its :class:`ProxSolver`: the feasible
-set's rows stay, only the few cut rows are new each iteration, so only
-they are deduplicated, and the last working set, labelled by where each
-row came from, seeds the next call.  :meth:`sets.Polyhedron.project`
-is a cold call of a fresh one.  :func:`solve_qp_active_set` is the
-entry for a QP with any SPD ``M``.
+solver builds one per run on the set the cuts are cut from: its rows
+stay, only the few cut rows are new each iteration, so only they are
+deduplicated, and the last working set, labelled by where each row came
+from, seeds the next call.  :meth:`sets.Polyhedron.project` is a cold
+call of a fresh one.  :func:`solve_qp_active_set` is the entry for a QP
+with any SPD ``M``.
 """
 
 from __future__ import annotations
@@ -69,18 +70,7 @@ class CyclingDetected(RuntimeError):
 
 def prox_step(f: QuadraticBifunction, v, x, lam: float, feasible: ConvexSet) -> np.ndarray:
     """One-shot prox evaluation (no warm start)."""
-    return ProxSolver().step(f, v, x, lam, feasible)
-
-
-def _prox_hessian(f: QuadraticBifunction, lam: float, feasible: ConvexSet) -> np.ndarray:
-    """``M = 2*lam*Q + I``; ``lam`` is checked before the product, where inf would warn."""
-    if not 0.0 < lam < np.inf:
-        raise NonPositiveLambda(f"lam must be finite and > 0, got {lam}")
-    if not isinstance(feasible, ConvexSet):
-        raise TypeError(f"unsupported feasible set: {type(feasible).__name__}")
-    if feasible.dim != f.dim:
-        raise DimensionMismatch("prox arguments must match the bifunction dimension")
-    return 2.0 * lam * f.Q + np.eye(f.dim)
+    return ProxSolver(f, lam, feasible).step(v, x)
 
 
 def _prox_linear_term(f: QuadraticBifunction, v, x, lam: float) -> np.ndarray:
@@ -102,34 +92,31 @@ def _prox_linear_term(f: QuadraticBifunction, v, x, lam: float) -> np.ndarray:
 
 
 class ProxSolver:
-    """Prox evaluator with per-run state that warm-starts from the previous call.
+    """Prox evaluator for one run's ``(f, lam, feasible)``, warm-started from its previous step.
 
-    The first step, and every step where the triple ``(f, lam,
-    feasible)`` changes, checks ``lam`` and the set and builds the run's
+    The constructor checks ``lam`` (before ``2*lam*Q``, where inf would
+    warn), then the set, then its dimension, and builds the run's
     :class:`_DualQP` from the factor of ``M = 2*lam*Q + I`` and the set's
-    prepared rows.  ``f`` and the set are compared by identity, which is
-    sound because both are immutable, and ``lam`` by value.  Every step
-    checks ``v`` and ``x`` and computes ``c`` the same way.  Warm starting
-    seeds the dual method with the last working set, kept across key
-    changes; the minimizer is unique, so this changes nothing
+    prepared rows.  Each step checks ``v`` and ``x`` and computes ``c``.
+    Warm starting seeds the dual method with the last
+    working set; the minimizer is unique, so this changes nothing
     mathematically, and the seed moves only roundoff.  The kept face
     factor is the one a fresh factorization gives, bit for bit; the same
     sequence of steps gives the same bits every time.  One instance per
     sequential run; instances share no state and may be created freely.
     """
 
-    def __init__(self):
-        self._key = None
-        self._qp = None
+    def __init__(self, f: QuadraticBifunction, lam: float, feasible: ConvexSet):
+        if not 0.0 < lam < np.inf:
+            raise NonPositiveLambda(f"lam must be finite and > 0, got {lam}")
+        rows = _rows_in(feasible, f.dim)
+        self.f, self.lam = f, lam
+        self._qp = _DualQP(cholesky_spd(2.0 * lam * f.Q + np.eye(f.dim)), rows)
         self._working = ()
 
-    def step(self, f: QuadraticBifunction, v, x, lam: float, feasible: ConvexSet) -> np.ndarray:
-        key = self._key
-        if key is None or key[0] is not f or key[1] != lam or key[2] is not feasible:
-            M = _prox_hessian(f, lam, feasible)
-            self._qp = _DualQP(cholesky_spd(M), _prepared_rows(feasible))
-            self._key = (f, lam, feasible)
-        y, self._working = self._qp.solve(_prox_linear_term(f, v, x, lam), self._working)
+    def step(self, v, x) -> np.ndarray:
+        """``argmin_{y in C} lam*f(v, y) + 0.5*|x - y|^2``."""
+        y, self._working = self._qp.solve(_prox_linear_term(self.f, v, x, self.lam), self._working)
         return y
 
 
@@ -147,49 +134,47 @@ def solve_qp_active_set(M, c, feasible: ConvexSet, working=()) -> np.ndarray:
     L = cholesky_spd(M)
     c = as_point(c)
     n = L.shape[0]
-    if not isinstance(feasible, ConvexSet):
-        raise TypeError(f"unsupported feasible set: {type(feasible).__name__}")
-    if c.shape != (n,) or feasible.dim != n:
+    rows = _rows_in(feasible, n)
+    if c.shape != (n,):
         raise DimensionMismatch("QP arguments must match the order of M")
-    return _DualQP(L, _prepared_rows(feasible)).solve(c, working)[0]
+    return _DualQP(L, rows).solve(c, working)[0]
 
 
 class CutProjector:
-    """Identity-metric cut projection with per-run state, warm-started from the previous call.
+    """Identity-metric cut projection within one set, warm-started from the previous call.
 
-    The hybrid solver's cut rows are new every iteration, but the feasible
-    set's rows are not, and the working set seldom changes much.  So the
-    projector keeps the set's prepared rows and their norms, keyed on the
-    set by identity (``None`` for none), and the last working set, each row
-    labelled by its origin: a cut by its slot in the list of cuts (a
-    ``None`` slot adds no row but keeps its place), the set's prepared row
-    ``i`` by ``-1 - i``.  Each call stacks the unit cut rows over the set's rows and
-    deduplicates only the cut rows (:func:`_unit_rows`), maps the labels onto
-    the stacked rows, skipping those whose row was dropped or is absent, and
-    seeds the dual method with the rest; for ``M = I`` the dual coordinates
-    are the stacked rows themselves.  The minimizer is unique, so the
-    seed moves only roundoff; a fresh projector's call is cold and is
-    :meth:`sets.Polyhedron.project`'s.  The same sequence of calls gives the
-    same bits every time.  One instance per sequential run.
+    The hybrid solver's cut rows are new every iteration, but the rows of
+    ``feasible``, the set the cuts are cut from (``None`` for none), are
+    not, and the working set seldom changes much.  So the projector
+    prepares the set's rows and their norms once, when it is built, and
+    keeps the last working set, each row labelled by its origin: a cut by
+    its slot in the list of cuts (a ``None`` slot adds no row but keeps its
+    place), the set's prepared row ``i`` by ``-1 - i``.  ``set_row_count``
+    is the number of the set's rows.  Each call stacks the unit cut rows
+    over the set's rows and deduplicates only the cut rows
+    (:func:`_unit_rows`), maps the labels onto the stacked rows, skipping
+    those whose row was dropped or is absent, and seeds the dual method
+    with the rest; for ``M = I`` the dual coordinates are the stacked rows
+    themselves.  The minimizer is unique, so the seed moves only roundoff;
+    a fresh projector's call is cold and is :meth:`sets.Polyhedron.project`'s.
+    The same sequence of calls gives the same bits every time.  One
+    instance per sequential run.
     """
 
-    def __init__(self):
-        self._set = self._set_rows = self._set_norms = self._set_labels = None
+    def __init__(self, feasible: ConvexSet | None):
+        self._set_rows = None if feasible is None else _prepared_rows(feasible)
+        self._set_norms = None if feasible is None else _row_norms(self._set_rows[0])
+        self.set_row_count = 0 if feasible is None else self._set_rows[0].shape[0]
+        self._set_labels = list(range(-1, -1 - self.set_row_count, -1))
         self._working = ()
 
-    def project(self, x0: np.ndarray, cuts, feasible: ConvexSet | None) -> np.ndarray:
-        """Nearest point to ``x0`` in the intersection of ``cuts`` and ``feasible``.
+    def project(self, x0: np.ndarray, cuts) -> np.ndarray:
+        """Nearest point to ``x0`` in the intersection of ``cuts`` and the projector's set.
 
         ``cuts`` are rows ``(a, b)`` of ``<a, z> <= b``, or ``None`` for a cut
         that is the whole space; ``x0`` is trusted.  Raises
         :class:`InfeasibleSet` when the intersection is empty.
         """
-        if self._set_labels is None or feasible is not self._set:
-            self._set_rows = None if feasible is None else _prepared_rows(feasible)
-            self._set_norms = None if feasible is None else _row_norms(self._set_rows[0])
-            m = 0 if feasible is None else self._set_rows[0].shape[0]
-            self._set_labels = list(range(-1, -1 - m, -1))
-            self._set = feasible
         rows, labels = self._set_rows, self._set_labels
         slots = [s for s, row in enumerate(cuts) if row is not None]
         if slots:
@@ -233,13 +218,23 @@ def _prepared_rows(feasible: ConvexSet) -> tuple[np.ndarray, np.ndarray, float]:
     """:func:`_unit_rows` of the set's :func:`constraint_rows`, cached per set.
 
     Set descriptions are immutable, so caching on object identity is safe.
-    Every set kind accepts weak references; any other object ends in a
+    The runs of a grid share one set, so all but the first run's solvers
+    find its rows here (23 of the table2 grid's 24 lookups).  Every set
+    kind accepts weak references; any other object ends in a
     :class:`TypeError`, here or in :func:`constraint_rows`.
     """
     cached = _PREPARED_ROWS.get(feasible)
     if cached is None:
         cached = _PREPARED_ROWS[feasible] = _unit_rows(*constraint_rows(feasible))[0]
     return cached
+
+
+def _rows_in(feasible: ConvexSet, d: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """:func:`_prepared_rows` of a set, which must have dimension ``d``."""
+    rows = _prepared_rows(feasible)
+    if feasible.dim != d:
+        raise DimensionMismatch(f"the feasible set has dimension {feasible.dim}, expected {d}")
+    return rows
 
 
 def _unit_rows(A: np.ndarray, b: np.ndarray, below=None, below_norms=None):

@@ -152,7 +152,7 @@ class Polyhedron:
         """
         from .qp import CutProjector  # deferred: qp builds on the set types above
 
-        return CutProjector().project(_point_in(x, self.dim), (), self)
+        return CutProjector(self).project(_point_in(x, self.dim), ())
 
     def __repr__(self):
         return f"Polyhedron(halfspaces={list(self.halfspaces)!r}, box={self.box!r})"

@@ -347,8 +347,15 @@ def test_table2_grid_solves_no_linear_program():
     assert done.returncode == 0, done.stderr or "scipy.optimize was imported"
 
 
+# Iteration counts of the 28 ``tools/trace_digest.py`` cases, in its order:
+# table1's three starts, its extragradient cross-check, table2's 12 cells
+# and nc64's 12 runs.  Counts hold across machines, where digests may not.
+DIGEST_ITERATIONS = [1518, 2410, 4932, 16] + [22, 25, 49, 46, 19, 80, 28, 16, 41, 6, 5, 11] + [150] * 12
+
+
 def test_trace_digests_do_not_depend_on_thread_count():
-    """``tools/trace_digest.py`` prints the same 28 digests on one BLAS thread and on two."""
+    """``tools/trace_digest.py`` prints the same 28 digests on one BLAS thread and on two,
+    with the pinned iteration counts."""
     script = Path(__file__).resolve().parent.parent / "tools" / "trace_digest.py"
     outputs = []
     for threads in ("1", "2"):
@@ -363,6 +370,7 @@ def test_trace_digests_do_not_depend_on_thread_count():
         outputs.append(done.stdout)
     assert len(outputs[0].splitlines()) == 28
     assert outputs[0] == outputs[1]
+    assert [int(line.split()[1]) for line in outputs[0].splitlines()] == DIGEST_ITERATIONS
 
 
 def test_table2_grid_runs_one_checked_factorization_per_run(monkeypatch):
@@ -404,6 +412,10 @@ def test_cli_reproduce_table2(tmp_path, capsys):
     assert (out_dir / "table2.json").exists()
     assert len(list(out_dir.glob("table2_trace_*.csv"))) == 12
     assert len(list(out_dir.glob("table2_trace_*.json"))) == 12
+    # An output path that is an existing file is an error line and exit 2.
+    assert cli.main(["reproduce", "table2", "--out", str(out_dir / "table2.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_cli_solve_config(tmp_path, capsys):
@@ -494,9 +506,18 @@ def test_cli_validation_error_exit_code(tmp_path, capsys, example1):
 
 
 def test_cli_parse_error_exit_code(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text("{")
-    assert cli.main(["solve", "--config", str(path)]) == 2
+    # Broken JSON, a missing file, a directory and a file that is not UTF-8
+    # each end in one error line and exit 2, not in a traceback.
+    broken = tmp_path / "broken.json"
+    broken.write_text("{")
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"problem": "caf\xe9"}'.encode("latin-1"))
+    with pytest.raises(ParseError):
+        load_config(latin1)
+    for path in (broken, tmp_path / "missing.json", tmp_path, latin1):
+        assert cli.main(["solve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (path, err)
     for fields in (
         {"params": {"k": "abc"}},
         {"params": {"lambda": "x"}},
@@ -547,6 +568,39 @@ def test_cli_audit_subcommand(tmp_path, capsys):
     path = minimal_config(tmp_path)
     assert cli.main(["audit", "--config", str(path)]) == 0
     assert "audit clean" in capsys.readouterr().out
+
+
+def test_cli_failed_run_exit_code(tmp_path, capsys, monkeypatch):
+    # An inline polyhedron with x1 <= 0 and x1 >= 1 parses; its first prox
+    # step finds the set empty, and the run exits 4 with one error line.
+    empty = {
+        "type": "polyhedron",
+        "halfspaces": [
+            {"type": "halfspace", "a": [1.0, 0.0], "b": 0.0},
+            {"type": "halfspace", "a": [-1.0, 0.0], "b": -1.0},
+        ],
+    }
+    path = minimal_config(
+        tmp_path,
+        problem={**INLINE_BOX_PROBLEM, "feasible": empty},
+        starts=[[0.5, 0.5]],
+        stopping={"rule": "residual_w", "tol": 1e-4},
+    )
+    assert cli.main(["solve", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: InfeasibleSet: ") and err.count("\n") == 1, err
+
+    from ephybrid import hybrid
+
+    for failure in (hybrid.EmptyOmega, qp.CyclingDetected):
+
+        def failing_solve(*args, **kwargs):
+            raise failure("fabricated failure for the exit-code path")
+
+        monkeypatch.setattr(hybrid, "solve", failing_solve)
+        assert cli.main(["solve", "--config", str(minimal_config(tmp_path))]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {failure.__name__}: ") and err.count("\n") == 1, err
 
 
 def test_cli_invariant_violation_exit_code(tmp_path, capsys, monkeypatch):

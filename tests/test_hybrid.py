@@ -47,10 +47,14 @@ def fresh_state(x0, dim=None):
 
 
 def test_validate_params_benchmark_settings(example1):
+    # At the benchmark step size 2*lam*(c1+c2) = 0.8, so k must exceed
+    # 1/(1 - 0.8) = 5 by more than a relative 1e-12.
     lam = default_lambda(example1.constants)
     params = validate_params(lam, 6.0, AlphaSchedule("ratio"), example1.constants)
-    assert params.coupling == pytest.approx(0.8, rel=1e-12)
-    assert params.k_min == pytest.approx(5.0, rel=1e-12)
+    assert params.lam == lam and params.k == 6.0
+    validate_params(lam, 5.0 * (1.0 + 1e-11), AlphaSchedule("ratio"), example1.constants)
+    with pytest.raises(KTooSmall):
+        validate_params(lam, 5.0 * (1.0 + 1e-13), AlphaSchedule("ratio"), example1.constants)
 
 
 def test_validate_params_rejects_boundary_lambda(example1):
@@ -188,7 +192,7 @@ def test_identity_mapping_collapses_averaging(example1):
         default_lambda(example1.constants), 6.0, AlphaSchedule("ratio"), example1.constants
     )
     state = fresh_state([1.0, 3.0, 1.0])
-    prox = ProxSolver()
+    prox = ProxSolver(example1.bifunction, params.lam, example1.feasible)
     for _ in range(10):
         state, rec = hybrid_iterate(state, example1, params, prox)
         assert np.array_equal(rec.z_next, rec.y_next)
@@ -200,7 +204,7 @@ def test_first_iteration_anchor_is_whole_space(example2):
         default_lambda(example2.constants), 6.0, AlphaSchedule("ratio"), example2.constants
     )
     state = fresh_state([1.0, 3.0, 1.0])
-    _, rec = hybrid_iterate(state, example2, params, ProxSolver())
+    _, rec = hybrid_iterate(state, example2, params)
     contraction, anchor = step_cuts(state, rec)
     assert anchor is None
     assert contraction is not None
@@ -211,7 +215,7 @@ def test_iterate_record_invariants(example2):
         default_lambda(example2.constants), 6.0, AlphaSchedule("pow10"), example2.constants
     )
     state = fresh_state([-2.0, 3.0, -1.0])
-    prox = ProxSolver()
+    prox = ProxSolver(example2.bifunction, params.lam, example2.feasible)
     for _ in range(15):
         state, rec = hybrid_iterate(state, example2, params, prox)
         assert np.array_equal(rec.w_next, rec.y_next) or np.array_equal(rec.w_next, rec.z_next)
@@ -503,7 +507,7 @@ def test_first_iteration_projects_onto_contraction_alone(example2):
     )
     x0 = np.array([1.0, 3.0, 1.0])
     state = fresh_state(x0)
-    _, rec = hybrid_iterate(state, example2, params, ProxSolver())
+    _, rec = hybrid_iterate(state, example2, params)
     contraction, _ = step_cuts(state, rec)
     assert np.allclose(rec.x_next, Halfspace(*contraction).project(x0), atol=1e-12)
 
@@ -624,7 +628,7 @@ def test_cut_projection_is_bitwise_the_polyhedron_qp(kind):
             x0 += 3.0 * a[0] / np.linalg.norm(a[0])  # outside the pair, so it binds
         poly = Polyhedron([Halfspace(*c) for c in cuts] + list(halfspaces), box)
         ref = solve_qp_active_set(np.eye(3), -x0, poly)
-        assert _project_onto_cuts(x0, cuts, feasible).tobytes() == ref.tobytes(), n
+        assert _project_onto_cuts(x0, cuts, CutProjector(feasible)).tobytes() == ref.tobytes(), n
         assert poly.project(x0).tobytes() == ref.tobytes(), n
 
 
@@ -647,7 +651,7 @@ def test_cut_projection_routing_per_feasible_kind(kind, example2):
     )
     x0 = np.array([1.0, 3.0, 1.0])
     state = fresh_state(x0)
-    prox = ProxSolver()
+    prox = ProxSolver(bundle.bifunction, params.lam, feasible)
     for _ in range(4):
         prev = state
         state, rec = hybrid_iterate(state, bundle, params, prox)
@@ -660,17 +664,28 @@ def test_cut_projection_routing_per_feasible_kind(kind, example2):
         assert np.linalg.norm(rec.x_next - ref) <= 1e-8
 
 
-def test_cut_projection_drops_whole_space_slots():
+def test_cut_projection_drops_whole_space_slots(monkeypatch):
     # A None slot is a cut that is the whole space: it adds no row, in
     # closed form or through the projector.
     row = (np.array([1.0, 0.0]), 0.0)
     x = np.array([2.0, 3.0])
-    kept = _project_onto_cuts(x, [None, None], None)
-    assert np.array_equal(kept, x) and kept is not x
-    for cuts in ([row, None], [None, row], [None, row, None], [row, None, row]):
-        for feasible in (None, WholeSpace(2)):
-            assert np.allclose(_project_onto_cuts(x, cuts, feasible), [0.0, 3.0], atol=1e-14)
-        assert np.allclose(CutProjector().project(x, cuts, None), [0.0, 3.0], atol=1e-14)
+    cut_lists = ([row, None], [None, row], [None, row, None], [row, None, row])
+    for cuts in cut_lists:
+        assert np.allclose(CutProjector(None).project(x, cuts), [0.0, 3.0], atol=1e-14)
+
+    # A projector whose set adds no rows, an all-infinite box among them,
+    # leaves up to two cut rows to the closed form: its QP never runs.
+    def refuse(self, x0, cuts):
+        raise AssertionError("the cut QP ran where the closed form applies")
+
+    monkeypatch.setattr(CutProjector, "project", refuse)
+    for feasible in (None, WholeSpace(2), Box([-np.inf, -np.inf], [np.inf, np.inf])):
+        projector = CutProjector(feasible)
+        assert projector.set_row_count == 0
+        kept = _project_onto_cuts(x, [None, None], projector)
+        assert np.array_equal(kept, x) and kept is not x
+        for cuts in cut_lists:
+            assert np.allclose(_project_onto_cuts(x, cuts, projector), [0.0, 3.0], atol=1e-14)
 
 
 def test_step_builds_no_set_object(monkeypatch):
@@ -719,20 +734,20 @@ def test_non_finite_values_raise_where_they_first_appear(example1):
     for bad in (np.nan, np.inf, -np.inf):
         for v, anchor in ((np.zeros(3), np.array([1.0, bad, 1.0])), (np.array([bad, 0.0, 0.0]), x)):
             with pytest.raises(ValueError):
-                ProxSolver().step(f, v, anchor, lam, feasible)
-            solver = ProxSolver()
-            y = solver.step(f, np.zeros(3), x, lam, feasible)
+                ProxSolver(f, lam, feasible).step(v, anchor)
+            solver = ProxSolver(f, lam, feasible)
+            y = solver.step(np.zeros(3), x)
             with pytest.raises(ValueError, match="finite"):
-                solver.step(f, v, anchor, lam, feasible)
+                solver.step(v, anchor)
     for v, anchor in ((np.zeros(3), 2.0), (0.0, x), (np.zeros(3), np.ones(4)), (np.zeros((1, 3)), x)):
         with pytest.raises(ValueError):
-            ProxSolver().step(f, v, anchor, lam, feasible)
-        solver = ProxSolver()
-        y = solver.step(f, np.zeros(3), x, lam, feasible)
+            ProxSolver(f, lam, feasible).step(v, anchor)
+        solver = ProxSolver(f, lam, feasible)
+        y = solver.step(np.zeros(3), x)
         with pytest.raises(DimensionMismatch):
-            solver.step(f, v, anchor, lam, feasible)
+            solver.step(v, anchor)
     # ... and still steps on afterwards.
-    assert np.array_equal(solver.step(f, y, x, lam, feasible), ProxSolver().step(f, y, x, lam, feasible))
+    assert np.array_equal(solver.step(y, x), ProxSolver(f, lam, feasible).step(y, x))
 
 
 def test_stopping_rule_rejects_non_integer_caps():
@@ -813,16 +828,17 @@ def stacked_rows(cuts, feasible):
 
 
 def replay_against_cold_calls(sequence):
-    """Replay ``(x0, cuts, feasible)`` calls through one projector, checking each
-    against a cold call and the enumeration oracle; returns the warm-seeded calls."""
-    warm = CutProjector()
+    """Replay ``(x0, cuts, feasible)`` calls through one projector per set, checking
+    each against a cold call and the enumeration oracle; returns the warm-seeded calls."""
+    projectors = {}
     seeded = 0
     for x0, cuts, feasible in sequence:
+        warm = projectors.setdefault(feasible, CutProjector(feasible))
         seeded += bool(warm._working)
-        got = warm.project(x0, cuts, feasible)
-        cold = CutProjector()
-        ref = cold.project(x0, cuts, feasible)
-        assert ref.tobytes() == _project_onto_cuts(x0, cuts, feasible).tobytes()
+        got = warm.project(x0, cuts)
+        cold = CutProjector(feasible)
+        ref = cold.project(x0, cuts)
+        assert ref.tobytes() == _project_onto_cuts(x0, cuts, CutProjector(feasible)).tobytes()
         assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref))), (got, ref)
         assert set(warm._working) == set(cold._working)
         oracle = enumeration_qp(np.eye(x0.shape[0]), -x0, *stacked_rows(cuts, feasible))
@@ -836,9 +852,10 @@ def test_cut_projector_replays_table2_like_cold_calls(monkeypatch):
     sequences = []
     project = CutProjector.project
 
-    def record(self, x0, cuts, feasible):
-        sequences[-1].append((x0, list(cuts), feasible))
-        return project(self, x0, cuts, feasible)
+    # The table2 grid cuts within its feasible set.
+    def record(self, x0, cuts):
+        sequences[-1].append((x0, list(cuts), config.bundle.feasible))
+        return project(self, x0, cuts)
 
     monkeypatch.setattr(CutProjector, "project", record)
     for start in config.starts:
@@ -856,8 +873,7 @@ def test_cut_projector_replays_table2_like_cold_calls(monkeypatch):
 def test_cut_projector_warm_labels_follow_row_origin():
     # Seeded drifting cuts over a box-capped polyhedron: ``None`` (whole-space) slots,
     # cuts parallel to a box row that drop it, near-parallel cut pairs, and
-    # a switch to another set (whose rows the projector must not mistake
-    # for the first set's) every 40 calls.
+    # a switch to another set, with its own projector, every 40 calls.
     rng = np.random.default_rng(4242)
     box = Box([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])
     sets = (

@@ -99,9 +99,10 @@ def test_reduction_rejects_nonpositive_step():
         prox_step(f, np.zeros(3), np.zeros(3), 0.0, UNIT_BOX)
     # A non-finite step is rejected before ``2*lam*Q`` (inf * 0 would warn).
     for lam in (np.inf, np.nan, -np.inf):
-        for prox in (prox_step, ProxSolver().step):
-            with pytest.raises(NonPositiveLambda):
-                prox(f, np.zeros(3), np.zeros(3), lam, UNIT_BOX)
+        with pytest.raises(NonPositiveLambda):
+            ProxSolver(f, lam, UNIT_BOX)
+        with pytest.raises(NonPositiveLambda):
+            prox_step(f, np.zeros(3), np.zeros(3), lam, UNIT_BOX)
 
 
 def test_qp_entry_checks_its_arguments():
@@ -216,42 +217,16 @@ def test_kkt_residual_contract():
 def test_warm_start_changes_nothing():
     rng = np.random.default_rng(43)
     f = QuadraticBifunction(P, Q, [1.0, -2.0, 3.0])
-    solver = ProxSolver()
     lam = 0.14
+    solver = ProxSolver(f, lam, SIMPLEX_CAP)
     y_prev = np.zeros(3)
     x = np.array([1.0, 3.0, 1.0])
     for _ in range(20):
-        warm = solver.step(f, y_prev, x, lam, SIMPLEX_CAP)
+        warm = solver.step(y_prev, x)
         cold = prox_step(f, y_prev, x, lam, SIMPLEX_CAP)
         assert np.allclose(warm, cold, atol=1e-11)
         y_prev = warm
         x = x + rng.normal(scale=0.2, size=3)
-
-    # The same solver, now switching sets every two steps and the step
-    # size once (between two steps on the same set).  Near (0.1, 0.1, 0.1)
-    # the sum row 0 is the whole working set on both sets, so a face
-    # factor kept across the switch must be dropped, not reused.
-    caps = (SIMPLEX_CAP, Polyhedron([Halfspace([-1.0, -2.0, -1.0], -1.5)], UNIT_BOX))
-    for n in range(20):
-        feasible = caps[(n // 2) % 2]
-        lam = 0.14 if n < 9 else 0.07
-        x = np.full(3, 0.1) + rng.normal(scale=0.02, size=3)
-        warm = solver.step(f, y_prev, x, lam, feasible)
-        cold = prox_step(f, y_prev, x, lam, feasible)
-        assert np.allclose(warm, cold, atol=1e-11)
-        y_prev = warm
-
-    # The same solver, now alternating between two bifunctions with
-    # different Q (so different M) at one lam on one set: the per-run
-    # state must follow the bifunction, not only lam and the set.
-    g = QuadraticBifunction(P + Q, 2.0 * Q, [0.5, 1.0, -1.0])
-    for n in range(20):
-        h = (f, g)[n % 2]
-        x = np.array([1.0, 3.0, 1.0]) + rng.normal(scale=0.2, size=3)
-        warm = solver.step(h, y_prev, x, 0.07, SIMPLEX_CAP)
-        cold = prox_step(h, y_prev, x, 0.07, SIMPLEX_CAP)
-        assert np.allclose(warm, cold, atol=1e-11)
-        y_prev = warm
 
 
 def _nc64_shaped_prox():
@@ -298,7 +273,7 @@ def test_memo_reuse_is_bitwise_neutral():
 
     f, feasible, lam, L, rng = _nc64_shaped_prox()
     d = f.dim
-    solver = ProxSolver()
+    solver = ProxSolver(f, lam, feasible)
     forgetful = Forgetful(L, _prepared_rows(feasible))
     working = ()
     faces = []
@@ -307,7 +282,7 @@ def test_memo_reuse_is_bitwise_neutral():
     for n in range(150):
         v = x if n % 2 == 0 else y
         ref, working = forgetful.solve(prox_qp(f, v, x, lam)[1], working)
-        y = solver.step(f, v, x, lam, feasible)
+        y = solver.step(v, x)
         assert y.tobytes() == ref.tobytes(), f"step {n}"
         assert solver._working == working, f"step {n}"
         if working:
@@ -714,9 +689,10 @@ def test_constraint_rows_skip_infinite_bounds():
     with pytest.raises(TypeError):
         constraint_rows(object())
     f = QuadraticBifunction(P, Q, [0.0, 0.0, 0.0])
-    for prox in (prox_step, ProxSolver().step):
-        with pytest.raises(TypeError):
-            prox(f, np.zeros(3), np.zeros(3), 0.1, object())
+    with pytest.raises(TypeError):
+        ProxSolver(f, 0.1, object())
+    with pytest.raises(TypeError):
+        prox_step(f, np.zeros(3), np.zeros(3), 0.1, object())
 
 
 def greedy_parallel_reference(A, b):

@@ -215,7 +215,7 @@ def test_two_halfspace_kernel_fuzz_vs_enumeration_oracle():
         err = np.linalg.norm(got - ref) / (1.0 + np.linalg.norm(ref))
         assert err <= (1e-4 if near else 1e-8), (n, err)
         try:
-            CutProjector().project(x, rows, None)
+            CutProjector(None).project(x, rows)
         except CyclingDetected:
             assert near, n
             cycling += 1
