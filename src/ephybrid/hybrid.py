@@ -264,11 +264,16 @@ def contraction_slack(
     structure guarantees the slack is summable along the run whenever
     the parameters are admissible.
     """
-    dx2 = float(((state.x_cur - state.x_prev) ** 2).sum())
-    dy_prev2 = float(((state.y_cur - state.y_prev) ** 2).sum())
-    dy_next2 = float(((y_next - state.y_cur) ** 2).sum())
+    dx2 = _sum_of_squares(state.x_cur - state.x_prev)
+    dy_prev2 = _sum_of_squares(state.y_cur - state.y_prev)
+    dy_next2 = _sum_of_squares(y_next - state.y_cur)
     lead = 1.0 - 1.0 / params.k - 2.0 * params.lam * constants.c1
     return params.k * dx2 + 2.0 * params.lam * constants.c2 * dy_prev2 - lead * dy_next2
+
+
+def _sum_of_squares(d: np.ndarray) -> float:
+    """``((d) ** 2).sum()``, bit for bit: ``.sum()`` is this ``np.add.reduce``, behind a wrapper."""
+    return float(np.add.reduce(d * d, axis=None))
 
 
 def build_contraction_cut(x_cur: np.ndarray, w_next: np.ndarray, epsilon: float):
@@ -281,11 +286,13 @@ def build_contraction_cut(x_cur: np.ndarray, w_next: np.ndarray, epsilon: float)
     one shape.
     """
     normal = 2.0 * (x_cur - w_next)
-    if not normal.any():
+    # ``normal.any()``: a float's truth in Python is its truth in numpy
+    # (NaN true, either zero false), without the reduction's overhead.
+    if not any(normal.tolist()):
         if epsilon >= 0.0:
             return None
         raise EmptyHalfspace("zero normal with negative slack describes an empty set")
-    return normal, float(x_cur @ x_cur - w_next @ w_next) + epsilon
+    return normal, float(x_cur.dot(x_cur) - w_next.dot(w_next)) + epsilon
 
 
 def build_anchor_cut(x0: np.ndarray, x_cur: np.ndarray):
@@ -296,9 +303,9 @@ def build_anchor_cut(x0: np.ndarray, x_cur: np.ndarray):
     points are trusted arrays of one shape.
     """
     normal = x0 - x_cur
-    if not normal.any():
+    if not any(normal.tolist()):
         return None
-    return normal, float(normal @ x_cur)
+    return normal, float(normal.dot(x_cur))
 
 
 def hybrid_iterate(
@@ -325,16 +332,17 @@ def hybrid_iterate(
 
     y_next = prox.step(state.y_cur, state.x_cur)
     mapped = bundle.mapping(y_next)
-    if (mapped == y_next).all():
-        # Fixed point of the mapping: the average is y itself for every alpha.
-        z_next = y_next
+    dist_y = _norm(y_next - state.x_cur)
+    if mapped is y_next or (mapped == y_next).all():
+        # Fixed point of the mapping: the average is y itself for every
+        # alpha, so z, w and the residual are y's.
+        z_next = w_next = y_next
+        residual_w = dist_y
     else:
         z_next = alpha * y_next + (1.0 - alpha) * mapped
-
-    dist_y = _norm(y_next - state.x_cur)
-    dist_z = _norm(z_next - state.x_cur)
-    w_next = y_next if dist_y >= dist_z else z_next
-    residual_w = max(dist_y, dist_z)
+        dist_z = _norm(z_next - state.x_cur)
+        w_next = y_next if dist_y >= dist_z else z_next
+        residual_w = max(dist_y, dist_z)
 
     epsilon = contraction_slack(state, y_next, params, bundle.constants)
     try:
@@ -373,8 +381,12 @@ def hybrid_iterate(
 
 
 def _norm(v: np.ndarray) -> float:
-    """``|v|`` of a 1-D vector: numpy's own formula for it, ``sqrt(v @ v)``, bit for bit."""
-    return math.sqrt(v @ v)
+    """``|v|`` of a 1-D vector: numpy's own formula for it, ``sqrt(v @ v)``, bit for bit.
+
+    For 1-D vectors ``v.dot(v)`` makes the BLAS ``ddot`` call ``v @ v`` makes,
+    without matmul's dispatch; the step's other vector products use it too.
+    """
+    return math.sqrt(v.dot(v))
 
 
 def _step_rows(state: SolverState, y_next, z_next, w_next, epsilon: float, cut_variant: str):
@@ -512,8 +524,9 @@ def _drive(step, state, stopping: StoppingRule, audit=None) -> RunReport:
     """Apply ``step`` (state -> (state, record)) until the stopping rule holds.
 
     Keeps the trace and times the loop.  Each record's ``y``, ``z`` and
-    ``x`` are checked once here, so the helpers inside a step need not
-    re-check what the step made: a non-finite entry raises ``ValueError``.
+    ``x`` are checked once here (``z`` only when it is not ``y`` itself),
+    so the helpers inside a step need not re-check what the step made: a
+    non-finite entry raises ``ValueError``.
     ``audit``, when given, is called as ``audit(state_before, record)``
     on every checked record.  Raises :class:`MaxIterExceeded` carrying the
     partial report when the cap is hit.
@@ -524,8 +537,11 @@ def _drive(step, state, stopping: StoppingRule, audit=None) -> RunReport:
     for _ in range(stopping.max_iter):
         before = state
         state, record = step(state)
+        y_next, z_next = record.y_next, record.z_next
         if not (
-            all_finite(record.y_next) and all_finite(record.z_next) and all_finite(record.x_next)
+            all_finite(y_next)
+            and (z_next is y_next or all_finite(z_next))
+            and all_finite(record.x_next)
         ):
             raise ValueError(f"iteration {record.n}: an iterate has non-finite entries")
         trace.append(record)

@@ -124,8 +124,9 @@ def solve_qp_active_set(M, c, feasible: ConvexSet, working=()) -> np.ndarray:
     """Unique minimizer of ``0.5 y^T M y + <c, y>`` over ``feasible`` for SPD ``M``.
 
     Solved by the dual active-set method.  ``working`` seeds it with
-    indices into the set's prepared rows (:func:`_prepared_rows`; indices
-    out of range are ignored); the minimizer is the same from any seed.
+    indices into the set's prepared rows (:func:`_prepared_rows`; repeats
+    and indices out of range are dropped here, since the dual QP trusts its
+    seed); the minimizer is the same from any seed.
     ``M`` is checked by :func:`linalg.cholesky_spd`, ``c`` and the set
     against its order.  Raises :class:`InfeasibleSet` when the
     feasible set is empty and :class:`CyclingDetected` if the iteration
@@ -137,7 +138,8 @@ def solve_qp_active_set(M, c, feasible: ConvexSet, working=()) -> np.ndarray:
     rows = _rows_in(feasible, n)
     if c.shape != (n,):
         raise DimensionMismatch("QP arguments must match the order of M")
-    return _DualQP(L, rows).solve(c, working)[0]
+    m = rows[0].shape[0]
+    return _DualQP(L, rows).solve(c, [i for i in dict.fromkeys(working) if 0 <= i < m])[0]
 
 
 class CutProjector:
@@ -172,8 +174,10 @@ class CutProjector:
         """Nearest point to ``x0`` in the intersection of ``cuts`` and the projector's set.
 
         ``cuts`` are rows ``(a, b)`` of ``<a, z> <= b``, or ``None`` for a cut
-        that is the whole space; ``x0`` is trusted.  Raises
-        :class:`InfeasibleSet` when the intersection is empty.
+        that is the whole space; ``x0`` is trusted.  With no set and no
+        row, the intersection is the whole space and ``x0`` is returned (as
+        a copy).  Raises :class:`InfeasibleSet` when the intersection is
+        empty.
         """
         rows, labels = self._set_rows, self._set_labels
         slots = [s for s, row in enumerate(cuts) if row is not None]
@@ -182,6 +186,8 @@ class CutProjector:
             b = np.array([cuts[s][1] for s in slots])
             rows, keep = _unit_rows(A, b, rows, self._set_norms)
             labels = [label for label, k in zip(slots + labels, keep.tolist()) if k]
+        elif rows is None:
+            return x0.copy()
         where = {label: i for i, label in enumerate(labels)}
         warm = [where[label] for label in self._working if label in where]
         y, working = _DualQP(None, rows).solve(-x0, warm)
@@ -258,7 +264,7 @@ def _unit_rows(A: np.ndarray, b: np.ndarray, below=None, below_norms=None):
         b = np.concatenate([b, below[1]])
         norms = np.concatenate([norms, below_norms])
     keep = _drop_redundant_parallel(A, b, new, norms)
-    if not keep.all():
+    if not all(keep.tolist()):
         A, b = A[keep], b[keep]
     return (A, b, 1e-9 * (1.0 + float(np.abs(b).max(initial=0.0)))), keep
 
@@ -302,6 +308,14 @@ class _DualQP:
             self._face_key = key
         return self._face
 
+    def _on_face(self, working, minv_c: np.ndarray, rhs: np.ndarray):
+        """Minimizer on the face of ``working`` and its multipliers, for :meth:`solve`'s ``c``."""
+        if not working:
+            return -minv_c, np.zeros(0)
+        idx, Lg, K_W = self.face(working)
+        u = solve_with_factor(Lg, rhs.take(idx))
+        return -(minv_c + K_W @ u), u
+
     def solve(self, c: np.ndarray, working=()) -> tuple[np.ndarray, tuple[int, ...]]:
         """Minimizer for the linear term ``c`` and its final working set.
 
@@ -310,9 +324,9 @@ class _DualQP:
         index on ties) is then added, dropping any working row whose
         multiplier would turn negative first.  A row that depends on the
         working set is never added, and when nothing can be dropped either
-        the set is empty.  ``working`` seeds the method (row indices out of
-        range are ignored) and is kept in its order, as added rows are
-        appended.  ``c`` is trusted: callers check it.
+        the set is empty.  ``working`` seeds the method with distinct row
+        indices in ``[0, m)`` and is kept in its order, as added rows are
+        appended.  ``c`` and ``working`` are trusted: callers check them.
         """
         A, b, K, G = self.A, self.b, self.K, self.G
         d = c.shape[0]
@@ -323,25 +337,17 @@ class _DualQP:
         # The multipliers on a face W solve G[W, W] u = rhs[W].
         rhs = -(A @ minv_c) - b
 
-        def on_face(working):
-            """Minimizer on the face of ``working`` and its multipliers."""
-            if not working:
-                return -minv_c, np.zeros(0)
-            idx, Lg, K_W = self.face(working)
-            u = solve_with_factor(Lg, rhs.take(idx))
-            return -(minv_c + K_W @ u), u
-
         # Warm start: the given working set, less the rows whose multiplier
         # on its face is negative (the face minimizer is then dual feasible).
-        working = [i for i in dict.fromkeys(working) if 0 <= i < m]
+        working = list(working)
         while True:
             try:
-                y, u = on_face(working)
+                y, u = self._on_face(working, minv_c, rhs)
             except NotSPD:
                 working.pop()
                 continue
             keep = u >= -MULTIPLIER_TOL
-            if keep.all():
+            if all(keep.tolist()):
                 break
             working = [i for i, k in zip(working, keep) if k]
 
@@ -366,15 +372,15 @@ class _DualQP:
             # means row p depends on the rows of the working set and can only
             # enter by replacing one of them.
             a_minv_a = float(G[p, p])
-            curvature = a_minv_a - float(l @ l)
+            curvature = a_minv_a - float(l.dot(l))
             full = np.inf
             if curvature > max(1e-12 * a_minv_a, PIVOT_TOL):
-                full = (float(A[p] @ y) - b[p]) / curvature
+                full = (float(A[p].dot(y)) - b[p]) / curvature
             # Partial step: the first working multiplier to reach zero.
             partial, block = _blocking_row(u, r)
             if full != np.inf and full <= partial:
                 working.append(p)
-                y, u = on_face(working)
+                y, u = self._on_face(working, minv_c, rhs)
                 p = None
                 continue
             if block is None:
@@ -421,7 +427,7 @@ def _drop_redundant_parallel(A: np.ndarray, b: np.ndarray, new: int, norms: np.n
         return keep
     first, second = np.nonzero((A[:new] @ A.T) / (norms[:new, None] * norms) >= 1.0 - 1e-12)
     pairs = second > first
-    if not pairs.any():
+    if not any(pairs.tolist()):
         return keep
     offsets = b / norms
     # Row-major order is the greedy order; a row that goes skips its later pairs.

@@ -15,7 +15,9 @@ Set descriptions are immutable after construction: each keeps
 read-only copies of the arrays it was built from, so a caller editing
 its own array later changes no set, and caches keyed on a set's
 identity stay valid.  All projections are pure, so concurrent use needs
-no synchronization.
+no synchronization.  Each kind's ``project`` checks its point (finite, 1-D,
+of the set's dimension) and hands it to ``project_trusted``, which callers
+that hold a checked point of the right dimension may call directly.
 """
 
 from __future__ import annotations
@@ -59,7 +61,10 @@ class WholeSpace:
         return True
 
     def project(self, x) -> np.ndarray:
-        return _point_in(x, self.dim).copy()
+        return self.project_trusted(_point_in(x, self.dim))
+
+    def project_trusted(self, p: np.ndarray) -> np.ndarray:
+        return p.copy()
 
     def __repr__(self):
         return f"WholeSpace(dim={self.dim})"
@@ -87,7 +92,10 @@ class Halfspace:
 
     def project(self, x) -> np.ndarray:
         """Closed-form projection (:func:`project_halfspace`)."""
-        return project_halfspace(_point_in(x, self.dim), self.a, self.b)
+        return self.project_trusted(_point_in(x, self.dim))
+
+    def project_trusted(self, p: np.ndarray) -> np.ndarray:
+        return project_halfspace(p, self.a, self.b)
 
     def __repr__(self):
         return f"Halfspace(a={self.a.tolist()}, b={self.b})"
@@ -116,7 +124,10 @@ class Box:
 
     def project(self, x) -> np.ndarray:
         """Elementwise clamp; the result lies in the box exactly."""
-        return np.clip(_point_in(x, self.dim), self.lo, self.hi)
+        return self.project_trusted(_point_in(x, self.dim))
+
+    def project_trusted(self, p: np.ndarray) -> np.ndarray:
+        return np.clip(p, self.lo, self.hi)
 
     def __repr__(self):
         return f"Box(lo={self.lo.tolist()}, hi={self.hi.tolist()})"
@@ -150,9 +161,12 @@ class Polyhedron:
 
         Raises :class:`InfeasibleSet` when the description is empty.
         """
+        return self.project_trusted(_point_in(x, self.dim))
+
+    def project_trusted(self, p: np.ndarray) -> np.ndarray:
         from .qp import CutProjector  # deferred: qp builds on the set types above
 
-        return CutProjector(self).project(_point_in(x, self.dim), ())
+        return CutProjector(self).project(p, ())
 
     def __repr__(self):
         return f"Polyhedron(halfspaces={list(self.halfspaces)!r}, box={self.box!r})"
@@ -200,27 +214,30 @@ def project_two_halfspaces(x: np.ndarray, first, second) -> np.ndarray:
     otherwise both boundary hyperplanes are active and the multipliers
     come from the 2x2 Gram system.  Raises :class:`EmptyIntersection`
     for anti-parallel normals bounding a slab with no interior.  ``x``
-    is trusted: callers check it.
+    is trusted: callers check it.  Past the first, the inner products are
+    ``a.dot(x)``: for 1-D vectors the BLAS ``ddot`` call ``a @ x`` makes,
+    without matmul's dispatch.  The first stays ``a1 @ x``, which rejects a
+    scalar ``x`` (``ValueError``) where ``.dot`` would broadcast it.
     """
     (a1, b1), (a2, b2) = first, second
-    v1 = float(a1 @ x - b1)
-    v2 = float(a2 @ x - b2)
+    v1 = float(a1 @ x) - b1
+    v2 = float(a2.dot(x)) - b2
     tol1, tol2 = membership_tol(b1), membership_tol(b2)
     if v1 <= tol1 and v2 <= tol2:
         return x.copy()
-    g11, g22 = float(a1 @ a1), float(a2 @ a2)
+    g11, g22 = float(a1.dot(a1)), float(a2.dot(a2))
     if v1 > 0.0:
         cand = x - (v1 / g11) * a1
-        if float(a2 @ cand - b2) <= tol2:
+        if float(a2.dot(cand)) - b2 <= tol2:
             return cand
     if v2 > 0.0:
         cand = x - (v2 / g22) * a2
-        if float(a1 @ cand - b1) <= tol1:
+        if float(a1.dot(cand)) - b1 <= tol1:
             return cand
 
     # Both boundary hyperplanes active: solve the Gram system in the
     # two multipliers, z = x - mu1 a1 - mu2 a2 with both constraints tight.
-    g12 = float(a1 @ a2)
+    g12 = float(a1.dot(a2))
     det = g11 * g22 - g12 * g12
     if det <= 1e-14 * g11 * g22:
         # Parallel normals.  Same-direction pairs always resolve in the

@@ -688,6 +688,42 @@ def test_cut_projection_drops_whole_space_slots(monkeypatch):
             assert np.allclose(_project_onto_cuts(x, cuts, projector), [0.0, 3.0], atol=1e-14)
 
 
+def test_cut_projector_with_no_set_and_no_row_returns_the_point():
+    # With no set and no row the intersection is the whole space: the point
+    # comes back as a copy, as from the closed form and from a set without rows.
+    x = np.array([2.0, -3.0, 0.5])
+    for cuts in ([None, None], []):
+        got = CutProjector(None).project(x, cuts)
+        assert got.tobytes() == x.tobytes() and got is not x
+        assert CutProjector(WholeSpace(3)).project(x, cuts).tobytes() == x.tobytes()
+
+
+def test_a_mapping_returning_y_itself_steps_as_one_returning_an_equal_copy(example1):
+    # The step skips comparing and re-norming z when the mapping hands back y
+    # itself (as IdentityMapping does); an equal copy takes the comparison.
+    class CopyingIdentity:
+        def __call__(self, x):
+            return np.array(x, dtype=float)
+
+    params = table1_config().params_for(AlphaSchedule("ratio"))
+    stopping = StoppingRule("residual_w", 1e-4, 300)
+    reports = []
+    for mapping in (IdentityMapping(), CopyingIdentity()):
+        bundle = ProblemBundle(example1.bifunction, example1.feasible, mapping, example1.constants)
+        try:
+            reports.append(solve(bundle, params, stopping, [1.0, 3.0, 1.0]))
+        except MaxIterExceeded as exc:
+            reports.append(exc.report)
+    same, copied = reports
+    assert same.iterations == copied.iterations == 300
+    for a, b in zip(same.trace, copied.trace):
+        assert a.z_next is a.y_next and a.w_next is a.y_next
+        assert b.z_next is b.y_next and b.w_next is b.y_next
+        for name in ("y_next", "x_next"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert (a.epsilon, a.residual_w) == (b.epsilon, b.residual_w)
+
+
 def test_step_builds_no_set_object(monkeypatch):
     # A step's cuts are rows, projected as rows: no set object is built, and
     # no point re-checked, inside it.  Only solve's start and seed are checked.
