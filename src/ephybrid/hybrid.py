@@ -212,14 +212,15 @@ class StoppingRule:
 
 @dataclass(eq=False)
 class SolverState:
-    """Rolling iterate window; arrays are never mutated in place."""
+    """Iterate window, arrays never mutated in place; ``dx2`` and ``dy2`` are the squared
+    moves ``|x_n - x_{n-1}|^2`` and ``|y_n - y_{n-1}|^2``, 0.0 before the first step."""
 
     n: int
-    x_prev: np.ndarray
     x_cur: np.ndarray
-    y_prev: np.ndarray
     y_cur: np.ndarray
     x0: np.ndarray
+    dx2: float
+    dy2: float
 
 
 @dataclass(eq=False)
@@ -254,21 +255,18 @@ class RunReport:
 
 
 def contraction_slack(
-    state: SolverState, y_next: np.ndarray, params: HybridParams, constants: LipschitzConstants
+    state: SolverState, dy_next2: float, params: HybridParams, constants: LipschitzConstants
 ) -> float:
     """Slack term of the contraction cut.
 
-    Combines the squared displacements of the two previous iterates
-    and the incoming prox displacement, weighing the previous prox
-    displacement by ``c2`` and the incoming one by ``c1``; the sign
+    Combines the state's squared moves ``dx2`` and ``dy2`` with the
+    incoming prox move ``dy_next2 = |y_next - y_cur|^2``, weighing the
+    previous prox move by ``c2`` and the incoming one by ``c1``; the sign
     structure guarantees the slack is summable along the run whenever
     the parameters are admissible.
     """
-    dx2 = _sum_of_squares(state.x_cur - state.x_prev)
-    dy_prev2 = _sum_of_squares(state.y_cur - state.y_prev)
-    dy_next2 = _sum_of_squares(y_next - state.y_cur)
     lead = 1.0 - 1.0 / params.k - 2.0 * params.lam * constants.c1
-    return params.k * dx2 + 2.0 * params.lam * constants.c2 * dy_prev2 - lead * dy_next2
+    return params.k * state.dx2 + 2.0 * params.lam * constants.c2 * state.dy2 - lead * dy_next2
 
 
 def _sum_of_squares(d: np.ndarray) -> float:
@@ -344,7 +342,8 @@ def hybrid_iterate(
         w_next = y_next if dist_y >= dist_z else z_next
         residual_w = max(dist_y, dist_z)
 
-    epsilon = contraction_slack(state, y_next, params, bundle.constants)
+    dy_next2 = _sum_of_squares(y_next - state.y_cur)
+    epsilon = contraction_slack(state, dy_next2, params, bundle.constants)
     try:
         x_next = _project_onto_cuts(
             state.x0,
@@ -371,11 +370,11 @@ def hybrid_iterate(
     )
     new_state = SolverState(
         n=state.n + 1,
-        x_prev=state.x_cur,
         x_cur=x_next,
-        y_prev=state.y_cur,
         y_cur=y_next,
         x0=state.x0,
+        dx2=_sum_of_squares(x_next - state.x_cur),
+        dy2=dy_next2,
     )
     return new_state, record
 
@@ -452,27 +451,14 @@ def solve(
     Raises :class:`MaxIterExceeded` carrying the partial report when
     the cap is hit.
     """
-    start = as_point(x0)
-    if start.shape[0] != bundle.dim:
-        raise DimensionMismatch("start point must match the problem dimension")
+    start, done = _start(bundle, stopping, x0)
     seed = np.zeros(bundle.dim) if y0 is None else as_point(y0)
     if seed.shape[0] != bundle.dim:
         raise DimensionMismatch("prox seed must match the problem dimension")
-    if stopping.kind == "distance_to_target" and bundle.target is None:
-        raise ValueError("distance stopping rule needs a bundle with a known target")
+    if done is not None:
+        return done
 
-    if stopping.kind == "distance_to_target":
-        if float(np.linalg.norm(start - bundle.target)) <= stopping.tol:
-            return RunReport(0, start.copy(), 0.0, STOP_DISTANCE, [])
-
-    state = SolverState(
-        n=1,
-        x_prev=start.copy(),
-        x_cur=start.copy(),
-        y_prev=seed.copy(),
-        y_cur=seed.copy(),
-        x0=start.copy(),
-    )
+    state = SolverState(1, start.copy(), seed.copy(), start.copy(), dx2=0.0, dy2=0.0)
     prox = ProxSolver(bundle.bifunction, params.lam, bundle.feasible)
     projector = _cut_projector(bundle, params)
     check = (lambda before, rec: _audit_record(before, rec, bundle, params)) if audit else None
@@ -490,12 +476,9 @@ def extragradient_solve(bundle: ProblemBundle, lam: float, stopping: StoppingRul
     distance to a known target.
     """
     _check_lambda(lam, bundle.constants)
-    if stopping.kind == "distance_to_target" and bundle.target is None:
-        raise ValueError("distance stopping rule needs a bundle with a known target")
-
-    x = as_point(x0).copy()
-    if x.shape[0] != bundle.dim:
-        raise DimensionMismatch("start point must match the problem dimension")
+    start, done = _start(bundle, stopping, x0)
+    if done is not None:
+        return done
     first_prox = ProxSolver(bundle.bifunction, lam, bundle.feasible)
     second_prox = ProxSolver(bundle.bifunction, lam, bundle.feasible)
 
@@ -517,7 +500,20 @@ def extragradient_solve(bundle: ProblemBundle, lam: float, stopping: StoppingRul
         )
         return (n + 1, x_next), record
 
-    return _drive(step, (1, x), stopping)
+    return _drive(step, (1, start.copy()), stopping)
+
+
+def _start(bundle: ProblemBundle, stopping: StoppingRule, x0):
+    """Either solver's checked start, and its 0-iteration report if it already meets the rule."""
+    start = as_point(x0)
+    if start.shape[0] != bundle.dim:
+        raise DimensionMismatch("start point must match the problem dimension")
+    if stopping.kind != "distance_to_target":
+        return start, None
+    if bundle.target is None:
+        raise ValueError("distance stopping rule needs a bundle with a known target")
+    done = float(np.linalg.norm(start - bundle.target)) <= stopping.tol
+    return start, RunReport(0, start.copy(), 0.0, STOP_DISTANCE, []) if done else None
 
 
 def _drive(step, state, stopping: StoppingRule, audit=None) -> RunReport:

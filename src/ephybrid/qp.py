@@ -148,7 +148,7 @@ class CutProjector:
     The hybrid solver's cut rows are new every iteration, but the rows of
     ``feasible``, the set the cuts are cut from (``None`` for none), are
     not, and the working set seldom changes much.  So the projector
-    prepares the set's rows and their norms once, when it is built, and
+    prepares the set's rows once, when it is built, and
     keeps the last working set, each row labelled by its origin: a cut by
     its slot in the list of cuts (a ``None`` slot adds no row but keeps its
     place), the set's prepared row ``i`` by ``-1 - i``.  ``set_row_count``
@@ -165,7 +165,6 @@ class CutProjector:
 
     def __init__(self, feasible: ConvexSet | None):
         self._set_rows = None if feasible is None else _prepared_rows(feasible)
-        self._set_norms = None if feasible is None else _row_norms(self._set_rows[0])
         self.set_row_count = 0 if feasible is None else self._set_rows[0].shape[0]
         self._set_labels = list(range(-1, -1 - self.set_row_count, -1))
         self._working = ()
@@ -184,7 +183,7 @@ class CutProjector:
         if slots:
             A = np.array([cuts[s][0] for s in slots])
             b = np.array([cuts[s][1] for s in slots])
-            rows, keep = _unit_rows(A, b, rows, self._set_norms)
+            rows, keep = _unit_rows(A, b, rows)
             labels = [label for label, k in zip(slots + labels, keep.tolist()) if k]
         elif rows is None:
             return x0.copy()
@@ -243,27 +242,24 @@ def _rows_in(feasible: ConvexSet, d: int) -> tuple[np.ndarray, np.ndarray, float
     return rows
 
 
-def _unit_rows(A: np.ndarray, b: np.ndarray, below=None, below_norms=None):
+def _unit_rows(A: np.ndarray, b: np.ndarray, below=None):
     """Rows ``A y <= b`` at unit length, deduplicated, and the keep mask.
 
     Returns the prepared triple ``(A, b, feas_tol)`` and the mask of the
     stacked rows it kept.  Unit-length rows make violations geometric
     distances, so one tolerance scale serves constraints of wildly
     different norms.  ``below`` is a prepared triple of rows to stack
-    under these before the deduplication, and ``below_norms`` its
-    :func:`_row_norms`; its rows are already pairwise non-parallel, so
-    only pairs involving one of the new rows are compared.
+    under these before the deduplication; its rows are already pairwise
+    non-parallel, so only pairs involving one of the new rows are compared.
     """
     new = A.shape[0]
     norms = _row_norms(A)
     A = A / norms[:, None]
     b = b / norms
-    norms = _row_norms(A)
     if below is not None:
         A = np.vstack([A, below[0]])
         b = np.concatenate([b, below[1]])
-        norms = np.concatenate([norms, below_norms])
-    keep = _drop_redundant_parallel(A, b, new, norms)
+    keep = _drop_redundant_parallel(A, b, new)
     if not all(keep.tolist()):
         A, b = A[keep], b[keep]
     return (A, b, 1e-9 * (1.0 + float(np.abs(b).max(initial=0.0)))), keep
@@ -409,8 +405,8 @@ def _blocking_row(u: np.ndarray, r: np.ndarray) -> tuple[float, int | None]:
     return np.inf, None
 
 
-def _drop_redundant_parallel(A: np.ndarray, b: np.ndarray, new: int, norms: np.ndarray):
-    """Keep mask of the rows not made redundant by a (nearly) parallel tighter row.
+def _drop_redundant_parallel(A: np.ndarray, b: np.ndarray, new: int):
+    """Keep mask of the unit rows not made redundant by a (nearly) parallel tighter row.
 
     Split cuts converge toward the same bisector as a run progresses,
     which would otherwise feed the active-set loop numerically
@@ -419,21 +415,21 @@ def _drop_redundant_parallel(A: np.ndarray, b: np.ndarray, new: int, norms: np.n
     with all rows: the rows after them must be pairwise non-parallel
     already.  Pairs are visited greedily, lowest index first; of a
     parallel pair the tighter offset stays, the later row on a tie
-    goes, and a row that goes compares with nothing further.  ``norms``
-    holds the rows' :func:`_row_norms`.
+    goes, and a row that goes compares with nothing further.  The rows
+    are at unit length (:func:`_unit_rows`), so their products are the
+    cosines and ``b`` holds the offsets.
     """
     keep = np.ones(A.shape[0], dtype=bool)
     if new == 0:
         return keep
-    first, second = np.nonzero((A[:new] @ A.T) / (norms[:new, None] * norms) >= 1.0 - 1e-12)
+    first, second = np.nonzero(A[:new] @ A.T >= 1.0 - 1e-12)
     pairs = second > first
     if not any(pairs.tolist()):
         return keep
-    offsets = b / norms
     # Row-major order is the greedy order; a row that goes skips its later pairs.
     for i, j in zip(first[pairs].tolist(), second[pairs].tolist()):
         if keep[i] and keep[j]:
-            if offsets[j] >= offsets[i]:
+            if b[j] >= b[i]:
                 keep[j] = False
             else:
                 keep[i] = False

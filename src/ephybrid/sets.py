@@ -76,8 +76,7 @@ class Halfspace:
     def __init__(self, a, b: float):
         self.a = frozen_copy(as_point(a))
         self.b = float(b)
-        self.norm2 = float(self.a @ self.a)
-        if self.norm2 <= 0.0:
+        if float(self.a @ self.a) <= 0.0:
             raise ZeroNormal("halfspace normal must be nonzero")
         self.dim = self.a.shape[0]
 

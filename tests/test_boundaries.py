@@ -92,7 +92,7 @@ def test_hybrid_iterate_checks_the_points_it_steps_from(config):
     for points, _, kind in BAD_POINTS:
         for point in points:
             for field in ("x_cur", "y_cur"):
-                window = dict(x_prev=GOOD, x_cur=GOOD, y_prev=np.zeros(3), y_cur=np.zeros(3), x0=GOOD)
+                window = dict(x_cur=GOOD, y_cur=np.zeros(3), x0=GOOD, dx2=0.0, dy2=0.0)
                 window[field] = point
                 state = SolverState(n=1, **window)
                 raises_exactly(kind, lambda s: hybrid_iterate(s, config.bundle, params), state)

@@ -43,7 +43,7 @@ from oracles import enumeration_qp, halfspace_rows
 def fresh_state(x0, dim=None):
     x0 = np.asarray(x0, dtype=float)
     z = np.zeros(dim or x0.shape[0])
-    return SolverState(1, x0.copy(), x0.copy(), z.copy(), z.copy(), x0.copy())
+    return SolverState(1, x0.copy(), z.copy(), x0.copy(), 0.0, 0.0)
 
 
 def test_validate_params_benchmark_settings(example1):
@@ -92,9 +92,9 @@ def test_contraction_slack_stationary_is_zero(example1):
     params = validate_params(
         default_lambda(example1.constants), 6.0, AlphaSchedule("ratio"), example1.constants
     )
+    # A window that has not moved: every squared move is 0.0.
     st = fresh_state([1.0, 2.0, 3.0])
-    st.y_prev = st.y_cur = np.array([0.5, 0.5, 0.5])
-    assert contraction_slack(st, st.y_cur, params, example1.constants) == 0.0
+    assert contraction_slack(st, 0.0, params, example1.constants) == 0.0
 
 
 def test_contraction_slack_hand_coefficients(example1):
@@ -102,17 +102,16 @@ def test_contraction_slack_hand_coefficients(example1):
     consts = example1.constants
     lam = default_lambda(consts)
     params = validate_params(lam, 6.0, AlphaSchedule("ratio"), consts)
+    lead = 1.0 - 1.0 / params.k - 2.0 * params.lam * consts.c1
+    assert (params.k, 2.0 * params.lam * consts.c2, lead) == pytest.approx((6.0, 0.4, 13.0 / 30.0))
     rng = np.random.default_rng(3)
-    st = fresh_state(rng.normal(size=3))
-    st.x_prev = rng.normal(size=3)
-    st.y_prev = rng.normal(size=3)
-    st.y_cur = rng.normal(size=3)
-    y_next = rng.normal(size=3)
-    dx2 = float(np.sum((st.x_cur - st.x_prev) ** 2))
-    dyp2 = float(np.sum((st.y_cur - st.y_prev) ** 2))
-    dyn2 = float(np.sum((y_next - st.y_cur) ** 2))
-    expected = 6.0 * dx2 + 0.4 * dyp2 - (1.0 - 1.0 / 6.0 - 0.4) * dyn2
-    assert contraction_slack(st, y_next, params, consts) == pytest.approx(expected, rel=1e-12)
+    for _ in range(100):
+        st = fresh_state(rng.normal(size=3))
+        st.dx2, st.dy2, dyn2 = (float(v) for v in rng.uniform(0.0, 10.0, 3))
+        # Example 1's 2*lam*c1 rounds below 0.4, so the coefficients are the
+        # parameters' own; the order of the operations is the slack's.
+        expected = params.k * st.dx2 + 2.0 * params.lam * consts.c2 * st.dy2 - lead * dyn2
+        assert contraction_slack(st, dyn2, params, consts) == expected
 
 
 def test_slack_conventions_differ_for_unequal_constants():
@@ -122,15 +121,13 @@ def test_slack_conventions_differ_for_unequal_constants():
     # dy_prev2 = 1 and dy_next2 = 4; the other ordering gives 4.4667, not 3.8667.
     consts = LipschitzConstants(1.0, 2.0)
     params = validate_params(0.1, 6.0, AlphaSchedule("ratio"), consts)
+    # Doubling is exact, so 2*lam*c2 and 2*lam*c1 are the doubles 0.4 and 0.2.
     st = fresh_state([1.0, 0.0])
-    st.x_prev = np.array([0.0, 0.0])
-    st.y_prev = np.array([0.0, 0.0])
-    st.y_cur = np.array([1.0, 0.0])
-    y_next = np.array([1.0, 2.0])
+    st.dx2, st.dy2 = 1.0, 1.0
     expected = 6.0 * 1.0 + 0.4 * 1.0 - (1.0 - 1.0 / 6.0 - 0.2) * 4.0
     swapped = 6.0 * 1.0 + 0.2 * 1.0 - (1.0 - 1.0 / 6.0 - 0.4) * 4.0
     assert abs(expected - swapped) > 0.5
-    assert contraction_slack(st, y_next, params, consts) == pytest.approx(expected, rel=1e-12)
+    assert contraction_slack(st, 4.0, params, consts) == expected
 
 
 def inside(row, point, tol):
@@ -217,10 +214,11 @@ def test_iterate_record_invariants(example2):
     state = fresh_state([-2.0, 3.0, -1.0])
     prox = ProxSolver(example2.bifunction, params.lam, example2.feasible)
     for _ in range(15):
+        x_cur = state.x_cur
         state, rec = hybrid_iterate(state, example2, params, prox)
         assert np.array_equal(rec.w_next, rec.y_next) or np.array_equal(rec.w_next, rec.z_next)
-        dy = np.linalg.norm(rec.y_next - state.x_prev)
-        dz = np.linalg.norm(rec.z_next - state.x_prev)
+        dy = np.linalg.norm(rec.y_next - x_cur)
+        dz = np.linalg.norm(rec.z_next - x_cur)
         assert rec.residual_w == pytest.approx(max(dy, dz), rel=1e-12)
         # prox outputs stay feasible; averaged point on the segment
         assert example2.feasible.contains(rec.y_next, tol=1e-10)
@@ -242,7 +240,8 @@ def trace_cuts(report, x0):
     state = fresh_state(x0)
     for rec in report.trace:
         yield (rec, *step_cuts(state, rec))
-        state = SolverState(rec.n + 1, state.x_cur, rec.x_next, state.y_cur, rec.y_next, state.x0)
+        # The cuts read only x_n and x0, so the squared moves are left at 0.0.
+        state = SolverState(rec.n + 1, rec.x_next, rec.y_next, state.x0, 0.0, 0.0)
 
 
 def test_known_solution_stays_in_cuts(example2):
@@ -324,11 +323,17 @@ def test_solve_distance_rule_needs_target(example1):
         solve(example1, params, StoppingRule("distance_to_target", 1e-3, 10), [1.0, 3.0, 1.0])
 
 
-def test_solve_start_at_target(example2):
-    params = validate_params(
-        default_lambda(example2.constants), 6.0, AlphaSchedule("ratio"), example2.constants
-    )
-    report = solve(example2, params, StoppingRule("distance_to_target", 1e-3, 10), [0.0, 0.0, 0.0])
+@pytest.mark.parametrize("solver", ["hybrid", "extragradient"])
+def test_solve_start_at_target(example2, solver):
+    # Both solvers check their start through one helper, which returns a
+    # 0-iteration report when the start already meets the distance rule.
+    lam = default_lambda(example2.constants)
+    stopping = StoppingRule("distance_to_target", 1e-3, 10)
+    if solver == "hybrid":
+        params = validate_params(lam, 6.0, AlphaSchedule("ratio"), example2.constants)
+        report = solve(example2, params, stopping, [0.0, 0.0, 0.0])
+    else:
+        report = extragradient_solve(example2, lam, stopping, [0.0, 0.0, 0.0])
     assert report.iterations == 0
     assert report.stop_reason == "DistanceToKnown"
 
@@ -367,7 +372,7 @@ def test_audit_detects_fabricated_violation(example2):
     # cut of y = z is the whole space.  example2's known solution is the origin.
     def pair(x_cur=(1.0, 0.0, 0.0), x0=(2.0, 0.0, 0.0), w=(0.0, 0.0, 0.0), x_next=(0.5, 0.0, 0.0),
              epsilon=0.0, y=None, z=None):
-        state = SolverState(3, np.zeros(3), np.array(x_cur), np.zeros(3), np.zeros(3), np.array(x0))
+        state = SolverState(3, np.array(x_cur), np.zeros(3), np.array(x0), 0.0, 0.0)
         w, x_next = np.array(w), np.array(x_next)
         y = w if y is None else np.array(y)
         z = w if z is None else np.array(z)

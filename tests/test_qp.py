@@ -23,6 +23,7 @@ from ephybrid.qp import (
     _drop_redundant_parallel,
     _prepared_rows,
     _row_norms,
+    _unit_rows,
     constraint_rows,
     prox_step,
     solve_qp_active_set,
@@ -696,9 +697,12 @@ def test_constraint_rows_skip_infinite_bounds():
 
 
 def greedy_parallel_reference(A, b):
-    """The all-pairs O(m^2) greedy pass the new-rows deduplication replaced."""
+    """The all-pairs O(m^2) greedy pass over unit rows that the new-rows deduplication replaced.
+
+    The rows are at unit length, as :func:`qp._unit_rows` hands them on, so a
+    product of two rows is their cosine and ``b`` holds the offsets.
+    """
     m = A.shape[0]
-    norms = np.linalg.norm(A, axis=1)
     keep = np.ones(m, dtype=bool)
     for i in range(m):
         if not keep[i]:
@@ -706,14 +710,19 @@ def greedy_parallel_reference(A, b):
         for j in range(i + 1, m):
             if not keep[j]:
                 continue
-            cos = float(A[i] @ A[j]) / (norms[i] * norms[j])
-            if cos >= 1.0 - 1e-12:
-                if b[j] / norms[j] >= b[i] / norms[i]:
+            if float(A[i] @ A[j]) >= 1.0 - 1e-12:
+                if b[j] >= b[i]:
                     keep[j] = False
                 else:
                     keep[i] = False
                     break
     return keep
+
+
+def unit(A, b):
+    """Rows ``A`` and offsets ``b`` scaled to unit row length."""
+    norms = np.linalg.norm(A, axis=1)
+    return A / norms[:, None], b / norms
 
 
 def tilted(e, u, angle, scale):
@@ -743,11 +752,12 @@ def test_new_row_dedup_is_the_greedy_pass():
         ([0.8, 0.9, 1.0], [True, False, True]),
         ([0.8, 0.8, 0.8], [True, False, True]),
     ):
-        offsets = np.array(offsets)
-        norms = np.linalg.norm(chain, axis=1)
-        assert _drop_redundant_parallel(chain, offsets, 3, norms).tolist() == expected
-        assert greedy_parallel_reference(chain, offsets).tolist() == expected
+        rows, offsets = unit(chain, np.array(offsets))
+        assert _drop_redundant_parallel(rows, offsets, 3).tolist() == expected
+        assert greedy_parallel_reference(rows, offsets).tolist() == expected
 
+    # Offsets are drawn as multiples of the row norm, so every unit offset is
+    # exactly -0.5, 0.5 or 1.0 and equal offsets are exact ties.
     rng = np.random.default_rng(2029)
     dropped_below = ties = 0
     for case in range(400):
@@ -763,19 +773,82 @@ def test_new_row_dedup_is_the_greedy_pass():
                 rows.append(rows[-1].copy())
                 offs.append(offs[-1])
                 ties += 1
-        A, b = np.array(rows), np.array(offs)
+        A, b = unit(np.array(rows), np.array(offs))
         keep = greedy_parallel_reference(A, b)
-        norms = np.linalg.norm(A, axis=1)
-        assert _drop_redundant_parallel(A, b, len(b), norms).tolist() == keep.tolist(), case
-        # Rows already deduplicated go below a few new rows, as in the cut projection.
+        assert _drop_redundant_parallel(A, b, len(b)).tolist() == keep.tolist(), case
+        # Rows already deduplicated go below a few raw new rows, as in the cut projection.
         new = int(rng.integers(1, 4))
         cuts = A[rng.integers(0, len(b), new)] * rng.uniform(0.5, 2.0, (new, 1))
         cut_offs = rng.choice([-0.5, 0.5, 1.0], new) * np.linalg.norm(cuts, axis=1)
-        stacked = np.vstack([cuts, A[keep]])
-        stacked_b = np.concatenate([cut_offs, b[keep]])
-        ref = greedy_parallel_reference(stacked, stacked_b)
-        assert _drop_redundant_parallel(
-            stacked, stacked_b, new, np.linalg.norm(stacked, axis=1)
-        ).tolist() == ref.tolist(), case
+        unit_cuts, unit_offs = unit(cuts, cut_offs)
+        ref = greedy_parallel_reference(
+            np.vstack([unit_cuts, A[keep]]), np.concatenate([unit_offs, b[keep]])
+        )
+        below = (A[keep], b[keep], 1e-9)
+        assert _unit_rows(cuts, cut_offs, below)[1].tolist() == ref.tolist(), case
         dropped_below += not ref[new:].all()
     assert dropped_below > 50 and ties > 50
+
+
+def test_unit_rows_dedup_raw_cuts_of_any_scale_over_set_rows():
+    """Raw cut rows scaled from 1e-100 to 1e100 over a set's prepared rows.
+
+    Each cut is a unit direction times a scale, with its offset times the
+    same scale; the reference reads the directions and unscaled offsets.
+    A direction is a box axis or a random unit vector, tilted by angles
+    clear of the parallel threshold (as above), and the offsets are drawn
+    from a continuum, so neither a cosine nor an offset comparison is left
+    to rounding.  The tie class, which this test does not draw: a cosine
+    within a few ulps of ``1 - 1e-12``, or two parallel rows whose unit
+    offsets agree to within a few ulps (a cut offset equal to a set offset
+    or to another cut's at another scale).  There rounding decides which
+    row survives, and either is a valid survivor.  Exact duplicates, the
+    same raw row and offset twice, scale to the same bits and stay an
+    exact tie: the later row goes.
+    """
+    rng = np.random.default_rng(4099)
+    dropped_cut = dropped_set = duplicates = 0
+    for case in range(300):
+        d = int(rng.integers(2, 6))
+        lo = rng.uniform(-2.0, -0.5, d)
+        hi = rng.uniform(0.5, 2.0, d)
+        if rng.random() < 0.5:
+            lo[rng.random(d) < 0.3] = -np.inf
+        feasible = Box(lo, hi)
+        if rng.random() < 0.5:
+            a = rng.normal(size=d)
+            feasible = Polyhedron([Halfspace(a, float(np.linalg.norm(a)))], feasible)
+        set_A, set_b, _ = below = _prepared_rows(feasible)
+        axes = np.eye(d)
+        directions, offsets, scales = [], [], []
+        for _ in range(int(rng.integers(1, 5))):
+            k = int(rng.integers(0, d))
+            e = axes[k] * rng.choice([-1.0, 1.0]) if rng.random() < 0.6 else None
+            if e is None:
+                e = rng.normal(size=d)
+                e /= np.linalg.norm(e)
+            u = axes[(k + 1) % d] if abs(e[(k + 1) % d]) < 0.5 else axes[k]
+            u = u - (u @ e) * e
+            u /= np.linalg.norm(u)
+            directions.append(tilted(e, u, rng.choice([0.0, 3e-7, 1e-6, 4e-6, 1e-2]), 1.0))
+            offsets.append(rng.uniform(-3.0, 3.0))
+            scales.append(10.0 ** rng.uniform(-100.0, 100.0))
+            if rng.random() < 0.2:  # an exact duplicate
+                directions.append(directions[-1])
+                offsets.append(offsets[-1])
+                scales.append(scales[-1])
+                duplicates += 1
+        directions, offsets, scales = np.array(directions), np.array(offsets), np.array(scales)
+        new = len(offsets)
+        (rows_A, rows_b, _), keep = _unit_rows(
+            directions * scales[:, None], offsets * scales, below
+        )
+        ref = greedy_parallel_reference(
+            np.vstack([directions, set_A]), np.concatenate([offsets, set_b])
+        )
+        assert keep.tolist() == ref.tolist(), case
+        assert rows_A.shape[0] == rows_b.shape[0] == int(keep.sum())
+        assert np.allclose(rows_A[: int(keep[:new].sum())], directions[keep[:new]], rtol=0, atol=1e-15)
+        dropped_cut += not keep[:new].all()
+        dropped_set += not keep[new:].all()
+    assert dropped_cut > 30 and dropped_set > 30 and duplicates > 30

@@ -4,19 +4,24 @@ The step's reductions skip the Python-level wrappers of ``.sum()``,
 ``.any()``, ``.all()``, ``np.mean`` and the matmul dispatch of ``@`` on
 vectors.  Each rewritten form is compared here, bit for bit, with the form it
 replaced, on random data of many lengths and scales and on the edge cases
-(empty arrays, signed zeros, NaN and infinities).
+(empty arrays, signed zeros, NaN and infinities).  The slack, whose squared
+moves a step carries to the next, is replayed against the form that
+recomputed all three from the previous iterates.
 """
 
 import itertools
 
 import numpy as np
 
-from ephybrid.experiments import table2_config
+import pytest
+
+from ephybrid.experiments import table1_config, table2_config
 from ephybrid.hybrid import (
     _norm,
     _sum_of_squares,
     build_anchor_cut,
     build_contraction_cut,
+    solve,
 )
 from ephybrid.problems import AveragedProjections, _mean
 from ephybrid.sets import Box, Halfspace, Polyhedron, WholeSpace
@@ -112,3 +117,31 @@ def test_averaged_projections_average_as_numpys_mean_for_every_inner_kind():
                     p = rng.normal(scale=3.0, size=3)
                     ref = outer.project(np.mean(np.stack([s.project(p) for s in inner]), axis=0))
                     assert bits(mapping(p)) == bits(ref)
+
+
+@pytest.mark.parametrize(
+    "config, cell, steps",
+    [(table1_config(), (0, 0), 1518), (table2_config(), (1, 2), 80)],
+    ids=["table1_start0", "table2_start1_invlog"],
+)
+def test_carried_squared_moves_give_the_three_reduction_slack(config, cell, steps):
+    """Each record's ``epsilon`` equals, with ``==``, the slack recomputed from
+    consecutive records with three squared-difference reductions:
+    ``k |x_n - x_{n-1}|^2 + 2 lam c2 |y_n - y_{n-1}|^2 - lead |y_{n+1} - y_n|^2``,
+    where the window before the first step repeats the start and the seed."""
+    start, schedule = config.starts[cell[0]], config.schedules[cell[1]]
+    params = config.params_for(schedule)
+    c = config.bundle.constants
+    report = solve(config.bundle, params, config.stopping, start, y0=config.y0)
+    assert report.iterations == steps
+    seed = np.zeros(config.bundle.dim) if config.y0 is None else config.y0
+    x_prev = x_cur = np.asarray(start, dtype=float)
+    y_prev = y_cur = seed
+    lead = 1.0 - 1.0 / params.k - 2.0 * params.lam * c.c1
+    for rec in report.trace:
+        dx2 = float(((x_cur - x_prev) ** 2).sum())
+        dy_prev2 = float(((y_cur - y_prev) ** 2).sum())
+        dy_next2 = float(((rec.y_next - y_cur) ** 2).sum())
+        slack = params.k * dx2 + 2.0 * params.lam * c.c2 * dy_prev2 - lead * dy_next2
+        assert rec.epsilon == slack, rec.n
+        x_prev, x_cur, y_prev, y_cur = x_cur, rec.x_next, y_cur, rec.y_next
