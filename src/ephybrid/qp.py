@@ -31,8 +31,8 @@ byte-identical.
 :class:`CutProjector` is the one identity-metric projection.  The hybrid
 solver builds one per run on the set the cuts are cut from: its rows
 stay, only the few cut rows are new each iteration, so only they are
-deduplicated, and the last working set, labelled by where each row came
-from, seeds the next call.  :meth:`sets.Polyhedron.project` is a cold
+deduplicated, and the last two distinct working sets, labelled by where
+each row came from, seed the next call.  :meth:`sets.Polyhedron.project` is a cold
 call of a fresh one.  :func:`solve_qp_active_set` is the entry for a QP
 with any SPD ``M``.
 """
@@ -143,21 +143,27 @@ def solve_qp_active_set(M, c, feasible: ConvexSet, working=()) -> np.ndarray:
 
 
 class CutProjector:
-    """Identity-metric cut projection within one set, warm-started from the previous call.
+    """Identity-metric cut projection within one set, warm-started from the previous calls.
 
     The hybrid solver's cut rows are new every iteration, but the rows of
     ``feasible``, the set the cuts are cut from (``None`` for none), are
     not, and the working set seldom changes much.  So the projector
-    prepares the set's rows once, when it is built, and
-    keeps the last working set, each row labelled by its origin: a cut by
-    its slot in the list of cuts (a ``None`` slot adds no row but keeps its
-    place), the set's prepared row ``i`` by ``-1 - i``.  ``set_row_count``
-    is the number of the set's rows.  Each call stacks the unit cut rows
-    over the set's rows and deduplicates only the cut rows
-    (:func:`_unit_rows`), maps the labels onto the stacked rows, skipping
-    those whose row was dropped or is absent, and seeds the dual method
-    with the rest; for ``M = I`` the dual coordinates are the stacked rows
-    themselves.  The minimizer is unique, so the seed moves only roundoff;
+    prepares the set's rows once, when it is built, at the bottom of a
+    stack that has room for the cut rows above them; each call writes the
+    unit cut rows into that room, directly over the set's rows, and
+    deduplicates only them (:func:`_drop_redundant_parallel`).
+    It keeps the last two distinct final working sets, each row labelled
+    by its origin: a cut by its slot in the list of cuts (a ``None`` slot
+    adds no row but keeps its place), the set's prepared row ``i`` by
+    ``-1 - i``.  ``set_row_count`` is the number of the set's rows.  The
+    labels are mapped onto the stacked rows, skipping those whose row was
+    dropped or is absent, and the last working set seeds the dual method.
+    Both kept sets are also its candidate faces (:meth:`_DualQP.solve`):
+    the last first, or the one before it first when the previous call
+    changed face, since faces often alternate (the anchor cut's row and
+    box rows taking turns); a set one of whose rows was dropped or is
+    absent is no candidate.  For ``M = I`` the dual coordinates are the
+    stacked rows themselves.  The minimizer is unique, so the seeds move only roundoff;
     a fresh projector's call is cold and is :meth:`sets.Polyhedron.project`'s.
     The same sequence of calls gives the same bits every time.  One
     instance per sequential run.
@@ -168,6 +174,18 @@ class CutProjector:
         self.set_row_count = 0 if feasible is None else self._set_rows[0].shape[0]
         self._set_labels = list(range(-1, -1 - self.set_row_count, -1))
         self._working = ()
+        self._older = None
+        self._changed = False
+        self._A = self._b = None
+        if feasible is not None:
+            self._grow(3, feasible.dim)
+
+    def _grow(self, room: int, d: int):
+        """A new stack: room for ``room`` cut rows of dimension ``d`` above the set's rows."""
+        self._A = np.empty((room + self.set_row_count, d))
+        self._b = np.empty(room + self.set_row_count)
+        if self._set_rows is not None:
+            self._A[room:], self._b[room:] = self._set_rows[:2]
 
     def project(self, x0: np.ndarray, cuts) -> np.ndarray:
         """Nearest point to ``x0`` in the intersection of ``cuts`` and the projector's set.
@@ -178,20 +196,47 @@ class CutProjector:
         a copy).  Raises :class:`InfeasibleSet` when the intersection is
         empty.
         """
-        rows, labels = self._set_rows, self._set_labels
         slots = [s for s, row in enumerate(cuts) if row is not None]
         if slots:
-            A = np.array([cuts[s][0] for s in slots])
-            b = np.array([cuts[s][1] for s in slots])
-            rows, keep = _unit_rows(A, b, rows)
-            labels = [label for label, k in zip(slots + labels, keep.tolist()) if k]
-        elif rows is None:
+            rows, labels = self._stack(cuts, slots)
+        elif self._set_rows is None:
             return x0.copy()
+        else:
+            rows, labels = self._set_rows, self._set_labels
         where = {label: i for i, label in enumerate(labels)}
         warm = [where[label] for label in self._working if label in where]
-        y, working = _DualQP(None, rows).solve(-x0, warm)
-        self._working = tuple(labels[i] for i in working)
+        candidates = ()
+        if self._older is not None:
+            faces = (self._older, self._working) if self._changed else (self._working, self._older)
+            candidates = [
+                [where[label] for label in face] for face in faces if all(label in where for label in face)
+            ]
+        y, working = _DualQP(None, rows).solve(-x0, warm, candidates)
+        final = tuple(labels[i] for i in working)
+        self._changed = final != self._working
+        if self._changed:
+            self._older, self._working = self._working, final
         return y
+
+    def _stack(self, cuts, slots):
+        """The prepared rows of the cuts in ``slots`` over the set's rows, and their labels.
+
+        The cut rows are written into the stack right above the set's
+        rows, so the two are one array without a copy.
+        """
+        new = len(slots)
+        room = 0 if self._A is None else self._A.shape[0] - self.set_row_count
+        if room < new:
+            self._grow(new, len(cuts[slots[0]][0]))
+            room = new
+        A, b = self._A[room - new :], self._b[room - new :]
+        for i, s in enumerate(slots):
+            A[i], b[i] = cuts[s]
+        rows, keep = _unit_rows(A, b, new)
+        labels = slots + self._set_labels
+        if rows[0].shape[0] < len(labels):
+            labels = [label for label, k in zip(labels, keep.tolist()) if k]
+        return rows, labels
 
 
 def constraint_rows(feasible: ConvexSet) -> tuple[np.ndarray, np.ndarray]:
@@ -230,7 +275,8 @@ def _prepared_rows(feasible: ConvexSet) -> tuple[np.ndarray, np.ndarray, float]:
     """
     cached = _PREPARED_ROWS.get(feasible)
     if cached is None:
-        cached = _PREPARED_ROWS[feasible] = _unit_rows(*constraint_rows(feasible))[0]
+        A, b = constraint_rows(feasible)
+        cached = _PREPARED_ROWS[feasible] = _unit_rows(A, b, A.shape[0])[0]
     return cached
 
 
@@ -242,23 +288,20 @@ def _rows_in(feasible: ConvexSet, d: int) -> tuple[np.ndarray, np.ndarray, float
     return rows
 
 
-def _unit_rows(A: np.ndarray, b: np.ndarray, below=None):
+def _unit_rows(A: np.ndarray, b: np.ndarray, new: int):
     """Rows ``A y <= b`` at unit length, deduplicated, and the keep mask.
 
-    Returns the prepared triple ``(A, b, feas_tol)`` and the mask of the
-    stacked rows it kept.  Unit-length rows make violations geometric
+    The first ``new`` rows are scaled to unit length in place; the rows
+    below them must be prepared already: at unit length and pairwise
+    non-parallel, so only pairs involving one of the new rows are
+    compared.  Returns the prepared triple ``(A, b, feas_tol)`` and the
+    mask of the rows it kept.  Unit-length rows make violations geometric
     distances, so one tolerance scale serves constraints of wildly
-    different norms.  ``below`` is a prepared triple of rows to stack
-    under these before the deduplication; its rows are already pairwise
-    non-parallel, so only pairs involving one of the new rows are compared.
+    different norms.
     """
-    new = A.shape[0]
-    norms = _row_norms(A)
-    A = A / norms[:, None]
-    b = b / norms
-    if below is not None:
-        A = np.vstack([A, below[0]])
-        b = np.concatenate([b, below[1]])
+    norms = _row_norms(A[:new])
+    A[:new] /= norms[:, None]
+    b[:new] /= norms
     keep = _drop_redundant_parallel(A, b, new)
     if not all(keep.tolist()):
         A, b = A[keep], b[keep]
@@ -312,7 +355,7 @@ class _DualQP:
         u = solve_with_factor(Lg, rhs.take(idx))
         return -(minv_c + K_W @ u), u
 
-    def solve(self, c: np.ndarray, working=()) -> tuple[np.ndarray, tuple[int, ...]]:
+    def solve(self, c: np.ndarray, working=(), candidates=()) -> tuple[np.ndarray, tuple[int, ...]]:
         """Minimizer for the linear term ``c`` and its final working set.
 
         Every iterate minimizes the objective on the face of its working
@@ -322,7 +365,13 @@ class _DualQP:
         working set is never added, and when nothing can be dropped either
         the set is empty.  ``working`` seeds the method with distinct row
         indices in ``[0, m)`` and is kept in its order, as added rows are
-        appended.  ``c`` and ``working`` are trusted: callers check them.
+        appended.  Each of ``candidates``, faces given the same way, is
+        tried first, in order: the first whose minimizer already passes
+        the loop's exit test (every multiplier at least
+        ``-MULTIPLIER_TOL``, every row within ``feas_tol``) is the answer.
+        When none does, the method runs from ``working`` as if there were
+        none.  ``c``, ``working`` and ``candidates`` are trusted: callers
+        check them.
         """
         A, b, K, G = self.A, self.b, self.K, self.G
         d = c.shape[0]
@@ -332,6 +381,14 @@ class _DualQP:
             return -minv_c, ()
         # The multipliers on a face W solve G[W, W] u = rhs[W].
         rhs = -(A @ minv_c) - b
+
+        for face in candidates:
+            try:
+                y, u = self._on_face(face, minv_c, rhs)
+            except NotSPD:
+                continue
+            if all((u >= -MULTIPLIER_TOL).tolist()) and (A @ y - b).max() <= self.feas_tol:
+                return y, tuple(face)
 
         # Warm start: the given working set, less the rows whose multiplier
         # on its face is negative (the face minimizer is then dual feasible).

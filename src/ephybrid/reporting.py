@@ -142,6 +142,8 @@ def _json_scalar(value) -> str:
     """``json.dumps`` of a record scalar; a finite float is its ``repr``, as json writes it."""
     if type(value) is float and math.isfinite(value):
         return repr(value)
+    if value is None:
+        return "null"
     return json.dumps(value)
 
 

@@ -126,7 +126,8 @@ class Box:
         return self.project_trusted(_point_in(x, self.dim))
 
     def project_trusted(self, p: np.ndarray) -> np.ndarray:
-        return np.clip(p, self.lo, self.hi)
+        # ``np.clip``'s bits, ``-0.0`` included, without its Python-level wrapper.
+        return np.minimum(np.maximum(p, self.lo), self.hi)
 
     def __repr__(self):
         return f"Box(lo={self.lo.tolist()}, hi={self.hi.tolist()})"

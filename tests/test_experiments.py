@@ -373,6 +373,26 @@ def test_trace_digests_do_not_depend_on_thread_count():
     assert [int(line.split()[1]) for line in outputs[0].splitlines()] == DIGEST_ITERATIONS
 
 
+def test_cutproj_replay_runs_this_checkout_against_itself():
+    """``tools/cutproj_replay.py`` with one pair: the 348 recorded calls replay on both
+    sides with the same face counts and the same seed tallies, which add up to the calls."""
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, str(root / "tools" / "cutproj_replay.py"), str(root), str(root), "--pairs", "1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "table2: 12 runs, 348 cut projections recorded with base"
+    base, new = (line.split() for line in lines[2:4])
+    assert base[0] == "base" and new[0] == "new"
+    assert base[2:] == new[2:]
+    assert sum(map(int, base[4:])) == 348
+    assert lines[-1] in ("new faster in 0/1 pairs", "new faster in 1/1 pairs")
+
+
 def test_table2_grid_runs_one_checked_factorization_per_run(monkeypatch):
     """The checked Cholesky factors each run's prox Hessian once and nothing else.
 

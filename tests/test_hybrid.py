@@ -34,6 +34,7 @@ from ephybrid.problems import (
     QuadraticBifunction,
     vip_as_bifunction,
 )
+from ephybrid import qp
 from ephybrid.linalg import DimensionMismatch
 from ephybrid.qp import CutProjector, ProxSolver, solve_qp_active_set
 from ephybrid.sets import Box, Halfspace, Polyhedron, WholeSpace, halfspaces_and_box
@@ -636,6 +637,17 @@ def test_cut_projection_is_bitwise_the_polyhedron_qp(kind):
         assert _project_onto_cuts(x0, cuts, CutProjector(feasible)).tobytes() == ref.tobytes(), n
         assert poly.project(x0).tobytes() == ref.tobytes(), n
 
+    # More cuts than the projector's stack has room for, then fewer: it grows
+    # and keeps the set's rows below the cut rows; a warm one moves only roundoff.
+    warm = CutProjector(feasible)
+    for k in (5, 2, 6, 3):
+        cuts = [(rng.normal(size=3), rng.uniform(0.05, 1.0)) for _ in range(k)]
+        x0 = rng.normal(scale=3.0, size=3)
+        poly = Polyhedron([Halfspace(*c) for c in cuts] + list(halfspaces), box)
+        ref = solve_qp_active_set(np.eye(3), -x0, poly)
+        assert CutProjector(feasible).project(x0, cuts).tobytes() == ref.tobytes(), k
+        assert np.all(np.abs(warm.project(x0, cuts) - ref) <= 1e-12 * (1.0 + np.abs(ref))), k
+
 
 @pytest.mark.parametrize("kind", list(ROUTING_SETS))
 def test_cut_projection_routing_per_feasible_kind(kind, example2):
@@ -870,13 +882,16 @@ def stacked_rows(cuts, feasible):
 
 def replay_against_cold_calls(sequence):
     """Replay ``(x0, cuts, feasible)`` calls through one projector per set, checking
-    each against a cold call and the enumeration oracle; returns the warm-seeded calls."""
+    each against a cold call and the enumeration oracle; returns the warm-seeded
+    calls and the calls that ended on one of the projector's two seed faces."""
     projectors = {}
-    seeded = 0
+    seeded = on_seed = 0
     for x0, cuts, feasible in sequence:
         warm = projectors.setdefault(feasible, CutProjector(feasible))
         seeded += bool(warm._working)
+        seeds = [set(face) for face in (warm._working, warm._older) if face is not None]
         got = warm.project(x0, cuts)
+        on_seed += set(warm._working) in seeds
         cold = CutProjector(feasible)
         ref = cold.project(x0, cuts)
         assert ref.tobytes() == _project_onto_cuts(x0, cuts, CutProjector(feasible)).tobytes()
@@ -884,7 +899,7 @@ def replay_against_cold_calls(sequence):
         assert set(warm._working) == set(cold._working)
         oracle = enumeration_qp(np.eye(x0.shape[0]), -x0, *stacked_rows(cuts, feasible))
         assert np.linalg.norm(got - oracle) <= 1e-8
-    return seeded
+    return seeded, on_seed
 
 
 def test_cut_projector_replays_table2_like_cold_calls(monkeypatch):
@@ -907,8 +922,12 @@ def test_cut_projector_replays_table2_like_cold_calls(monkeypatch):
     assert sum(map(len, sequences)) == 348
     # The first anchor cut of every run is the whole space, in its slot.
     assert all(seq[0][1][2] is None for seq in sequences)
-    seeded = sum(replay_against_cold_calls(seq) for seq in sequences)
+    counts = [replay_against_cold_calls(seq) for seq in sequences]
+    seeded, on_seed = (sum(column) for column in zip(*counts))
     assert seeded > 200
+    # The final face alternates between the anchor cut's row and box rows:
+    # most calls end on the last face or on the one before it.
+    assert on_seed > 250
 
 
 def test_cut_projector_warm_labels_follow_row_origin():
@@ -938,4 +957,78 @@ def test_cut_projector_warm_labels_follow_row_origin():
             a, b = cuts[0]
             cuts[1] = (a + 1e-8 * rng.normal(size=3), b * (1.0 + 1e-9))
         sequence.append((x0 + 0.1 * rng.normal(size=3), cuts, sets[n // 40 % 2]))
-    assert replay_against_cold_calls(sequence) > 60
+    assert replay_against_cold_calls(sequence)[0] > 60
+
+
+# A square and a point to its right: the cut ``x + y <= b`` binds at the
+# corner face {cut, x <= 1} for b = 1, and leaves the face {x <= 1} at b = 3.
+# The square's rows are labelled -1 (-x <= 1), -2 (-y <= 1), -3 (x <= 1), -4 (y <= 1).
+SQUARE = Box([-1.0, -1.0], [1.0, 1.0])
+RIGHT_OF_SQUARE = np.array([2.0, 0.5])
+DIAGONAL = np.array([1.0, 1.0])
+
+
+def recording_candidates(monkeypatch):
+    """The candidate faces each dual-QP solve is given, one list per solve."""
+    tried = []
+    solve_qp = qp._DualQP.solve
+
+    def record(self, c, working=(), candidates=()):
+        tried.append([list(face) for face in candidates])
+        return solve_qp(self, c, working, candidates)
+
+    monkeypatch.setattr(qp._DualQP, "solve", record)
+    return tried
+
+
+def test_cut_projector_period_two_faces_end_on_the_older_seed():
+    # The faces alternate; after the second call each call's answer is the
+    # face before the last, tried first and taken.
+    projector = CutProjector(SQUARE)
+    for n in range(12):
+        cuts = [(DIAGONAL, 1.0 if n % 2 == 0 else 3.0)]
+        older = projector._older
+        got = projector.project(RIGHT_OF_SQUARE, cuts)
+        if n >= 2:
+            assert projector._working == older, n
+        ref = CutProjector(SQUARE).project(RIGHT_OF_SQUARE, cuts)
+        assert np.all(np.abs(got - ref) <= 1e-15), (n, got, ref)
+        assert set(projector._working) == ({0, -3} if n % 2 == 0 else {-3}), n
+    assert np.array_equal(got, [1.0, 0.5])
+
+
+def test_cut_projector_stale_older_face_returns_the_cold_answer(monkeypatch):
+    # The first call ends on the corner face, the second on no face at all
+    # (the point is inside).  The third call moves the cut so far that the
+    # corner face's minimizer (1, -2.5) leaves the square: the older seed
+    # fails the exit test and the call runs as a projector with no history.
+    projector = CutProjector(SQUARE)
+    projector.project(RIGHT_OF_SQUARE, [(DIAGONAL, 1.0)])
+    projector.project(np.array([0.25, 0.25]), [(DIAGONAL, 1.0)])
+    corner = projector._older
+    assert set(corner) == {0, -3} and projector._working == ()
+    tried = recording_candidates(monkeypatch)
+    cuts = [(DIAGONAL, -1.5)]
+    got = projector.project(RIGHT_OF_SQUARE, cuts)
+    monkeypatch.undo()
+    # Both seeds were tried (the corner first) and neither was taken.
+    assert len(tried[0]) == 2 and len(tried[0][0]) == 2 and tried[0][1] == []
+    assert got.tobytes() == CutProjector(SQUARE).project(RIGHT_OF_SQUARE, cuts).tobytes()
+    assert abs(got.sum() + 1.5) <= 1e-12 and SQUARE.contains(got)
+
+
+def test_cut_projector_never_tries_an_older_face_whose_row_was_dropped(monkeypatch):
+    # The older face holds the cut's row; in the third call the cut is
+    # parallel to the square's row x <= 1 and looser, so deduplication drops
+    # it and only the latest face, {x <= 1}, is a candidate.
+    projector = CutProjector(SQUARE)
+    projector.project(RIGHT_OF_SQUARE, [(DIAGONAL, 1.0)])
+    projector.project(RIGHT_OF_SQUARE, [(DIAGONAL, 3.0)])
+    assert set(projector._older) == {0, -3} and projector._working == (-3,)
+    tried = recording_candidates(monkeypatch)
+    got = projector.project(RIGHT_OF_SQUARE, [(np.array([2.0, 0.0]), 10.0)])
+    monkeypatch.undo()
+    # The stack is the square's four rows; x <= 1 is row 2 of it.
+    assert tried == [[[2]]]
+    assert projector._working == (-3,)
+    assert np.array_equal(got, [1.0, 0.5])

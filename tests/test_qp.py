@@ -784,8 +784,8 @@ def test_new_row_dedup_is_the_greedy_pass():
         ref = greedy_parallel_reference(
             np.vstack([unit_cuts, A[keep]]), np.concatenate([unit_offs, b[keep]])
         )
-        below = (A[keep], b[keep], 1e-9)
-        assert _unit_rows(cuts, cut_offs, below)[1].tolist() == ref.tolist(), case
+        stack = np.vstack([cuts, A[keep]]), np.concatenate([cut_offs, b[keep]])
+        assert _unit_rows(*stack, new)[1].tolist() == ref.tolist(), case
         dropped_below += not ref[new:].all()
     assert dropped_below > 50 and ties > 50
 
@@ -818,7 +818,7 @@ def test_unit_rows_dedup_raw_cuts_of_any_scale_over_set_rows():
         if rng.random() < 0.5:
             a = rng.normal(size=d)
             feasible = Polyhedron([Halfspace(a, float(np.linalg.norm(a)))], feasible)
-        set_A, set_b, _ = below = _prepared_rows(feasible)
+        set_A, set_b, _ = _prepared_rows(feasible)
         axes = np.eye(d)
         directions, offsets, scales = [], [], []
         for _ in range(int(rng.integers(1, 5))):
@@ -841,7 +841,9 @@ def test_unit_rows_dedup_raw_cuts_of_any_scale_over_set_rows():
         directions, offsets, scales = np.array(directions), np.array(offsets), np.array(scales)
         new = len(offsets)
         (rows_A, rows_b, _), keep = _unit_rows(
-            directions * scales[:, None], offsets * scales, below
+            np.vstack([directions * scales[:, None], set_A]),
+            np.concatenate([offsets * scales, set_b]),
+            new,
         )
         ref = greedy_parallel_reference(
             np.vstack([directions, set_A]), np.concatenate([offsets, set_b])

@@ -88,6 +88,26 @@ def test_box_projection_clamps():
     assert np.array_equal(UNIT_BOX.project([1.5, 1.5, 1.5]), [1.0, 1.0, 1.0])
 
 
+def test_box_projection_is_np_clip_bit_for_bit():
+    # Signed zeros, subnormals and bounds hit exactly, on either side and as
+    # either bound, alongside random points and infinite bounds.
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0, 2.5, -2.5])
+    rng = np.random.default_rng(733)
+    for case in range(4000):
+        d = int(rng.integers(1, 5))
+        lo, hi = rng.choice(special, d), rng.choice(special, d)
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        lo[rng.random(d) < 0.1] = -np.inf
+        hi[rng.random(d) < 0.1] = np.inf
+        p = np.where(rng.random(d) < 0.6, rng.choice(special, d), rng.normal(scale=3.0, size=d))
+        assert Box(lo, hi).project(p).tobytes() == np.clip(p, lo, hi).tobytes(), case
+    # The bounds are arrays, as a box holds them: with scalar bounds np.clip
+    # takes another loop, which keeps -0.0 at a bound of 0.0.
+    for p, lo, hi in ((-0.0, 0.0, 1.0), (0.0, -0.0, 1.0), (-0.0, -1.0, 0.0), (0.0, -1.0, -0.0)):
+        p, lo, hi = np.array([p]), np.array([lo]), np.array([hi])
+        assert Box(lo, hi).project(p).tobytes() == np.clip(p, lo, hi).tobytes(), (p, lo, hi)
+
+
 def test_box_requires_ordered_bounds():
     with pytest.raises(ValueError):
         Box([1.0], [0.0])
