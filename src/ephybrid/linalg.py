@@ -11,14 +11,52 @@ LAPACK ``dtrtrs``.  Both LAPACK routines are called directly.
 Everything is a pure function on immutable inputs; problems here are
 small and dense (a few hundred dimensions at most), so direct
 factorizations only.
+
+The two routines come from scipy's LAPACK extension module, which
+:func:`_load_lapack` loads on its own at import: the package never
+imports ``scipy.linalg``, whose package ``__init__`` costs more than the
+rest of ``import ephybrid``.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtrs
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_lapack(directory: Path) -> tuple:
+    """LAPACK's ``(dpotrf, dtrtrs)`` from the ``_flapack`` extension module in ``directory``.
+
+    A module already registered as ``scipy.linalg._flapack`` is taken as it
+    is.  Otherwise the module is loaded from its file alone, without
+    ``scipy.linalg``'s package ``__init__``, and registered under that
+    name, so a later ``import scipy.linalg`` reuses it.  Without the file,
+    the routines come from ``scipy.linalg.lapack``, which re-exports the
+    same module's.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        files = (directory / f"_flapack{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES)
+        path = next((f for f in files if f.is_file()), None)
+        if path is None:
+            from scipy.linalg.lapack import dpotrf, dtrtrs
+
+            return dpotrf, dtrtrs
+        spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_FLAPACK] = module
+        spec.loader.exec_module(module)
+    return module.dpotrf, module.dtrtrs
+
+
+dpotrf, dtrtrs = _load_lapack(Path(importlib.util.find_spec("scipy").origin).parent / "linalg")
 
 SYMMETRY_TOL = 1e-10
 PIVOT_TOL = 1e-12

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack, solve_triangular
 
+from ephybrid import linalg
 from ephybrid.linalg import (
     NonSquare,
     PIVOT_TOL,
@@ -177,3 +182,71 @@ def test_as_matrix_validation():
         with pytest.raises(ValueError, match="finite"):
             as_matrix(bad)
     assert as_matrix([[1e308, 1e308]]).tolist() == [[1e308, 1e308]]
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this checkout's ``ephybrid``."""
+    src = str(Path(linalg.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_table1_grid_imports_no_scipy_linalg():
+    """The package and its CLI load LAPACK without ``scipy.linalg``'s package
+    ``__init__`` (nor the ``numpy.f2py`` it pulls in), and a grid run loads neither."""
+    done = _fresh_python(
+        "import sys\n"
+        "import ephybrid, ephybrid.cli\n"
+        "from ephybrid import experiments\n"
+        "experiments.run_grid(experiments.table1_config())\n"
+        "loaded = sorted({'scipy.linalg', 'numpy.f2py'} & set(sys.modules))\n"
+        "sys.exit(f'imported {loaded}' if loaded else 0)\n"
+    )
+    assert done.returncode == 0, done.stderr
+
+
+_ROUTINES_AGREE = (
+    "import scipy.linalg.lapack as la\n"
+    "assert la.dpotrf is linalg.dpotrf and la.dtrtrs is linalg.dtrtrs\n"
+    "assert la._flapack is sys.modules['scipy.linalg._flapack']\n"
+)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        # ephybrid first: it loads the module from its file; scipy.linalg reuses it.
+        "import sys\n"
+        "from ephybrid import linalg\n"
+        "module = sys.modules['scipy.linalg._flapack']\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        + _ROUTINES_AGREE
+        + "assert la._flapack is module\n"
+        "from scipy.linalg import _flapack\n"
+        "assert _flapack is module\n"
+        "import scipy.linalg\n"
+        "assert scipy.linalg.get_lapack_funcs(('potrf',))[0] is linalg.dpotrf\n",
+        # scipy.linalg first: ephybrid takes the module scipy registered.
+        "import sys\n"
+        "import scipy.linalg\n"
+        "from ephybrid import linalg\n" + _ROUTINES_AGREE,
+    ],
+    ids=["ephybrid_first", "scipy_linalg_first"],
+)
+def test_either_import_order_shares_one_lapack_module(code):
+    done = _fresh_python(code)
+    assert done.returncode == 0, done.stderr
+
+
+def test_lapack_loader_without_the_file_takes_scipy_linalg_lapack(tmp_path, monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    dpotrf, dtrtrs = linalg._load_lapack(tmp_path)
+    assert dpotrf is lapack.dpotrf is linalg.dpotrf
+    assert dtrtrs is lapack.dtrtrs is linalg.dtrtrs
+    assert "scipy.linalg._flapack" not in sys.modules

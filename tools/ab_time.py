@@ -15,7 +15,10 @@ Prints, per pair, both times and their ratio NEW/BASE, then the median ratio,
 its quartiles, how many pairs NEW won, and each side's median microseconds per
 iteration.  The iteration counts of the two checkouts are printed as well;
 they differ only if the change moves the traces.  The ``nc64`` config comes
-from ``BASE``'s ``bench/workloads.py``, seeded with ``--seed``.
+from ``BASE``'s ``bench/workloads.py``, seeded with ``--seed``.  Both BLAS
+thread pools are pinned to one thread, as ``bench/run.py`` pins them: numpy's
+and scipy's OpenBLAS builds each keep a pool, and their contention on a small
+host spreads the times far wider than the differences being measured.
 """
 
 from __future__ import annotations
@@ -23,12 +26,18 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib
+import os
 import shutil
 import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+# Pinned before numpy loads (with the first package import): OpenBLAS reads
+# these once, when it starts.
+THREAD_PINS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+os.environ.update(THREAD_PINS)
 
 
 def load(root: Path, name: str, into: Path):
@@ -74,6 +83,7 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         raise SystemExit("--pairs must be >= 1")
 
+    print("threads  " + "  ".join(f"{k}={v}" for k, v in THREAD_PINS.items()))
     spec = config_spec(args.workload, args.base.resolve(), args.seed)
     with tempfile.TemporaryDirectory(prefix="ab_time-") as tmp:
         sys.path.insert(0, tmp)
