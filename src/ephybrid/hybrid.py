@@ -380,10 +380,11 @@ def hybrid_iterate(
 
 
 def _norm(v: np.ndarray) -> float:
-    """``|v|`` of a 1-D vector: numpy's own formula for it, ``sqrt(v @ v)``, bit for bit.
+    """``|v|`` of a 1-D vector: ``sqrt(v.dot(v))``, ``np.linalg.norm``'s own formula, bit for bit.
 
-    For 1-D vectors ``v.dot(v)`` makes the BLAS ``ddot`` call ``v @ v`` makes,
-    without matmul's dispatch; the step's other vector products use it too.
+    ``v.dot(v)`` is the BLAS ``ddot`` call without ``@``'s matmul dispatch;
+    the step's other vector products and the dual QP's (:mod:`qp`) are
+    ``ndarray.dot`` calls too.
     """
     return math.sqrt(v.dot(v))
 

@@ -136,12 +136,18 @@ def gram_factor(a: np.ndarray) -> np.ndarray:
     LAPACK ``dpotrf`` factors the Fortran-ordered view ``a^T`` (it reads
     the lower triangle of ``a``) into an upper factor whose transpose,
     returned, is C-ordered with an exactly zero strict upper triangle.
+    ``dpotrf`` may report success on a NaN or infinite entry; a non-finite
+    factor entry makes its row's pivot non-finite, also :class:`NotSPD`.
+    The LAPACK flags go by position here and in the solves: f2py parses
+    keywords at a cost.
     """
-    upper, info = dpotrf(a.T, lower=0, clean=1)
+    upper, info = dpotrf(a.T, 0, 1)  # lower=0, clean=1
     if info > 0:
         raise NotSPD(f"leading minor of order {info} is not positive definite")
     lower = upper.T
     diag = lower.diagonal()
+    if not all_finite(diag):
+        raise NotSPD("the factor has a NaN or infinite pivot")
     j = int(diag.argmin())
     if diag[j] * diag[j] <= PIVOT_TOL:
         raise NotSPD(f"pivot {diag[j] * diag[j]:.3e} at column {j}")
@@ -161,9 +167,9 @@ def solve_with_factor(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ``numpy.linalg.LinAlgError`` on an exactly zero diagonal.
     """
     upper = lower.T
-    z, info = dtrtrs(upper, rhs, lower=0, trans=1)
+    z, info = dtrtrs(upper, rhs, 0, 1)  # lower=0, trans=1
     if info == 0:
-        z, info = dtrtrs(upper, z, lower=0, trans=0)
+        z, info = dtrtrs(upper, z, 0, 0)
     if info != 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     return z
@@ -177,7 +183,7 @@ def triangular_solve(lower: np.ndarray, rhs: np.ndarray, transpose: bool = False
     bitwise ``solve_with_factor(L, rhs)``.  Inputs are trusted.  Raises
     ``numpy.linalg.LinAlgError`` on an exactly zero diagonal.
     """
-    z, info = dtrtrs(lower.T, rhs, lower=0, trans=0 if transpose else 1)
+    z, info = dtrtrs(lower.T, rhs, 0, 0 if transpose else 1)  # lower=0, trans
     if info != 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     return z

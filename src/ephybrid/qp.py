@@ -85,7 +85,7 @@ def _prox_linear_term(f: QuadraticBifunction, v, x, lam: float) -> np.ndarray:
         raise DimensionMismatch("prox arguments must match the bifunction dimension")
     if not all_finite(v):
         raise ValueError("prox arguments must be finite")
-    c = lam * (f.P @ v + f.q - f.Q @ v) - x
+    c = lam * (f.P.dot(v) + f.q - f.Q.dot(v)) - x
     if not all_finite(c):
         raise ValueError("prox arguments must be finite")
     return c
@@ -328,7 +328,9 @@ class _DualQP:
     It is a pure function of ``W``, gathered once per face, and the last
     one is kept, since the working set rarely changes between solves.
     ``K_W`` keeps ``K``'s Fortran order: a C-ordered copy holds the same
-    numbers, but BLAS rounds ``K_W @ u`` differently on it.
+    numbers, but BLAS rounds ``K_W.dot(u)`` differently on it.  The
+    solve's products are ``ndarray.dot``, the BLAS calls ``@`` makes
+    without matmul's dispatch, bit for bit (``tests/test_linalg.py``).
     """
 
     def __init__(self, L: np.ndarray | None, rows):
@@ -353,7 +355,7 @@ class _DualQP:
             return -minv_c, np.zeros(0)
         idx, Lg, K_W = self.face(working)
         u = solve_with_factor(Lg, rhs.take(idx))
-        return -(minv_c + K_W @ u), u
+        return -(minv_c + K_W.dot(u)), u
 
     def solve(self, c: np.ndarray, working=(), candidates=()) -> tuple[np.ndarray, tuple[int, ...]]:
         """Minimizer for the linear term ``c`` and its final working set.
@@ -380,14 +382,14 @@ class _DualQP:
         if m == 0:
             return -minv_c, ()
         # The multipliers on a face W solve G[W, W] u = rhs[W].
-        rhs = -(A @ minv_c) - b
+        rhs = -A.dot(minv_c) - b
 
         for face in candidates:
             try:
                 y, u = self._on_face(face, minv_c, rhs)
             except NotSPD:
                 continue
-            if all((u >= -MULTIPLIER_TOL).tolist()) and (A @ y - b).max() <= self.feas_tol:
+            if all((u >= -MULTIPLIER_TOL).tolist()) and (A.dot(y) - b).max() <= self.feas_tol:
                 return y, tuple(face)
 
         # Warm start: the given working set, less the rows whose multiplier
@@ -408,7 +410,7 @@ class _DualQP:
         p = None
         for _ in range(cap):
             if p is None:
-                s = A @ y - b
+                s = A.dot(y) - b
                 p = int(s.argmax())
                 if s[p] <= self.feas_tol:
                     break
@@ -438,8 +440,9 @@ class _DualQP:
                 continue
             if block is None:
                 raise InfeasibleSet("no point satisfies all constraints")
-            y = y + partial * (K_W @ r - K[:, p])
-            u = np.delete(u - partial * r, block)
+            y = y + partial * (K_W.dot(r) - K[:, p])
+            u = u - partial * r
+            u = np.concatenate((u[:block], u[block + 1 :]))
             del working[block]
         else:
             raise CyclingDetected(f"active set did not settle within {cap} iterations")
@@ -449,17 +452,19 @@ class _DualQP:
 def _blocking_row(u: np.ndarray, r: np.ndarray) -> tuple[float, int | None]:
     """Ratio test: the least ``max(u_k, 0) / r_k`` over ``r_k > 0`` and its index ``k``.
 
-    The lowest index wins a tie.  A NaN or infinite ratio never blocks;
-    ``(inf, None)`` when no ratio is finite.
+    A scan in index order over Python floats, which keeps a ratio only when
+    it is strictly below the best so far: the lowest index wins a tie, and
+    a NaN or infinite ratio never blocks; ``(inf, None)`` when no ratio is
+    finite.  ``0.0 if u_k <= 0.0 else u_k`` is ``np.maximum(u_k, 0.0)``,
+    signed zeros and NaN included.
     """
-    rising = (r > 0.0).nonzero()[0]
-    if rising.size:
-        ratios = np.maximum(u[rising], 0.0) / r[rising]
-        ratios[np.isnan(ratios)] = np.inf
-        k = int(ratios.argmin())
-        if ratios[k] < np.inf:
-            return ratios[k], int(rising[k])
-    return np.inf, None
+    partial, block = np.inf, None
+    for k, (uk, rk) in enumerate(zip(u.tolist(), r.tolist())):
+        if rk > 0.0:
+            ratio = (0.0 if uk <= 0.0 else uk) / rk
+            if ratio < partial:
+                partial, block = ratio, k
+    return partial, block
 
 
 def _drop_redundant_parallel(A: np.ndarray, b: np.ndarray, new: int):
@@ -479,7 +484,7 @@ def _drop_redundant_parallel(A: np.ndarray, b: np.ndarray, new: int):
     keep = np.ones(A.shape[0], dtype=bool)
     if new == 0:
         return keep
-    first, second = np.nonzero(A[:new] @ A.T >= 1.0 - 1e-12)
+    first, second = np.nonzero(A[:new].dot(A.T) >= 1.0 - 1e-12)
     pairs = second > first
     if not any(pairs.tolist()):
         return keep

@@ -198,10 +198,10 @@ def project_halfspace(x: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
     Points already inside are returned unchanged (as a copy).  ``x`` is
     trusted: a finite vector of the dimension of ``a``, which is nonzero.
     """
-    v = float(a @ x - b)
+    v = float(a.dot(x) - b)
     if v <= 0.0:
         return x.copy()
-    return x - (v / float(a @ a)) * a
+    return x - (v / float(a.dot(a))) * a
 
 
 def project_two_halfspaces(x: np.ndarray, first, second) -> np.ndarray:

@@ -317,6 +317,39 @@ def test_tracer_targets_resolve():
     assert [t for t in targets if tracer._resolve(t) is None] == []
 
 
+# Spans whose targets the solve never calls: the cut projection goes through
+# qp.CutProjector, not Polyhedron.project, and no LP or SVD is left.
+DEAD_SPANS = ("qp.phase1", "qp.indep", "sets.cutproj_qp")
+
+
+def test_solve_path_reaches_every_live_layer_span():
+    """The benchmark's layer tracer records calls on every live span of a table1 and a table2 pass.
+
+    A name the tracer wraps that the solve stops calling (a call bound
+    before the wrap, or a faster path round it) would make its layer read
+    zero in the traced benchmark run instead of failing anywhere.
+    """
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    live = {
+        "table1": ("hybrid.iterate", "hybrid.cuts", "sets.cutproj_closed", "qp.prox", "linalg.trisolve"),
+        "table2": ("hybrid.iterate", "hybrid.cuts", "problems.mapping", "qp.prox", "linalg.trisolve"),
+    }
+    for name, config in (("table1", table1_config()), ("table2", table2_config())):
+        tracer = module.Tracer()
+        tracer.install()
+        try:
+            run_grid(config)
+        finally:
+            tracer.uninstall()
+        assert tracer.absent == []
+        calls = {span: entry["calls"] for span, entry in tracer.summary().items()}
+        assert [span for span in live[name] if calls[span] == 0] == [], name
+        assert [span for span in DEAD_SPANS if calls[span] != 0] == [], name
+
+
 def test_public_names_resolve():
     """Every name in ``ephybrid.__all__`` exists, once each, and ``import *`` binds them all."""
     names = ephybrid.__all__

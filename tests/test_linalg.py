@@ -19,6 +19,7 @@ from ephybrid.linalg import (
     gram_factor,
     solve_with_factor,
     spectral_norm,
+    triangular_solve,
 )
 from oracles import power_iteration_norm
 
@@ -122,6 +123,66 @@ def test_solve_with_factor_rejects_zero_diagonal():
         solve_with_factor(L, np.ones(3))
     with pytest.raises(np.linalg.LinAlgError):
         solve_with_factor(L, np.ones((3, 2)))
+
+
+def test_gram_factor_rejects_nan_and_infinite_pivots():
+    # dpotrf reports success on these (info = 0), and a NaN pivot passes
+    # the pivot comparison, so each needs its own check.
+    for a in ([[np.nan]], [[1.0, np.nan], [np.nan, 1.0]], [[np.inf]], [[2.0, 0.0], [0.0, np.inf]]):
+        with pytest.raises(NotSPD):
+            gram_factor(np.array(a))
+
+
+def test_positional_lapack_flags_match_keyword_calls_bitwise():
+    # gram_factor and the solves pass dpotrf's and dtrtrs's flags by
+    # position; the factors and solutions must be the keyword calls', bit
+    # for bit, for vector, stacked and Fortran-ordered right-hand sides.
+    rng = np.random.default_rng(43)
+    for d in (1, 2, 3, 5, 8, 17, 64):
+        G = rng.normal(size=(d, d))
+        a = G @ G.T + d * np.eye(d)
+        upper, info = lapack.dpotrf(a.T, lower=0, clean=1)
+        assert info == 0
+        L = gram_factor(a)
+        assert L.tobytes() == upper.T.tobytes()
+        for rhs in (rng.normal(size=d), rng.normal(size=(d, 3)), rng.normal(size=(5, d)).T):
+            z = lapack.dtrtrs(upper, rhs, lower=0, trans=1)[0]
+            assert triangular_solve(L, rhs).tobytes() == z.tobytes()
+            ref = lapack.dtrtrs(upper, z, lower=0, trans=0)[0]
+            assert triangular_solve(L, z, transpose=True).tobytes() == ref.tobytes()
+            assert solve_with_factor(L, rhs).tobytes() == ref.tobytes()
+
+
+def test_ndarray_dot_is_matmul_bitwise_on_the_dual_qp_shapes():
+    # The dual QP and the halfspace projection use ndarray.dot, which makes
+    # the BLAS calls @ makes without matmul's dispatch.  The shapes and
+    # memory orders are the solver's: unit rows A (C order), K = M^-1 A^T
+    # from dtrtrs and K = A^T for M = I (both Fortran order), the face
+    # gather K[:, idx] (Fortran order), A[:new] against A^T (all of A for a
+    # set's own rows) and 1-D products.
+    rng = np.random.default_rng(59)
+    cases = 0
+    for d in (1, 2, 3, 4, 7, 16, 33, 64):
+        for _ in range(6):
+            m = int(rng.integers(1, 2 * d + 2))
+            A = rng.normal(size=(m, d))
+            A /= np.sqrt(np.add.reduce(A * A, axis=1))[:, None]
+            G = rng.normal(size=(d, d))
+            L = cholesky_spd(G @ G.T + np.eye(d))
+            y, x = rng.normal(size=d), rng.normal(size=d)
+            pairs = [(A, y), (A[0], y), (y, x), (y, y), (G, y), (A.T, rng.normal(size=m))]
+            pairs += [(A[:new], A.T) for new in {1, (m + 1) // 2, m}]
+            for K in (A.T, solve_with_factor(L, A.T)):
+                assert K.flags.f_contiguous
+                pairs.append((A, K))
+                idx = np.array(sorted(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False)))
+                K_W = K[:, idx]
+                assert K_W.flags.f_contiguous
+                pairs.append((K_W, rng.normal(size=idx.size)))
+            for X, Y in pairs:
+                assert X.dot(Y).tobytes() == (X @ Y).tobytes(), (X.shape, Y.shape)
+                cases += 1
+    assert cases >= 500
 
 
 def test_spectral_norm_diagonal():

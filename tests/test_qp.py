@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -382,12 +383,14 @@ def test_face_entry_is_a_fresh_gather_on_the_table1_prox(monkeypatch):
 
 
 def test_blocking_row_is_the_first_least_ratio():
-    """The vectorized ratio test picks what a scan in index order picks.
+    """The ratio test picks what a plain scan in index order picks.
 
     The scan keeps a ratio only when it is strictly below the best so far,
     so the lowest index wins a tie and a NaN or infinite ratio never
     blocks.  Multipliers are drawn from a few values, with NaN, inf and
-    signed zeros among them, so ties and non-finite ratios are common.
+    signed zeros among them, so ties and non-finite ratios are common.  A
+    ratio of zero is ``+0.0``, as ``np.maximum(u_k, 0.0) / r_k`` gives it,
+    even for ``u_k = -0.0``, where ``max(u_k, 0.0)`` keeps ``-0.0``.
     """
 
     def scan(u, r):
@@ -408,6 +411,7 @@ def test_blocking_row_is_the_first_least_ratio():
         partial, block = _blocking_row(u, r)
         ref_partial, ref_block = scan(u, r)
         assert block == ref_block and partial == ref_partial, (u, r)
+        assert math.copysign(1.0, partial) == 1.0, (u, r)
         blocked += block is not None
     assert 500 <= blocked <= 1900
     assert _blocking_row(np.array([1.0, np.nan, 0.5]), np.array([2.0, 1.0, 1.0])) == (0.5, 0)
