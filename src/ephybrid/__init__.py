@@ -46,7 +46,6 @@ from .experiments import (
     builtin_example1,
     builtin_example2,
     load_config,
-    run_experiment,
     run_grid,
 )
 from .reporting import ReportRow, emit_reports, trace_to_csv, write_report_json
@@ -83,7 +82,6 @@ __all__ = [
     "nash_cournot_constants",
     "project_two_halfspaces",
     "prox_step",
-    "run_experiment",
     "run_grid",
     "solve",
     "solve_qp_active_set",

@@ -128,7 +128,6 @@ class ExperimentConfig:
     """A validated experiment (:func:`config_from_dict`): problem, algorithm, grid, outputs."""
 
     bundle: ProblemBundle
-    label: str
     algorithm: str
     schedules: tuple[AlphaSchedule, ...]
     lam: float
@@ -196,7 +195,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if problem not in BUILTINS:
             raise ValidationError(f"field 'problem': unknown builtin {problem!r}")
         bundle = BUILTINS[problem]()
-        label = problem
     elif isinstance(problem, dict):
         try:
             bundle = bundle_from_dict(problem)
@@ -204,7 +202,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             raise ParseError(f"field 'problem': {exc}") from exc
         except ValueError as exc:
             raise ValidationError(f"field 'problem': {exc}") from exc
-        label = bundle.label or "inline"
     else:
         raise ParseError("field 'problem': must be a builtin name or an object")
 
@@ -255,7 +252,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
     config = ExperimentConfig(
         bundle=bundle,
-        label=label,
         algorithm=algorithm,
         schedules=schedules,
         lam=lam,
@@ -354,11 +350,6 @@ def _run_cell(config: ExperimentConfig, start, schedule: AlphaSchedule | None) -
         report = exc.report
     label = "-" if schedule is None else schedule.label()
     return GridRun(start=start, schedule=schedule, schedule_label=label, report=report)
-
-
-def run_experiment(config: ExperimentConfig) -> list[ReportRow]:
-    """Grid execution reduced to summary rows (deterministic per config)."""
-    return [grid_row(run) for run in run_grid(config)]
 
 
 def grid_row(run: GridRun) -> ReportRow:

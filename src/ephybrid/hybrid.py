@@ -33,12 +33,7 @@ import numpy as np
 from .linalg import DimensionMismatch, all_finite, as_point
 from .problems import LipschitzConstants, ProblemBundle
 from .qp import CutProjector, ProxSolver
-from .sets import (
-    EmptyIntersection,
-    InfeasibleSet,
-    project_halfspace,
-    project_two_halfspaces,
-)
+from .sets import InfeasibleSet, WholeSpace, project_halfspace, project_two_halfspaces
 
 STOP_RESIDUAL = "ResidualW"
 STOP_DISTANCE = "DistanceToKnown"
@@ -62,10 +57,6 @@ class KTooSmall(ParameterError):
 
 class AlphaOutOfRange(ParameterError):
     """Averaging weights must stay in [0, cap] with cap in (0, 1)."""
-
-
-class EmptyHalfspace(RuntimeError):
-    """A constructed cut is empty (zero normal, negative slack)."""
 
 
 class EmptyOmega(RuntimeError):
@@ -280,8 +271,8 @@ def build_contraction_cut(x_cur: np.ndarray, w_next: np.ndarray, epsilon: float)
     The quadratic terms in ``z`` cancel, leaving
     ``2 <x - w, z> <= |x|^2 - |w|^2 + eps``.  When ``w == x`` the
     normal vanishes: the cut is the whole space (``None``) for
-    ``eps >= 0`` and empty otherwise.  The points are trusted arrays of
-    one shape.
+    ``eps >= 0`` and empty otherwise (:class:`sets.InfeasibleSet`).  The
+    points are trusted arrays of one shape.
     """
     normal = 2.0 * (x_cur - w_next)
     # ``normal.any()``: a float's truth in Python is its truth in numpy
@@ -289,7 +280,7 @@ def build_contraction_cut(x_cur: np.ndarray, w_next: np.ndarray, epsilon: float)
     if not any(normal.tolist()):
         if epsilon >= 0.0:
             return None
-        raise EmptyHalfspace("zero normal with negative slack describes an empty set")
+        raise InfeasibleSet("zero normal with negative slack describes an empty cut")
     return normal, float(x_cur.dot(x_cur) - w_next.dot(w_next)) + epsilon
 
 
@@ -320,7 +311,9 @@ def hybrid_iterate(
     the projection of the initial point onto their intersection.
     ``prox`` and ``projector`` are the run's, built for ``bundle`` and
     ``params`` (:func:`_cut_projector`), and carry its warm starts from
-    step to step; fresh ones are made when they are omitted.
+    step to step; fresh ones are made when they are omitted.  An empty cut
+    region, one empty cut or cuts that do not meet (:class:`sets.InfeasibleSet`
+    either way), raises :class:`EmptyOmega`.
     """
     if prox is None:
         prox = ProxSolver(bundle.bifunction, params.lam, bundle.feasible)
@@ -350,7 +343,7 @@ def hybrid_iterate(
             _step_rows(state, y_next, z_next, w_next, epsilon, params.cut_variant),
             projector,
         )
-    except (EmptyIntersection, InfeasibleSet) as exc:
+    except InfeasibleSet as exc:
         raise EmptyOmega(
             f"iteration {state.n}: cut intersection is empty ({exc}); "
             "parameters violate the admissibility conditions or no solution exists"
@@ -408,16 +401,20 @@ def _step_rows(state: SolverState, y_next, z_next, w_next, epsilon: float, cut_v
 
 
 def _cut_projector(bundle: ProblemBundle, params: HybridParams) -> CutProjector:
-    """A run's cut projector: within the feasible set with ``cuts_within_feasible``, else none."""
-    return CutProjector(bundle.feasible if params.cuts_within_feasible else None)
+    """A run's cut projector, on the feasible set with ``cuts_within_feasible``.
+
+    Otherwise it is on the whole space, which adds no rows, so the step
+    projects up to two cuts in closed form (:func:`_project_onto_cuts`).
+    """
+    return CutProjector(bundle.feasible if params.cuts_within_feasible else WholeSpace(bundle.dim))
 
 
 def _project_onto_cuts(x0, cuts, projector: CutProjector) -> np.ndarray:
     """Project the initial point onto the intersection of the cuts and the projector's set.
 
     ``cuts`` are rows ``(a, b)`` of ``<a, z> <= b``, or ``None`` for a cut
-    that is the whole space.  When the projector's set adds no rows (none,
-    the whole space or an unbounded box), up to two rows are projected in
+    that is the whole space.  When the projector's set adds no rows (the
+    whole space or an unbounded box), up to two rows are projected in
     closed form; anything larger, or any set with rows, goes through the
     run's :class:`qp.CutProjector`, which stacks the cut rows over the
     set's rows and warm-starts from its last working set.  A fresh

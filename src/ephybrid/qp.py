@@ -146,8 +146,8 @@ class CutProjector:
     """Identity-metric cut projection within one set, warm-started from the previous calls.
 
     The hybrid solver's cut rows are new every iteration, but the rows of
-    ``feasible``, the set the cuts are cut from (``None`` for none), are
-    not, and the working set seldom changes much.  So the projector
+    ``feasible``, the set the cuts are cut from (the whole space has none),
+    are not, and the working set seldom changes much.  So the projector
     prepares the set's rows once, when it is built, at the bottom of a
     stack that has room for the cut rows above them; each call writes the
     unit cut rows into that room, directly over the set's rows, and
@@ -169,38 +169,32 @@ class CutProjector:
     instance per sequential run.
     """
 
-    def __init__(self, feasible: ConvexSet | None):
-        self._set_rows = None if feasible is None else _prepared_rows(feasible)
-        self.set_row_count = 0 if feasible is None else self._set_rows[0].shape[0]
+    def __init__(self, feasible: ConvexSet):
+        self._set_rows = _prepared_rows(feasible)
+        self.set_row_count = self._set_rows[0].shape[0]
         self._set_labels = list(range(-1, -1 - self.set_row_count, -1))
         self._working = ()
         self._older = None
         self._changed = False
-        self._A = self._b = None
-        if feasible is not None:
-            self._grow(3, feasible.dim)
+        self._grow(3, feasible.dim)
 
     def _grow(self, room: int, d: int):
         """A new stack: room for ``room`` cut rows of dimension ``d`` above the set's rows."""
         self._A = np.empty((room + self.set_row_count, d))
         self._b = np.empty(room + self.set_row_count)
-        if self._set_rows is not None:
-            self._A[room:], self._b[room:] = self._set_rows[:2]
+        self._A[room:], self._b[room:] = self._set_rows[:2]
 
     def project(self, x0: np.ndarray, cuts) -> np.ndarray:
         """Nearest point to ``x0`` in the intersection of ``cuts`` and the projector's set.
 
         ``cuts`` are rows ``(a, b)`` of ``<a, z> <= b``, or ``None`` for a cut
-        that is the whole space; ``x0`` is trusted.  With no set and no
-        row, the intersection is the whole space and ``x0`` is returned (as
-        a copy).  Raises :class:`InfeasibleSet` when the intersection is
-        empty.
+        that is the whole space; ``x0`` is trusted.  With no row at all the
+        dual method returns ``x0``'s bits in a new array.  Raises
+        :class:`InfeasibleSet` when the intersection is empty.
         """
         slots = [s for s, row in enumerate(cuts) if row is not None]
         if slots:
             rows, labels = self._stack(cuts, slots)
-        elif self._set_rows is None:
-            return x0.copy()
         else:
             rows, labels = self._set_rows, self._set_labels
         where = {label: i for i, label in enumerate(labels)}
@@ -225,9 +219,9 @@ class CutProjector:
         rows, so the two are one array without a copy.
         """
         new = len(slots)
-        room = 0 if self._A is None else self._A.shape[0] - self.set_row_count
+        room = self._A.shape[0] - self.set_row_count
         if room < new:
-            self._grow(new, len(cuts[slots[0]][0]))
+            self._grow(new, self._A.shape[1])
             room = new
         A, b = self._A[room - new :], self._b[room - new :]
         for i, s in enumerate(slots):

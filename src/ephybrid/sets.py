@@ -31,12 +31,8 @@ class ZeroNormal(ValueError):
     """Halfspace normal has zero length."""
 
 
-class EmptyIntersection(ValueError):
-    """The described intersection contains no point."""
-
-
 class InfeasibleSet(ValueError):
-    """Feasible region is empty."""
+    """No point satisfies the constraints: a set, a cut or an intersection of them is empty."""
 
 
 class UnknownSetType(ValueError):
@@ -212,8 +208,8 @@ def project_two_halfspaces(x: np.ndarray, first, second) -> np.ndarray:
     feasible (within :func:`membership_tol`); otherwise try the
     single-halfspace projections, :func:`project_halfspace`'s formula;
     otherwise both boundary hyperplanes are active and the multipliers
-    come from the 2x2 Gram system.  Raises :class:`EmptyIntersection`
-    for anti-parallel normals bounding a slab with no interior.  ``x``
+    come from the 2x2 Gram system.  Raises :class:`InfeasibleSet` for
+    anti-parallel normals bounding a slab with no interior.  ``x``
     is trusted: callers check it.  Past the first, the inner products are
     ``a.dot(x)``: for 1-D vectors the BLAS ``ddot`` call ``a @ x`` makes,
     without matmul's dispatch.  The first stays ``a1 @ x``, which rejects a
@@ -242,9 +238,7 @@ def project_two_halfspaces(x: np.ndarray, first, second) -> np.ndarray:
     if det <= 1e-14 * g11 * g22:
         # Parallel normals.  Same-direction pairs always resolve in the
         # single-projection cases above, so this is a disjoint slab.
-        raise EmptyIntersection(
-            "anti-parallel halfspaces with inconsistent offsets have empty intersection"
-        )
+        raise InfeasibleSet("anti-parallel halfspaces with inconsistent offsets have empty intersection")
     mu1 = (g22 * v1 - g12 * v2) / det
     mu2 = (g11 * v2 - g12 * v1) / det
     if mu1 < -1e-12 or mu2 < -1e-12:

@@ -26,7 +26,6 @@ from ephybrid.problems import (
 from ephybrid.qp import prox_step, solve_qp_active_set
 from ephybrid.sets import (
     Box,
-    EmptyIntersection,
     Halfspace,
     InfeasibleSet,
     Polyhedron,
@@ -176,7 +175,7 @@ def test_criterion_5b_two_halfspace_projector_vs_oracle():
         x = rng.normal(scale=2.0, size=d)
         try:
             got = project_two_halfspaces(x, (h1.a, h1.b), (h2.a, h2.b))
-        except EmptyIntersection:
+        except InfeasibleSet:
             continue
         ref = projection_oracle(x, Polyhedron([h1, h2]))
         assert np.linalg.norm(got - ref) <= 1e-8

@@ -18,8 +18,8 @@ from ephybrid.experiments import (
     bundle_from_dict,
     config_from_dict,
     default_lambda,
+    grid_row,
     load_config,
-    run_experiment,
     run_grid,
     table1_config,
     table2_config,
@@ -158,7 +158,7 @@ def test_config_from_inline_problem(example1):
     }
     rest = {"params": {"alpha_schedule": {"type": "constant", "value": 0.5}}, "starts": [[1.0, 3.0, 1.0]]}
     config = config_from_dict({"problem": problem, **rest})
-    assert config.label == "inline"
+    assert config.bundle.label == ""
     assert isinstance(config.bundle.mapping, IdentityMapping)
     assert config.bundle.constants == example1.constants
     assert config.lam == default_lambda(example1.constants)
@@ -181,8 +181,8 @@ def test_config_from_inline_problem(example1):
 def test_benchmark_grids_pin_every_field():
     """The grids inherit the parser's defaults; a changed default must fail here."""
     t1, t2 = table1_config(), table2_config()
-    assert t1.bundle.label == t1.label == "example1"
-    assert t2.bundle.label == t2.label == "example2"
+    assert t1.bundle.label == "example1"
+    assert t2.bundle.label == "example2"
     assert t1.lam == pytest.approx(0.1438447187, rel=1e-9) == t2.lam
     assert [s.kind for s in t1.schedules] == ["ratio"]
     assert [s.kind for s in t2.schedules] == ["ratio", "pow10", "invlog"]
@@ -202,16 +202,16 @@ def test_benchmark_grids_pin_every_field():
         assert (config.csv_path, config.json_path, config.trace_dir) == (None, None, None)
 
 
-def test_run_experiment_records_capped_rows(tmp_path):
+def test_grid_rows_record_capped_runs(tmp_path):
     path = minimal_config(tmp_path, stopping={"rule": "distance_to_target", "tol": 1e-3, "max_iter": 1})
-    rows = run_experiment(load_config(path))
+    rows = [grid_row(run) for run in run_grid(load_config(path))]
     assert len(rows) == 1
     assert rows[0].stop_reason == "MaxIter"
     assert rows[0].iterations == 1
 
 
-def test_run_experiment_grid_shape():
-    rows = run_experiment(table2_config())
+def test_grid_rows_of_table2():
+    rows = [grid_row(run) for run in run_grid(table2_config())]
     assert len(rows) == 12
     assert all(r.stop_reason == "DistanceToKnown" for r in rows)
     labels = {r.schedule for r in rows}
@@ -220,7 +220,7 @@ def test_run_experiment_grid_shape():
 
 def test_extragradient_experiment_rows(tmp_path):
     path = minimal_config(tmp_path, algorithm="extragradient")
-    rows = run_experiment(load_config(path))
+    rows = [grid_row(run) for run in run_grid(load_config(path))]
     assert len(rows) == 1
     assert rows[0].schedule == "-"
     assert rows[0].stop_reason == "DistanceToKnown"
@@ -642,6 +642,16 @@ def test_cli_failed_run_exit_code(tmp_path, capsys, monkeypatch):
     assert cli.main(["solve", "--config", str(path)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: InfeasibleSet: ") and err.count("\n") == 1, err
+
+    # Started at example2's solution with a prox seed away from it, the first
+    # step's w is the start itself and its slack is negative: the contraction
+    # cut has a zero normal and no point, and the run exits 4 too.
+    path = minimal_config(
+        tmp_path, y0=[0, 0, 1], starts=[[0, 0, 0]], stopping={"rule": "residual_w", "tol": 1e-4}
+    )
+    assert cli.main(["solve", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: EmptyOmega: iteration 1: ") and err.count("\n") == 1, err
 
     from ephybrid import hybrid
 

@@ -8,7 +8,6 @@ from ephybrid.experiments import default_lambda, run_grid, table1_config, table2
 from ephybrid.hybrid import (
     AlphaSchedule,
     AlphaOutOfRange,
-    EmptyHalfspace,
     InvariantViolation,
     KTooSmall,
     LambdaOutOfRange,
@@ -37,7 +36,7 @@ from ephybrid.problems import (
 from ephybrid import qp
 from ephybrid.linalg import DimensionMismatch
 from ephybrid.qp import CutProjector, ProxSolver, solve_qp_active_set
-from ephybrid.sets import Box, Halfspace, Polyhedron, WholeSpace, halfspaces_and_box
+from ephybrid.sets import Box, Halfspace, InfeasibleSet, Polyhedron, WholeSpace, halfspaces_and_box
 from oracles import enumeration_qp, halfspace_rows
 
 
@@ -150,7 +149,7 @@ def test_contraction_cut_degenerate_cases():
     x = np.array([1.0, 2.0])
     assert build_contraction_cut(x, x.copy(), 0.1) is None
     assert build_contraction_cut(x, x.copy(), 0.0) is None
-    with pytest.raises(EmptyHalfspace):
+    with pytest.raises(InfeasibleSet):
         build_contraction_cut(x, x.copy(), -0.1)
 
 
@@ -688,7 +687,7 @@ def test_cut_projection_drops_whole_space_slots(monkeypatch):
     x = np.array([2.0, 3.0])
     cut_lists = ([row, None], [None, row], [None, row, None], [row, None, row])
     for cuts in cut_lists:
-        assert np.allclose(CutProjector(None).project(x, cuts), [0.0, 3.0], atol=1e-14)
+        assert np.allclose(CutProjector(WholeSpace(2)).project(x, cuts), [0.0, 3.0], atol=1e-14)
 
     # A projector whose set adds no rows, an all-infinite box among them,
     # leaves up to two cut rows to the closed form: its QP never runs.
@@ -696,7 +695,7 @@ def test_cut_projection_drops_whole_space_slots(monkeypatch):
         raise AssertionError("the cut QP ran where the closed form applies")
 
     monkeypatch.setattr(CutProjector, "project", refuse)
-    for feasible in (None, WholeSpace(2), Box([-np.inf, -np.inf], [np.inf, np.inf])):
+    for feasible in (WholeSpace(2), Box([-np.inf, -np.inf], [np.inf, np.inf])):
         projector = CutProjector(feasible)
         assert projector.set_row_count == 0
         kept = _project_onto_cuts(x, [None, None], projector)
@@ -706,13 +705,12 @@ def test_cut_projection_drops_whole_space_slots(monkeypatch):
 
 
 def test_cut_projector_with_no_set_and_no_row_returns_the_point():
-    # With no set and no row the intersection is the whole space: the point
-    # comes back as a copy, as from the closed form and from a set without rows.
+    # On a set without rows and with no cut row the intersection is the
+    # whole space: the point comes back as a copy, as from the closed form.
     x = np.array([2.0, -3.0, 0.5])
     for cuts in ([None, None], []):
-        got = CutProjector(None).project(x, cuts)
+        got = CutProjector(WholeSpace(3)).project(x, cuts)
         assert got.tobytes() == x.tobytes() and got is not x
-        assert CutProjector(WholeSpace(3)).project(x, cuts).tobytes() == x.tobytes()
 
 
 def test_a_mapping_returning_y_itself_steps_as_one_returning_an_equal_copy(example1):
@@ -744,6 +742,7 @@ def test_a_mapping_returning_y_itself_steps_as_one_returning_an_equal_copy(examp
 def test_step_builds_no_set_object(monkeypatch):
     # A step's cuts are rows, projected as rows: no set object is built, and
     # no point re-checked, inside it.  Only solve's start and seed are checked.
+    # The run's set-up builds its projector's set (the whole space on table1).
     from ephybrid import hybrid, sets
     from ephybrid.linalg import as_point
 
@@ -752,14 +751,24 @@ def test_step_builds_no_set_object(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a set object was built inside a step")
 
-    monkeypatch.setattr(sets.Halfspace, "__init__", refuse)
-    monkeypatch.setattr(sets.WholeSpace, "__init__", refuse)
+    step, steps = hybrid.hybrid_iterate, []
+
+    def refusing_step(*args):
+        steps.append(args[0].n)
+        with monkeypatch.context() as inside:
+            inside.setattr(sets.Halfspace, "__init__", refuse)
+            inside.setattr(sets.WholeSpace, "__init__", refuse)
+            return step(*args)
+
+    monkeypatch.setattr(hybrid, "hybrid_iterate", refusing_step)
     checked = []
     monkeypatch.setattr(hybrid, "as_point", lambda x: checked.append(x) or as_point(x))
     for config, params, start in cells:
         checked.clear()
+        steps.clear()
         report = solve(config.bundle, params, config.stopping, start, y0=config.y0, audit=False)
         assert report.stop_reason != "MaxIter" and report.iterations > 5
+        assert steps == list(range(1, report.iterations + 1))
         assert len(checked) == (1 if config.y0 is None else 2)
 
 
