@@ -9,10 +9,10 @@ Subcommands::
 ``reproduce`` writes ``<table>.csv``, ``<table>.json`` and
 ``<table>_trace_NN.{csv,json}`` to ``--out``.  Exit codes: 0 on success,
 2 on any config or parameter error or a path that cannot be read or
-written, 3 on an invariant violation in audit mode (a config's own
-``"audit": true`` audits under ``solve`` too), 4 on a run that fails
-(``InfeasibleSet``, ``EmptyOmega``, ``CyclingDetected``).  Each error
-prints one line to stderr.
+written, 3 on an invariant violation under ``audit``, 4 on a run that
+fails (``InfeasibleSet``, ``EmptyOmega``, ``CyclingDetected``).  Each
+error prints one line to stderr.  A hybrid grid with the ``invlog``
+schedule notes on stderr the iterations whose weight is clamped to the cap.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import sys
 from dataclasses import replace
 
 from . import experiments, reporting
-from .hybrid import EmptyOmega, InvariantViolation
+from .hybrid import ALPHA_CAP, EmptyOmega, InvariantViolation
 from .qp import CyclingDetected
 from .sets import InfeasibleSet
 
@@ -115,25 +115,17 @@ def _print_rows(rows) -> None:
 
 
 def _warn_clamped_schedules(config) -> None:
-    if any(s.kind == "invlog" for s in config.schedules):
-        print(
-            "note: the 1/log10(n+1) schedule exceeds the averaging cap for "
-            f"{_invlog_clamped_range(config.alpha_cap)}; "
-            f"those values are clamped to {config.alpha_cap}",
-            file=sys.stderr,
-        )
-
-
-def _invlog_clamped_range(cap: float) -> str:
-    """The n at which 1/log10(n+1) exceeds ``cap``: those with n + 1 < 10^(1/cap)."""
-    if 1.0 / cap > 15:
-        return f"n + 1 < 10^{1.0 / cap:.6g}"
-    last = math.ceil(10.0 ** (1.0 / cap)) - 2  # settled below on the schedule's own values
-    while 1.0 / math.log10(last + 2) > cap:
+    """Name the iterations at which the hybrid grid's ``invlog`` weight is clamped to the cap."""
+    if config.algorithm != "hybrid" or not any(s.kind == "invlog" for s in config.schedules):
+        return
+    last = 1  # 1/log10(n+1) falls with n, so it exceeds the cap for n = 1 .. last
+    while 1.0 / math.log10(last + 2) > ALPHA_CAP:
         last += 1
-    while 1.0 / math.log10(last + 1) <= cap:
-        last -= 1
-    return f"n <= {last}"
+    print(
+        f"note: the 1/log10(n+1) schedule exceeds the averaging cap for n <= {last}; "
+        f"those values are clamped to {ALPHA_CAP}",
+        file=sys.stderr,
+    )
 
 
 if __name__ == "__main__":

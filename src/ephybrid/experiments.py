@@ -11,11 +11,11 @@ Two bundles ship with the package:
   runs stop on the distance to it.
 
 Configs are plain JSON: matrices as nested arrays, sets as tagged
-objects, schedules by name.  :func:`config_from_dict` builds every
-config, the two benchmark grids (``TABLE1``, ``TABLE2``) included.  The
-rows of a grid run serially in config order: the solver's many tiny
-numpy calls hold the GIL, so a thread pool made the grids slower, not
-faster.
+objects (:func:`set_from_dict`), schedules by name; this module alone
+reads the format.  :func:`config_from_dict` builds every config, the two
+benchmark grids (``TABLE1``, ``TABLE2``) included.  The rows of a grid
+run serially in config order: the solver's many tiny numpy calls hold
+the GIL, so a thread pool made the grids slower, not faster.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .problems import (
     nash_cournot_constants,
 )
 from .reporting import ReportRow
-from .sets import Box, Halfspace, Polyhedron, UnknownSetType, set_from_dict
+from .sets import Box, ConvexSet, Halfspace, Polyhedron, WholeSpace
 
 _P = [[3.1, 2.0, 0.0], [2.0, 3.6, 0.0], [0.0, 0.0, 3.5]]
 _Q = [[1.6, 1.0, 0.0], [1.0, 1.6, 0.0], [0.0, 0.0, 1.5]]
@@ -132,7 +132,6 @@ class ExperimentConfig:
     schedules: tuple[AlphaSchedule, ...]
     lam: float
     k: float
-    alpha_cap: float
     cut_variant: str
     cuts_within_feasible: bool
     starts: tuple[np.ndarray, ...]
@@ -149,7 +148,6 @@ class ExperimentConfig:
             self.k,
             schedule,
             self.bundle.constants,
-            alpha_cap=self.alpha_cap,
             cut_variant=self.cut_variant,
             cuts_within_feasible=self.cuts_within_feasible,
         )
@@ -198,7 +196,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     elif isinstance(problem, dict):
         try:
             bundle = bundle_from_dict(problem)
-        except (AttributeError, KeyError, TypeError, UnknownSetType, ParseError) as exc:
+        except (AttributeError, KeyError, TypeError, ParseError) as exc:
             raise ParseError(f"field 'problem': {exc}") from exc
         except ValueError as exc:
             raise ValidationError(f"field 'problem': {exc}") from exc
@@ -214,17 +212,18 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     lam = params.get("lambda")
     lam = default_lambda(bundle.constants) if lam is None else _parsed(_number, lam, "params.lambda")
     k = _parsed(_number, params.get("k", 6.0), "params.k")
-    alpha_cap = _parsed(_number, params.get("alpha_cap", 0.99), "params.alpha_cap")
     cut_variant = params.get("cut_variant", "two_halfspaces")
     cuts_within_feasible = params.get("cuts_within_feasible", False)
 
     raw_schedules = params.get("alpha_schedule", "ratio")
     if not isinstance(raw_schedules, list):
         raw_schedules = [raw_schedules]
+    if not all(isinstance(s, str) for s in raw_schedules):
+        raise ParseError("field 'params.alpha_schedule': a schedule is a name")
     try:
-        schedules = tuple(_parse_schedule(s) for s in raw_schedules)
-    except (TypeError, KeyError) as exc:
-        raise ParseError(f"field 'params.alpha_schedule': {exc}") from exc
+        schedules = tuple(map(AlphaSchedule, raw_schedules))
+    except ParameterError as exc:
+        raise ValidationError(f"field 'params.alpha_schedule': {exc}") from exc
     if not schedules:
         raise ValidationError("field 'params.alpha_schedule': needs at least one schedule")
 
@@ -239,10 +238,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
     stopping = _parse_stopping(data.get("stopping"), bundle)
 
-    audit = data.get("audit", False)
-    for field, flag in (("params.cuts_within_feasible", cuts_within_feasible), ("audit", audit)):
-        if not isinstance(flag, bool):
-            raise ParseError(f"field {field!r}: must be true or false, got {flag!r}")
+    if not isinstance(cuts_within_feasible, bool):
+        raise ParseError(
+            "field 'params.cuts_within_feasible': must be true or false, "
+            f"got {cuts_within_feasible!r}"
+        )
     output = data.get("output", {})
     _known_keys(output, _OUTPUT_KEYS, "field 'output'")
     paths = {key: output.get(key) for key in _OUTPUT_KEYS}
@@ -256,13 +256,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         schedules=schedules,
         lam=lam,
         k=k,
-        alpha_cap=alpha_cap,
         cut_variant=cut_variant,
         cuts_within_feasible=cuts_within_feasible,
         starts=starts,
         y0=y0,
         stopping=stopping,
-        audit=audit,
         csv_path=paths["csv"],
         json_path=paths["json"],
         trace_dir=paths["trace_dir"],
@@ -284,8 +282,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 def bundle_from_dict(data: dict) -> ProblemBundle:
     """Build a problem bundle from its JSON object form.
 
-    A non-number raises ``TypeError``; a key or a mapping type the format
-    does not have raises :class:`ParseError`.
+    A non-number raises ``TypeError``; a key, a mapping type or a set type
+    (:func:`set_from_dict`) the format does not have raises :class:`ParseError`.
     """
     _known_keys(data, _PROBLEM_KEYS, "problem")
     bif = data["bifunction"]
@@ -320,6 +318,38 @@ def bundle_from_dict(data: dict) -> ProblemBundle:
         target=None if target is None else _vector(target),
         label=data.get("label", ""),
     )
+
+
+def set_from_dict(d: dict) -> ConvexSet:
+    """Build a set from its tagged-JSON form: an object whose ``type`` names the kind.
+
+    A ``null`` box bound is an infinite one.  A non-number raises
+    ``TypeError``; a ``type`` or a key the format does not have, or a
+    dimension that is not a whole number, raises :class:`ParseError`.
+    """
+    kind = d.get("type")
+    if kind not in _SET_KEYS:
+        raise ParseError(f"unknown set type: {kind!r}")
+    _known_keys(d, _SET_KEYS[kind], f"{kind} set")
+    if kind == "whole_space":
+        return WholeSpace(_parsed(_whole_number, d["dim"], "whole_space.dim"))
+    if kind == "halfspace":
+        return Halfspace(_vector(d["a"]), _number(d["b"]))
+    if kind == "box":
+        lo = [-np.inf if v is None else _number(v) for v in d["lo"]]
+        hi = [np.inf if v is None else _number(v) for v in d["hi"]]
+        return Box(lo, hi)
+    box = d.get("box")
+    parsed_box = set_from_dict(box) if box is not None else None
+    if parsed_box is not None and not isinstance(parsed_box, Box):
+        raise ValueError("polyhedron box entry must be a box")
+    halves = []
+    for h in d.get("halfspaces", []):
+        parsed = set_from_dict(h)
+        if not isinstance(parsed, Halfspace):
+            raise ValueError("polyhedron halfspaces entries must be halfspaces")
+        halves.append(parsed)
+    return Polyhedron(halves, parsed_box)
 
 
 def run_grid(config: ExperimentConfig) -> list[GridRun]:
@@ -373,11 +403,17 @@ def table2_config() -> ExperimentConfig:
     return config_from_dict(TABLE2)
 
 
-_CONFIG_KEYS = ("problem", "algorithm", "params", "starts", "y0", "stopping", "audit", "output")
-_PARAMS_KEYS = ("lambda", "k", "alpha_cap", "alpha_schedule", "cut_variant", "cuts_within_feasible")
+_CONFIG_KEYS = ("problem", "algorithm", "params", "starts", "y0", "stopping", "output")
+_PARAMS_KEYS = ("lambda", "k", "alpha_schedule", "cut_variant", "cuts_within_feasible")
 _OUTPUT_KEYS = ("csv", "json", "trace_dir")
 _PROBLEM_KEYS = ("label", "bifunction", "feasible", "mapping", "constants", "target")
 _MAPPING_KEYS = {"identity": ("type",), "averaged_projections": ("type", "outer", "inner")}
+_SET_KEYS = {
+    "whole_space": ("type", "dim"),
+    "halfspace": ("type", "a", "b"),
+    "box": ("type", "lo", "hi"),
+    "polyhedron": ("type", "halfspaces", "box"),
+}
 
 
 def _known_keys(data: dict, keys, where: str) -> None:
@@ -417,17 +453,6 @@ def _whole_number(raw) -> int:
     if not value.is_integer():
         raise ValueError(f"must be a whole number, got {raw!r}")
     return int(value)
-
-
-def _parse_schedule(raw) -> AlphaSchedule:
-    if isinstance(raw, str):
-        return AlphaSchedule(raw)
-    if isinstance(raw, dict):
-        kind = raw["type"]
-        if kind == "constant":
-            return AlphaSchedule("constant", _parsed(_number, raw["value"], "params.alpha_schedule"))
-        return AlphaSchedule(kind)
-    raise TypeError(f"schedule must be a name or an object, got {type(raw).__name__}")
 
 
 def _parse_stopping(raw, bundle: ProblemBundle) -> StoppingRule:

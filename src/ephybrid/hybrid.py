@@ -39,7 +39,10 @@ STOP_RESIDUAL = "ResidualW"
 STOP_DISTANCE = "DistanceToKnown"
 STOP_MAX_ITER = "MaxIter"
 
-SCHEDULE_KINDS = ("constant", "ratio", "pow10", "invlog")
+# The bound a < 1 on the averaging weights: every alpha_n lies in [0, ALPHA_CAP].
+ALPHA_CAP = 0.99
+
+SCHEDULE_KINDS = ("ratio", "pow10", "invlog")
 CUT_VARIANTS = ("two_halfspaces", "three_halfspaces")
 
 
@@ -56,7 +59,7 @@ class KTooSmall(ParameterError):
 
 
 class AlphaOutOfRange(ParameterError):
-    """Averaging weights must stay in [0, cap] with cap in (0, 1)."""
+    """An averaging-weight schedule names no schedule kind."""
 
 
 class EmptyOmega(RuntimeError):
@@ -79,39 +82,32 @@ class MaxIterExceeded(RuntimeError):
 class AlphaSchedule:
     """Averaging-weight schedule, evaluated at outer iteration n >= 1.
 
-    Kinds: ``constant`` (fixed value), ``ratio`` ((n-1)/(2(n+1))),
-    ``pow10`` (10^-n), ``invlog`` (1/log10(n+1), which exceeds the cap
-    while n + 1 < 10^(1/cap) and is clamped to it there).
+    Kinds: ``ratio`` ((n-1)/(2(n+1))), ``pow10`` (10^-n), ``invlog``
+    (1/log10(n+1), which exceeds :data:`ALPHA_CAP` for n <= 9 and is
+    clamped to it there).  Every value is >= 0.
     """
 
     kind: str
-    value: float = 0.0
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise AlphaOutOfRange(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "constant" and self.value < 0.0:
-            raise AlphaOutOfRange("constant schedule value must be >= 0")
 
     def label(self) -> str:
-        if self.kind == "constant":
-            return f"const={self.value:g}"
         return {"ratio": "(n-1)/(2(n+1))", "pow10": "10^-n", "invlog": "1/log10(n+1)"}[self.kind]
 
 
-def alpha_at(schedule: AlphaSchedule, n: int, cap: float = 0.99) -> float:
-    """Schedule value at iteration ``n``, clamped into [0, cap]."""
+def alpha_at(schedule: AlphaSchedule, n: int) -> float:
+    """Schedule value at iteration ``n``, clamped to at most :data:`ALPHA_CAP`."""
     if n < 1:
         raise ValueError("iteration index starts at 1")
-    if schedule.kind == "constant":
-        raw = schedule.value
-    elif schedule.kind == "ratio":
+    if schedule.kind == "ratio":
         raw = (n - 1) / (2.0 * (n + 1))
     elif schedule.kind == "pow10":
         raw = 10.0 ** (-n)
     else:
         raw = 1.0 / math.log10(n + 1)
-    return min(max(raw, 0.0), cap)
+    return min(raw, ALPHA_CAP)
 
 
 @dataclass(frozen=True)
@@ -128,12 +124,11 @@ class HybridParams:
     lam: float
     k: float
     alpha_schedule: AlphaSchedule
-    alpha_cap: float = 0.99
     cut_variant: str = "two_halfspaces"
     cuts_within_feasible: bool = False
 
     def alpha(self, n: int) -> float:
-        return alpha_at(self.alpha_schedule, n, self.alpha_cap)
+        return alpha_at(self.alpha_schedule, n)
 
 
 def validate_params(
@@ -141,29 +136,26 @@ def validate_params(
     k: float,
     alpha_schedule: AlphaSchedule,
     constants: LipschitzConstants,
-    alpha_cap: float = 0.99,
     cut_variant: str = "two_halfspaces",
     cuts_within_feasible: bool = False,
 ) -> HybridParams:
     """Check the admissibility conditions and freeze the parameters.
 
     Requires ``0 < lam < 1/(2*(c1+c2))`` and
-    ``1/(1 - 2*lam*(c1+c2)) < k < inf``, all strict, plus an averaging cap
-    in (0, 1).
+    ``1/(1 - 2*lam*(c1+c2)) < k < inf``, all strict, and a known cut
+    variant.  The averaging weights need no check: every schedule stays in
+    ``[0, ALPHA_CAP]``.
     """
     csum = _check_lambda(lam, constants)
     k_min = 1.0 / (1.0 - 2.0 * lam * csum)
     if not k_min * (1.0 + 1e-12) < k < math.inf:
         raise KTooSmall(f"need {k_min:.6g} < k < inf, got {k}")
-    if not (0.0 < alpha_cap < 1.0):
-        raise AlphaOutOfRange(f"cap must lie in (0, 1), got {alpha_cap}")
     if cut_variant not in CUT_VARIANTS:
         raise ParameterError(f"unknown cut variant {cut_variant!r}")
     return HybridParams(
         lam=float(lam),
         k=float(k),
         alpha_schedule=alpha_schedule,
-        alpha_cap=float(alpha_cap),
         cut_variant=cut_variant,
         cuts_within_feasible=bool(cuts_within_feasible),
     )
@@ -184,7 +176,8 @@ def _check_lambda(lam: float, constants: LipschitzConstants) -> float:
 class StoppingRule:
     """``residual_w`` stops on the step residual, ``distance_to_target``
     on the distance to a known solution attached to the bundle.
-    ``max_iter``, the iteration cap, is an integer >= 1 (not a bool)."""
+    ``tol`` is finite and > 0; ``max_iter``, the iteration cap, is an
+    integer >= 1 (not a bool)."""
 
     kind: str
     tol: float
@@ -193,8 +186,8 @@ class StoppingRule:
     def __post_init__(self):
         if self.kind not in ("residual_w", "distance_to_target"):
             raise ValueError(f"unknown stopping rule {self.kind!r}")
-        if not self.tol > 0.0:
-            raise ValueError("tolerance must be > 0")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tol}")
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
@@ -301,8 +294,8 @@ def hybrid_iterate(
     state: SolverState,
     bundle: ProblemBundle,
     params: HybridParams,
-    prox: ProxSolver | None = None,
-    projector: CutProjector | None = None,
+    prox: ProxSolver,
+    projector: CutProjector,
 ) -> tuple[SolverState, IterationRecord]:
     """Advance the iteration window by one step.
 
@@ -311,14 +304,9 @@ def hybrid_iterate(
     the projection of the initial point onto their intersection.
     ``prox`` and ``projector`` are the run's, built for ``bundle`` and
     ``params`` (:func:`_cut_projector`), and carry its warm starts from
-    step to step; fresh ones are made when they are omitted.  An empty cut
-    region, one empty cut or cuts that do not meet (:class:`sets.InfeasibleSet`
-    either way), raises :class:`EmptyOmega`.
+    step to step.  An empty cut region, one empty cut or cuts that do not
+    meet (:class:`sets.InfeasibleSet` either way), raises :class:`EmptyOmega`.
     """
-    if prox is None:
-        prox = ProxSolver(bundle.bifunction, params.lam, bundle.feasible)
-    if projector is None:
-        projector = _cut_projector(bundle, params)
     alpha = params.alpha(state.n)
 
     y_next = prox.step(state.y_cur, state.x_cur)

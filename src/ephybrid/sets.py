@@ -35,10 +35,6 @@ class InfeasibleSet(ValueError):
     """No point satisfies the constraints: a set, a cut or an intersection of them is empty."""
 
 
-class UnknownSetType(ValueError):
-    """A set's tagged-JSON form names no set kind."""
-
-
 def membership_tol(offset: float) -> float:
     """Default feasibility band: 1e-10 absolute plus 1e-12 relative on the offset."""
     return 1e-10 + 1e-12 * abs(offset)
@@ -246,46 +242,6 @@ def project_two_halfspaces(x: np.ndarray, first, second) -> np.ndarray:
         # guards against inconsistent tolerance slivers.
         raise ArithmeticError("two-halfspace projection produced negative multipliers")
     return x - max(mu1, 0.0) * a1 - max(mu2, 0.0) * a2
-
-
-def set_from_dict(d: dict) -> ConvexSet:
-    """Build a set from its tagged-JSON form: an object whose ``type`` names the kind.
-
-    Raises :class:`UnknownSetType` for a ``type`` that names no kind and
-    ``TypeError`` for a key the kind does not have.
-    """
-    kind = d.get("type")
-    if kind not in _SET_KEYS:
-        raise UnknownSetType(f"unknown set type: {kind!r}")
-    if not d.keys() <= _SET_KEYS[kind]:
-        raise TypeError(f"{kind} set: unknown keys {sorted(d.keys() - _SET_KEYS[kind])}")
-    if kind == "whole_space":
-        return WholeSpace(int(d["dim"]))
-    if kind == "halfspace":
-        return Halfspace(d["a"], d["b"])
-    if kind == "box":
-        lo = [-np.inf if v is None else v for v in d["lo"]]
-        hi = [np.inf if v is None else v for v in d["hi"]]
-        return Box(lo, hi)
-    box = d.get("box")
-    parsed_box = set_from_dict(box) if box is not None else None
-    if parsed_box is not None and not isinstance(parsed_box, Box):
-        raise ValueError("polyhedron box entry must be a box")
-    halves = []
-    for h in d.get("halfspaces", []):
-        parsed = set_from_dict(h)
-        if not isinstance(parsed, Halfspace):
-            raise ValueError("polyhedron halfspaces entries must be halfspaces")
-        halves.append(parsed)
-    return Polyhedron(halves, parsed_box)
-
-
-_SET_KEYS = {
-    "whole_space": {"type", "dim"},
-    "halfspace": {"type", "a", "b"},
-    "box": {"type", "lo", "hi"},
-    "polyhedron": {"type", "halfspaces", "box"},
-}
 
 
 def _point_in(x, dim: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ephybrid.experiments import table1_config, table2_config
-from ephybrid.hybrid import SolverState, hybrid_iterate
+from ephybrid.hybrid import SolverState, _cut_projector, hybrid_iterate
 from ephybrid.linalg import DimensionMismatch
 from ephybrid.problems import AveragedProjections
 from ephybrid.qp import ProxSolver, prox_step
@@ -88,11 +88,16 @@ def test_hybrid_iterate_checks_the_points_it_steps_from(config):
     table1 projects its cuts in closed form, table2 through the cut
     projector, so both paths are covered.
     """
-    params = config.params_for(config.schedules[0])
+    bundle, params = config.bundle, config.params_for(config.schedules[0])
+
+    def step(state):
+        prox = ProxSolver(bundle.bifunction, params.lam, bundle.feasible)
+        return hybrid_iterate(state, bundle, params, prox, _cut_projector(bundle, params))
+
     for points, _, kind in BAD_POINTS:
         for point in points:
             for field in ("x_cur", "y_cur"):
                 window = dict(x_cur=GOOD, y_cur=np.zeros(3), x0=GOOD, dx2=0.0, dy2=0.0)
                 window[field] = point
                 state = SolverState(n=1, **window)
-                raises_exactly(kind, lambda s: hybrid_iterate(s, config.bundle, params), state)
+                raises_exactly(kind, step, state)

@@ -156,13 +156,13 @@ def test_config_from_inline_problem(example1):
         "mapping": {"type": "identity"},
         "constants": {"c1": example1.constants.c1, "c2": example1.constants.c2},
     }
-    rest = {"params": {"alpha_schedule": {"type": "constant", "value": 0.5}}, "starts": [[1.0, 3.0, 1.0]]}
+    rest = {"params": {"alpha_schedule": "pow10"}, "starts": [[1.0, 3.0, 1.0]]}
     config = config_from_dict({"problem": problem, **rest})
     assert config.bundle.label == ""
     assert isinstance(config.bundle.mapping, IdentityMapping)
     assert config.bundle.constants == example1.constants
     assert config.lam == default_lambda(example1.constants)
-    assert config.schedules == (AlphaSchedule("constant", 0.5),)
+    assert config.schedules == (AlphaSchedule("pow10"),)
     # No stopping given and no target: the residual rule.
     assert config.stopping == StoppingRule("residual_w", 1e-4, 10000)
     # The inline copy of example1 runs bit for bit like the builtin.
@@ -196,7 +196,7 @@ def test_benchmark_grids_pin_every_field():
     assert t2.stopping == StoppingRule("distance_to_target", 1e-3, 10000)
     for config in (t1, t2):
         assert config.algorithm == "hybrid"
-        assert (config.k, config.alpha_cap) == (6.0, 0.99)
+        assert config.k == 6.0
         assert config.y0 is None
         assert not config.audit
         assert (config.csv_path, config.json_path, config.trace_dir) == (None, None, None)
@@ -426,6 +426,21 @@ def test_cutproj_replay_runs_this_checkout_against_itself():
     assert lines[-1] in ("new faster in 0/1 pairs", "new faster in 1/1 pairs")
 
 
+def test_ab_time_runs_this_checkout_against_itself():
+    """``tools/ab_time.py`` with one table1 pair: both sides run the same 8,860 iterations."""
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, str(root / "tools" / "ab_time.py"), str(root), str(root), "--pairs", "1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[1] == "workload table1  iterations base 8860  new 8860"
+    assert lines[-3] in ("new faster in 0/1 pairs", "new faster in 1/1 pairs")
+
+
 def test_table2_grid_runs_one_checked_factorization_per_run(monkeypatch):
     """The checked Cholesky factors each run's prox Hessian once and nothing else.
 
@@ -445,14 +460,25 @@ def test_table2_grid_runs_one_checked_factorization_per_run(monkeypatch):
     assert len(calls) == 12
 
 
-@pytest.mark.parametrize("cap, last", [(0.99, 9), (0.5, 98)])
+@pytest.mark.parametrize("cap, last", [(0.99, 9)])
 def test_cli_invlog_note_names_the_last_clamped_iteration(tmp_path, capsys, cap, last):
     # 1/log10(n+1) exceeds the cap while n + 1 < 10^(1/cap).
-    path = minimal_config(tmp_path, params={"alpha_schedule": "invlog", "alpha_cap": cap})
+    path = minimal_config(tmp_path, params={"alpha_schedule": "invlog"})
     assert cli.main(["solve", "--config", str(path)]) == 0
     assert f"exceeds the averaging cap for n <= {last}; those values are clamped to {cap}" in (
         capsys.readouterr().err
     )
+    # The extragradient baseline's rows use no schedule: no note.
+    path = minimal_config(
+        tmp_path,
+        problem="example1",
+        algorithm="extragradient",
+        params={"alpha_schedule": "invlog"},
+        starts=[[1, 3, 1]],
+        stopping={"rule": "residual_w", "tol": 1e-4},
+    )
+    assert cli.main(["solve", "--config", str(path)]) == 0
+    assert "note" not in capsys.readouterr().err
 
 
 def test_cli_reproduce_table2(tmp_path, capsys):
@@ -497,6 +523,14 @@ TWO_HALFSPACES = {
     "first": {"type": "halfspace", "a": [1.0, 0.0], "b": 1.0},
     "second": {"type": "halfspace", "a": [0.0, 1.0], "b": 1.0},
 }
+BAD_NUMBER_SETS = (
+    {"type": "halfspace", "a": [1, "2"], "b": 1},
+    {"type": "halfspace", "a": [1, 2], "b": "1"},
+    {"type": "box", "lo": [0, True], "hi": [1, 1]},
+    {"type": "whole_space", "dim": "2"},
+    {"type": "whole_space", "dim": 2.5},
+    {"type": "whole_space", "dim": True},
+)
 INLINE_NON_NUMBERS = (
     {"constants": {"c1": "2.5", "c2": 1.0}},
     {"constants": {"c1": 1.0, "c2": True}},
@@ -508,6 +542,11 @@ INLINE_NON_NUMBERS = (
     {"bifunction": {**BOX_BIFUNCTION, "Q": [[1.0, "0"], [0.0, 1.0]]}},
     {"target": ["0", "0"]},
     {"target": [0.0, False]},
+    *({"feasible": s} for s in BAD_NUMBER_SETS),
+    *(
+        {"mapping": {"type": "averaged_projections", "outer": INLINE_BOX_PROBLEM["feasible"], "inner": [s]}}
+        for s in BAD_NUMBER_SETS
+    ),
 )
 UNIT_SQUARE = {"type": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}
 INLINE_UNKNOWN_KEYS = (
@@ -541,7 +580,8 @@ def test_cli_validation_error_exit_code(tmp_path, capsys, example1):
     assert cli.main(["solve", "--config", str(path)]) == 2
     assert "error" in capsys.readouterr().err
     # A seed of the wrong length, a distance rule on a problem without a
-    # known target, an infinite k and constants below example1's
+    # known target, an infinite tolerance or k, a schedule name the package
+    # does not have and constants below example1's
     # |P^T - Q| / 2 = 1.39 are caught by the parser, not the solver.
     f = example1.bifunction
     small_constants = {
@@ -552,7 +592,9 @@ def test_cli_validation_error_exit_code(tmp_path, capsys, example1):
     for fields in (
         {"y0": [0, 0]},
         {"stopping": {"rule": "distance_to_target"}},
+        {"stopping": {"tol": float("inf")}},
         {"params": {"k": float("inf")}},
+        {"params": {"alpha_schedule": "geometric"}},
         {"problem": small_constants},
     ):
         assert_config_error(tmp_path, capsys, ValidationError, **fields)
@@ -595,6 +637,10 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         {"params": {"alpha_cap": True}},
         {"params": {"alpha_schedule": {"type": "constant", "value": True}}},
         {"params": {"alpha_schedule": {"type": "constant", "value": "0.5"}}},
+        # Keys and a schedule form the format no longer has.
+        {"params": {"alpha_cap": 0.5}},
+        {"audit": True},
+        {"params": {"alpha_schedule": {"type": "constant", "value": 0.5}}},
         {"starts": [["1", "3", "1"]]},
         {"starts": [[True, 3, 1]]},
         {"starts": ["131"]},

@@ -15,6 +15,7 @@ from ephybrid.hybrid import (
     RunReport,
     SolverState,
     StoppingRule,
+    _cut_projector,
     _project_onto_cuts,
     alpha_at,
     build_anchor_cut,
@@ -71,19 +72,12 @@ def test_validate_params_rejects_small_k(example1):
         validate_params(lam, 5.0, AlphaSchedule("ratio"), example1.constants)
 
 
-def test_validate_params_rejects_bad_cap(example1):
-    lam = default_lambda(example1.constants)
-    with pytest.raises(AlphaOutOfRange):
-        validate_params(lam, 6.0, AlphaSchedule("ratio"), example1.constants, alpha_cap=1.0)
-
-
 def test_alpha_schedules():
     assert alpha_at(AlphaSchedule("ratio"), 1) == 0.0
     assert alpha_at(AlphaSchedule("ratio"), 3) == pytest.approx(0.25)
     assert alpha_at(AlphaSchedule("pow10"), 3) == pytest.approx(1e-3)
     assert alpha_at(AlphaSchedule("invlog"), 1) == pytest.approx(0.99)  # clamped
     assert alpha_at(AlphaSchedule("invlog"), 100) == pytest.approx(1.0 / math.log10(101.0))
-    assert alpha_at(AlphaSchedule("constant", 0.4), 17) == 0.4
     with pytest.raises(AlphaOutOfRange):
         AlphaSchedule("geometric")
 
@@ -190,8 +184,9 @@ def test_identity_mapping_collapses_averaging(example1):
     )
     state = fresh_state([1.0, 3.0, 1.0])
     prox = ProxSolver(example1.bifunction, params.lam, example1.feasible)
+    projector = _cut_projector(example1, params)
     for _ in range(10):
-        state, rec = hybrid_iterate(state, example1, params, prox)
+        state, rec = hybrid_iterate(state, example1, params, prox, projector)
         assert np.array_equal(rec.z_next, rec.y_next)
         assert np.array_equal(rec.w_next, rec.y_next)
 
@@ -201,7 +196,8 @@ def test_first_iteration_anchor_is_whole_space(example2):
         default_lambda(example2.constants), 6.0, AlphaSchedule("ratio"), example2.constants
     )
     state = fresh_state([1.0, 3.0, 1.0])
-    _, rec = hybrid_iterate(state, example2, params)
+    prox = ProxSolver(example2.bifunction, params.lam, example2.feasible)
+    _, rec = hybrid_iterate(state, example2, params, prox, _cut_projector(example2, params))
     contraction, anchor = step_cuts(state, rec)
     assert anchor is None
     assert contraction is not None
@@ -213,9 +209,10 @@ def test_iterate_record_invariants(example2):
     )
     state = fresh_state([-2.0, 3.0, -1.0])
     prox = ProxSolver(example2.bifunction, params.lam, example2.feasible)
+    projector = _cut_projector(example2, params)
     for _ in range(15):
         x_cur = state.x_cur
-        state, rec = hybrid_iterate(state, example2, params, prox)
+        state, rec = hybrid_iterate(state, example2, params, prox, projector)
         assert np.array_equal(rec.w_next, rec.y_next) or np.array_equal(rec.w_next, rec.z_next)
         dy = np.linalg.norm(rec.y_next - x_cur)
         dz = np.linalg.norm(rec.z_next - x_cur)
@@ -500,7 +497,7 @@ def test_empty_cut_intersection_without_common_solution():
     mapping = AveragedProjections(box, [Halfspace([-1.0], -2.0)])
     bundle = ProblemBundle(f, box, mapping, consts, label="no-common-solution")
     params = validate_params(
-        1.0 / (5.0 * consts.c1), 6.0, AlphaSchedule("constant", 0.5), consts
+        1.0 / (5.0 * consts.c1), 6.0, AlphaSchedule("ratio"), consts
     )
     with pytest.raises(EmptyOmega):
         solve(bundle, params, StoppingRule("residual_w", 1e-9, 500), [0.0], y0=[1.5])
@@ -512,7 +509,8 @@ def test_first_iteration_projects_onto_contraction_alone(example2):
     )
     x0 = np.array([1.0, 3.0, 1.0])
     state = fresh_state(x0)
-    _, rec = hybrid_iterate(state, example2, params)
+    prox = ProxSolver(example2.bifunction, params.lam, example2.feasible)
+    _, rec = hybrid_iterate(state, example2, params, prox, _cut_projector(example2, params))
     contraction, _ = step_cuts(state, rec)
     assert np.allclose(rec.x_next, Halfspace(*contraction).project(x0), atol=1e-12)
 
@@ -668,9 +666,10 @@ def test_cut_projection_routing_per_feasible_kind(kind, example2):
     x0 = np.array([1.0, 3.0, 1.0])
     state = fresh_state(x0)
     prox = ProxSolver(bundle.bifunction, params.lam, feasible)
+    projector = _cut_projector(bundle, params)
     for _ in range(4):
         prev = state
-        state, rec = hybrid_iterate(state, bundle, params, prox)
+        state, rec = hybrid_iterate(state, bundle, params, prox, projector)
         # The split cuts of the three_halfspaces variant, rebuilt from the record.
         y, z = rec.y_next, rec.z_next
         averaging = (2.0 * (y - z), float(y @ y - z @ z)) if np.any(y - z) else None

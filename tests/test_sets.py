@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
+from ephybrid.experiments import ParseError, set_from_dict
 from ephybrid.linalg import DimensionMismatch
 from ephybrid.sets import (
     Box,
     Halfspace,
     InfeasibleSet,
     Polyhedron,
-    UnknownSetType,
     WholeSpace,
     ZeroNormal,
     project_halfspace,
     project_two_halfspaces,
-    set_from_dict,
 )
 from ephybrid.qp import CutProjector, CyclingDetected
 from oracles import enumeration_qp, projection_oracle
@@ -336,7 +335,7 @@ def test_serialization_round_trip():
 
 def test_set_from_dict_rejects_unknown_type():
     for kind in ("cone", "two_halfspaces"):
-        with pytest.raises(UnknownSetType):
+        with pytest.raises(ParseError, match="unknown set type"):
             set_from_dict({"type": kind, "dim": 2})
     # A key the kind does not have is not ignored.
     for bad in (
@@ -345,5 +344,5 @@ def test_set_from_dict_rejects_unknown_type():
         {"type": "box", "lo": [0.0], "hi": [1.0], "hi_typo": [2.0]},
         {"type": "polyhedron", "halfspaces": [], "lo": [0.0]},
     ):
-        with pytest.raises(TypeError, match="unknown key"):
+        with pytest.raises(ParseError, match="unknown key"):
             set_from_dict(bad)

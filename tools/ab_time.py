@@ -72,6 +72,15 @@ def timed(experiments, config) -> tuple[float, int]:
     return elapsed, sum(run.report.iterations for run in runs)
 
 
+def summarize(base_s, new_s) -> None:
+    """Print the median ratio NEW/BASE of paired times, its quartiles and how many pairs NEW won."""
+    ratios = [n / b for b, n in zip(base_s, new_s)]
+    q1, _, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    wins = sum(n < b for b, n in zip(base_s, new_s))
+    print(f"median ratio new/base {statistics.median(ratios):.3f}  (quartiles {q1:.3f} .. {q3:.3f})")
+    print(f"new faster in {wins}/{len(ratios)} pairs")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path)
@@ -95,25 +104,16 @@ def main(argv=None) -> int:
         iterations = [timed(*side)[1] for side in sides]  # warm-up, untimed
         print(f"workload {args.workload}  iterations base {iterations[0]}  new {iterations[1]}")
 
-        base_s, new_s = [], []
+        seconds = ([], [])
         for pair in range(args.pairs):
-            order = (0, 1) if pair % 2 == 0 else (1, 0)
-            times = {}
-            for side in order:
-                times[side] = timed(*sides[side])[0]
-            base_s.append(times[0])
-            new_s.append(times[1])
-            print(f"pair {pair:3d}  base {times[0]:.4f} s  new {times[1]:.4f} s  "
-                  f"ratio {times[1] / times[0]:.3f}")
+            for side in (0, 1) if pair % 2 == 0 else (1, 0):
+                seconds[side].append(timed(*sides[side])[0])
+            base, new = seconds[0][-1], seconds[1][-1]
+            print(f"pair {pair:3d}  base {base:.4f} s  new {new:.4f} s  ratio {new / base:.3f}")
 
-    ratios = [n / b for b, n in zip(base_s, new_s)]
-    median = statistics.median(ratios)
-    q1, _, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
-    wins = sum(n < b for b, n in zip(base_s, new_s))
-    print(f"median ratio new/base {median:.3f}  (quartiles {q1:.3f} .. {q3:.3f})")
-    print(f"new faster in {wins}/{args.pairs} pairs")
-    for label, seconds, count in (("base", base_s, iterations[0]), ("new", new_s, iterations[1])):
-        print(f"{label:<4} median {1e6 * statistics.median(seconds) / count:.2f} us/iteration")
+    summarize(*seconds)
+    for label, times, count in zip(("base", "new"), seconds, iterations):
+        print(f"{label:<4} median {1e6 * statistics.median(times) / count:.2f} us/iteration")
     return 0
 
 

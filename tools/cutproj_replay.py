@@ -30,7 +30,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from ab_time import load
+from ab_time import load, summarize
 
 
 def record(side) -> list[list]:
@@ -135,11 +135,7 @@ def main(argv=None) -> int:
         print(f"{label:<5} {1e6 * statistics.median(times) / n_calls:8.2f} "
               f"{tally['lookups'] / n_calls:13.3f} {tally['factorizations'] / n_calls:20.3f} "
               f"{tally['latest']:7d} {tally['older']:6d} {tally['neither']:8d}")
-    ratios = [n / b for b, n in zip(*seconds)]
-    q1, _, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
-    wins = sum(n < b for b, n in zip(*seconds))
-    print(f"median ratio new/base {statistics.median(ratios):.3f}  (quartiles {q1:.3f} .. {q3:.3f})")
-    print(f"new faster in {wins}/{args.pairs} pairs")
+    summarize(*seconds)
     return 0
 
 
