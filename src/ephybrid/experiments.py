@@ -283,7 +283,8 @@ def bundle_from_dict(data: dict) -> ProblemBundle:
     """Build a problem bundle from its JSON object form.
 
     A non-number raises ``TypeError``; a key, a mapping type or a set type
-    (:func:`set_from_dict`) the format does not have raises :class:`ParseError`.
+    (:func:`set_from_dict`) the format does not have, or a ``label`` that is
+    not a string, raises :class:`ParseError`.
     """
     _known_keys(data, _PROBLEM_KEYS, "problem")
     bif = data["bifunction"]
@@ -310,13 +311,16 @@ def bundle_from_dict(data: dict) -> ProblemBundle:
         _known_keys(constants_data, ("c1", "c2"), "problem.constants")
         constants = LipschitzConstants(_number(constants_data["c1"]), _number(constants_data["c2"]))
     target = data.get("target")
+    label = data.get("label", "")
+    if not isinstance(label, str):
+        raise ParseError(f"label: must be a string, got {label!r}")
     return ProblemBundle(
         bifunction=f,
         feasible=feasible,
         mapping=mapping,
         constants=constants,
         target=None if target is None else _vector(target),
-        label=data.get("label", ""),
+        label=label,
     )
 
 
@@ -340,16 +344,12 @@ def set_from_dict(d: dict) -> ConvexSet:
         hi = [np.inf if v is None else _number(v) for v in d["hi"]]
         return Box(lo, hi)
     box = d.get("box")
-    parsed_box = set_from_dict(box) if box is not None else None
-    if parsed_box is not None and not isinstance(parsed_box, Box):
+    halves = d.get("halfspaces", [])
+    if box is not None and box.get("type") != "box":
         raise ValueError("polyhedron box entry must be a box")
-    halves = []
-    for h in d.get("halfspaces", []):
-        parsed = set_from_dict(h)
-        if not isinstance(parsed, Halfspace):
-            raise ValueError("polyhedron halfspaces entries must be halfspaces")
-        halves.append(parsed)
-    return Polyhedron(halves, parsed_box)
+    if any(h.get("type") != "halfspace" for h in halves):
+        raise ValueError("polyhedron halfspaces entries must be halfspaces")
+    return Polyhedron(map(set_from_dict, halves), None if box is None else set_from_dict(box))
 
 
 def run_grid(config: ExperimentConfig) -> list[GridRun]:

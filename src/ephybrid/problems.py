@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DimensionMismatch, as_matrix, as_point, frozen_copy, spectral_norm
-from .sets import ConvexSet
+from .sets import ConvexSet, checked_set
 
 PSD_TOL = 1e-10
 
@@ -142,7 +142,8 @@ class AveragedProjections:
     """
 
     def __init__(self, outer: ConvexSet, inner):
-        inner = tuple(inner)
+        checked_set(outer)
+        inner = tuple(map(checked_set, inner))
         if not inner:
             raise ValueError("need at least one inner set")
         dims = {outer.dim} | {s.dim for s in inner}
@@ -189,7 +190,7 @@ class ProblemBundle:
         label: str = "",
     ):
         self.bifunction = bifunction
-        self.feasible = feasible
+        self.feasible = checked_set(feasible)
         self.mapping = mapping
         self.constants = constants
         self.target = None if target is None else as_point(target)

@@ -13,8 +13,9 @@ starts from the minimizer on a working set's face, which need not be
 feasible, and adds violated rows one at a time, so it needs no feasible
 starting point and reports an empty set on its own.  Lowest-index tie
 breaking keeps it from cycling on degenerate corners, with a hard
-iteration cap as a backstop.  The constraint rows of every set kind
-come from its halfspaces and box (:func:`sets.halfspaces_and_box`).
+iteration cap as a backstop.  A set states its own constraint rows
+and prepares them once (:meth:`sets.ConvexSet.prepared_rows`); this
+module only reads them.
 
 Within a run the bifunction, ``lam`` and the feasible set stay the
 same, so the factor of ``M`` and the set's prepared rows do too; most
@@ -39,8 +40,6 @@ with any SPD ``M``.
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 
 from .linalg import (
@@ -55,7 +54,7 @@ from .linalg import (
     triangular_solve,
 )
 from .problems import QuadraticBifunction
-from .sets import ConvexSet, InfeasibleSet, halfspaces_and_box
+from .sets import ConvexSet, InfeasibleSet, _unit_rows, checked_set
 
 MULTIPLIER_TOL = 1e-10
 
@@ -124,7 +123,7 @@ def solve_qp_active_set(M, c, feasible: ConvexSet, working=()) -> np.ndarray:
     """Unique minimizer of ``0.5 y^T M y + <c, y>`` over ``feasible`` for SPD ``M``.
 
     Solved by the dual active-set method.  ``working`` seeds it with
-    indices into the set's prepared rows (:func:`_prepared_rows`; repeats
+    indices into the set's prepared rows (:meth:`sets.ConvexSet.prepared_rows`; repeats
     and indices out of range are dropped here, since the dual QP trusts its
     seed); the minimizer is the same from any seed.
     ``M`` is checked by :func:`linalg.cholesky_spd`, ``c`` and the set
@@ -148,10 +147,10 @@ class CutProjector:
     The hybrid solver's cut rows are new every iteration, but the rows of
     ``feasible``, the set the cuts are cut from (the whole space has none),
     are not, and the working set seldom changes much.  So the projector
-    prepares the set's rows once, when it is built, at the bottom of a
+    puts the set's prepared rows, when it is built, at the bottom of a
     stack that has room for the cut rows above them; each call writes the
     unit cut rows into that room, directly over the set's rows, and
-    deduplicates only them (:func:`_drop_redundant_parallel`).
+    deduplicates only them (:func:`sets._unit_rows`).
     It keeps the last two distinct final working sets, each row labelled
     by its origin: a cut by its slot in the list of cuts (a ``None`` slot
     adds no row but keeps its place), the set's prepared row ``i`` by
@@ -170,7 +169,7 @@ class CutProjector:
     """
 
     def __init__(self, feasible: ConvexSet):
-        self._set_rows = _prepared_rows(feasible)
+        self._set_rows = checked_set(feasible).prepared_rows()
         self.set_row_count = self._set_rows[0].shape[0]
         self._set_labels = list(range(-1, -1 - self.set_row_count, -1))
         self._working = ()
@@ -233,78 +232,11 @@ class CutProjector:
         return rows, labels
 
 
-def constraint_rows(feasible: ConvexSet) -> tuple[np.ndarray, np.ndarray]:
-    """All defining inequalities ``A y <= b`` of a set, in a fixed order.
-
-    Halfspaces come first, then finite lower bounds, then finite upper
-    bounds (ascending coordinate).  Infinite box bounds contribute no
-    rows; the whole space contributes none at all.  Box rows are unit
-    vectors with ``+0.0`` off the bound's coordinate.
-    """
-    halves, box = halfspaces_and_box(feasible)
-    d = feasible.dim
-    A = np.array([h.a for h in halves]).reshape(-1, d)
-    b = np.array([h.b for h in halves], dtype=float)
-    if box is not None:
-        low = box.lo > -np.inf
-        high = box.hi < np.inf
-        eye = np.eye(d)
-        # ``0.0 - e`` keeps the zeros positive, where ``-e`` would flip them.
-        A = np.vstack([A, 0.0 - eye[low], eye[high]])
-        b = np.concatenate([b, -box.lo[low], box.hi[high]])
-    return A, b
-
-
-_PREPARED_ROWS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _prepared_rows(feasible: ConvexSet) -> tuple[np.ndarray, np.ndarray, float]:
-    """:func:`_unit_rows` of the set's :func:`constraint_rows`, cached per set.
-
-    Set descriptions are immutable, so caching on object identity is safe.
-    The runs of a grid share one set, so all but the first run's solvers
-    find its rows here (23 of the table2 grid's 24 lookups).  Every set
-    kind accepts weak references; any other object ends in a
-    :class:`TypeError`, here or in :func:`constraint_rows`.
-    """
-    cached = _PREPARED_ROWS.get(feasible)
-    if cached is None:
-        A, b = constraint_rows(feasible)
-        cached = _PREPARED_ROWS[feasible] = _unit_rows(A, b, A.shape[0])[0]
-    return cached
-
-
 def _rows_in(feasible: ConvexSet, d: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """:func:`_prepared_rows` of a set, which must have dimension ``d``."""
-    rows = _prepared_rows(feasible)
-    if feasible.dim != d:
+    """:meth:`sets.ConvexSet.prepared_rows` of a set (:func:`sets.checked_set`) of dimension ``d``."""
+    if checked_set(feasible).dim != d:
         raise DimensionMismatch(f"the feasible set has dimension {feasible.dim}, expected {d}")
-    return rows
-
-
-def _unit_rows(A: np.ndarray, b: np.ndarray, new: int):
-    """Rows ``A y <= b`` at unit length, deduplicated, and the keep mask.
-
-    The first ``new`` rows are scaled to unit length in place; the rows
-    below them must be prepared already: at unit length and pairwise
-    non-parallel, so only pairs involving one of the new rows are
-    compared.  Returns the prepared triple ``(A, b, feas_tol)`` and the
-    mask of the rows it kept.  Unit-length rows make violations geometric
-    distances, so one tolerance scale serves constraints of wildly
-    different norms.
-    """
-    norms = _row_norms(A[:new])
-    A[:new] /= norms[:, None]
-    b[:new] /= norms
-    keep = _drop_redundant_parallel(A, b, new)
-    if not all(keep.tolist()):
-        A, b = A[keep], b[keep]
-    return (A, b, 1e-9 * (1.0 + float(np.abs(b).max(initial=0.0)))), keep
-
-
-def _row_norms(A: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(A, axis=1)`` by numpy's own formula, bit for bit, without its dispatch."""
-    return np.sqrt(np.add.reduce(A * A, axis=1))
+    return feasible.prepared_rows()
 
 
 class _DualQP:
@@ -313,7 +245,7 @@ class _DualQP:
     Goldfarb & Idnani, *A numerically stable dual method for solving
     strictly convex quadratic programs*, Math. Programming 27 (1983).
     ``L`` is the Cholesky factor of ``M``, or ``None`` for ``M = I``.
-    ``rows`` is a prepared ``(A, b, feas_tol)`` triple (:func:`_unit_rows`).
+    ``rows`` is a prepared ``(A, b, feas_tol)`` triple (:func:`sets._unit_rows`).
     Both are fixed for the object's life, so the dual coordinates are
     formed once: ``K = M^-1 A^T`` (``A^T`` itself for ``M = I``) and the
     Gram matrix ``G = A K``.  The face entry of a working set ``W`` is
@@ -459,34 +391,3 @@ def _blocking_row(u: np.ndarray, r: np.ndarray) -> tuple[float, int | None]:
             if ratio < partial:
                 partial, block = ratio, k
     return partial, block
-
-
-def _drop_redundant_parallel(A: np.ndarray, b: np.ndarray, new: int):
-    """Keep mask of the unit rows not made redundant by a (nearly) parallel tighter row.
-
-    Split cuts converge toward the same bisector as a run progresses,
-    which would otherwise feed the active-set loop numerically
-    dependent working sets.  Only the pairs that involve one of the
-    first ``new`` rows are compared, through one product of those rows
-    with all rows: the rows after them must be pairwise non-parallel
-    already.  Pairs are visited greedily, lowest index first; of a
-    parallel pair the tighter offset stays, the later row on a tie
-    goes, and a row that goes compares with nothing further.  The rows
-    are at unit length (:func:`_unit_rows`), so their products are the
-    cosines and ``b`` holds the offsets.
-    """
-    keep = np.ones(A.shape[0], dtype=bool)
-    if new == 0:
-        return keep
-    first, second = np.nonzero(A[:new].dot(A.T) >= 1.0 - 1e-12)
-    pairs = second > first
-    if not any(pairs.tolist()):
-        return keep
-    # Row-major order is the greedy order; a row that goes skips its later pairs.
-    for i, j in zip(first[pairs].tolist(), second[pairs].tolist()):
-        if keep[i] and keep[j]:
-            if b[j] >= b[i]:
-                keep[j] = False
-            else:
-                keep[i] = False
-    return keep

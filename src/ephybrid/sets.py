@@ -3,8 +3,9 @@
 Four set kinds are supported: the whole space, a single halfspace
 ``{z : <a, z> <= b}``, an axis-aligned box, and a general polyhedron
 (halfspaces plus an optional box, projected through the dense QP
-solver).  :func:`halfspaces_and_box` splits every kind into those two
-parts; it is the one place that does.  The closed-form kernels
+solver).  Each is a :class:`ConvexSet` and states its own constraint
+rows; the QP solver reads them prepared (:meth:`ConvexSet.prepared_rows`)
+and knows no set kind.  The closed-form kernels
 :func:`project_halfspace` and :func:`project_two_halfspaces` project a
 point onto one or two rows ``(a, b)``; the hybrid solver's cuts are
 such rows.  Greater-or-equal
@@ -13,21 +14,27 @@ normals at construction time.
 
 Set descriptions are immutable after construction: each keeps
 read-only copies of the arrays it was built from, so a caller editing
-its own array later changes no set, and caches keyed on a set's
-identity stay valid.  All projections are pure, so concurrent use needs
-no synchronization.  Each kind's ``project`` checks its point (finite, 1-D,
-of the set's dimension) and hands it to ``project_trusted``, which callers
-that hold a checked point of the right dimension may call directly.
+its own array later changes no set, and the rows a set prepares once
+stay valid.  All projections are pure, so concurrent use needs no
+synchronization (two first uses at once prepare the same rows).
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
 from .linalg import DimensionMismatch, as_point, frozen_copy
 
+_FLOAT = np.finfo(float)
 
-class ZeroNormal(ValueError):
+
+class NormalOutOfRange(ValueError):
+    """A halfspace normal's ``|a|^2`` is outside ``[finfo.tiny, finfo.max]``: it cannot be scaled to unit length."""
+
+
+class ZeroNormal(NormalOutOfRange):
     """Halfspace normal has zero length."""
 
 
@@ -40,10 +47,41 @@ def membership_tol(offset: float) -> float:
     return 1e-10 + 1e-12 * abs(offset)
 
 
-class WholeSpace:
-    """The ambient space; projection is the identity."""
+class ConvexSet:
+    """A closed convex set of dimension ``dim``, projected exactly.
+
+    A kind states two things: ``project_trusted(p)``, the nearest point to a
+    checked point ``p``, and ``rows()``, its inequalities ``A z <= b`` as
+    fresh, writable arrays: halfspaces, then finite lower bounds, then
+    finite upper bounds (ascending coordinate).
+    """
+
+    _prepared = None
+
+    def project(self, x) -> np.ndarray:
+        """Nearest point of the set to ``x``, which is checked: finite, 1-D, of the set's dimension."""
+        return self.project_trusted(_point_in(x, self.dim))
+
+    def prepared_rows(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """:func:`_unit_rows` of :meth:`rows`, read-only, prepared on first use and kept.
+
+        A grid's runs share one set: 23 of the table2 grid's 24 solvers find its rows here.
+        """
+        if self._prepared is None:
+            A, b = self.rows()
+            (A, b, feas_tol), _ = _unit_rows(A, b, A.shape[0])
+            A.setflags(write=False)
+            b.setflags(write=False)
+            self._prepared = (A, b, feas_tol)
+        return self._prepared
+
+
+class WholeSpace(ConvexSet):
+    """The ambient space; projection is the identity, and it has no rows."""
 
     def __init__(self, dim: int):
+        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
+            raise ValueError(f"dimension must be an integer, got {dim!r}")
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         self.dim = int(dim)
@@ -52,24 +90,33 @@ class WholeSpace:
         _point_in(x, self.dim)
         return True
 
-    def project(self, x) -> np.ndarray:
-        return self.project_trusted(_point_in(x, self.dim))
-
     def project_trusted(self, p: np.ndarray) -> np.ndarray:
         return p.copy()
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.zeros((0, self.dim)), np.zeros(0)
 
     def __repr__(self):
         return f"WholeSpace(dim={self.dim})"
 
 
-class Halfspace:
-    """The set ``{z : <a, z> <= b}`` for a nonzero normal ``a``."""
+class Halfspace(ConvexSet):
+    """The set ``{z : <a, z> <= b}`` for a normal ``a`` with ``|a|^2`` in the normal float range.
+
+    Raises :class:`ZeroNormal` for ``a = 0`` and :class:`NormalOutOfRange`
+    for any other ``a`` whose ``|a|^2`` is below ``finfo.tiny`` or above
+    ``finfo.max`` (``|a|`` below about 1.5e-154 or above 1.3e154).
+    """
 
     def __init__(self, a, b: float):
         self.a = frozen_copy(as_point(a))
         self.b = float(b)
-        if float(self.a @ self.a) <= 0.0:
+        if not self.a.any():
             raise ZeroNormal("halfspace normal must be nonzero")
+        with np.errstate(over="ignore"):  # an overflow is the inf rejected below
+            length2 = float(self.a.dot(self.a))
+        if not _FLOAT.tiny <= length2 <= _FLOAT.max:
+            raise NormalOutOfRange(f"halfspace normal has |a|^2 = {length2:g}, outside the normal float range")
         self.dim = self.a.shape[0]
 
     def violation(self, x) -> float:
@@ -81,18 +128,18 @@ class Halfspace:
             tol = membership_tol(self.b)
         return self.violation(x) <= tol
 
-    def project(self, x) -> np.ndarray:
-        """Closed-form projection (:func:`project_halfspace`)."""
-        return self.project_trusted(_point_in(x, self.dim))
-
     def project_trusted(self, p: np.ndarray) -> np.ndarray:
+        """Closed-form projection (:func:`project_halfspace`)."""
         return project_halfspace(p, self.a, self.b)
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.a[None].copy(), np.array([self.b])
 
     def __repr__(self):
         return f"Halfspace(a={self.a.tolist()}, b={self.b})"
 
 
-class Box:
+class Box(ConvexSet):
     """Axis-aligned box ``lo <= z <= hi``; bounds may be +-inf."""
 
     def __init__(self, lo, hi):
@@ -113,19 +160,23 @@ class Box:
             above = np.any(p > self.hi + hi_tol)
         return not (below or above)
 
-    def project(self, x) -> np.ndarray:
-        """Elementwise clamp; the result lies in the box exactly."""
-        return self.project_trusted(_point_in(x, self.dim))
-
     def project_trusted(self, p: np.ndarray) -> np.ndarray:
+        """Elementwise clamp; the result lies in the box exactly."""
         # ``np.clip``'s bits, ``-0.0`` included, without its Python-level wrapper.
         return np.minimum(np.maximum(p, self.lo), self.hi)
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Unit rows with ``+0.0`` off the bound's coordinate; infinite bounds give none."""
+        low, high = self.lo > -np.inf, self.hi < np.inf
+        eye = np.eye(self.dim)
+        # ``0.0 - e`` keeps the zeros positive, where ``-e`` would flip them.
+        return np.vstack([0.0 - eye[low], eye[high]]), np.concatenate([-self.lo[low], self.hi[high]])
 
     def __repr__(self):
         return f"Box(lo={self.lo.tolist()}, hi={self.hi.tolist()})"
 
 
-class Polyhedron:
+class Polyhedron(ConvexSet):
     """Finite intersection of halfspaces with an optional bounding box.
 
     Feasibility is not assumed; it is detected on demand by the QP
@@ -133,55 +184,41 @@ class Polyhedron:
     """
 
     def __init__(self, halfspaces=(), box: Box | None = None):
-        hs = tuple(halfspaces)
-        if not hs and box is None:
+        self.halfspaces = tuple(halfspaces)
+        self.box = box
+        self._parts = self.halfspaces + (() if box is None else (box,))
+        if not self._parts:
             raise ValueError("polyhedron needs at least one halfspace or a box")
-        dims = {h.dim for h in hs} | ({box.dim} if box is not None else set())
+        dims = {s.dim for s in self._parts}
         if len(dims) != 1:
             raise DimensionMismatch("polyhedron parts have inconsistent dimensions")
-        self.halfspaces = hs
-        self.box = box
         self.dim = dims.pop()
 
     def contains(self, x, tol: float | None = None) -> bool:
-        if self.box is not None and not self.box.contains(x, tol):
-            return False
-        return all(h.contains(x, tol) for h in self.halfspaces)
+        return all(s.contains(x, tol) for s in self._parts)
 
-    def project(self, x) -> np.ndarray:
+    def project_trusted(self, p: np.ndarray) -> np.ndarray:
         """Nearest point in the polyhedron: a cold :class:`qp.CutProjector` call with no cuts.
 
         Raises :class:`InfeasibleSet` when the description is empty.
         """
-        return self.project_trusted(_point_in(x, self.dim))
-
-    def project_trusted(self, p: np.ndarray) -> np.ndarray:
         from .qp import CutProjector  # deferred: qp builds on the set types above
 
         return CutProjector(self).project(p, ())
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        parts = [s.rows() for s in self._parts]
+        return np.vstack([A for A, _ in parts]), np.concatenate([b for _, b in parts])
 
     def __repr__(self):
         return f"Polyhedron(halfspaces={list(self.halfspaces)!r}, box={self.box!r})"
 
 
-ConvexSet = WholeSpace | Halfspace | Box | Polyhedron
-
-
-def halfspaces_and_box(s: ConvexSet) -> tuple[tuple[Halfspace, ...], Box | None]:
-    """A set as its halfspaces plus an optional box, whose intersection it is.
-
-    The whole space is ``((), None)``.  Raises :class:`TypeError` for
-    anything that is not one of the four set kinds.
-    """
-    if isinstance(s, WholeSpace):
-        return (), None
-    if isinstance(s, Halfspace):
-        return (s,), None
-    if isinstance(s, Box):
-        return (), s
-    if isinstance(s, Polyhedron):
-        return s.halfspaces, s.box
-    raise TypeError(f"unsupported feasible set: {type(s).__name__}")
+def checked_set(s) -> ConvexSet:
+    """``s``, which must be a :class:`ConvexSet`; raises ``TypeError`` otherwise."""
+    if not isinstance(s, ConvexSet):
+        raise TypeError(f"expected a convex set, got {type(s).__name__}")
+    return s
 
 
 def project_halfspace(x: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
@@ -259,3 +296,59 @@ def _as_bounds(v) -> np.ndarray:
     if np.any(np.isnan(b)):
         raise ValueError("bounds must not contain NaN")
     return b
+
+
+def _unit_rows(A: np.ndarray, b: np.ndarray, new: int):
+    """Rows ``A y <= b`` at unit length, deduplicated, and the keep mask.
+
+    The first ``new`` rows are scaled to unit length in place; the rows
+    below them must be prepared already: at unit length and pairwise
+    non-parallel, so only pairs involving one of the new rows are
+    compared.  Returns the prepared triple ``(A, b, feas_tol)`` and the
+    mask of the rows it kept.  Unit-length rows make violations geometric
+    distances, so one tolerance scale serves constraints of wildly
+    different norms.
+    """
+    norms = _row_norms(A[:new])
+    A[:new] /= norms[:, None]
+    b[:new] /= norms
+    keep = _drop_redundant_parallel(A, b, new)
+    if not all(keep.tolist()):
+        A, b = A[keep], b[keep]
+    return (A, b, 1e-9 * (1.0 + float(np.abs(b).max(initial=0.0)))), keep
+
+
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(A, axis=1)`` by numpy's own formula, bit for bit, without its dispatch."""
+    return np.sqrt(np.add.reduce(A * A, axis=1))
+
+
+def _drop_redundant_parallel(A: np.ndarray, b: np.ndarray, new: int):
+    """Keep mask of the unit rows not made redundant by a (nearly) parallel tighter row.
+
+    Split cuts converge toward the same bisector as a run progresses,
+    which would otherwise feed the active-set loop numerically
+    dependent working sets.  Only the pairs that involve one of the
+    first ``new`` rows are compared, through one product of those rows
+    with all rows: the rows after them must be pairwise non-parallel
+    already.  Pairs are visited greedily, lowest index first; of a
+    parallel pair the tighter offset stays, the later row on a tie
+    goes, and a row that goes compares with nothing further.  The rows
+    are at unit length (:func:`_unit_rows`), so their products are the
+    cosines and ``b`` holds the offsets.
+    """
+    keep = np.ones(A.shape[0], dtype=bool)
+    if new == 0:
+        return keep
+    first, second = np.nonzero(A[:new].dot(A.T) >= 1.0 - 1e-12)
+    pairs = second > first
+    if not any(pairs.tolist()):
+        return keep
+    # Row-major order is the greedy order; a row that goes skips its later pairs.
+    for i, j in zip(first[pairs].tolist(), second[pairs].tolist()):
+        if keep[i] and keep[j]:
+            if b[j] >= b[i]:
+                keep[j] = False
+            else:
+                keep[i] = False
+    return keep

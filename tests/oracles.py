@@ -30,14 +30,27 @@ def power_iteration_norm(M, iters=500, seed=0):
     return float(np.sqrt(v @ B @ v))
 
 
-def halfspace_rows(feasible):
-    """Extract all inequalities A y <= b of a set description."""
+def set_parts(feasible):
+    """A set description as its halfspaces plus an optional box, whose intersection it is."""
     from ephybrid.sets import Box, Halfspace, Polyhedron, WholeSpace
 
-    rows, offs = [], []
+    if isinstance(feasible, Polyhedron):
+        return feasible.halfspaces, feasible.box
+    if isinstance(feasible, Halfspace):
+        return (feasible,), None
+    if isinstance(feasible, Box):
+        return (), feasible
+    if isinstance(feasible, WholeSpace):
+        return (), None
+    raise TypeError(type(feasible).__name__)
 
-    def add_box(box):
-        d = box.dim
+
+def halfspace_rows(feasible):
+    """Extract all inequalities A y <= b of a set description."""
+    halves, box = set_parts(feasible)
+    d = feasible.dim
+    rows, offs = [h.a for h in halves], [h.b for h in halves]
+    if box is not None:
         for i in range(d):
             if box.lo[i] > -np.inf:
                 e = np.zeros(d)
@@ -49,20 +62,8 @@ def halfspace_rows(feasible):
                 e[i] = 1.0
                 rows.append(e)
                 offs.append(box.hi[i])
-
-    if isinstance(feasible, WholeSpace):
-        return np.zeros((0, feasible.dim)), np.zeros(0)
-    if isinstance(feasible, Halfspace):
-        rows, offs = [feasible.a], [feasible.b]
-    elif isinstance(feasible, Box):
-        add_box(feasible)
-    elif isinstance(feasible, Polyhedron):
-        rows = [h.a for h in feasible.halfspaces]
-        offs = [h.b for h in feasible.halfspaces]
-        if feasible.box is not None:
-            add_box(feasible.box)
-    else:
-        raise TypeError(type(feasible).__name__)
+    if not rows:
+        return np.zeros((0, d)), np.zeros(0)
     return np.asarray(rows, dtype=float), np.asarray(offs, dtype=float)
 
 

@@ -5,7 +5,9 @@ so every check a caller relies on lives at a public entry: each set kind's
 ``project``, ``AveragedProjections.__call__``, ``ProxSolver.step``,
 ``prox_step`` and ``hybrid_iterate`` (through its prox solver).  Each must
 reject a point of the wrong dimension, of the wrong shape or with a
-non-finite entry, with exactly the exception type pinned here.
+non-finite entry, with exactly the exception type pinned here.  Every entry
+that takes a set rejects anything that is not a ``sets.ConvexSet`` with one
+``TypeError``.
 """
 
 import numpy as np
@@ -14,8 +16,8 @@ import pytest
 from ephybrid.experiments import table1_config, table2_config
 from ephybrid.hybrid import SolverState, _cut_projector, hybrid_iterate
 from ephybrid.linalg import DimensionMismatch
-from ephybrid.problems import AveragedProjections
-from ephybrid.qp import ProxSolver, prox_step
+from ephybrid.problems import AveragedProjections, IdentityMapping, ProblemBundle
+from ephybrid.qp import CutProjector, ProxSolver, prox_step, solve_qp_active_set
 from ephybrid.sets import Box, Halfspace, Polyhedron, WholeSpace
 
 GOOD = np.array([1.0, 3.0, 1.0])
@@ -61,6 +63,25 @@ def test_averaged_projections_check_their_point_once_for_every_inner_set():
         for points, kind, _ in BAD_POINTS:
             for point in points:
                 raises_exactly(kind, mapping, point)
+
+
+def test_every_entry_that_takes_a_set_rejects_a_non_set_with_one_type_error():
+    bundle = table1_config().bundle
+    f, constants = bundle.bifunction, bundle.constants
+    not_a_set = object()
+    for call in (
+        lambda: ProblemBundle(f, not_a_set, IdentityMapping(), constants),
+        lambda: AveragedProjections(not_a_set, [UNIT_BOX]),
+        lambda: AveragedProjections(UNIT_BOX, [not_a_set]),
+        lambda: AveragedProjections(UNIT_BOX, [UNIT_BOX, not_a_set]),
+        lambda: ProxSolver(f, 0.1, not_a_set),
+        lambda: prox_step(f, np.zeros(3), GOOD, 0.1, not_a_set),
+        lambda: solve_qp_active_set(np.eye(3), np.zeros(3), not_a_set),
+        lambda: CutProjector(not_a_set),
+    ):
+        with pytest.raises(TypeError) as caught:
+            call()
+        assert type(caught.value) is TypeError and "object" in str(caught.value)
 
 
 def test_prox_solver_step_and_prox_step_check_both_points():

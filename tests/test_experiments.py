@@ -600,6 +600,26 @@ def test_cli_validation_error_exit_code(tmp_path, capsys, example1):
         assert_config_error(tmp_path, capsys, ValidationError, **fields)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-160])
+def test_cli_rejects_a_normal_outside_the_float_range(tmp_path, capsys, scale):
+    # x1 <= 1 written with a normal whose squared length overflows or is
+    # subnormal: the config is rejected, not solved over a wrong row.
+    cut = {"type": "halfspace", "a": [scale, 0.0], "b": scale}
+    box = {"type": "box", "lo": [-5.0, -5.0], "hi": [5.0, 5.0]}
+    problem = {**INLINE_BOX_PROBLEM, "feasible": {"type": "polyhedron", "halfspaces": [cut], "box": box}}
+    data = {"problem": problem, "starts": [[5.0, 0.0]], "stopping": {"max_iter": 50}}
+    with pytest.raises(ValidationError, match="normal float range"):
+        config_from_dict(data)
+    path = tmp_path / "normal.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["solve", "--config", str(path)]) == 2
+    assert "normal float range" in capsys.readouterr().err
+    # The unit normal states the same row, and the run ends on it.
+    data["problem"]["feasible"]["halfspaces"] = [{"type": "halfspace", "a": [1.0, 0.0], "b": 1.0}]
+    report = run_grid(config_from_dict(data))[0].report
+    assert report.final_x[0] <= 1.0 + 1e-9
+
+
 def test_cli_parse_error_exit_code(tmp_path, capsys):
     # Broken JSON, a missing file, a directory and a file that is not UTF-8
     # each end in one error line and exit 2, not in a traceback.
@@ -657,6 +677,10 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         {"stopping": {"tol": 1e-4, "max_iters": 10}},
         {"output": {"cvs": "rows.csv"}},
         {"problem": {**INLINE_BOX_PROBLEM, "feasible": TWO_HALFSPACES}},
+        # An inline problem's label is a string.
+        {"problem": {**INLINE_BOX_PROBLEM, "label": 5}},
+        {"problem": {**INLINE_BOX_PROBLEM, "label": ["x"]}},
+        {"problem": {**INLINE_BOX_PROBLEM, "label": None}},
         # Inside an inline problem, too: a misspelt key is not ignored.
         *({"problem": {**INLINE_BOX_PROBLEM, **part}} for part in INLINE_UNKNOWN_KEYS),
     ):

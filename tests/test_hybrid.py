@@ -37,8 +37,8 @@ from ephybrid.problems import (
 from ephybrid import qp
 from ephybrid.linalg import DimensionMismatch
 from ephybrid.qp import CutProjector, ProxSolver, solve_qp_active_set
-from ephybrid.sets import Box, Halfspace, InfeasibleSet, Polyhedron, WholeSpace, halfspaces_and_box
-from oracles import enumeration_qp, halfspace_rows
+from ephybrid.sets import Box, Halfspace, InfeasibleSet, Polyhedron, WholeSpace
+from oracles import enumeration_qp, halfspace_rows, set_parts
 
 
 def fresh_state(x0, dim=None):
@@ -612,7 +612,7 @@ def test_cut_projection_is_bitwise_the_polyhedron_qp(kind):
     # and Polyhedron.project goes through the same identity-metric path;
     # both must give the bits of a fresh QP over the whole polyhedron.
     feasible = ROUTING_SETS[kind]
-    halfspaces, box = halfspaces_and_box(feasible)
+    halfspaces, box = set_parts(feasible)
     rng = np.random.default_rng(83)
     for n in range(40):
         a = rng.normal(size=(3, 3))

@@ -16,16 +16,12 @@ from ephybrid.linalg import (
 )
 from ephybrid.problems import AffineOperator, QuadraticBifunction, vip_as_bifunction
 from ephybrid.qp import (
+    CutProjector,
     CyclingDetected,
     NonPositiveLambda,
     ProxSolver,
     _DualQP,
     _blocking_row,
-    _drop_redundant_parallel,
-    _prepared_rows,
-    _row_norms,
-    _unit_rows,
-    constraint_rows,
     prox_step,
     solve_qp_active_set,
 )
@@ -35,9 +31,11 @@ from ephybrid.sets import (
     InfeasibleSet,
     Polyhedron,
     WholeSpace,
-    halfspaces_and_box,
+    _drop_redundant_parallel,
+    _row_norms,
+    _unit_rows,
 )
-from oracles import box_pattern_qp, enumeration_qp, halfspace_rows, kkt_report
+from oracles import box_pattern_qp, enumeration_qp, halfspace_rows, kkt_report, set_parts
 
 P = np.array([[3.1, 2.0, 0.0], [2.0, 3.6, 0.0], [0.0, 0.0, 3.5]])
 Q = np.array([[1.6, 1.0, 0.0], [1.0, 1.6, 0.0], [0.0, 0.0, 1.5]])
@@ -276,7 +274,7 @@ def test_memo_reuse_is_bitwise_neutral():
     f, feasible, lam, L, rng = _nc64_shaped_prox()
     d = f.dim
     solver = ProxSolver(f, lam, feasible)
-    forgetful = Forgetful(L, _prepared_rows(feasible))
+    forgetful = Forgetful(L, feasible.prepared_rows())
     working = ()
     faces = []
     x = rng.normal(0.5, 1.0, d)
@@ -343,7 +341,7 @@ def test_every_face_factor_is_the_checked_gram_factor():
 
     f, feasible, lam, L, rng = _nc64_shaped_prox()
     d = f.dim
-    qp = Checked(L, _prepared_rows(feasible))
+    qp = Checked(L, feasible.prepared_rows())
     assert qp.K.flags.f_contiguous and not qp.K.flags.c_contiguous
     working = ()
     x = rng.normal(0.5, 1.0, d)
@@ -498,7 +496,7 @@ def test_degenerate_vertex_matches_oracle_cold_and_warm():
     # 4 rows in 3-D.  Every warm working set drawn from them, including
     # the dependent ones, must end at the same vertex as a cold solve.
     vertex = np.array([0.0, 1.0, 0.0])
-    A, b = constraint_rows(SIMPLEX_CAP)
+    A, b = SIMPLEX_CAP.rows()
     active = [i for i in range(len(b)) if abs(A[i] @ vertex - b[i]) <= 1e-12]
     assert len(active) == 4
     A_ref, b_ref = halfspace_rows(SIMPLEX_CAP)
@@ -547,7 +545,7 @@ def test_dependent_row_takes_pure_dual_step():
 def test_warm_row_with_negative_multiplier_is_released():
     # The center of the unit cube is interior, so the upper bound x1 <= 1
     # (row 3) has a negative multiplier on its face and must be dropped.
-    _, working = _DualQP(np.eye(3), _prepared_rows(UNIT_BOX)).solve(np.full(3, -0.5), (3,))
+    _, working = _DualQP(np.eye(3), UNIT_BOX.prepared_rows()).solve(np.full(3, -0.5), (3,))
     assert working == ()
 
     rng = np.random.default_rng(73)
@@ -562,7 +560,7 @@ def test_warm_row_with_negative_multiplier_is_released():
         if A_ref.shape[0] > 8:
             continue
         ref = enumeration_qp(M, c, A_ref, b_ref)
-        rows = _prepared_rows(feas)
+        rows = feas.prepared_rows()
         _, cold = _DualQP(cholesky_spd(M), rows).solve(c)
         # Warm-start from every row outside the final working set: the
         # warm loop must release (or, when dependent, pop) rows first.
@@ -619,7 +617,7 @@ def test_inconsistent_rows_raise_cold_and_warm():
     )
     for feas in (slab, triangle):
         d = feas.dim
-        m = constraint_rows(feas)[0].shape[0]
+        m = feas.rows()[0].shape[0]
         for warm in warm_starts(d, range(m)):
             with pytest.raises(InfeasibleSet):
                 solve_qp_active_set(np.eye(d), np.zeros(d), feas, warm)
@@ -629,7 +627,7 @@ def test_constraint_rows_are_bitwise_the_per_row_build():
     # The reference builds every row by hand, one coordinate at a time;
     # tobytes() also sees the sign of each zero.
     def reference(feas):
-        halves, box = halfspaces_and_box(feas)
+        halves, box = set_parts(feas)
         d = feas.dim
         rows, offs = [h.a for h in halves], [h.b for h in halves]
         if box is not None:
@@ -660,7 +658,7 @@ def test_constraint_rows_are_bitwise_the_per_row_build():
         Polyhedron([Halfspace([0.0, 1.0, -1.0, 2.0], 0.0)], signed_box),
         Polyhedron([cap]),
     ):
-        A, b = constraint_rows(feas)
+        A, b = feas.rows()
         A_ref, b_ref = reference(feas)
         assert (A.shape, b.shape) == (A_ref.shape, b_ref.shape), feas
         assert A.tobytes() == A_ref.tobytes(), feas
@@ -669,10 +667,10 @@ def test_constraint_rows_are_bitwise_the_per_row_build():
 
 def test_constraint_rows_skip_infinite_bounds():
     box = Box([-np.inf, 0.0], [np.inf, 1.0])
-    A, b = constraint_rows(box)
+    A, b = box.rows()
     assert A.shape == (2, 2)
     assert set(map(tuple, A.tolist())) == {(0.0, -1.0), (0.0, 1.0)}
-    assert constraint_rows(WholeSpace(3))[0].shape == (0, 3)
+    assert WholeSpace(3).rows()[0].shape == (0, 3)
 
     # Every set kind gives the oracle's rows (as a multiset).
     def row_multiset(A, b):
@@ -687,17 +685,51 @@ def test_constraint_rows_skip_infinite_bounds():
         Polyhedron([cap, Halfspace([1.0, -2.0, 0.5], 3.0)]),
         Polyhedron([cap, Halfspace([0.0, 1.0, 1.0], 4.0)], half_box),
     ):
-        A, b = constraint_rows(feas)
+        A, b = feas.rows()
         A_ref, b_ref = halfspace_rows(feas)
         assert A.shape == (A_ref.shape[0], 3)
         assert row_multiset(A, b) == row_multiset(A_ref, b_ref)
-    with pytest.raises(TypeError):
-        constraint_rows(object())
     f = QuadraticBifunction(P, Q, [0.0, 0.0, 0.0])
     with pytest.raises(TypeError):
         ProxSolver(f, 0.1, object())
     with pytest.raises(TypeError):
         prox_step(f, np.zeros(3), np.zeros(3), 0.1, object())
+
+
+ROW_SETS = (
+    WholeSpace(3),
+    Halfspace([-1.0, -1.0, -1.0], -1.0),
+    Box([-np.inf, 0.0, -2.0], [1.0, np.inf, 2.0]),
+    SIMPLEX_CAP,
+)
+
+
+def test_rows_are_fresh_and_writable():
+    # The preparation scales the rows in place, so no call may hand out
+    # arrays a set or an earlier call still holds.
+    for feas in ROW_SETS:
+        first, second = feas.rows(), feas.rows()
+        for got, again in zip(first, second):
+            assert got.flags.writeable and got.flags.owndata, feas
+            assert got is not again and not np.shares_memory(got, again), feas
+            assert got.tobytes() == again.tobytes(), feas
+            got[...] = 7.0
+        assert feas.rows()[0].tobytes() == second[0].tobytes(), feas
+
+
+def test_prox_solver_and_cut_projector_share_one_read_only_preparation():
+    f = QuadraticBifunction(P, Q, [0.0, 0.0, 0.0])
+    for feas in ROW_SETS:
+        A, b, feas_tol = feas.prepared_rows()
+        assert feas.prepared_rows()[0] is A, feas
+        solver, projector = ProxSolver(f, 0.1, feas), CutProjector(feas)
+        assert solver._qp.A is A and solver._qp.b is b, feas
+        assert projector._set_rows[0] is A and projector._set_rows[1] is b, feas
+        assert solver._qp.feas_tol == projector._set_rows[2] == feas_tol, feas
+        for arr in (A, b):
+            assert not arr.flags.writeable, feas
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
 
 
 def greedy_parallel_reference(A, b):
@@ -822,7 +854,7 @@ def test_unit_rows_dedup_raw_cuts_of_any_scale_over_set_rows():
         if rng.random() < 0.5:
             a = rng.normal(size=d)
             feasible = Polyhedron([Halfspace(a, float(np.linalg.norm(a)))], feasible)
-        set_A, set_b, _ = _prepared_rows(feasible)
+        set_A, set_b, _ = feasible.prepared_rows()
         axes = np.eye(d)
         directions, offsets, scales = [], [], []
         for _ in range(int(rng.integers(1, 5))):

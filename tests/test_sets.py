@@ -7,6 +7,7 @@ from ephybrid.sets import (
     Box,
     Halfspace,
     InfeasibleSet,
+    NormalOutOfRange,
     Polyhedron,
     WholeSpace,
     ZeroNormal,
@@ -128,6 +129,29 @@ def test_halfspace_projection_closed_form():
 def test_halfspace_zero_normal_rejected():
     with pytest.raises(ZeroNormal):
         Halfspace([0.0, 0.0], 1.0)
+
+
+def test_halfspace_normal_outside_the_float_range_is_rejected():
+    # |a|^2 overflows to inf above about 1.3e154 and is subnormal below about
+    # 1.5e-154; a row scaled by either norm would be projected wrongly.
+    for a in ([1e200, 0.0, 0.0], [0.0, -1e155, 0.0], [1e-160, 0.0, 0.0], [1e-155, 1e-155, 0.0]):
+        with pytest.raises(NormalOutOfRange):
+            Halfspace(a, 1.0)
+    # Just inside both ends the set projects onto its plane x1 = 1.
+    for scale in (1e154, 1.6e-154):
+        h = Halfspace([scale, 0.0, 0.0], scale)
+        assert np.abs(h.project([5.0, 0.0, 0.0]) - [1.0, 0.0, 0.0]).max() <= 1e-15
+        assert np.abs(Polyhedron([h]).project([5.0, 0.0, 0.0]) - [1.0, 0.0, 0.0]).max() <= 1e-15
+
+
+def test_whole_space_dimension_is_an_integer():
+    for dim in (2.5, 2.0, True, "3", None):
+        with pytest.raises(ValueError, match="integer"):
+            WholeSpace(dim)
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match=">= 1"):
+            WholeSpace(dim)
+    assert WholeSpace(np.int64(3)).dim == 3 and type(WholeSpace(np.int64(3)).dim) is int
 
 
 def rows(*halfspaces):
