@@ -142,6 +142,10 @@ class ExperimentConfig:
     json_path: str | None = None
     trace_dir: str | None = None
 
+    def __post_init__(self):
+        if self.audit and self.algorithm == "extragradient":
+            raise ValidationError("audit: the extragradient baseline has no invariants to assert")
+
     def params_for(self, schedule: AlphaSchedule) -> HybridParams:
         return validate_params(
             self.lam,

@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
+import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -194,7 +196,7 @@ class StoppingRule:
             raise ValueError("max_iter must be >= 1")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class SolverState:
     """Iterate window, arrays never mutated in place; ``dx2`` and ``dy2`` are the squared
     moves ``|x_n - x_{n-1}|^2`` and ``|y_n - y_{n-1}|^2``, 0.0 before the first step."""
@@ -207,13 +209,15 @@ class SolverState:
     dy2: float
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class IterationRecord:
     """Everything one iteration produced, immutable once emitted.
 
     The arrays are the step's own, never copied or mutated in place (see
     :class:`SolverState`), so ``w_next is y_next`` tells where ``w`` came from.
-    The step's cuts are not kept; :func:`_audit_record` rebuilds them.
+    A record read back from a :class:`Trace` holds read-only row views with
+    the same aliasing.  The step's cuts are not kept; :func:`_audit_record`
+    rebuilds them.
     """
 
     n: int
@@ -227,15 +231,240 @@ class IterationRecord:
     alpha: float | None
 
 
+# A record's z or w that is not an array of its own is one of these; a
+# reference >= 0 is a row of its block's own arrays.
+_IS_Y = -1
+_IS_X = -2
+# The record scalars in field order; bit k of a row's None flags is scalar k's.
+SCALARS = ("epsilon", "residual_w", "dist_to_target", "alpha")
+# A trace row's fixed-width fields in native byte order: n (int64), the four
+# scalars (float64, NaN where None), z's and w's references (int32) and the
+# None flags (uint8), padded to 56 bytes; Trace._columns views them at these
+# offsets.
+_ROW = struct.Struct("=q4d2iB7x")
+# Vector entries per block of a trace, 4 KB of y and of x.  Small blocks fill
+# the holes a run's temporaries leave in the heap, where one buffer grown by
+# reallocation took fresh pages (nc64's peak RSS rose 0.4 MB); a writer holds
+# one block's vectors as text at once (at 4096 entries table1's rose 4 MB).
+_BLOCK_VALUES = 512
+
+
+class Trace:
+    """One run's iteration records, held as columns.
+
+    The columns are ``n``; ``y`` and ``x`` as ``(iterations, d)`` float64
+    blocks; ``z`` and ``w``, each stored only where it is an array of its
+    own, with a per-row reference saying which of ``y``, ``z`` and ``x`` it is
+    otherwise; and the four scalars (:data:`SCALARS`) as float64 columns, NaN
+    where the record held ``None``, each with a ``None`` mask.  They are kept
+    in blocks of rows holding about 512 vector entries, each block a few
+    ``bytearray`` s; :meth:`append` copies a record's values into the last
+    block and keeps no reference to it.
+
+    ``trace[i]``, slices, iteration and ``len`` read it as
+    :class:`IterationRecord` s built from read-only row views, with the
+    aliasing rebuilt, so ``rec.w_next is rec.y_next`` keeps its meaning (an
+    ``x_next`` that was ``y_next`` itself comes back as its own view).
+    :attr:`n`, :attr:`y`, :attr:`x`, :attr:`z`, :attr:`w` and :meth:`scalar`
+    give whole columns as fresh arrays; :meth:`chunks` gives a block at a
+    time, as Python lists.  Reads keep no views, but a record read back is
+    a view of its block, so the first read fixes the trace: a later
+    :meth:`append` raises ``BufferError``.
+    """
+
+    def __init__(self, dim: int):
+        if dim < 1:
+            raise ValueError("a trace's vectors have dimension >= 1")
+        self.dim = dim
+        self._block_rows = max(1, _BLOCK_VALUES // dim)
+        self._block_bytes = self._block_rows * _ROW.size
+        # Each block: the _ROW fields, y, x and the block's own z and w arrays.
+        self._blocks = [[bytearray(), bytearray(), bytearray(), bytearray()]]
+        self._read = False
+
+    @classmethod
+    def of(cls, records, dim: int) -> "Trace":
+        """A trace of any sequence of records, checked: float64 vectors of shape ``(dim,)``."""
+        trace = cls(dim)
+        for rec in records:
+            for v in (rec.y_next, rec.z_next, rec.w_next, rec.x_next):
+                if not (isinstance(v, np.ndarray) and v.dtype == np.float64 and v.shape == (dim,)):
+                    raise ValueError(f"record {rec.n}: vectors must be float64 arrays of shape ({dim},)")
+            trace.append(rec)
+        return trace
+
+    def append(self, rec: IterationRecord) -> None:
+        """Copy a record in; its vectors are trusted float64 arrays of the trace's dimension."""
+        if self._read:
+            raise BufferError("a trace that was read takes no more records")
+        rows, ys, xs, own = self._blocks[-1]
+        if len(rows) == self._block_bytes:
+            rows, ys, xs, own = block = [bytearray(), bytearray(), bytearray(), bytearray()]
+            self._blocks.append(block)
+        y, z, w, x = rec.y_next, rec.z_next, rec.w_next, rec.x_next
+        eps, res, dist, alpha = rec.epsilon, rec.residual_w, rec.dist_to_target, rec.alpha
+        z_ref = _IS_Y if z is y else _IS_X if z is x else self._own_row(own, z)
+        w_ref = z_ref if w is z else _IS_Y if w is y else _IS_X if w is x else self._own_row(own, w)
+        rows += _ROW.pack(
+            rec.n,
+            math.nan if eps is None else eps,
+            math.nan if res is None else res,
+            math.nan if dist is None else dist,
+            math.nan if alpha is None else alpha,
+            z_ref,
+            w_ref,
+            (eps is None) | (res is None) << 1 | (dist is None) << 2 | (alpha is None) << 3,
+        )
+        ys += y.tobytes()
+        xs += x.tobytes()
+
+    def _own_row(self, own: bytearray, v: np.ndarray) -> int:
+        row = len(own) // (8 * self.dim)
+        own += v.tobytes()
+        return row
+
+    def _columns(self, block) -> dict[str, np.ndarray]:
+        """A block's columns as read-only views of its buffers."""
+        self._read = True
+        rows, ys, xs, own = block
+
+        def view(buffer, dtype, width):
+            a = np.frombuffer(buffer, dtype).reshape(-1, width)
+            a.flags.writeable = False
+            return a
+
+        return {
+            "n": view(rows, np.int64, 7)[:, 0],
+            "scalars": view(rows, np.float64, 7)[:, 1:5],
+            "refs": view(rows, np.int32, 14)[:, 10:12],
+            "none": view(rows, np.uint8, _ROW.size)[:, 48],
+            "y": view(ys, np.float64, self.dim),
+            "x": view(xs, np.float64, self.dim),
+            "own": view(own, np.float64, self.dim),
+        }
+
+    def __len__(self) -> int:
+        return (len(self._blocks) - 1) * self._block_rows + len(self._blocks[-1][0]) // _ROW.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        rows = len(self)
+        k = operator.index(i)
+        k += rows if k < 0 else 0
+        if not 0 <= k < rows:
+            raise IndexError(f"trace index {i} out of range for {rows} records")
+        b, k = divmod(k, self._block_rows)
+        return self._record(self._columns(self._blocks[b]), k)
+
+    def __iter__(self):
+        for block in self._blocks:
+            c = self._columns(block)
+            for k in range(len(c["n"])):
+                yield self._record(c, k)
+
+    @staticmethod
+    def _record(c: dict[str, np.ndarray], k: int) -> IterationRecord:
+        """Row ``k`` of a block's columns as a record of views, the aliasing rebuilt."""
+        y, x = c["y"][k], c["x"][k]
+        z_ref, w_ref = c["refs"][k].tolist()
+        z = y if z_ref == _IS_Y else x if z_ref == _IS_X else c["own"][z_ref]
+        w = z if w_ref == z_ref else y if w_ref == _IS_Y else x if w_ref == _IS_X else c["own"][w_ref]
+        flags = int(c["none"][k])
+        eps, res, dist, alpha = (
+            None if flags >> bit & 1 else v for bit, v in enumerate(c["scalars"][k].tolist())
+        )
+        return IterationRecord(int(c["n"][k]), y, z, w, x, eps, res, dist, alpha)
+
+    def _column(self, name: str) -> np.ndarray:
+        # An empty trace has one empty block, so there is always a part.
+        return np.concatenate([self._columns(block)[name] for block in self._blocks])
+
+    @property
+    def n(self) -> np.ndarray:
+        return self._column("n")
+
+    @property
+    def y(self) -> np.ndarray:
+        return self._column("y")
+
+    @property
+    def x(self) -> np.ndarray:
+        return self._column("x")
+
+    @property
+    def z(self) -> np.ndarray:
+        """Every row's ``z``, materialized from the references."""
+        return self._materialized(0)
+
+    @property
+    def w(self) -> np.ndarray:
+        """Every row's ``w``, materialized from the references."""
+        return self._materialized(1)
+
+    def _materialized(self, column: int) -> np.ndarray:
+        parts = []
+        for c in map(self._columns, self._blocks):
+            index = _vector_index(c["refs"][:, column].tolist())
+            parts.append(np.concatenate((c["y"], c["x"], c["own"]))[list(index)])
+        return np.concatenate(parts)
+
+    def scalar(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """``(values, none)``: a scalar's column, NaN where ``none`` is true."""
+        bit = SCALARS.index(name)
+        return self._column("scalars")[:, bit].copy(), (self._column("none") >> bit & 1).astype(bool)
+
+    def chunks(self):
+        """Yield each block as ``(n, scalars, vectors, z, w)`` of Python lists over its ``m`` rows.
+
+        ``n`` and the four ``scalars`` (in :data:`SCALARS` order, ``None``
+        where the record's was) have ``m`` entries; ``vectors`` lists the
+        rows' ``y``, then their ``x``, then the block's own arrays; ``z`` and
+        ``w`` give each row's index into ``vectors``.  It calls no integer
+        ufunc, whose code the writers would page in for it alone.
+        """
+        for c in map(self._columns, self._blocks):
+            flags = c["none"].tolist()
+            m = len(flags)
+            if not m:  # the one block of an empty trace
+                continue
+            scalars = c["scalars"].T.tolist()
+            uniform = flags.count(flags[0]) == m
+            for bit in range(len(SCALARS)):
+                if not uniform:
+                    scalars[bit] = [None if f >> bit & 1 else v for v, f in zip(scalars[bit], flags)]
+                elif flags[0] >> bit & 1:
+                    scalars[bit] = [None] * m
+            z_refs, w_refs = c["refs"].T.tolist()
+            vectors = c["y"].tolist() + c["x"].tolist() + c["own"].tolist()
+            yield c["n"].tolist(), scalars, vectors, _vector_index(z_refs), _vector_index(w_refs)
+
+
+def _vector_index(refs: list[int]):
+    """A block's references as indices into its ``y`` rows, ``x`` rows and own arrays, in turn."""
+    m = len(refs)
+    if refs.count(_IS_Y) == m:
+        return range(m)
+    return [i if r == _IS_Y else m + i if r == _IS_X else 2 * m + r for i, r in enumerate(refs)]
+
+
 @dataclass(eq=False)
 class RunReport:
-    """Outcome of one solver run; ``elapsed_s`` covers the iterate loop only."""
+    """Outcome of one solver run; ``elapsed_s`` covers the iterate loop only.
+
+    ``trace`` is always a :class:`Trace`; a sequence of records given in its
+    place is copied into one (:meth:`Trace.of`), of ``final_x``'s dimension.
+    """
 
     iterations: int
     final_x: np.ndarray
     elapsed_s: float
     stop_reason: str
-    trace: list[IterationRecord] = field(default_factory=list)
+    trace: Trace = ()
+
+    def __post_init__(self):
+        if not isinstance(self.trace, Trace):
+            self.trace = Trace.of(self.trace, len(self.final_x))
 
 
 def contraction_slack(
@@ -338,24 +567,13 @@ def hybrid_iterate(
         ) from exc
 
     dist_to_target = None if bundle.target is None else _norm(x_next - bundle.target)
+    # Positional: a dataclass matches keyword arguments at a cost the step would feel.
     record = IterationRecord(
-        n=state.n,
-        y_next=y_next,
-        z_next=z_next,
-        w_next=w_next,
-        x_next=x_next,
-        epsilon=epsilon,
-        residual_w=residual_w,
-        dist_to_target=dist_to_target,
-        alpha=alpha,
+        state.n, y_next, z_next, w_next, x_next, epsilon, residual_w, dist_to_target, alpha
     )
+    # n, x_cur, y_cur, x0, dx2, dy2
     new_state = SolverState(
-        n=state.n + 1,
-        x_cur=x_next,
-        y_cur=y_next,
-        x0=state.x0,
-        dx2=_sum_of_squares(x_next - state.x_cur),
-        dy2=dy_next2,
+        state.n + 1, x_next, y_next, state.x0, _sum_of_squares(x_next - state.x_cur), dy_next2
     )
     return new_state, record
 
@@ -449,7 +667,7 @@ def solve(
     projector = _cut_projector(bundle, params)
     check = (lambda before, rec: _audit_record(before, rec, bundle, params)) if audit else None
     return _drive(
-        lambda s: hybrid_iterate(s, bundle, params, prox, projector), state, stopping, check
+        lambda s: hybrid_iterate(s, bundle, params, prox, projector), state, stopping, bundle.dim, check
     )
 
 
@@ -473,20 +691,11 @@ def extragradient_solve(bundle: ProblemBundle, lam: float, stopping: StoppingRul
         y = first_prox.step(x, x)
         x_next = second_prox.step(y, x)
         dist = None if bundle.target is None else _norm(x_next - bundle.target)
-        record = IterationRecord(
-            n=n,
-            y_next=y,
-            z_next=x_next,
-            w_next=x_next,
-            x_next=x_next,
-            epsilon=None,
-            residual_w=_norm(y - x),
-            dist_to_target=dist,
-            alpha=None,
-        )
+        # n, y, z, w, x, epsilon, residual_w, dist_to_target, alpha
+        record = IterationRecord(n, y, x_next, x_next, x_next, None, _norm(y - x), dist, None)
         return (n + 1, x_next), record
 
-    return _drive(step, (1, start.copy()), stopping)
+    return _drive(step, (1, start.copy()), stopping, bundle.dim)
 
 
 def _start(bundle: ProblemBundle, stopping: StoppingRule, x0):
@@ -499,21 +708,22 @@ def _start(bundle: ProblemBundle, stopping: StoppingRule, x0):
     if bundle.target is None:
         raise ValueError("distance stopping rule needs a bundle with a known target")
     done = float(np.linalg.norm(start - bundle.target)) <= stopping.tol
-    return start, RunReport(0, start.copy(), 0.0, STOP_DISTANCE, []) if done else None
+    return start, RunReport(0, start.copy(), 0.0, STOP_DISTANCE, Trace(bundle.dim)) if done else None
 
 
-def _drive(step, state, stopping: StoppingRule, audit=None) -> RunReport:
+def _drive(step, state, stopping: StoppingRule, dim: int, audit=None) -> RunReport:
     """Apply ``step`` (state -> (state, record)) until the stopping rule holds.
 
-    Keeps the trace and times the loop.  Each record's ``y``, ``z`` and
-    ``x`` are checked once here (``z`` only when it is not ``y`` itself),
+    Keeps the trace, a :class:`Trace` of dimension ``dim`` that copies each
+    record in and drops it, and times the loop.  Each record's ``y``, ``z``
+    and ``x`` are checked once here (``z`` only when it is not ``y`` itself),
     so the helpers inside a step need not re-check what the step made: a
     non-finite entry raises ``ValueError``.
     ``audit``, when given, is called as ``audit(state_before, record)``
     on every checked record.  Raises :class:`MaxIterExceeded` carrying the
     partial report when the cap is hit.
     """
-    trace: list[IterationRecord] = []
+    trace = Trace(dim)
     stop_reason = None
     tic = time.perf_counter()
     for _ in range(stopping.max_iter):
@@ -537,8 +747,7 @@ def _drive(step, state, stopping: StoppingRule, audit=None) -> RunReport:
             break
     elapsed = time.perf_counter() - tic
 
-    final_x = trace[-1].x_next.copy()
-    report = RunReport(len(trace), final_x, elapsed, stop_reason or STOP_MAX_ITER, trace)
+    report = RunReport(len(trace), record.x_next.copy(), elapsed, stop_reason or STOP_MAX_ITER, trace)
     if stop_reason is None:
         raise MaxIterExceeded(report)
     return report

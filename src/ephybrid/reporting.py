@@ -40,7 +40,7 @@ def format_point(values) -> str:
 
 
 def trace_to_csv(report: RunReport, path) -> None:
-    """Write the per-iteration trace of one run, one row at a time.
+    """Write the per-iteration trace of one run, a block of rows at a time.
 
     Columns: n, residual_w, epsilon, dist_to_target, alpha_n, then the
     iterate components x1..xd.  The bytes are those of ``csv.writer``:
@@ -51,36 +51,37 @@ def trace_to_csv(report: RunReport, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["n", "residual_w", "epsilon", "dist_to_target", "alpha_n"]
                           + [f"x{i + 1}" for i in range(dim)]) + "\r\n")
-        for rec in report.trace:
-            fh.write("%d,%s,%s,%s,%s,%s\r\n" % (
-                rec.n, _cell(rec.residual_w), _cell(rec.epsilon), _cell(rec.dist_to_target),
-                _cell(rec.alpha), ",".join(map(repr, rec.x_next.tolist())),
-            ))
+        for n, scalars, vectors, _, _ in report.trace.chunks():
+            m = len(n)
+            eps, res, dist, alpha = map(_csv_cells, scalars)
+            xs = [",".join(map(repr, x)) for x in vectors[m:2 * m]]
+            fh.write("".join(map(_CSV_ROW.__mod__, zip(n, res, eps, dist, alpha, xs))))
 
 
 def write_report_json(report: RunReport, path) -> None:
-    """Write one run, trace included, a record at a time.
+    """Write one run, trace included, reading the trace a block at a time.
 
     The bytes are those of ``json.dump(..., indent=1)`` of the run as a
     dict (``iterations``, ``final_x``, ``elapsed_s``, ``stop_reason``,
     ``trace``; a record holds ``n``, ``residual_w``, ``epsilon``,
     ``dist_to_target``, ``alpha``, ``x``, ``y``, ``z``, ``w``) plus a
-    final newline, without holding the whole text.
+    final newline, without holding the whole text.  A ``z`` or ``w`` that
+    is the record's ``y`` or ``x`` reuses that vector's text.
     """
     with open(path, "w") as fh:
         fh.write(_HEAD % (report.iterations, _json_vector(report.final_x, _TOP_VECTOR),
                           _json_scalar(report.elapsed_s), json.dumps(report.stop_reason)))
         sep = "[\n"
-        for rec in report.trace:
-            y, z, w = rec.y_next, rec.z_next, rec.w_next
-            y_text = _json_vector(y, _RECORD_VECTOR)
-            z_text = y_text if z is y else _json_vector(z, _RECORD_VECTOR)
-            w_text = y_text if w is y else z_text if w is z else _json_vector(w, _RECORD_VECTOR)
-            fh.write(sep + _RECORD % (
-                rec.n, _json_scalar(rec.residual_w), _json_scalar(rec.epsilon),
-                _json_scalar(rec.dist_to_target), _json_scalar(rec.alpha),
-                _json_vector(rec.x_next, _RECORD_VECTOR), y_text, z_text, w_text,
-            ))
+        for n, scalars, vectors, z, w in report.trace.chunks():
+            m = len(n)
+            eps, res, dist, alpha = map(_json_scalars, scalars)
+            texts = _json_vectors(vectors)
+            records = map(_RECORD.__mod__, zip(n, res, eps, dist, alpha, texts[m:2 * m], texts[:m],
+                                               map(texts.__getitem__, z), map(texts.__getitem__, w)))
+            # A record's text at a time: a block's records in one string (several
+            # times a CSV block's text) took fresh heap pages and raised table2's peak RSS.
+            fh.write(sep + next(records))
+            fh.writelines(map(",\n".__add__, records))
             sep = ",\n"
         fh.write("\n ]\n}\n" if report.trace else "[]\n}\n")
 
@@ -125,6 +126,11 @@ def _cell(value) -> str:
     return "" if value is None else repr(float(value))
 
 
+def _csv_cells(values) -> map:
+    """The trace CSV cells of a chunk of one scalar (floats and ``None``)."""
+    return map(_cell, values) if None in values else map(repr, values)
+
+
 # The run JSON at ``indent=1``: the top dict up to its ``trace`` list, and
 # a record, which sits in that list, so its keys are indented 3 and its
 # vectors' entries 4.
@@ -136,6 +142,7 @@ _RECORD = (
 # (opening, separator, closing) of a non-empty list whose entries sit at an indent.
 _TOP_VECTOR = ("[\n  ", ",\n  ", "\n ]")
 _RECORD_VECTOR = ("[\n    ", ",\n    ", "\n   ]")
+_CSV_ROW = "%d,%s,%s,%s,%s,%s\r\n"
 
 
 def _json_scalar(value) -> str:
@@ -145,6 +152,13 @@ def _json_scalar(value) -> str:
     if value is None:
         return "null"
     return json.dumps(value)
+
+
+def _json_scalars(values) -> map:
+    """:func:`_json_scalar` of each of a chunk of one scalar (floats and ``None``)."""
+    if None not in values and math.isfinite(sum(values)):
+        return map(repr, values)
+    return map(_json_scalar, values)
 
 
 def _json_vector(values, layout) -> str:
@@ -157,3 +171,11 @@ def _json_vector(values, layout) -> str:
     if math.isfinite(sum(values)):
         return opening + sep.join(map(repr, values)) + closing
     return opening + sep.join(map(_json_scalar, values)) + closing
+
+
+def _json_vectors(vectors) -> list[str]:
+    """A chunk's record vectors (lists of floats, never empty) as :func:`_json_vector` writes them."""
+    opening, sep, closing = _RECORD_VECTOR
+    # A finite sum proves every entry of the chunk finite.
+    entry = repr if math.isfinite(sum(map(sum, vectors))) else _json_scalar
+    return [opening + sep.join(map(entry, v)) + closing for v in vectors]

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import os
@@ -691,6 +692,25 @@ def test_cli_audit_subcommand(tmp_path, capsys):
     path = minimal_config(tmp_path)
     assert cli.main(["audit", "--config", str(path)]) == 0
     assert "audit clean" in capsys.readouterr().out
+
+
+def test_cli_audit_rejects_the_extragradient_baseline(tmp_path, capsys):
+    # extragradient_solve takes no audit, so "audit clean" would claim checks that never ran.
+    data = {
+        "problem": "example1",
+        "algorithm": "extragradient",
+        "starts": [[1, 3, 1]],
+        "stopping": {"rule": "residual_w", "tol": 1e-4},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["audit", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "", captured.out
+    assert captured.err.startswith("error: audit: ") and captured.err.count("\n") == 1, captured.err
+    with pytest.raises(ValidationError):
+        dataclasses.replace(config_from_dict(data), audit=True)
+    assert cli.main(["solve", "--config", str(path)]) == 0
 
 
 def test_cli_failed_run_exit_code(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from ephybrid.hybrid import (
     AlphaSchedule,
     AlphaOutOfRange,
     InvariantViolation,
+    IterationRecord,
     KTooSmall,
     LambdaOutOfRange,
     MaxIterExceeded,
@@ -310,6 +313,35 @@ def test_final_x_is_last_trace_iterate(example1, example2):
         assert report.iterations == len(report.trace) >= 1
         assert report.final_x.tobytes() == report.trace[-1].x_next.tobytes()
         assert report.final_x is not report.trace[-1].x_next
+
+
+def test_a_run_keeps_its_trace_as_columns():
+    # One table1 cell, (1, 3, 1): 1,518 iterations whose y, x and scalars are
+    # about 100 bytes as columns.  Records held in a list kept 532 bytes per
+    # iteration, in an instance dict, two small arrays and three floats each.
+    config = table1_config()
+    params = config.params_for(config.schedules[0])
+
+    def run():
+        return solve(config.bundle, params, config.stopping, [1.0, 3.0, 1.0], y0=config.y0)
+
+    def records_alive():
+        return sum(type(o) is IterationRecord for o in gc.get_objects())
+
+    run()  # first-use set-up, such as the feasible set's prepared rows, is not the trace's
+    gc.collect()
+    alive = records_alive()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = run()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert report.iterations == 1518
+    assert retained / report.iterations <= 150, retained / report.iterations
+    assert records_alive() == alive
 
 
 def test_solve_distance_rule_needs_target(example1):

@@ -8,7 +8,8 @@ cells of the table2 grid, and the nc64 game (``bench/workloads.py``) at seeds
 and ``x_next``, ``epsilon``, the residual, the distance to the target and
 ``alpha``, then the run's ``final_x`` and ``stop_reason``: the values of every
 field of the run JSON (``reporting.write_report_json``) but ``elapsed_s``.
-It hashes those values as arrays, not the bytes of any written file; the
+It hashes the trace's columns (``hybrid.Trace``), a ``None`` scalar as its
+mask byte and NaN, not the bytes of any written file; the
 byte tests in ``tests/test_reporting.py`` pin the files' layout against
 ``json`` and ``csv``.  Two checkouts whose outputs are equal ran every case
 bit for bit the same; run it in each and diff.  The package is imported from the ``src`` directory of the
@@ -23,31 +24,31 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 sys.path.insert(0, str(ROOT / "src"))
 
-import numpy as np  # noqa: E402
 
 import ephybrid  # noqa: E402
 import workloads  # noqa: E402
 from ephybrid import experiments  # noqa: E402
-from ephybrid.hybrid import StoppingRule, extragradient_solve  # noqa: E402
+from ephybrid.hybrid import SCALARS, StoppingRule, extragradient_solve  # noqa: E402
 
 NC64_SEEDS = (1, 2, 3, 907)
 
 
 def digest(report) -> str:
-    """SHA-256 over a run report's trace arrays, final point and stop reason."""
+    """SHA-256 over a run report's trace columns, final point and stop reason."""
     h = hashlib.sha256()
     trace = report.trace
-    for name in ("y_next", "z_next", "w_next", "x_next"):
+    # z and w are materialized from their per-row references.
+    for name, column in (("y_next", trace.y), ("z_next", trace.z), ("w_next", trace.w), ("x_next", trace.x)):
         h.update(name.encode())
-        h.update(np.array([getattr(r, name) for r in trace], dtype=float).tobytes())
-    for name in ("epsilon", "residual_w", "dist_to_target", "alpha"):
-        values = [getattr(r, name) for r in trace]
+        h.update(column.tobytes())
+    for name in SCALARS:
+        values, none = trace.scalar(name)
         h.update(name.encode())
         # None (a field the solver does not fill) is kept apart from NaN.
-        h.update(bytes(v is None for v in values))
-        h.update(np.array([np.nan if v is None else v for v in values], dtype=float).tobytes())
+        h.update(none.tobytes())
+        h.update(values.tobytes())
     h.update(b"n")
-    h.update(np.array([r.n for r in trace], dtype=np.int64).tobytes())
+    h.update(trace.n.tobytes())
     h.update(report.final_x.tobytes())
     h.update(report.stop_reason.encode())
     return h.hexdigest()
