@@ -10,7 +10,8 @@ Subcommands::
 ``<table>_trace_NN.{csv,json}`` to ``--out``.  Exit codes: 0 on success,
 2 on any config or parameter error or a path that cannot be read or
 written, 3 on an invariant violation under ``audit``, 4 on a run that
-fails (``InfeasibleSet``, ``EmptyOmega``, ``CyclingDetected``).  Each
+fails (``InfeasibleSet``, ``EmptyOmega``, ``NonFiniteIterate``,
+``CyclingDetected``).  Each
 error prints one line to stderr.  A hybrid grid with the ``invlog``
 schedule notes on stderr the iterations whose weight is clamped to the cap.
 """
@@ -23,8 +24,10 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import experiments, reporting
-from .hybrid import ALPHA_CAP, EmptyOmega, InvariantViolation
+from .hybrid import ALPHA_CAP, EmptyOmega, InvariantViolation, NonFiniteIterate
 from .qp import CyclingDetected
 from .sets import InfeasibleSet
 
@@ -58,7 +61,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
-    except (InfeasibleSet, EmptyOmega, CyclingDetected) as exc:
+    except (InfeasibleSet, EmptyOmega, NonFiniteIterate, CyclingDetected) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 
@@ -79,7 +82,10 @@ def _cmd_reproduce(table: str, out_dir: str) -> int:
 
 def _run(config, trace_prefix: str = "trace") -> int:
     """Run the grid, print its rows and write the outputs the config names."""
-    runs = experiments.run_grid(config)
+    # An overflow on the way to a non-finite iterate ends the run in one
+    # NonFiniteIterate line; numpy's warnings would add lines of their own.
+    with np.errstate(all="ignore"):
+        runs = experiments.run_grid(config)
     rows = [experiments.grid_row(run) for run in runs]
     _print_rows(rows)
     _warn_clamped_schedules(config)

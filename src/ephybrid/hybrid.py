@@ -68,6 +68,10 @@ class EmptyOmega(RuntimeError):
     """The cut intersection is empty; parameters are inadmissible."""
 
 
+class NonFiniteIterate(ValueError):
+    """A step produced an iterate with an inf or NaN entry (for example one that overflowed)."""
+
+
 class InvariantViolation(AssertionError):
     """An audited per-iteration invariant failed."""
 
@@ -414,14 +418,16 @@ class Trace:
         bit = SCALARS.index(name)
         return self._column("scalars")[:, bit].copy(), (self._column("none") >> bit & 1).astype(bool)
 
-    def chunks(self):
+    def chunks(self, yzw: bool = True):
         """Yield each block as ``(n, scalars, vectors, z, w)`` of Python lists over its ``m`` rows.
 
         ``n`` and the four ``scalars`` (in :data:`SCALARS` order, ``None``
         where the record's was) have ``m`` entries; ``vectors`` lists the
         rows' ``y``, then their ``x``, then the block's own arrays; ``z`` and
-        ``w`` give each row's index into ``vectors``.  It calls no integer
-        ufunc, whose code the writers would page in for it alone.
+        ``w`` give each row's index into ``vectors``.  Without ``yzw``,
+        ``vectors`` is the rows' ``x`` alone and ``z`` and ``w`` are
+        ``None``.  It calls no integer ufunc, whose code the writers would
+        page in for it alone.
         """
         for c in map(self._columns, self._blocks):
             flags = c["none"].tolist()
@@ -435,6 +441,9 @@ class Trace:
                     scalars[bit] = [None if f >> bit & 1 else v for v, f in zip(scalars[bit], flags)]
                 elif flags[0] >> bit & 1:
                     scalars[bit] = [None] * m
+            if not yzw:
+                yield c["n"].tolist(), scalars, c["x"].tolist(), None, None
+                continue
             z_refs, w_refs = c["refs"].T.tolist()
             vectors = c["y"].tolist() + c["x"].tolist() + c["own"].tolist()
             yield c["n"].tolist(), scalars, vectors, _vector_index(z_refs), _vector_index(w_refs)
@@ -718,7 +727,7 @@ def _drive(step, state, stopping: StoppingRule, dim: int, audit=None) -> RunRepo
     record in and drops it, and times the loop.  Each record's ``y``, ``z``
     and ``x`` are checked once here (``z`` only when it is not ``y`` itself),
     so the helpers inside a step need not re-check what the step made: a
-    non-finite entry raises ``ValueError``.
+    non-finite entry raises :class:`NonFiniteIterate`.
     ``audit``, when given, is called as ``audit(state_before, record)``
     on every checked record.  Raises :class:`MaxIterExceeded` carrying the
     partial report when the cap is hit.
@@ -735,7 +744,7 @@ def _drive(step, state, stopping: StoppingRule, dim: int, audit=None) -> RunRepo
             and (z_next is y_next or all_finite(z_next))
             and all_finite(record.x_next)
         ):
-            raise ValueError(f"iteration {record.n}: an iterate has non-finite entries")
+            raise NonFiniteIterate(f"iteration {record.n}: an iterate has non-finite entries")
         trace.append(record)
         if audit is not None:
             audit(before, record)

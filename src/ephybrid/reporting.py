@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import dataclass, fields
+from itertools import chain
 
 from .hybrid import RunReport
 
@@ -40,48 +41,49 @@ def format_point(values) -> str:
 
 
 def trace_to_csv(report: RunReport, path) -> None:
-    """Write the per-iteration trace of one run, a block of rows at a time.
+    """Write the per-iteration trace of one run, one string per block of rows.
 
     Columns: n, residual_w, epsilon, dist_to_target, alpha_n, then the
     iterate components x1..xd.  The bytes are those of ``csv.writer``:
     no cell needs quoting, ``None`` is an empty cell and lines end in
-    ``\\r\\n``.
+    ``\\r\\n``.  A block's rows are one ``%`` call (:func:`_block`).
     """
     dim = len(report.final_x)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["n", "residual_w", "epsilon", "dist_to_target", "alpha_n"]
                           + [f"x{i + 1}" for i in range(dim)]) + "\r\n")
-        for n, scalars, vectors, _, _ in report.trace.chunks():
-            m = len(n)
-            eps, res, dist, alpha = map(_csv_cells, scalars)
-            xs = [",".join(map(repr, x)) for x in vectors[m:2 * m]]
-            fh.write("".join(map(_CSV_ROW.__mod__, zip(n, res, eps, dist, alpha, xs))))
+        for n, (eps, res, dist, alpha), xs, _, _ in report.trace.chunks(yzw=False):
+            cells, values = _block(n, (res, eps, dist, alpha), _csv_column)
+            # The x cells go into the template (a float's repr holds no "%"),
+            # so the "%" call starts from about the text's length: from a
+            # short template it would grow its string by many reallocations,
+            # whose holes in the heap raised table1's peak RSS.
+            head = _CSV_HEAD % cells
+            fh.write("".join([f"{head}{','.join(map(repr, x))}\r\n" for x in xs]) % values)
 
 
 def write_report_json(report: RunReport, path) -> None:
-    """Write one run, trace included, reading the trace a block at a time.
+    """Write one run, trace included, one string per block of records.
 
     The bytes are those of ``json.dump(..., indent=1)`` of the run as a
     dict (``iterations``, ``final_x``, ``elapsed_s``, ``stop_reason``,
     ``trace``; a record holds ``n``, ``residual_w``, ``epsilon``,
     ``dist_to_target``, ``alpha``, ``x``, ``y``, ``z``, ``w``) plus a
-    final newline, without holding the whole text.  A ``z`` or ``w`` that
-    is the record's ``y`` or ``x`` reuses that vector's text.
+    final newline, without holding the whole text.  A block's records are
+    one ``%`` call (:func:`_block`); a ``z`` or ``w`` that is the record's
+    ``y`` or ``x`` reuses that vector's text.
     """
     with open(path, "w") as fh:
-        fh.write(_HEAD % (report.iterations, _json_vector(report.final_x, _TOP_VECTOR),
+        fh.write(_HEAD % (report.iterations, _json_vector(report.final_x),
                           _json_scalar(report.elapsed_s), json.dumps(report.stop_reason)))
         sep = "[\n"
-        for n, scalars, vectors, z, w in report.trace.chunks():
+        for n, (eps, res, dist, alpha), vectors, z, w in report.trace.chunks():
             m = len(n)
-            eps, res, dist, alpha = map(_json_scalars, scalars)
             texts = _json_vectors(vectors)
-            records = map(_RECORD.__mod__, zip(n, res, eps, dist, alpha, texts[m:2 * m], texts[:m],
-                                               map(texts.__getitem__, z), map(texts.__getitem__, w)))
-            # A record's text at a time: a block's records in one string (several
-            # times a CSV block's text) took fresh heap pages and raised table2's peak RSS.
-            fh.write(sep + next(records))
-            fh.writelines(map(",\n".__add__, records))
+            cells, values = _block(n, (res, eps, dist, alpha), _json_column, texts[m:2 * m], texts[:m],
+                                   map(texts.__getitem__, z), map(texts.__getitem__, w))
+            record = _RECORD % cells
+            fh.write(",\n".join([sep + record] + [record] * (m - 1)) % values)
             sep = ",\n"
         fh.write("\n ]\n}\n" if report.trace else "[]\n}\n")
 
@@ -93,14 +95,16 @@ def emit_reports(rows, fmt: str, path) -> None:
     CSV prints points and seconds at 7 decimals; the JSON form keeps full
     precision and round-trips through :func:`rows_from_json`.
     """
+    # The fields read directly: ``astuple``/``asdict`` deep-copy each value.
+    names = [f.name for f in fields(ReportRow)]
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow([f.name for f in fields(ReportRow)])
+            writer.writerow(names)
             for row in rows:
-                writer.writerow([_summary_cell(v) for v in astuple(row)])
+                writer.writerow([_summary_cell(getattr(row, name)) for name in names])
     elif fmt == "json":
-        payload = [asdict(row) for row in rows]
+        payload = [{name: getattr(row, name) for name in names} for row in rows]
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1)
             fh.write("\n")
@@ -122,27 +126,54 @@ def _summary_cell(value):
     return f"{value:.7f}" if isinstance(value, float) else value
 
 
-def _cell(value) -> str:
-    return "" if value is None else repr(float(value))
+def _block(n, scalars, column, *texts) -> tuple[tuple[str, ...], tuple]:
+    """One block's scalar cell formats and its values, flattened in row order.
+
+    ``column`` gives each scalar column's format and the values it takes:
+    one that every row fills the same way is baked into the block's row
+    template (``%r`` of its floats, or its ``None`` text, taking no values)
+    and a mixed one is pre-rendered (``%s`` of its cells).  The values are
+    ``n``, the columns that take values and then ``texts``, row by row.
+    """
+    formats, columns = [], [n]
+    for values in scalars:
+        fmt, values = column(values)
+        formats.append(fmt)
+        if values is not None:
+            columns.append(values)
+    return tuple(formats), tuple(chain.from_iterable(zip(*columns, *texts)))
 
 
-def _csv_cells(values) -> map:
-    """The trace CSV cells of a chunk of one scalar (floats and ``None``)."""
-    return map(_cell, values) if None in values else map(repr, values)
+def _csv_column(values) -> tuple[str, list | None]:
+    """A trace CSV scalar column's format and values: every float is its ``repr``, ``None`` empty."""
+    if None not in values:
+        return "%r", values
+    if values.count(None) == len(values):
+        return "", None
+    return "%s", ["" if v is None else repr(v) for v in values]
+
+
+def _json_column(values) -> tuple[str, list | None]:
+    """A run JSON scalar column's format and values, as :func:`_json_scalar` spells each."""
+    # A finite sum proves every entry finite (see ``linalg.all_finite``).
+    if None not in values and math.isfinite(sum(values)):
+        return "%r", values
+    if values.count(None) == len(values):
+        return "null", None
+    return "%s", list(map(_json_scalar, values))
 
 
 # The run JSON at ``indent=1``: the top dict up to its ``trace`` list, and
 # a record, which sits in that list, so its keys are indented 3 and its
-# vectors' entries 4.
+# vectors' entries 4.  A record and a CSV row take their four scalar cells'
+# formats first (``%%`` survives that as ``%``), then a block's values.
 _HEAD = '{\n "iterations": %d,\n "final_x": %s,\n "elapsed_s": %s,\n "stop_reason": %s,\n "trace": '
 _RECORD = (
-    '  {\n   "n": %d,\n   "residual_w": %s,\n   "epsilon": %s,\n   "dist_to_target": %s,\n'
-    '   "alpha": %s,\n   "x": %s,\n   "y": %s,\n   "z": %s,\n   "w": %s\n  }'
+    '  {\n   "n": %%d,\n   "residual_w": %s,\n   "epsilon": %s,\n   "dist_to_target": %s,\n'
+    '   "alpha": %s,\n   "x": [\n    %%s\n   ],\n   "y": [\n    %%s\n   ],\n'
+    '   "z": [\n    %%s\n   ],\n   "w": [\n    %%s\n   ]\n  }'
 )
-# (opening, separator, closing) of a non-empty list whose entries sit at an indent.
-_TOP_VECTOR = ("[\n  ", ",\n  ", "\n ]")
-_RECORD_VECTOR = ("[\n    ", ",\n    ", "\n   ]")
-_CSV_ROW = "%d,%s,%s,%s,%s,%s\r\n"
+_CSV_HEAD = "%%d,%s,%s,%s,%s,"
 
 
 def _json_scalar(value) -> str:
@@ -154,28 +185,18 @@ def _json_scalar(value) -> str:
     return json.dumps(value)
 
 
-def _json_scalars(values) -> map:
-    """:func:`_json_scalar` of each of a chunk of one scalar (floats and ``None``)."""
-    if None not in values and math.isfinite(sum(values)):
-        return map(repr, values)
-    return map(_json_scalar, values)
-
-
-def _json_vector(values, layout) -> str:
-    """A float vector as ``json.dump(indent=1)`` lays it out at ``layout``'s indent."""
+def _json_vector(values) -> str:
+    """A float vector of the top dict (``final_x``) as ``json.dump(indent=1)`` lays it out."""
     values = values.tolist()
     if not values:
         return "[]"
-    opening, sep, closing = layout
     # A finite sum proves every entry finite (see ``linalg.all_finite``).
-    if math.isfinite(sum(values)):
-        return opening + sep.join(map(repr, values)) + closing
-    return opening + sep.join(map(_json_scalar, values)) + closing
+    entry = repr if math.isfinite(sum(values)) else _json_scalar
+    return "[\n  " + ",\n  ".join(map(entry, values)) + "\n ]"
 
 
 def _json_vectors(vectors) -> list[str]:
-    """A chunk's record vectors (lists of floats, never empty) as :func:`_json_vector` writes them."""
-    opening, sep, closing = _RECORD_VECTOR
+    """A chunk's record vectors (lists of floats, never empty) as the entries of ``_RECORD``'s lists."""
     # A finite sum proves every entry of the chunk finite.
     entry = repr if math.isfinite(sum(map(sum, vectors))) else _json_scalar
-    return [opening + sep.join(map(entry, v)) + closing for v in vectors]
+    return [",\n    ".join(map(entry, v)) for v in vectors]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ephybrid
-from ephybrid import cli, qp
+from ephybrid import cli, experiments, qp
 from ephybrid.experiments import (
     ParseError,
     ValidationError,
@@ -439,7 +439,7 @@ def test_ab_time_runs_this_checkout_against_itself():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[1] == "workload table1  iterations base 8860  new 8860"
-    assert lines[-3] in ("new faster in 0/1 pairs", "new faster in 1/1 pairs")
+    assert lines[-2] in ("new faster in 0/1 pairs", "new faster in 1/1 pairs")
 
 
 def test_table2_grid_runs_one_checked_factorization_per_run(monkeypatch):
@@ -743,6 +743,21 @@ def test_cli_failed_run_exit_code(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: EmptyOmega: iteration 1: ") and err.count("\n") == 1, err
 
+    # example1's bifunction over the whole space, with a huge linear term or
+    # a huge start: the first step overflows to a non-finite iterate, and
+    # the run exits 4 with one line, no traceback and no numpy warning.
+    for q, start in (([1e200, -2.0, 3.0], [1.0, 3.0, 1.0]), ([1.0, -2.0, 3.0], [1e160, 3.0, 1.0])):
+        problem = {
+            "bifunction": {"P": experiments._P, "Q": experiments._Q, "q": q},
+            "feasible": {"type": "whole_space", "dim": 3},
+        }
+        path = minimal_config(
+            tmp_path, problem=problem, starts=[start], stopping={"rule": "residual_w", "tol": 1e-4}
+        )
+        assert cli.main(["solve", "--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err == "error: NonFiniteIterate: iteration 1: an iterate has non-finite entries\n", err
+
     from ephybrid import hybrid
 
     for failure in (hybrid.EmptyOmega, qp.CyclingDetected):
@@ -800,3 +815,47 @@ def test_extragradient_trace_csv(tmp_path):
 
 def test_format_point_precision():
     assert format_point([0.98062319, -1.0]) == "(0.9806232; -1.0000000)"
+
+
+def test_trace_writers_hand_the_file_one_string_per_block(table1_runs, tmp_path, monkeypatch):
+    """Each trace writer formats a block of records in one call and writes it as one string.
+
+    On table1's cell (1, 3, 1) the file is handed the header, one string per
+    block and, for the run JSON, the closing text: at most blocks + 2.
+    """
+    from ephybrid import hybrid, reporting
+
+    (run,) = [run for run in table1_runs if run.start.tolist() == [1.0, 3.0, 1.0]]
+    trace = run.report.trace
+    blocks = -(-len(trace) // (hybrid._BLOCK_VALUES // trace.dim))
+    assert (len(trace), blocks) == (1518, 9)
+
+    class CountingFile:
+        def __init__(self, fh):
+            self.fh, self.strings = fh, []
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.strings.append(text)
+            return self.fh.write(text)
+
+        def writelines(self, texts):
+            for text in texts:
+                self.write(text)
+
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(CountingFile(open(*args, **kwargs)))
+        return opened[-1]
+
+    monkeypatch.setattr(reporting, "open", counting_open, raising=False)
+    for writer, name in ((trace_to_csv, "trace.csv"), (write_report_json, "run.json")):
+        writer(run.report, tmp_path / name)
+        assert "".join(opened[-1].strings).encode() == (tmp_path / name).read_bytes(), name
+        assert len(opened[-1].strings) <= blocks + 2, (name, len(opened[-1].strings))

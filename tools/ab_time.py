@@ -12,8 +12,10 @@ a few percent on a host whose speed drifts by more than that between them;
 back-to-back runs in one process can.
 
 Prints, per pair, both times and their ratio NEW/BASE, then the median ratio,
-its quartiles, how many pairs NEW won, and each side's median microseconds per
-iteration.  The iteration counts of the two checkouts are printed as well;
+its quartiles, how many pairs NEW won, and the median over pairs of the
+difference NEW - BASE in microseconds per iteration.  Every summary line is
+paired: each side's own median would move with the host's drift, which the
+pairs cancel.  The iteration counts of the two checkouts are printed as well;
 they differ only if the change moves the traces.  The ``nc64`` config comes
 from ``BASE``'s ``bench/workloads.py``, seeded with ``--seed``.  Both BLAS
 thread pools are pinned to one thread, as ``bench/run.py`` pins them: numpy's
@@ -112,8 +114,8 @@ def main(argv=None) -> int:
             print(f"pair {pair:3d}  base {base:.4f} s  new {new:.4f} s  ratio {new / base:.3f}")
 
     summarize(*seconds)
-    for label, times, count in zip(("base", "new"), seconds, iterations):
-        print(f"{label:<4} median {1e6 * statistics.median(times) / count:.2f} us/iteration")
+    difference = statistics.median(1e6 * (n / iterations[1] - b / iterations[0]) for b, n in zip(*seconds))
+    print(f"median paired difference new - base {difference:+.2f} us/iteration")
     return 0
 
 
