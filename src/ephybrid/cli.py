@@ -24,8 +24,6 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import experiments, reporting
 from .hybrid import ALPHA_CAP, EmptyOmega, InvariantViolation, NonFiniteIterate
 from .qp import CyclingDetected
@@ -82,10 +80,7 @@ def _cmd_reproduce(table: str, out_dir: str) -> int:
 
 def _run(config, trace_prefix: str = "trace") -> int:
     """Run the grid, print its rows and write the outputs the config names."""
-    # An overflow on the way to a non-finite iterate ends the run in one
-    # NonFiniteIterate line; numpy's warnings would add lines of their own.
-    with np.errstate(all="ignore"):
-        runs = experiments.run_grid(config)
+    runs = experiments.run_grid(config)
     rows = [experiments.grid_row(run) for run in runs]
     _print_rows(rows)
     _warn_clamped_schedules(config)

@@ -544,36 +544,53 @@ def hybrid_iterate(
     ``params`` (:func:`_cut_projector`), and carry its warm starts from
     step to step.  An empty cut region, one empty cut or cuts that do not
     meet (:class:`sets.InfeasibleSet` either way), raises :class:`EmptyOmega`.
+
+    With the two cuts alone (``two_halfspaces`` on a projector whose set adds
+    no rows) a step whose ``x_n`` lies in the contraction cut,
+    ``|w - x_n|^2 <= eps``, keeps ``x_n`` without building or projecting
+    the cuts: ``x_n`` is the projection of ``x0`` onto the anchor cut (its
+    normal is ``x0 - x_n`` and ``x_n`` is on its boundary), so it is the
+    projection onto any subset of that cut that contains it.
     """
     alpha = params.alpha(state.n)
+    x_cur = state.x_cur
 
-    y_next = prox.step(state.y_cur, state.x_cur)
+    y_next = prox.step(state.y_cur, x_cur)
     mapped = bundle.mapping(y_next)
-    dist_y = _norm(y_next - state.x_cur)
+    # The squared distances the residual takes the roots of (:func:`_norm`'s formula).
+    d = y_next - x_cur
+    dist_y2 = float(d.dot(d))
+    dist_y = math.sqrt(dist_y2)
     if mapped is y_next or (mapped == y_next).all():
         # Fixed point of the mapping: the average is y itself for every
         # alpha, so z, w and the residual are y's.
         z_next = w_next = y_next
-        residual_w = dist_y
+        residual_w, dist_w2 = dist_y, dist_y2
     else:
         z_next = alpha * y_next + (1.0 - alpha) * mapped
-        dist_z = _norm(z_next - state.x_cur)
-        w_next = y_next if dist_y >= dist_z else z_next
+        d = z_next - x_cur
+        dist_z2 = float(d.dot(d))
+        dist_z = math.sqrt(dist_z2)
+        w_next, dist_w2 = (y_next, dist_y2) if dist_y >= dist_z else (z_next, dist_z2)
         residual_w = max(dist_y, dist_z)
 
     dy_next2 = _sum_of_squares(y_next - state.y_cur)
     epsilon = contraction_slack(state, dy_next2, params, bundle.constants)
-    try:
-        x_next = _project_onto_cuts(
-            state.x0,
-            _step_rows(state, y_next, z_next, w_next, epsilon, params.cut_variant),
-            projector,
-        )
-    except InfeasibleSet as exc:
-        raise EmptyOmega(
-            f"iteration {state.n}: cut intersection is empty ({exc}); "
-            "parameters violate the admissibility conditions or no solution exists"
-        ) from exc
+    if dist_w2 <= epsilon and params.cut_variant == "two_halfspaces" and not projector.set_row_count:
+        x_next, dx2 = x_cur, 0.0
+    else:
+        try:
+            x_next = _project_onto_cuts(
+                state.x0,
+                _step_rows(state, y_next, z_next, w_next, epsilon, params.cut_variant),
+                projector,
+            )
+        except InfeasibleSet as exc:
+            raise EmptyOmega(
+                f"iteration {state.n}: cut intersection is empty ({exc}); "
+                "parameters violate the admissibility conditions or no solution exists"
+            ) from exc
+        dx2 = _sum_of_squares(x_next - x_cur)
 
     dist_to_target = None if bundle.target is None else _norm(x_next - bundle.target)
     # Positional: a dataclass matches keyword arguments at a cost the step would feel.
@@ -581,10 +598,7 @@ def hybrid_iterate(
         state.n, y_next, z_next, w_next, x_next, epsilon, residual_w, dist_to_target, alpha
     )
     # n, x_cur, y_cur, x0, dx2, dy2
-    new_state = SolverState(
-        state.n + 1, x_next, y_next, state.x0, _sum_of_squares(x_next - state.x_cur), dy_next2
-    )
-    return new_state, record
+    return SolverState(state.n + 1, x_next, y_next, state.x0, dx2, dy_next2), record
 
 
 def _norm(v: np.ndarray) -> float:
@@ -725,35 +739,41 @@ def _drive(step, state, stopping: StoppingRule, dim: int, audit=None) -> RunRepo
 
     Keeps the trace, a :class:`Trace` of dimension ``dim`` that copies each
     record in and drops it, and times the loop.  Each record's ``y``, ``z``
-    and ``x`` are checked once here (``z`` only when it is not ``y`` itself),
-    so the helpers inside a step need not re-check what the step made: a
-    non-finite entry raises :class:`NonFiniteIterate`.
+    and ``x`` are checked once here (``z`` only when it is not ``y`` itself,
+    ``x`` only when it is not the previous record's ``x``), so the helpers
+    inside a step need not re-check what the step made: a non-finite entry
+    raises :class:`NonFiniteIterate`.  The loop runs with numpy's floating
+    point warnings off, so an overflow on the way to a non-finite iterate
+    reaches the caller as that error alone.
     ``audit``, when given, is called as ``audit(state_before, record)``
     on every checked record.  Raises :class:`MaxIterExceeded` carrying the
     partial report when the cap is hit.
     """
     trace = Trace(dim)
     stop_reason = None
+    x_checked = None
     tic = time.perf_counter()
-    for _ in range(stopping.max_iter):
-        before = state
-        state, record = step(state)
-        y_next, z_next = record.y_next, record.z_next
-        if not (
-            all_finite(y_next)
-            and (z_next is y_next or all_finite(z_next))
-            and all_finite(record.x_next)
-        ):
-            raise NonFiniteIterate(f"iteration {record.n}: an iterate has non-finite entries")
-        trace.append(record)
-        if audit is not None:
-            audit(before, record)
-        if stopping.kind == "residual_w" and record.residual_w <= stopping.tol:
-            stop_reason = STOP_RESIDUAL
-            break
-        if stopping.kind == "distance_to_target" and record.dist_to_target <= stopping.tol:
-            stop_reason = STOP_DISTANCE
-            break
+    with np.errstate(all="ignore"):
+        for _ in range(stopping.max_iter):
+            before = state
+            state, record = step(state)
+            y_next, z_next, x_next = record.y_next, record.z_next, record.x_next
+            if not (
+                all_finite(y_next)
+                and (z_next is y_next or all_finite(z_next))
+                and (x_next is x_checked or all_finite(x_next))
+            ):
+                raise NonFiniteIterate(f"iteration {record.n}: an iterate has non-finite entries")
+            x_checked = x_next
+            trace.append(record)
+            if audit is not None:
+                audit(before, record)
+            if stopping.kind == "residual_w" and record.residual_w <= stopping.tol:
+                stop_reason = STOP_RESIDUAL
+                break
+            if stopping.kind == "distance_to_target" and record.dist_to_target <= stopping.tol:
+                stop_reason = STOP_DISTANCE
+                break
     elapsed = time.perf_counter() - tic
 
     report = RunReport(len(trace), record.x_next.copy(), elapsed, stop_reason or STOP_MAX_ITER, trace)

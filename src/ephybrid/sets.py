@@ -254,19 +254,21 @@ def project_two_halfspaces(x: np.ndarray, first, second) -> np.ndarray:
     tol1, tol2 = membership_tol(b1), membership_tol(b2)
     if v1 <= tol1 and v2 <= tol2:
         return x.copy()
-    g11, g22 = float(a1.dot(a1)), float(a2.dot(a2))
+    g11, g22, g12 = float(a1.dot(a1)), float(a2.dot(a2)), float(a1.dot(a2))
+    # A single-halfspace candidate x - t a is tested through scalars: the
+    # other row's value there is v - t g12, so no candidate array is built
+    # unless it is returned.
     if v1 > 0.0:
-        cand = x - (v1 / g11) * a1
-        if float(a2.dot(cand)) - b2 <= tol2:
-            return cand
+        t = v1 / g11
+        if v2 - t * g12 <= tol2:
+            return x - t * a1
     if v2 > 0.0:
-        cand = x - (v2 / g22) * a2
-        if float(a1.dot(cand)) - b1 <= tol1:
-            return cand
+        t = v2 / g22
+        if v1 - t * g12 <= tol1:
+            return x - t * a2
 
     # Both boundary hyperplanes active: solve the Gram system in the
     # two multipliers, z = x - mu1 a1 - mu2 a2 with both constraints tight.
-    g12 = float(a1.dot(a2))
     det = g11 * g22 - g12 * g12
     if det <= 1e-14 * g11 * g22:
         # Parallel normals.  Same-direction pairs always resolve in the

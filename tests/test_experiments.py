@@ -36,6 +36,7 @@ from ephybrid.reporting import (
     trace_to_csv,
     write_report_json,
 )
+from pins import TABLE1_ITERATIONS
 
 UNIT_BOX = {"type": "box", "lo": [0.0, 0.0, 0.0], "hi": [1.0, 1.0, 1.0]}
 # example1's feasible set and example2's inner halfspaces, as tagged JSON.
@@ -384,7 +385,7 @@ def test_table2_grid_solves_no_linear_program():
 # Iteration counts of the 28 ``tools/trace_digest.py`` cases, in its order:
 # table1's three starts, its extragradient cross-check, table2's 12 cells
 # and nc64's 12 runs.  Counts hold across machines, where digests may not.
-DIGEST_ITERATIONS = [1518, 2410, 4932, 16] + [22, 25, 49, 46, 19, 80, 28, 16, 41, 6, 5, 11] + [150] * 12
+DIGEST_ITERATIONS = [*TABLE1_ITERATIONS, 16] + [22, 25, 49, 46, 19, 80, 28, 16, 41, 6, 5, 11] + [150] * 12
 
 
 def test_trace_digests_do_not_depend_on_thread_count():
@@ -428,7 +429,7 @@ def test_cutproj_replay_runs_this_checkout_against_itself():
 
 
 def test_ab_time_runs_this_checkout_against_itself():
-    """``tools/ab_time.py`` with one table1 pair: both sides run the same 8,860 iterations."""
+    """``tools/ab_time.py`` with one table1 pair: both sides run the grid's pinned iterations."""
     root = Path(__file__).resolve().parent.parent
     done = subprocess.run(
         [sys.executable, str(root / "tools" / "ab_time.py"), str(root), str(root), "--pairs", "1"],
@@ -438,7 +439,8 @@ def test_ab_time_runs_this_checkout_against_itself():
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert lines[1] == "workload table1  iterations base 8860  new 8860"
+    total = sum(TABLE1_ITERATIONS)
+    assert lines[1] == f"workload table1  iterations base {total}  new {total}"
     assert lines[-2] in ("new faster in 0/1 pairs", "new faster in 1/1 pairs")
 
 
@@ -828,7 +830,7 @@ def test_trace_writers_hand_the_file_one_string_per_block(table1_runs, tmp_path,
     (run,) = [run for run in table1_runs if run.start.tolist() == [1.0, 3.0, 1.0]]
     trace = run.report.trace
     blocks = -(-len(trace) // (hybrid._BLOCK_VALUES // trace.dim))
-    assert (len(trace), blocks) == (1518, 9)
+    assert (len(trace), blocks) == (TABLE1_ITERATIONS[0], 10)
 
     class CountingFile:
         def __init__(self, fh):

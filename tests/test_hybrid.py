@@ -1,25 +1,37 @@
 import dataclasses
 import gc
+import importlib.util
+import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ephybrid.experiments import default_lambda, run_grid, table1_config, table2_config
+from ephybrid.experiments import (
+    config_from_dict,
+    default_lambda,
+    run_grid,
+    table1_config,
+    table2_config,
+)
 from ephybrid.hybrid import (
     AlphaSchedule,
     AlphaOutOfRange,
+    EmptyOmega,
     InvariantViolation,
     IterationRecord,
     KTooSmall,
     LambdaOutOfRange,
     MaxIterExceeded,
+    NonFiniteIterate,
     RunReport,
     SolverState,
     StoppingRule,
     _cut_projector,
     _project_onto_cuts,
+    _step_rows,
     alpha_at,
     build_anchor_cut,
     build_contraction_cut,
@@ -42,6 +54,7 @@ from ephybrid.linalg import DimensionMismatch
 from ephybrid.qp import CutProjector, ProxSolver, solve_qp_active_set
 from ephybrid.sets import Box, Halfspace, InfeasibleSet, Polyhedron, WholeSpace
 from oracles import enumeration_qp, halfspace_rows, set_parts
+from pins import TABLE1_ITERATIONS
 
 
 def fresh_state(x0, dim=None):
@@ -339,7 +352,7 @@ def test_a_run_keeps_its_trace_as_columns():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert report.iterations == 1518
+    assert report.iterations == TABLE1_ITERATIONS[0]
     assert retained / report.iterations <= 150, retained / report.iterations
     assert records_alive() == alive
 
@@ -545,6 +558,82 @@ def test_first_iteration_projects_onto_contraction_alone(example2):
     _, rec = hybrid_iterate(state, example2, params, prox, _cut_projector(example2, params))
     contraction, _ = step_cuts(state, rec)
     assert np.allclose(rec.x_next, Halfspace(*contraction).project(x0), atol=1e-12)
+
+
+def test_a_first_step_whose_w_is_x0_keeps_x0_or_finds_no_cut():
+    # The identity operator on [1, 2] with the identity mapping: from x0 = 1
+    # every prox point is 1, so w = x0.  At n = 1 the slack is
+    # -lead |y_1 - y_0|^2, so x0 satisfies the contraction cut only when the
+    # seed is 1 too (eps = 0): the step keeps x0's own array.  Any other seed
+    # makes eps < 0, a cut with a zero normal and no point.
+    f, consts = vip_as_bifunction(AffineOperator(np.eye(1), [0.0]))
+    box = Box([1.0], [2.0])
+    bundle = ProblemBundle(f, box, IdentityMapping(), consts)
+    params = validate_params(1.0 / (5.0 * consts.c1), 6.0, AlphaSchedule("ratio"), consts)
+
+    def first_step(seed):
+        state = SolverState(1, np.array([1.0]), np.array([seed]), np.array([1.0]), 0.0, 0.0)
+        prox = ProxSolver(f, params.lam, box)
+        return state, *hybrid_iterate(state, bundle, params, prox, _cut_projector(bundle, params))
+
+    state, new_state, rec = first_step(1.0)
+    assert rec.w_next.tolist() == [1.0] and rec.epsilon == 0.0
+    assert new_state.x_cur is state.x_cur and rec.x_next is state.x_cur
+    assert new_state.dx2 == 0.0 and state.x_cur.tolist() == [1.0]
+    with pytest.raises(EmptyOmega, match="iteration 1: .*zero normal with negative slack"):
+        first_step(1.5)
+
+
+def bench_workloads():
+    """``bench/workloads.py``, loaded from the checkout."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+@pytest.mark.parametrize("grid", ["table1", "nc64 seed 1"])
+def test_a_kept_x_n_is_the_projection_onto_its_cuts(grid):
+    """A step that keeps ``x_n`` (``|w - x_n|^2 <= eps``, the two cuts alone) keeps what
+    the full projection onto its cuts returns, to a relative 1e-12; every other
+    step moves ``x``.  Every cell of the grid, stepped by hand as :func:`solve` does."""
+    if grid == "table1":
+        config = table1_config()
+    else:
+        config = config_from_dict(bench_workloads().nash_cournot_config(1))
+    bundle, stopping, dim = config.bundle, config.stopping, config.bundle.dim
+    whole = CutProjector(WholeSpace(dim))
+    counts = []
+    kept = 0
+    for start, schedule in itertools.product(config.starts, config.schedules):
+        params = config.params_for(schedule)
+        x0 = np.asarray(start, dtype=float)
+        seed = np.zeros(dim) if config.y0 is None else np.asarray(config.y0, dtype=float)
+        state = SolverState(1, x0.copy(), seed, x0.copy(), 0.0, 0.0)
+        prox = ProxSolver(bundle.bifunction, params.lam, bundle.feasible)
+        projector = _cut_projector(bundle, params)
+        for steps in range(1, stopping.max_iter + 1):
+            new_state, rec = hybrid_iterate(state, bundle, params, prox, projector)
+            rows = _step_rows(state, rec.y_next, rec.z_next, rec.w_next, rec.epsilon, params.cut_variant)
+            if new_state.x_cur is state.x_cur:
+                kept += 1
+                full = _project_onto_cuts(x0, rows, whole)
+                assert np.linalg.norm(full - state.x_cur) <= 1e-12 * np.linalg.norm(state.x_cur), rec.n
+            else:
+                assert not np.array_equal(rec.x_next, state.x_cur), rec.n
+            state = new_state
+            if stopping.kind == "residual_w" and rec.residual_w <= stopping.tol:
+                break
+            if stopping.kind == "distance_to_target" and rec.dist_to_target <= stopping.tol:
+                break
+        counts.append(steps)
+    if grid == "table1":
+        assert tuple(counts) == TABLE1_ITERATIONS
+    else:
+        assert counts == [150] * 3
+    # About half the steps keep x_n on both grids.
+    assert 0.4 <= kept / sum(counts) <= 0.6, (kept, sum(counts))
 
 
 def test_extragradient_pure_projection_case():
@@ -819,6 +908,15 @@ def test_non_finite_values_raise_where_they_first_appear(example1):
         solve(bundle, params, StoppingRule("residual_w", 1e-4), [1.0, 3.0, 1.0])
     assert mapping.calls == 1
 
+    # example1's bifunction over the whole space with a huge linear term: the
+    # first step overflows.  A library caller gets the typed error, not one
+    # of numpy's overflow warnings (errors under this suite's settings).
+    f = example1.bifunction
+    huge = QuadraticBifunction(f.P, f.Q, [1e200, -2.0, 3.0])
+    bundle = ProblemBundle(huge, WholeSpace(3), example1.mapping, example1.constants)
+    with pytest.raises(NonFiniteIterate, match="iteration 1: "):
+        solve(bundle, params, StoppingRule("residual_w", 1e-4), [1.0, 3.0, 1.0])
+
     # A warmed-up prox solver rejects what its first step rejects: a
     # non-finite (NaN or +-inf) or mis-shaped anchor or base point, without
     # a warning on the way.
@@ -875,11 +973,15 @@ def test_runs_do_not_depend_on_earlier_runs(table2_runs):
         assert trace_bytes(alone) == trace_bytes(run.report), (run.start, run.schedule_label)
 
 
-def test_audit_only_observes(table2_runs):
-    # The audited table2 grid runs clean, and the audit changes nothing a run records.
-    audited = run_grid(dataclasses.replace(table2_config(), audit=True))
-    assert all(r.report.stop_reason == "DistanceToKnown" for r in audited)
-    assert [trace_bytes(r.report) for r in audited] == [trace_bytes(r.report) for r in table2_runs]
+def test_audit_only_observes(table1_runs, table2_runs):
+    # The audited table1 and table2 grids run clean, and the audit changes nothing a run records.
+    for config, runs, stop in (
+        (table1_config(), table1_runs, "ResidualW"),
+        (table2_config(), table2_runs, "DistanceToKnown"),
+    ):
+        audited = run_grid(dataclasses.replace(config, audit=True))
+        assert all(r.report.stop_reason == stop for r in audited)
+        assert [trace_bytes(r.report) for r in audited] == [trace_bytes(r.report) for r in runs]
 
 
 @pytest.mark.parametrize("case", ["table2 (-3,4,1) 1/log10(n+1)", "table1 (1,3,1) lam=1/(20 c1)"])

@@ -36,6 +36,7 @@ from ephybrid.sets import (
     _unit_rows,
 )
 from oracles import box_pattern_qp, enumeration_qp, halfspace_rows, kkt_report, set_parts
+from pins import TABLE1_ITERATIONS
 
 P = np.array([[3.1, 2.0, 0.0], [2.0, 3.6, 0.0], [0.0, 0.0, 3.5]])
 Q = np.array([[1.6, 1.0, 0.0], [1.0, 1.6, 0.0], [0.0, 0.0, 1.5]])
@@ -358,8 +359,8 @@ def test_every_face_factor_is_the_checked_gram_factor():
 def test_face_entry_is_a_fresh_gather_on_the_table1_prox(monkeypatch):
     """Every face entry table1's prox solver reads over its first start is a fresh gather.
 
-    The whole run of start (1, 3, 1) to its stopping rule: 1518 prox steps
-    on example 1's set, whose dual coordinates are also Fortran-ordered.
+    The whole run of start (1, 3, 1) to its stopping rule, one prox step per
+    iteration, on example 1's set, whose dual coordinates are also Fortran-ordered.
     """
     read = []
     face = _DualQP.face
@@ -375,9 +376,9 @@ def test_face_entry_is_a_fresh_gather_on_the_table1_prox(monkeypatch):
     report = hybrid.solve(
         config.bundle, config.params_for(config.schedules[0]), config.stopping, config.starts[0]
     )
-    assert report.iterations == 1518
+    assert report.iterations == TABLE1_ITERATIONS[0]
     faces = set(read)
-    assert len(read) >= 1518 and len(faces) >= 10 and max(map(len, faces)) >= 2
+    assert len(read) >= TABLE1_ITERATIONS[0] and len(faces) >= 10 and max(map(len, faces)) >= 2
 
 
 def test_blocking_row_is_the_first_least_ratio():

@@ -25,6 +25,7 @@ from ephybrid.hybrid import (
 )
 from ephybrid.problems import AveragedProjections, _mean
 from ephybrid.sets import Box, Halfspace, Polyhedron, WholeSpace
+from pins import TABLE1_ITERATIONS
 
 EDGE_VALUES = [0.0, -0.0, 1.0, -2.5, 1e-300, -1e300, np.inf, -np.inf, np.nan]
 
@@ -121,7 +122,7 @@ def test_averaged_projections_average_as_numpys_mean_for_every_inner_kind():
 
 @pytest.mark.parametrize(
     "config, cell, steps",
-    [(table1_config(), (0, 0), 1518), (table2_config(), (1, 2), 80)],
+    [(table1_config(), (0, 0), TABLE1_ITERATIONS[0]), (table2_config(), (1, 2), 80)],
     ids=["table1_start0", "table2_start1_invlog"],
 )
 def test_carried_squared_moves_give_the_three_reduction_slack(config, cell, steps):
