@@ -32,8 +32,10 @@ byte-identical.
 :class:`CutProjector` is the one identity-metric projection.  The hybrid
 solver builds one per run on the set the cuts are cut from: its rows
 stay, only the few cut rows are new each iteration, so only they are
-deduplicated, and the last two distinct working sets, labelled by where
-each row came from, seed the next call.  :meth:`sets.Polyhedron.project` is a cold
+scaled to unit length, and the last two distinct working sets, labelled
+by where each row came from, seed the next call.  No row is dropped
+before the solve: a duplicate or nearly parallel row is one the dual
+method's curvature test never adds.  :meth:`sets.Polyhedron.project` is a cold
 call of a fresh one.  :func:`solve_qp_active_set` is the entry for a QP
 with any SPD ``M``.
 """
@@ -123,9 +125,10 @@ def solve_qp_active_set(M, c, feasible: ConvexSet, working=()) -> np.ndarray:
     """Unique minimizer of ``0.5 y^T M y + <c, y>`` over ``feasible`` for SPD ``M``.
 
     Solved by the dual active-set method.  ``working`` seeds it with
-    indices into the set's prepared rows (:meth:`sets.ConvexSet.prepared_rows`; repeats
-    and indices out of range are dropped here, since the dual QP trusts its
-    seed); the minimizer is the same from any seed.
+    indices into the set's :meth:`sets.ConvexSet.rows`, which its prepared
+    rows keep row for row (repeats and indices out of range are dropped
+    here, since the dual QP trusts its seed); the minimizer is the same
+    from any seed.
     ``M`` is checked by :func:`linalg.cholesky_spd`, ``c`` and the set
     against its order.  Raises :class:`InfeasibleSet` when the
     feasible set is empty and :class:`CyclingDetected` if the iteration
@@ -149,20 +152,20 @@ class CutProjector:
     are not, and the working set seldom changes much.  So the projector
     puts the set's prepared rows, when it is built, at the bottom of a
     stack that has room for the cut rows above them; each call writes the
-    unit cut rows into that room, directly over the set's rows, and
-    deduplicates only them (:func:`sets._unit_rows`).
+    cut rows into that room, directly over the set's rows, and scales
+    only them to unit length (:func:`sets._unit_rows`).
     It keeps the last two distinct final working sets, each row labelled
     by its origin: a cut by its slot in the list of cuts (a ``None`` slot
     adds no row but keeps its place), the set's prepared row ``i`` by
     ``-1 - i``.  ``set_row_count`` is the number of the set's rows.  The
-    labels are mapped onto the stacked rows, skipping those whose row was
-    dropped or is absent, and the last working set seeds the dual method.
-    Both kept sets are also its candidate faces (:meth:`_DualQP.solve`):
-    the last first, or the one before it first when the previous call
-    changed face, since faces often alternate (the anchor cut's row and
-    box rows taking turns); a set one of whose rows was dropped or is
-    absent is no candidate.  For ``M = I`` the dual coordinates are the
-    stacked rows themselves.  The minimizer is unique, so the seeds move only roundoff;
+    labels are mapped onto the stacked rows, skipping those whose row is
+    absent from the call (its cut slot is ``None`` or missing), and the
+    last working set seeds the dual method.  Both kept sets are also its
+    candidate faces (:meth:`_DualQP.solve`): the last first, or the one
+    before it first when the previous call changed face, since faces
+    often alternate (the anchor cut's row and box rows taking turns); a
+    set one of whose rows is absent is no candidate.  For ``M = I`` the
+    dual coordinates are the stacked rows themselves.  The minimizer is unique, so the seeds move only roundoff;
     a fresh projector's call is cold and is :meth:`sets.Polyhedron.project`'s.
     The same sequence of calls gives the same bits every time.  One
     instance per sequential run.
@@ -225,11 +228,7 @@ class CutProjector:
         A, b = self._A[room - new :], self._b[room - new :]
         for i, s in enumerate(slots):
             A[i], b[i] = cuts[s]
-        rows, keep = _unit_rows(A, b, new)
-        labels = slots + self._set_labels
-        if rows[0].shape[0] < len(labels):
-            labels = [label for label, k in zip(labels, keep.tolist()) if k]
-        return rows, labels
+        return _unit_rows(A, b, new), slots + self._set_labels
 
 
 def _rows_in(feasible: ConvexSet, d: int) -> tuple[np.ndarray, np.ndarray, float]:

@@ -21,6 +21,7 @@ synchronization (two first uses at once prepare the same rows).
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -63,13 +64,13 @@ class ConvexSet:
         return self.project_trusted(_point_in(x, self.dim))
 
     def prepared_rows(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """:func:`_unit_rows` of :meth:`rows`, read-only, prepared on first use and kept.
+        """:meth:`rows` at unit length (:func:`_unit_rows`), row for row, read-only, made once and kept.
 
         A grid's runs share one set: 23 of the table2 grid's 24 solvers find its rows here.
         """
         if self._prepared is None:
             A, b = self.rows()
-            (A, b, feas_tol), _ = _unit_rows(A, b, A.shape[0])
+            A, b, feas_tol = _unit_rows(A, b, A.shape[0])
             A.setflags(write=False)
             b.setflags(write=False)
             self._prepared = (A, b, feas_tol)
@@ -105,12 +106,16 @@ class Halfspace(ConvexSet):
 
     Raises :class:`ZeroNormal` for ``a = 0`` and :class:`NormalOutOfRange`
     for any other ``a`` whose ``|a|^2`` is below ``finfo.tiny`` or above
-    ``finfo.max`` (``|a|`` below about 1.5e-154 or above 1.3e154).
+    ``finfo.max`` (``|a|`` below about 1.5e-154 or above 1.3e154).  A
+    non-finite offset ``b`` raises ``ValueError``: an infinite one would
+    widen the feasibility band of every row prepared with it to inf.
     """
 
     def __init__(self, a, b: float):
         self.a = frozen_copy(as_point(a))
         self.b = float(b)
+        if not math.isfinite(self.b):
+            raise ValueError(f"halfspace offset must be finite, got {self.b}")
         if not self.a.any():
             raise ZeroNormal("halfspace normal must be nonzero")
         with np.errstate(over="ignore"):  # an overflow is the inf rejected below
@@ -300,57 +305,23 @@ def _as_bounds(v) -> np.ndarray:
     return b
 
 
-def _unit_rows(A: np.ndarray, b: np.ndarray, new: int):
-    """Rows ``A y <= b`` at unit length, deduplicated, and the keep mask.
+def _unit_rows(A: np.ndarray, b: np.ndarray, new: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Rows ``A y <= b`` at unit length: the prepared triple ``(A, b, feas_tol)``.
 
     The first ``new`` rows are scaled to unit length in place; the rows
-    below them must be prepared already: at unit length and pairwise
-    non-parallel, so only pairs involving one of the new rows are
-    compared.  Returns the prepared triple ``(A, b, feas_tol)`` and the
-    mask of the rows it kept.  Unit-length rows make violations geometric
-    distances, so one tolerance scale serves constraints of wildly
-    different norms.
+    below them must be at unit length already.  Unit-length rows make
+    violations geometric distances, so one tolerance scale serves
+    constraints of wildly different norms.  No row is dropped: the dual
+    method never adds a row that depends on its working set, a duplicate
+    or a nearly parallel row included (:meth:`qp._DualQP.solve`).
     """
     norms = _row_norms(A[:new])
     A[:new] /= norms[:, None]
     b[:new] /= norms
-    keep = _drop_redundant_parallel(A, b, new)
-    if not all(keep.tolist()):
-        A, b = A[keep], b[keep]
-    return (A, b, 1e-9 * (1.0 + float(np.abs(b).max(initial=0.0)))), keep
+    return A, b, 1e-9 * (1.0 + float(np.abs(b).max(initial=0.0)))
 
 
 def _row_norms(A: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(A, axis=1)`` by numpy's own formula, bit for bit, without its dispatch."""
     return np.sqrt(np.add.reduce(A * A, axis=1))
 
-
-def _drop_redundant_parallel(A: np.ndarray, b: np.ndarray, new: int):
-    """Keep mask of the unit rows not made redundant by a (nearly) parallel tighter row.
-
-    Split cuts converge toward the same bisector as a run progresses,
-    which would otherwise feed the active-set loop numerically
-    dependent working sets.  Only the pairs that involve one of the
-    first ``new`` rows are compared, through one product of those rows
-    with all rows: the rows after them must be pairwise non-parallel
-    already.  Pairs are visited greedily, lowest index first; of a
-    parallel pair the tighter offset stays, the later row on a tie
-    goes, and a row that goes compares with nothing further.  The rows
-    are at unit length (:func:`_unit_rows`), so their products are the
-    cosines and ``b`` holds the offsets.
-    """
-    keep = np.ones(A.shape[0], dtype=bool)
-    if new == 0:
-        return keep
-    first, second = np.nonzero(A[:new].dot(A.T) >= 1.0 - 1e-12)
-    pairs = second > first
-    if not any(pairs.tolist()):
-        return keep
-    # Row-major order is the greedy order; a row that goes skips its later pairs.
-    for i, j in zip(first[pairs].tolist(), second[pairs].tolist()):
-        if keep[i] and keep[j]:
-            if b[j] >= b[i]:
-                keep[j] = False
-            else:
-                keep[i] = False
-    return keep

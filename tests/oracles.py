@@ -73,10 +73,10 @@ def enumeration_qp(M, c, A, b, feas_tol=1e-9):
     Tries every subset of linearly independent constraints as the active
     set, solves the equality KKT system, and keeps the feasible point with
     nonnegative multipliers (unique by strict convexity).  A subset of
-    dependent rows (rank below its size, by ``numpy.linalg.matrix_rank``)
-    is skipped: its KKT system is singular, and a solve of it can return
-    points of size ~1e16 from roundoff instead of failing.  No answer is
-    lost: by Caratheodory the minimizer's multipliers can always be
+    dependent rows (rank below its size, by ``numpy.linalg.matrix_rank``'s
+    default test, inlined) is skipped: its KKT system is singular, and a
+    solve of it can return points of size ~1e16 from roundoff instead of
+    failing.  No answer is lost: by Caratheodory the minimizer's multipliers can always be
     carried by independent active rows.  ``feas_tol`` is an
     absolute band on ``A y - b``; callers whose answers may lie far out
     scale it themselves.  Returns None when no subset yields a feasible
@@ -84,14 +84,17 @@ def enumeration_qp(M, c, A, b, feas_tol=1e-9):
     """
     d = M.shape[0]
     m = A.shape[0]
+    rank_rtol = d * np.finfo(float).eps  # max(S.shape), as r <= d
     best = None
     for r in range(0, min(m, d) + 1):
         for subset in itertools.combinations(range(m), r):
             S = A[list(subset)]
-            if r and np.linalg.matrix_rank(S) < r:
-                continue
             if r:
-                K = np.block([[M, S.T], [S, np.zeros((r, r))]])
+                sv = np.linalg.svd(S, compute_uv=False)
+                if np.count_nonzero(sv > sv.max() * rank_rtol) < r:
+                    continue
+                K = np.zeros((d + r, d + r))
+                K[:d, :d], K[:d, d:], K[d:, :d] = M, S.T, S
                 rhs = np.concatenate([-c, b[list(subset)]])
             else:
                 K = M

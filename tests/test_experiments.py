@@ -584,14 +584,23 @@ def test_cli_validation_error_exit_code(tmp_path, capsys, example1):
     assert "error" in capsys.readouterr().err
     # A seed of the wrong length, a distance rule on a problem without a
     # known target, an infinite tolerance or k, a schedule name the package
-    # does not have and constants below example1's
-    # |P^T - Q| / 2 = 1.39 are caught by the parser, not the solver.
+    # does not have, constants below example1's |P^T - Q| / 2 = 1.39 and a
+    # halfspace offset that is not finite are caught by the parser, not the
+    # solver; an infinite offset would widen the feasibility band to inf.
     f = example1.bifunction
+    bifunction = {"P": f.P.tolist(), "Q": f.Q.tolist(), "q": f.q.tolist()}
     small_constants = {
-        "bifunction": {"P": f.P.tolist(), "Q": f.Q.tolist(), "q": f.q.tolist()},
+        "bifunction": bifunction,
         "feasible": EXAMPLE1_FEASIBLE,
         "constants": {"c1": 0.01, "c2": 0.01},
     }
+    non_finite_offsets = [
+        {
+            "bifunction": bifunction,
+            "feasible": {**EXAMPLE1_FEASIBLE, "halfspaces": [{"type": "halfspace", "a": [-1, -1, -1], "b": b}]},
+        }
+        for b in (float("inf"), float("-inf"), float("nan"))
+    ]
     for fields in (
         {"y0": [0, 0]},
         {"stopping": {"rule": "distance_to_target"}},
@@ -599,6 +608,7 @@ def test_cli_validation_error_exit_code(tmp_path, capsys, example1):
         {"params": {"k": float("inf")}},
         {"params": {"alpha_schedule": "geometric"}},
         {"problem": small_constants},
+        *({"problem": problem} for problem in non_finite_offsets),
     ):
         assert_config_error(tmp_path, capsys, ValidationError, **fields)
 

@@ -740,8 +740,8 @@ def test_cut_projection_is_bitwise_the_polyhedron_qp(kind):
         # Positive offsets keep the origin, and with it the intersection.
         b = rng.uniform(0.05, 1.0, 3)
         if n % 4 < 2:
-            # A nearly parallel pair at one distance from the origin, tilted by 3e-7 rad
-            # (deduplicated) or 3e-5 rad (kept, a near-singular face).
+            # A nearly parallel pair at one distance from the origin, tilted by
+            # 3e-7 rad or 3e-5 rad (a near-singular face); both rows are kept.
             u = rng.normal(size=3)
             u -= (u @ a[0]) / (a[0] @ a[0]) * a[0]
             a[1] = a[0] + (3e-7 if n % 4 == 0 else 3e-5) * np.linalg.norm(a[0]) / np.linalg.norm(u) * u
@@ -1074,7 +1074,7 @@ def test_cut_projector_replays_table2_like_cold_calls(monkeypatch):
 
 def test_cut_projector_warm_labels_follow_row_origin():
     # Seeded drifting cuts over a box-capped polyhedron: ``None`` (whole-space) slots,
-    # cuts parallel to a box row that drop it, near-parallel cut pairs, and
+    # cuts parallel to a box row, near-parallel cut pairs, and
     # a switch to another set, with its own projector, every 40 calls.
     rng = np.random.default_rng(4242)
     box = Box([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])
@@ -1160,17 +1160,19 @@ def test_cut_projector_stale_older_face_returns_the_cold_answer(monkeypatch):
 
 
 def test_cut_projector_never_tries_an_older_face_whose_row_was_dropped(monkeypatch):
-    # The older face holds the cut's row; in the third call the cut is
-    # parallel to the square's row x <= 1 and looser, so deduplication drops
-    # it and only the latest face, {x <= 1}, is a candidate.
+    # The older face holds the row of cut slot 0; in the third call that
+    # slot is None, so the row is absent from the stack and only the latest
+    # face, {x <= 1}, is a candidate.  Slot 1 is a loose cut, x - y <= 10,
+    # so the stack is still built.
     projector = CutProjector(SQUARE)
-    projector.project(RIGHT_OF_SQUARE, [(DIAGONAL, 1.0)])
-    projector.project(RIGHT_OF_SQUARE, [(DIAGONAL, 3.0)])
+    loose = (np.array([1.0, -1.0]), 10.0)
+    projector.project(RIGHT_OF_SQUARE, [(DIAGONAL, 1.0), loose])
+    projector.project(RIGHT_OF_SQUARE, [(DIAGONAL, 3.0), loose])
     assert set(projector._older) == {0, -3} and projector._working == (-3,)
     tried = recording_candidates(monkeypatch)
-    got = projector.project(RIGHT_OF_SQUARE, [(np.array([2.0, 0.0]), 10.0)])
+    got = projector.project(RIGHT_OF_SQUARE, [None, loose])
     monkeypatch.undo()
-    # The stack is the square's four rows; x <= 1 is row 2 of it.
-    assert tried == [[[2]]]
+    # The stack is slot 1's row over the square's four rows; x <= 1 is row 3 of it.
+    assert tried == [[[3]]]
     assert projector._working == (-3,)
     assert np.array_equal(got, [1.0, 0.5])

@@ -131,6 +131,16 @@ def test_halfspace_zero_normal_rejected():
         Halfspace([0.0, 0.0], 1.0)
 
 
+def test_halfspace_offset_must_be_finite():
+    # An infinite offset would make the prepared rows' band 1e-9 (1 + max|b|)
+    # inf, so every row, the box's included, would count as met: over the
+    # unit box even the empty x1 + x2 + x3 >= inf would project (5, -5, 2)
+    # to itself.
+    for b in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="offset must be finite"):
+            Halfspace([-1.0, -1.0, -1.0], b)
+
+
 def test_halfspace_normal_outside_the_float_range_is_rejected():
     # |a|^2 overflows to inf above about 1.3e154 and is subnormal below about
     # 1.5e-154; a row scaled by either norm would be projected wrongly.
