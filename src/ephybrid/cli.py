@@ -19,13 +19,12 @@ schedule notes on stderr the iterations whose weight is clamped to the cap.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
 
 from . import experiments, reporting
-from .hybrid import ALPHA_CAP, EmptyOmega, InvariantViolation, NonFiniteIterate
+from .hybrid import ALPHA_CAP, AlphaSchedule, EmptyOmega, InvariantViolation, NonFiniteIterate, alpha_at
 from .qp import CyclingDetected
 from .sets import InfeasibleSet
 
@@ -117,13 +116,14 @@ def _print_rows(rows) -> None:
 
 def _warn_clamped_schedules(config) -> None:
     """Name the iterations at which the hybrid grid's ``invlog`` weight is clamped to the cap."""
-    if config.algorithm != "hybrid" or not any(s.kind == "invlog" for s in config.schedules):
+    schedule = AlphaSchedule("invlog")
+    if config.algorithm != "hybrid" or schedule not in config.schedules:
         return
-    last = 1  # 1/log10(n+1) falls with n, so it exceeds the cap for n = 1 .. last
-    while 1.0 / math.log10(last + 2) > ALPHA_CAP:
+    last = 1  # the weight falls with n, so it is clamped for n = 1 .. last
+    while alpha_at(schedule, last + 1) == ALPHA_CAP:
         last += 1
     print(
-        f"note: the 1/log10(n+1) schedule exceeds the averaging cap for n <= {last}; "
+        f"note: the {schedule.label()} schedule exceeds the averaging cap for n <= {last}; "
         f"those values are clamped to {ALPHA_CAP}",
         file=sys.stderr,
     )

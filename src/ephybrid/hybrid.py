@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionMismatch, all_finite, as_point
+from .linalg import NonFiniteIterate, all_finite, as_point
 from .problems import LipschitzConstants, ProblemBundle
 from .qp import CutProjector, ProxSolver
 from .sets import InfeasibleSet, WholeSpace, project_halfspace, project_two_halfspaces
@@ -66,10 +66,6 @@ class AlphaOutOfRange(ParameterError):
 
 class EmptyOmega(RuntimeError):
     """The cut intersection is empty; parameters are inadmissible."""
-
-
-class NonFiniteIterate(ValueError):
-    """A step produced an iterate with an inf or NaN entry (for example one that overflowed)."""
 
 
 class InvariantViolation(AssertionError):
@@ -679,9 +675,7 @@ def solve(
     the cap is hit.
     """
     start, done = _start(bundle, stopping, x0)
-    seed = np.zeros(bundle.dim) if y0 is None else as_point(y0)
-    if seed.shape[0] != bundle.dim:
-        raise DimensionMismatch("prox seed must match the problem dimension")
+    seed = np.zeros(bundle.dim) if y0 is None else as_point(y0, bundle.dim)
     if done is not None:
         return done
 
@@ -723,9 +717,7 @@ def extragradient_solve(bundle: ProblemBundle, lam: float, stopping: StoppingRul
 
 def _start(bundle: ProblemBundle, stopping: StoppingRule, x0):
     """Either solver's checked start, and its 0-iteration report if it already meets the rule."""
-    start = as_point(x0)
-    if start.shape[0] != bundle.dim:
-        raise DimensionMismatch("start point must match the problem dimension")
+    start = as_point(x0, bundle.dim)
     if stopping.kind != "distance_to_target":
         return start, None
     if bundle.target is None:

@@ -74,6 +74,10 @@ class NotSPD(ValueError):
     """Matrix is not symmetric positive definite."""
 
 
+class NonFiniteIterate(ValueError):
+    """A step produced an iterate with an inf or NaN entry (for example one that overflowed)."""
+
+
 def all_finite(p: np.ndarray) -> bool:
     """True when no entry of the 1-D float array ``p`` is inf or NaN.
 
@@ -85,13 +89,15 @@ def all_finite(p: np.ndarray) -> bool:
     return math.isfinite(sum(p.tolist())) or bool(np.isfinite(p).all())
 
 
-def as_point(x) -> np.ndarray:
-    """Coerce ``x`` to a finite 1-D float vector of dimension >= 1."""
+def as_point(x, dim: int | None = None) -> np.ndarray:
+    """Coerce ``x`` to a finite, nonempty 1-D float vector, of length ``dim`` if given (:class:`DimensionMismatch`)."""
     p = np.asarray(x, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError(f"expected a nonempty 1-D vector, got shape {p.shape}")
     if not all_finite(p):
         raise ValueError("vector entries must be finite")
+    if dim is not None and p.shape[0] != dim:
+        raise DimensionMismatch(f"point has dim {p.shape[0]}, expected {dim}")
     return p
 
 
@@ -116,17 +122,21 @@ def cholesky_spd(m) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
     The checked boundary of :func:`gram_factor`: finite entries, a square
-    shape and symmetry to ``SYMMETRY_TOL`` relative to the largest entry.
+    shape and symmetry (:func:`is_symmetric`).
     Raises :class:`NotSPD` otherwise, or where :func:`gram_factor` does.
     """
     a = as_matrix(m)
     n, k = a.shape
     if n != k:
         raise NonSquare(f"matrix is {n}x{k}")
-    scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > SYMMETRY_TOL * scale:
+    if not is_symmetric(a):
         raise NotSPD("matrix is not symmetric")
     return gram_factor(a)
+
+
+def is_symmetric(a: np.ndarray) -> bool:
+    """True when the finite square ``a`` equals ``a^T`` to ``SYMMETRY_TOL`` relative to ``max(1, max|a|)``."""
+    return float(np.abs(a - a.T).max()) <= SYMMETRY_TOL * max(1.0, float(np.abs(a).max()))
 
 
 def gram_factor(a: np.ndarray) -> np.ndarray:

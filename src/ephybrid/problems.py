@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionMismatch, as_matrix, as_point, frozen_copy, spectral_norm
+from .linalg import DimensionMismatch, as_matrix, as_point, frozen_copy, is_symmetric, spectral_norm
 from .sets import ConvexSet, checked_set
 
 PSD_TOL = 1e-10
@@ -80,10 +80,9 @@ class QuadraticBifunction:
                 f"P {self.P.shape}, Q {self.Q.shape}, q {self.q.shape} must share one order"
             )
         self.dim = n
-        scale = max(1.0, float(np.abs(self.Q).max()))
-        if float(np.abs(self.Q - self.Q.T).max()) > PSD_TOL * scale:
+        if not is_symmetric(self.Q):
             raise ValueError("Q must be symmetric")
-        if eigvals_sym(self.Q).min() < -PSD_TOL * scale:
+        if eigvals_sym(self.Q).min() < -PSD_TOL * max(1.0, float(np.abs(self.Q).max())):
             raise ValueError("Q must be positive semidefinite")
         diff = self.Q - self.P
         dscale = max(1.0, float(np.abs(diff).max()))
@@ -91,10 +90,8 @@ class QuadraticBifunction:
             raise NotMonotone("Q - P must be negative semidefinite")
 
     def __call__(self, x, y) -> float:
-        px = as_point(x)
-        py = as_point(y)
-        if px.shape[0] != self.dim or py.shape[0] != self.dim:
-            raise DimensionMismatch("arguments must match the bifunction dimension")
+        px = as_point(x, self.dim)
+        py = as_point(y, self.dim)
         return float((self.P @ px + self.Q @ py + self.q) @ (py - px))
 
     def __repr__(self):
@@ -116,10 +113,7 @@ class AffineOperator:
             raise NotMonotone("A + A^T must be positive semidefinite")
 
     def __call__(self, x) -> np.ndarray:
-        px = as_point(x)
-        if px.shape[0] != self.dim:
-            raise DimensionMismatch("argument must match the operator dimension")
-        return self.A @ px + self.b
+        return self.A @ as_point(x, self.dim) + self.b
 
 
 class IdentityMapping:
@@ -154,9 +148,7 @@ class AveragedProjections:
         self.dim = dims.pop()
 
     def __call__(self, x) -> np.ndarray:
-        p = as_point(x)
-        if p.shape[0] != self.dim:
-            raise DimensionMismatch("argument must match the mapping dimension")
+        p = as_point(x, self.dim)
         return self.outer.project(_mean([s.project_trusted(p) for s in self.inner]))
 
     def __repr__(self):

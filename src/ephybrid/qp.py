@@ -47,6 +47,7 @@ import numpy as np
 from .linalg import (
     PIVOT_TOL,
     DimensionMismatch,
+    NonFiniteIterate,
     NotSPD,
     all_finite,
     as_point,
@@ -78,7 +79,9 @@ def _prox_linear_term(f: QuadraticBifunction, v, x, lam: float) -> np.ndarray:
     """``c = lam*(P v + q - Q v) - x``.
 
     ``v`` is checked before the products, where an inf entry would warn
-    (inf * 0); ``x`` only enters ``c`` by subtraction.
+    (inf * 0); ``x`` only enters ``c`` by subtraction.  A non-finite ``c``
+    from a non-finite ``x`` raises ``ValueError``; from finite ``v`` and
+    ``x``, an overflow, it raises :class:`linalg.NonFiniteIterate`.
     """
     v = np.asarray(v, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -88,7 +91,9 @@ def _prox_linear_term(f: QuadraticBifunction, v, x, lam: float) -> np.ndarray:
         raise ValueError("prox arguments must be finite")
     c = lam * (f.P.dot(v) + f.q - f.Q.dot(v)) - x
     if not all_finite(c):
-        raise ValueError("prox arguments must be finite")
+        if not all_finite(x):
+            raise ValueError("prox arguments must be finite")
+        raise NonFiniteIterate("the prox linear term overflowed: it has non-finite entries")
     return c
 
 
@@ -110,7 +115,7 @@ class ProxSolver:
     def __init__(self, f: QuadraticBifunction, lam: float, feasible: ConvexSet):
         if not 0.0 < lam < np.inf:
             raise NonPositiveLambda(f"lam must be finite and > 0, got {lam}")
-        rows = _rows_in(feasible, f.dim)
+        rows = checked_set(feasible, f.dim).prepared_rows()
         self.f, self.lam = f, lam
         self._qp = _DualQP(cholesky_spd(2.0 * lam * f.Q + np.eye(f.dim)), rows)
         self._working = ()
@@ -135,11 +140,8 @@ def solve_qp_active_set(M, c, feasible: ConvexSet, working=()) -> np.ndarray:
     cap ``3 * (n_constraints + dim)`` is exceeded.
     """
     L = cholesky_spd(M)
-    c = as_point(c)
-    n = L.shape[0]
-    rows = _rows_in(feasible, n)
-    if c.shape != (n,):
-        raise DimensionMismatch("QP arguments must match the order of M")
+    c = as_point(c, L.shape[0])
+    rows = checked_set(feasible, L.shape[0]).prepared_rows()
     m = rows[0].shape[0]
     return _DualQP(L, rows).solve(c, [i for i in dict.fromkeys(working) if 0 <= i < m])[0]
 
@@ -229,13 +231,6 @@ class CutProjector:
         for i, s in enumerate(slots):
             A[i], b[i] = cuts[s]
         return _unit_rows(A, b, new), slots + self._set_labels
-
-
-def _rows_in(feasible: ConvexSet, d: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """:meth:`sets.ConvexSet.prepared_rows` of a set (:func:`sets.checked_set`) of dimension ``d``."""
-    if checked_set(feasible).dim != d:
-        raise DimensionMismatch(f"the feasible set has dimension {feasible.dim}, expected {d}")
-    return feasible.prepared_rows()
 
 
 class _DualQP:

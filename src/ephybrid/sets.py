@@ -61,7 +61,7 @@ class ConvexSet:
 
     def project(self, x) -> np.ndarray:
         """Nearest point of the set to ``x``, which is checked: finite, 1-D, of the set's dimension."""
-        return self.project_trusted(_point_in(x, self.dim))
+        return self.project_trusted(as_point(x, self.dim))
 
     def prepared_rows(self) -> tuple[np.ndarray, np.ndarray, float]:
         """:meth:`rows` at unit length (:func:`_unit_rows`), row for row, read-only, made once and kept.
@@ -88,7 +88,7 @@ class WholeSpace(ConvexSet):
         self.dim = int(dim)
 
     def contains(self, x, tol: float | None = None) -> bool:
-        _point_in(x, self.dim)
+        as_point(x, self.dim)
         return True
 
     def project_trusted(self, p: np.ndarray) -> np.ndarray:
@@ -126,7 +126,7 @@ class Halfspace(ConvexSet):
 
     def violation(self, x) -> float:
         """Signed constraint value ``<a, x> - b`` (positive means outside)."""
-        return float(self.a @ _point_in(x, self.dim) - self.b)
+        return float(self.a @ as_point(x, self.dim) - self.b)
 
     def contains(self, x, tol: float | None = None) -> bool:
         if tol is None:
@@ -145,7 +145,11 @@ class Halfspace(ConvexSet):
 
 
 class Box(ConvexSet):
-    """Axis-aligned box ``lo <= z <= hi``; bounds may be +-inf."""
+    """Axis-aligned box ``lo <= z <= hi``; ``lo`` may hold ``-inf`` and ``hi`` ``+inf``, but not the reverse.
+
+    A lower bound of ``+inf`` or an upper one of ``-inf`` admits no finite point (``ValueError``): its row's
+    offset would be infinite.
+    """
 
     def __init__(self, lo, hi):
         self.lo = frozen_copy(_as_bounds(lo))
@@ -154,10 +158,12 @@ class Box(ConvexSet):
             raise DimensionMismatch("box bounds have different lengths")
         if np.any(self.lo > self.hi):
             raise ValueError("box requires lo <= hi elementwise")
+        if not (self.lo < np.inf).all() or not (self.hi > -np.inf).all():
+            raise ValueError("a box bound of lo = +inf or hi = -inf admits no finite point")
         self.dim = self.lo.shape[0]
 
     def contains(self, x, tol: float | None = None) -> bool:
-        p = _point_in(x, self.dim)
+        p = as_point(x, self.dim)
         lo_tol = np.array([tol if tol is not None else membership_tol(v) for v in self.lo])
         hi_tol = np.array([tol if tol is not None else membership_tol(v) for v in self.hi])
         with np.errstate(invalid="ignore"):
@@ -219,10 +225,12 @@ class Polyhedron(ConvexSet):
         return f"Polyhedron(halfspaces={list(self.halfspaces)!r}, box={self.box!r})"
 
 
-def checked_set(s) -> ConvexSet:
-    """``s``, which must be a :class:`ConvexSet`; raises ``TypeError`` otherwise."""
+def checked_set(s, dim: int | None = None) -> ConvexSet:
+    """``s``, a :class:`ConvexSet` (else ``TypeError``) of dimension ``dim`` if given (:class:`DimensionMismatch`)."""
     if not isinstance(s, ConvexSet):
         raise TypeError(f"expected a convex set, got {type(s).__name__}")
+    if dim is not None and s.dim != dim:
+        raise DimensionMismatch(f"the set has dimension {s.dim}, expected {dim}")
     return s
 
 
@@ -286,14 +294,6 @@ def project_two_halfspaces(x: np.ndarray, first, second) -> np.ndarray:
         # guards against inconsistent tolerance slivers.
         raise ArithmeticError("two-halfspace projection produced negative multipliers")
     return x - max(mu1, 0.0) * a1 - max(mu2, 0.0) * a2
-
-
-def _point_in(x, dim: int) -> np.ndarray:
-    """``x`` as a checked point (:func:`linalg.as_point`) of dimension ``dim``."""
-    p = as_point(x)
-    if p.shape[0] != dim:
-        raise DimensionMismatch(f"point has dim {p.shape[0]}, set has dim {dim}")
-    return p
 
 
 def _as_bounds(v) -> np.ndarray:

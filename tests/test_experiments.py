@@ -585,7 +585,8 @@ def test_cli_validation_error_exit_code(tmp_path, capsys, example1):
     # A seed of the wrong length, a distance rule on a problem without a
     # known target, an infinite tolerance or k, a schedule name the package
     # does not have, constants below example1's |P^T - Q| / 2 = 1.39 and a
-    # halfspace offset that is not finite are caught by the parser, not the
+    # halfspace offset that is not finite and a box bound that admits no
+    # finite point (lo = +inf or hi = -inf) are caught by the parser, not the
     # solver; an infinite offset would widen the feasibility band to inf.
     f = example1.bifunction
     bifunction = {"P": f.P.tolist(), "Q": f.Q.tolist(), "q": f.q.tolist()}
@@ -601,6 +602,10 @@ def test_cli_validation_error_exit_code(tmp_path, capsys, example1):
         }
         for b in (float("inf"), float("-inf"), float("nan"))
     ]
+    no_finite_point_boxes = [
+        {"bifunction": bifunction, "feasible": {"type": "box", "lo": [bound, 0, 0], "hi": [bound, 1, 1]}}
+        for bound in (float("inf"), float("-inf"))
+    ]
     for fields in (
         {"y0": [0, 0]},
         {"stopping": {"rule": "distance_to_target"}},
@@ -609,6 +614,7 @@ def test_cli_validation_error_exit_code(tmp_path, capsys, example1):
         {"params": {"alpha_schedule": "geometric"}},
         {"problem": small_constants},
         *({"problem": problem} for problem in non_finite_offsets),
+        *({"problem": problem} for problem in no_finite_point_boxes),
     ):
         assert_config_error(tmp_path, capsys, ValidationError, **fields)
 
@@ -769,6 +775,18 @@ def test_cli_failed_run_exit_code(tmp_path, capsys, monkeypatch):
         assert cli.main(["solve", "--config", str(path)]) == 4
         err = capsys.readouterr().err
         assert err == "error: NonFiniteIterate: iteration 1: an iterate has non-finite entries\n", err
+
+    # A huge prox seed or a huge extragradient start: the prox linear term
+    # overflows from finite arguments, and the run exits 4 with one line.
+    for fields in (
+        {"problem": "example1", "y0": [1e308] * 3, "starts": [[1.0, 3.0, 1.0]]},
+        {"problem": "example1", "algorithm": "extragradient", "starts": [[1e308] * 3]},
+    ):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(fields))
+        assert cli.main(["solve", "--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: NonFiniteIterate: ") and err.count("\n") == 1, err
 
     from ephybrid import hybrid
 

@@ -390,6 +390,38 @@ def test_solve_accepts_a_seed_outside_the_feasible_set(example1):
         solve(example1, params, StoppingRule("residual_w", 1e-12, 5), [1.0, 3.0, 1.0])
 
 
+def test_solvers_check_the_dimension_of_their_start_and_seed(example1):
+    lam = default_lambda(example1.constants)
+    params = validate_params(lam, 6.0, AlphaSchedule("ratio"), example1.constants)
+    stopping = StoppingRule("residual_w", 1e-4, 10)
+    for start in ([1.0, 3.0], [1.0, 3.0, 1.0, 0.0]):
+        with pytest.raises(DimensionMismatch):
+            solve(example1, params, stopping, start)
+        with pytest.raises(DimensionMismatch):
+            extragradient_solve(example1, lam, stopping, start)
+    with pytest.raises(DimensionMismatch):
+        solve(example1, params, stopping, [1.0, 3.0, 1.0], y0=[0.0, 0.0])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: the first step's slack assumes y_0 is a prox output, which the zero seed is not",
+)
+def test_the_default_seed_run_from_a_solution_in_a_far_box_ends_in_the_box(example1):
+    # example1's bifunction over [3, 4]^3, started at its solution (3, 3, 3)
+    # with the default zero seed: the run stops after 1 iteration at about
+    # (1.3e16, 3, 3), and an audit passes it.
+    f = example1.bifunction
+    problem = {
+        "bifunction": {"P": f.P.tolist(), "Q": f.Q.tolist(), "q": f.q.tolist()},
+        "feasible": {"type": "box", "lo": [3.0, 3.0, 3.0], "hi": [4.0, 4.0, 4.0]},
+    }
+    config = config_from_dict({"problem": problem, "starts": [[3.0, 3.0, 3.0]]})
+    (run,) = run_grid(config)
+    assert config.bundle.feasible.contains(run.report.final_x), run.report.final_x
+
+
 def test_audit_mode_clean_run(example2):
     params = validate_params(
         default_lambda(example2.constants), 6.0, AlphaSchedule("pow10"), example2.constants
@@ -882,7 +914,7 @@ def test_step_builds_no_set_object(monkeypatch):
 
     monkeypatch.setattr(hybrid, "hybrid_iterate", refusing_step)
     checked = []
-    monkeypatch.setattr(hybrid, "as_point", lambda x: checked.append(x) or as_point(x))
+    monkeypatch.setattr(hybrid, "as_point", lambda x, dim: checked.append(x) or as_point(x, dim))
     for config, params, start in cells:
         checked.clear()
         steps.clear()

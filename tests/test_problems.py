@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ephybrid.linalg import DimensionMismatch
 from ephybrid.problems import (
     AffineOperator,
     ConstantsTooSmall,
@@ -93,6 +94,16 @@ def test_vip_wrapper_identity_operator():
     for _ in range(20):
         x = rng.normal(size=2)
         assert f(x, x) == 0.0
+
+
+def test_bifunction_and_operator_check_the_dimension_of_their_points():
+    op = AffineOperator(np.eye(2), [0.0, 1.0])
+    f, _ = vip_as_bifunction(op)
+    for bad in (np.zeros(1), np.zeros(3)):
+        for call in (lambda p: op(p), lambda p: f(p, np.zeros(2)), lambda p: f(np.zeros(2), p)):
+            with pytest.raises(DimensionMismatch):
+                call(bad)
+    assert op([1.0, 1.0]).tolist() == [1.0, 2.0] and f([0.0, 0.0], [1.0, 1.0]) == 1.0
 
 
 def test_vip_wrapper_rejects_zero_operator():

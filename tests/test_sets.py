@@ -141,6 +141,18 @@ def test_halfspace_offset_must_be_finite():
             Halfspace([-1.0, -1.0, -1.0], b)
 
 
+def test_box_bounds_must_admit_a_finite_point():
+    # lo = +inf or hi = -inf on a coordinate admits no finite point; its row's
+    # offset would be infinite, and a clamp would return an infinite entry.
+    for lo, hi in (([np.inf, 0.0, 0.0], [np.inf, 1.0, 1.0]), ([-np.inf, 0.0, 0.0], [-np.inf, 1.0, 1.0])):
+        with pytest.raises(ValueError, match="no finite point"):
+            Box(lo, hi)
+    # Infinite bounds on the other side are a half-line: no row, a finite clamp.
+    half_line = Box([-np.inf, 0.0, 0.0], [np.inf, 1.0, 1.0])
+    assert half_line.rows()[0].shape == (4, 3)
+    assert half_line.project([1e300, 0.5, 2.0]).tolist() == [1e300, 0.5, 1.0]
+
+
 def test_halfspace_normal_outside_the_float_range_is_rejected():
     # |a|^2 overflows to inf above about 1.3e154 and is subnormal below about
     # 1.5e-154; a row scaled by either norm would be projected wrongly.
