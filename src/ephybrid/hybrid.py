@@ -238,11 +238,12 @@ _IS_X = -2
 # The record scalars in field order; bit k of a row's None flags is scalar k's.
 SCALARS = ("epsilon", "residual_w", "dist_to_target", "alpha")
 # A trace row's fixed-width fields in native byte order: n (int64), the four
-# scalars (float64, NaN where None), z's and w's references (int32) and the
-# None flags (uint8), padded to 56 bytes; Trace._columns views them at these
+# scalars (float64, NaN where None), z's and w's references (int32), the
+# None flags (uint8) and, after 3 pad bytes, the row's index into its block's
+# stored x rows (int32), 56 bytes in all; Trace._columns views them at these
 # offsets.
-_ROW = struct.Struct("=q4d2iB7x")
-# Vector entries per block of a trace, 4 KB of y and of x.  Small blocks fill
+_ROW = struct.Struct("=q4d2iB3xi")
+# Vector entries per block of a trace, 4 KB of y and at most 4 KB of x.  Small blocks fill
 # the holes a run's temporaries leave in the heap, where one buffer grown by
 # reallocation took fresh pages (nc64's peak RSS rose 0.4 MB); a writer holds
 # one block's vectors as text at once (at 4096 entries table1's rose 4 MB).
@@ -252,14 +253,17 @@ _BLOCK_VALUES = 512
 class Trace:
     """One run's iteration records, held as columns.
 
-    The columns are ``n``; ``y`` and ``x`` as ``(iterations, d)`` float64
-    blocks; ``z`` and ``w``, each stored only where it is an array of its
-    own, with a per-row reference saying which of ``y``, ``z`` and ``x`` it is
-    otherwise; and the four scalars (:data:`SCALARS`) as float64 columns, NaN
-    where the record held ``None``, each with a ``None`` mask.  They are kept
-    in blocks of rows holding about 512 vector entries, each block a few
-    ``bytearray`` s; :meth:`append` copies a record's values into the last
-    block and keeps no reference to it.
+    The columns are ``n``; ``y`` as an ``(iterations, d)`` float64 block;
+    ``x``, stored only where its bytes differ from the previous row's (a
+    step that kept ``x_n`` stores none), with a per-row index into the
+    stored rows; ``z`` and ``w``, each stored only where it is an array of
+    its own, with a per-row reference saying which of ``y``, ``z`` and ``x``
+    it is otherwise; and the four scalars (:data:`SCALARS`) as float64
+    columns, NaN where the record held ``None``, each with a ``None`` mask.
+    They are kept in blocks of rows holding about 512 vector entries, each
+    block a few ``bytearray`` s; :meth:`append` copies a record's values into
+    the last block and keeps no reference to it.  A block's first row always
+    stores its ``x``.
 
     ``trace[i]``, slices, iteration and ``len`` read it as
     :class:`IterationRecord` s built from read-only row views, with the
@@ -278,8 +282,11 @@ class Trace:
         self.dim = dim
         self._block_rows = max(1, _BLOCK_VALUES // dim)
         self._block_bytes = self._block_rows * _ROW.size
-        # Each block: the _ROW fields, y, x and the block's own z and w arrays.
+        self._vector_bytes = 8 * dim
+        # Each block: the _ROW fields, y, the stored x and the block's own z and w arrays.
         self._blocks = [[bytearray(), bytearray(), bytearray(), bytearray()]]
+        # The bytes of the last block's last stored x; None before its first row.
+        self._last_x = None
         self._read = False
 
     @classmethod
@@ -301,7 +308,13 @@ class Trace:
         if len(rows) == self._block_bytes:
             rows, ys, xs, own = block = [bytearray(), bytearray(), bytearray(), bytearray()]
             self._blocks.append(block)
+            self._last_x = None
         y, z, w, x = rec.y_next, rec.z_next, rec.w_next, rec.x_next
+        # Bytes, not values: 0.0 and -0.0, or two NaN payloads, are stored apart.
+        x_bytes = x.tobytes()
+        if x_bytes != self._last_x:
+            xs += x_bytes
+            self._last_x = x_bytes
         eps, res, dist, alpha = rec.epsilon, rec.residual_w, rec.dist_to_target, rec.alpha
         z_ref = _IS_Y if z is y else _IS_X if z is x else self._own_row(own, z)
         w_ref = z_ref if w is z else _IS_Y if w is y else _IS_X if w is x else self._own_row(own, w)
@@ -314,12 +327,12 @@ class Trace:
             z_ref,
             w_ref,
             (eps is None) | (res is None) << 1 | (dist is None) << 2 | (alpha is None) << 3,
+            len(xs) // self._vector_bytes - 1,
         )
         ys += y.tobytes()
-        xs += x.tobytes()
 
     def _own_row(self, own: bytearray, v: np.ndarray) -> int:
-        row = len(own) // (8 * self.dim)
+        row = len(own) // self._vector_bytes
         own += v.tobytes()
         return row
 
@@ -333,11 +346,13 @@ class Trace:
             a.flags.writeable = False
             return a
 
+        int32 = view(rows, np.int32, 14)
         return {
             "n": view(rows, np.int64, 7)[:, 0],
             "scalars": view(rows, np.float64, 7)[:, 1:5],
-            "refs": view(rows, np.int32, 14)[:, 10:12],
+            "refs": int32[:, 10:12],
             "none": view(rows, np.uint8, _ROW.size)[:, 48],
+            "x_index": int32[:, 13],
             "y": view(ys, np.float64, self.dim),
             "x": view(xs, np.float64, self.dim),
             "own": view(own, np.float64, self.dim),
@@ -366,7 +381,7 @@ class Trace:
     @staticmethod
     def _record(c: dict[str, np.ndarray], k: int) -> IterationRecord:
         """Row ``k`` of a block's columns as a record of views, the aliasing rebuilt."""
-        y, x = c["y"][k], c["x"][k]
+        y, x = c["y"][k], c["x"][c["x_index"][k]]
         z_ref, w_ref = c["refs"][k].tolist()
         z = y if z_ref == _IS_Y else x if z_ref == _IS_X else c["own"][z_ref]
         w = z if w_ref == z_ref else y if w_ref == _IS_Y else x if w_ref == _IS_X else c["own"][w_ref]
@@ -390,7 +405,8 @@ class Trace:
 
     @property
     def x(self) -> np.ndarray:
-        return self._column("x")
+        """Every row's ``x``, materialized from the indices."""
+        return np.concatenate([c["x"][c["x_index"]] for c in map(self._columns, self._blocks)])
 
     @property
     def z(self) -> np.ndarray:
@@ -405,7 +421,7 @@ class Trace:
     def _materialized(self, column: int) -> np.ndarray:
         parts = []
         for c in map(self._columns, self._blocks):
-            index = _vector_index(c["refs"][:, column].tolist())
+            index = _vector_index(c["refs"][:, column].tolist(), *_layout(c))
             parts.append(np.concatenate((c["y"], c["x"], c["own"]))[list(index)])
         return np.concatenate(parts)
 
@@ -415,15 +431,16 @@ class Trace:
         return self._column("scalars")[:, bit].copy(), (self._column("none") >> bit & 1).astype(bool)
 
     def chunks(self, yzw: bool = True):
-        """Yield each block as ``(n, scalars, vectors, z, w)`` of Python lists over its ``m`` rows.
+        """Yield each block as ``(n, scalars, vectors, x, z, w)`` of Python lists over its ``m`` rows.
 
         ``n`` and the four ``scalars`` (in :data:`SCALARS` order, ``None``
         where the record's was) have ``m`` entries; ``vectors`` lists the
-        rows' ``y``, then their ``x``, then the block's own arrays; ``z`` and
-        ``w`` give each row's index into ``vectors``.  Without ``yzw``,
-        ``vectors`` is the rows' ``x`` alone and ``z`` and ``w`` are
-        ``None``.  It calls no integer ufunc, whose code the writers would
-        page in for it alone.
+        rows' ``y``, then the block's stored ``x`` rows, then its own arrays;
+        ``x``, ``z`` and ``w`` give each row's index into ``vectors``, and a
+        ``z`` or ``w`` that is its row's ``x`` has that row's ``x`` index.
+        Without ``yzw``, ``vectors`` is the stored ``x`` rows alone, ``x``
+        indexes them and ``z`` and ``w`` are ``None``.  It calls no integer
+        ufunc, whose code the writers would page in for it alone.
         """
         for c in map(self._columns, self._blocks):
             flags = c["none"].tolist()
@@ -438,19 +455,28 @@ class Trace:
                 elif flags[0] >> bit & 1:
                     scalars[bit] = [None] * m
             if not yzw:
-                yield c["n"].tolist(), scalars, c["x"].tolist(), None, None
+                yield c["n"].tolist(), scalars, c["x"].tolist(), c["x_index"].tolist(), None, None
                 continue
+            x, own = _layout(c)
             z_refs, w_refs = c["refs"].T.tolist()
             vectors = c["y"].tolist() + c["x"].tolist() + c["own"].tolist()
-            yield c["n"].tolist(), scalars, vectors, _vector_index(z_refs), _vector_index(w_refs)
+            z, w = _vector_index(z_refs, x, own), _vector_index(w_refs, x, own)
+            yield c["n"].tolist(), scalars, vectors, x, z, w
 
 
-def _vector_index(refs: list[int]):
-    """A block's references as indices into its ``y`` rows, ``x`` rows and own arrays, in turn."""
+def _layout(c: dict[str, np.ndarray]) -> tuple[list[int], int]:
+    """Where a block's vectors sit in ``y + x + own`` (its ``m`` y rows, its stored x rows,
+    its own arrays): each row's ``x`` index, and the index of the first own array."""
+    m = len(c["y"])
+    return [m + i for i in c["x_index"].tolist()], m + len(c["x"])
+
+
+def _vector_index(refs: list[int], x: list[int], own: int):
+    """A block's references as indices into its vectors, laid out as :func:`_layout` gives."""
     m = len(refs)
     if refs.count(_IS_Y) == m:
         return range(m)
-    return [i if r == _IS_Y else m + i if r == _IS_X else 2 * m + r for i, r in enumerate(refs)]
+    return [i if r == _IS_Y else x[i] if r == _IS_X else own + r for i, r in enumerate(refs)]
 
 
 @dataclass(eq=False)

@@ -30,7 +30,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionMismatch, as_matrix, as_point, frozen_copy, is_symmetric, spectral_norm
+from .linalg import (
+    DimensionMismatch,
+    NonFiniteIterate,
+    all_finite,
+    as_matrix,
+    as_point,
+    frozen_copy,
+    is_symmetric,
+    spectral_norm,
+)
 from .sets import ConvexSet, checked_set
 
 PSD_TOL = 1e-10
@@ -132,7 +141,9 @@ class AveragedProjections:
     A composition of metric projections, hence nonexpansive; its fixed
     points minimize the mean squared distance to the inner sets over
     the outer set.  The point is checked once, here, and each inner set
-    projects it through ``project_trusted``; the outer set checks the mean.
+    projects it through ``project_trusted``; so does the outer set, once the
+    mean is found finite.  A mean that is not (an inner projection that
+    overflowed) raises :class:`NonFiniteIterate`.
     """
 
     def __init__(self, outer: ConvexSet, inner):
@@ -149,7 +160,10 @@ class AveragedProjections:
 
     def __call__(self, x) -> np.ndarray:
         p = as_point(x, self.dim)
-        return self.outer.project(_mean([s.project_trusted(p) for s in self.inner]))
+        mean = _mean([s.project_trusted(p) for s in self.inner])
+        if not all_finite(mean):
+            raise NonFiniteIterate("the mean of the inner projections is not finite")
+        return self.outer.project_trusted(mean)
 
     def __repr__(self):
         return f"AveragedProjections(outer={self.outer!r}, n_inner={len(self.inner)})"

@@ -788,6 +788,22 @@ def test_cli_failed_run_exit_code(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.startswith("error: NonFiniteIterate: ") and err.count("\n") == 1, err
 
+    # An averaged-projection mapping whose steep inner halfspace overflows
+    # the projection of a huge start: the mean is not finite, and the run
+    # exits 4 with one line.
+    bifunction = {"P": [[3.1, 2, 0], [2, 3.6, 0], [0, 0, 3.5]], "Q": [[1.6, 1, 0], [1, 1.6, 0], [0, 0, 1.5]],
+                  "q": [0, 0, 0]}
+    mapping = {"type": "averaged_projections", "outer": {"type": "whole_space", "dim": 3},
+               "inner": [{"type": "halfspace", "a": [1e150, 0, 0], "b": 0}]}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "problem": {"bifunction": bifunction, "feasible": {"type": "whole_space", "dim": 3}, "mapping": mapping},
+        "starts": [[1e200] * 3], "y0": [1e200] * 3,
+    }))
+    assert cli.main(["solve", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: NonFiniteIterate: ") and err.count("\n") == 1, err
+
     from ephybrid import hybrid
 
     for failure in (hybrid.EmptyOmega, qp.CyclingDetected):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ephybrid.linalg import DimensionMismatch
+from ephybrid.linalg import DimensionMismatch, NonFiniteIterate
 from ephybrid.problems import (
     AffineOperator,
+    AveragedProjections,
     ConstantsTooSmall,
     DegenerateConstants,
     IdentityMapping,
@@ -16,7 +17,7 @@ from ephybrid.problems import (
     nash_cournot_constants,
     vip_as_bifunction,
 )
-from ephybrid.sets import Box
+from ephybrid.sets import Box, Halfspace, WholeSpace
 
 
 def test_bifunction_keeps_its_own_read_only_arrays():
@@ -252,3 +253,17 @@ def test_mapping_fixed_point_at_origin_only_nearby(example2):
     assert np.array_equal(example2.mapping(np.zeros(3)), np.zeros(3))
     moved = example2.mapping(np.array([0.3, 0.3, 0.3]))
     assert np.linalg.norm(moved - np.array([0.3, 0.3, 0.3])) > 1e-3
+
+
+def test_averaged_projections_refuse_a_mean_that_overflowed():
+    # A finite point whose projection onto a steep halfspace overflows: the
+    # mean is not finite, so the mapping raises NonFiniteIterate (the run's
+    # exit 4), not the outer set's ValueError for an unchecked point.
+    mapping = AveragedProjections(WholeSpace(3), [Halfspace([1e150, 0.0, 0.0], 0.0)])
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteIterate):
+        mapping(np.full(3, 1e200))
+    # A finite mean is projected onto the outer set as before.
+    box = Box(np.zeros(3), np.ones(3))
+    mapping = AveragedProjections(box, [Halfspace([1.0, 0.0, 0.0], 0.5), WholeSpace(3)])
+    x = np.array([2.0, -1.0, 0.25])
+    assert mapping(x).tobytes() == box.project((Halfspace([1.0, 0.0, 0.0], 0.5).project(x) + x) / 2).tobytes()

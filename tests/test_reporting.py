@@ -32,6 +32,22 @@ def assert_writers_match_stdlib(report, tmp_path):
     assert csv_path.read_bytes() == trace_csv_bytes(report)
 
 
+def kept_steps(records):
+    """Per record after the first: whether its ``x`` has the bits of the one before."""
+    return [b.x_next.tobytes() == a.x_next.tobytes() for a, b in zip(records, records[1:])]
+
+
+def distinct_x_rows(records, block_rows):
+    """Per block of ``block_rows`` records: its first record plus each later one whose ``x`` moved."""
+    moved = [True] + [not kept for kept in kept_steps(records)]
+    return [1 + sum(moved[k + 1:k + block_rows]) for k in range(0, len(records), block_rows)]
+
+
+def stored_x_rows(trace):
+    """Per block: how many ``x`` rows the trace stores."""
+    return [len(xs) for _, _, xs, _, _, _ in trace.chunks(yzw=False)]
+
+
 def test_writers_match_stdlib_on_table1(table1_runs, tmp_path):
     # y, z and w are one array in every record, so their text is formed once.
     for run in table1_runs:
@@ -68,6 +84,11 @@ def test_writers_match_stdlib_at_d64(tmp_path):
     config["stopping"]["max_iter"] = 40
     (run,) = run_grid(config_from_dict(config))
     assert run.report.iterations == 40 and run.report.final_x.shape == (64,)
+    # Some steps keep x_n, so the writers reuse a stored x's text.
+    records = list(run.report.trace)
+    assert sum(kept_steps(records)) > 0
+    stored = stored_x_rows(run.report.trace)
+    assert stored == distinct_x_rows(records, 8) and sum(stored) < 40
     assert_writers_match_stdlib(run.report, tmp_path)
 
 
@@ -172,6 +193,17 @@ def test_trace_rejects_vectors_it_cannot_hold():
             RunReport(1, y, 0.0, "MaxIter", [IterationRecord(1, y, y, y, bad, None, 0.0, None, None)])
 
 
+def assert_trace_holds(records, tmp_path):
+    """The records round-trip through a trace, its columns and both writers."""
+    report = RunReport(len(records), records[-1].x_next, 0.0, "MaxIter", records)
+    assert_same_records(list(report.trace), records)
+    for name, column in (("y_next", report.trace.y), ("z_next", report.trace.z), ("w_next", report.trace.w),
+                         ("x_next", report.trace.x)):
+        assert column.tobytes() == np.array([getattr(rec, name) for rec in records]).tobytes()
+    assert_writers_match_stdlib(report, tmp_path)
+    return report.trace
+
+
 def test_a_trace_across_blocks(tmp_path):
     # At d = 64 a block holds 8 rows, so 20 records span three blocks; a z or
     # w of its own sits in its row's block, and None comes and goes in a block.
@@ -183,11 +215,7 @@ def test_a_trace_across_blocks(tmp_path):
         w = (y, z, x, w)[n % 4]
         records.append(IterationRecord(n, y, z, w, x, None if n % 5 == 0 else -0.5 * n,
                                        float(n), None if n % 2 else np.nan, 0.25))
-    report = RunReport(20, records[-1].x_next, 0.0, "MaxIter", records)
-    assert_same_records(list(report.trace), records)
-    for name, column in (("z_next", report.trace.z), ("w_next", report.trace.w)):
-        assert column.tobytes() == np.array([getattr(rec, name) for rec in records]).tobytes()
-    assert_writers_match_stdlib(report, tmp_path)
+    assert_trace_holds(records, tmp_path)
     # A record read back is a view of its block, so a read trace takes no more
     # records, whether its last block is full or not, and is left as it was.
     for trace in (Trace.of(records[:4], 64), Trace.of(records[:8], 64)):
@@ -196,3 +224,50 @@ def test_a_trace_across_blocks(tmp_path):
         with pytest.raises(BufferError):
             trace.append(records[rows])
         assert_same_records(list(trace), records[:rows])
+
+
+def test_a_kept_x_is_stored_once(tmp_path):
+    rng = np.random.default_rng(7)
+
+    def record(n, x, z=None, w=None):
+        y = rng.normal(size=len(x))
+        z = y if z is None else z
+        return IterationRecord(n, y, z, y if w is None else w, x, 0.5, 1.0 / (n + 1), None, 0.25)
+
+    x = np.array([0.5, -1.5, 2.0])
+    # A bitwise repeat held by a distinct array is stored once.
+    repeats = [record(0, x), record(1, x.copy()), record(2, x.copy(), z=rng.normal(size=3)),
+               record(3, x + 1.0)]
+    assert stored_x_rows(assert_trace_holds(repeats, tmp_path)) == [2]
+
+    # Value-equal repeats with other bits are stored apart: 0.0 and -0.0, and
+    # two NaN payloads; a repeat of the same NaN bits is stored once.
+    zero, nan = np.array([0.0, 1.0, 2.0]), np.array([np.nan, 1.0, 2.0])
+    other_nan = nan.copy()
+    other_nan.view(np.uint64)[0] ^= 1
+    assert np.isnan(other_nan[0]) and other_nan.tobytes() != nan.tobytes()
+    bits_apart = [record(0, zero), record(1, -zero), record(2, nan), record(3, other_nan),
+                  record(4, other_nan.copy())]
+    assert stored_x_rows(assert_trace_holds(bits_apart, tmp_path)) == [4]
+
+    # A repeat whose z or w is its x keeps that aliasing and reads the stored row.
+    copies = [x.copy() for _ in range(4)]
+    aliased = [record(0, x), record(1, copies[0], z=copies[0]), record(2, copies[1], w=copies[1]),
+               record(3, copies[2], z=copies[2], w=copies[2])]
+    assert stored_x_rows(assert_trace_holds(aliased, tmp_path)) == [1]
+
+    # At d = 64 a block holds 8 rows; a repeat on a block's first row is stored there.
+    moving = rng.normal(size=(7, 64))
+    kept = moving[-1]
+    across = [record(n, moving[n]) for n in range(7)] + [record(n, kept.copy()) for n in range(7, 11)]
+    trace = assert_trace_holds(across, tmp_path)
+    assert stored_x_rows(trace) == distinct_x_rows(across, 8) == [7, 1]
+
+
+def test_table1_stores_one_x_row_per_distinct_consecutive_x(table1_runs):
+    # Cell (1, 3, 1) keeps x_n on about half its steps; a d = 3 block holds 170 rows.
+    run = table1_runs[0]
+    assert run.start.tolist() == [1.0, 3.0, 1.0]
+    records = list(run.report.trace)
+    assert sum(kept_steps(records)) > len(records) // 3
+    assert stored_x_rows(run.report.trace) == distinct_x_rows(records, 170)
