@@ -231,49 +231,43 @@ class IterationRecord:
     alpha: float | None
 
 
-# A record's z or w that is not an array of its own is one of these; a
-# reference >= 0 is a row of its block's own arrays.
-_IS_Y = -1
-_IS_X = -2
 # The record scalars in field order; bit k of a row's None flags is scalar k's.
 SCALARS = ("epsilon", "residual_w", "dist_to_target", "alpha")
 # A trace row's fixed-width fields in native byte order: n (int64), the four
-# scalars (float64, NaN where None), z's and w's references (int32), the
-# None flags (uint8) and, after 3 pad bytes, the row's index into its block's
-# stored x rows (int32), 56 bytes in all; Trace._columns views them at these
-# offsets.
-_ROW = struct.Struct("=q4d2iB3xi")
-# Vector entries per block of a trace, 4 KB of y and at most 4 KB of x.  Small blocks fill
-# the holes a run's temporaries leave in the heap, where one buffer grown by
-# reallocation took fresh pages (nc64's peak RSS rose 0.4 MB); a writer holds
-# one block's vectors as text at once (at 4096 entries table1's rose 4 MB).
+# scalars (float64, NaN where None), the rows of y, z, w and x in its block's
+# vector table (int16: a block holds at most 4 * 512 vectors) and the None
+# flags (uint8), padded to 56 bytes; Trace._columns views them at these offsets.
+_ROW = struct.Struct("=q4d4hB7x")
+# Rows per block of a trace: 512 / d, so a block's 4 KB of y fill the holes a
+# run's temporaries leave in the heap, where one buffer grown by reallocation
+# took fresh pages (nc64's peak RSS rose 0.4 MB); a writer holds one block's
+# vectors as text at once (at 4096 entries table1's rose 4 MB).
 _BLOCK_VALUES = 512
 
 
 class Trace:
     """One run's iteration records, held as columns.
 
-    The columns are ``n``; ``y`` as an ``(iterations, d)`` float64 block;
-    ``x``, stored only where its bytes differ from the previous row's (a
-    step that kept ``x_n`` stores none), with a per-row index into the
-    stored rows; ``z`` and ``w``, each stored only where it is an array of
-    its own, with a per-row reference saying which of ``y``, ``z`` and ``x``
-    it is otherwise; and the four scalars (:data:`SCALARS`) as float64
-    columns, NaN where the record held ``None``, each with a ``None`` mask.
-    They are kept in blocks of rows holding about 512 vector entries, each
-    block a few ``bytearray`` s; :meth:`append` copies a record's values into
-    the last block and keeps no reference to it.  A block's first row always
-    stores its ``x``.
+    Each block of rows keeps two ``bytearray`` s: the rows' fixed fields
+    (``n``, the four scalars of :data:`SCALARS` as float64, NaN where the
+    record held ``None``, and a ``None`` mask) and a table of the block's
+    distinct vectors, ``d`` float64 each.  A row names the table rows of its
+    ``y``, ``z``, ``w`` and ``x``: a ``z``, ``w`` or ``x`` that is another of
+    the record's arrays names that one, an ``x`` whose bytes equal the
+    previous row's (a step that kept ``x_n``) names that row's ``x``, and
+    any other vector is added to the table.  A block holds about 512 vector
+    entries of ``y``; :meth:`append` copies a record's values into the last
+    block and keeps no reference to it.
 
     ``trace[i]``, slices, iteration and ``len`` read it as
-    :class:`IterationRecord` s built from read-only row views, with the
-    aliasing rebuilt, so ``rec.w_next is rec.y_next`` keeps its meaning (an
-    ``x_next`` that was ``y_next`` itself comes back as its own view).
+    :class:`IterationRecord` s built from read-only row views, one per table
+    row a record names, so ``rec.w_next is rec.y_next`` keeps its meaning.
     :attr:`n`, :attr:`y`, :attr:`x`, :attr:`z`, :attr:`w` and :meth:`scalar`
     give whole columns as fresh arrays; :meth:`chunks` gives a block at a
-    time, as Python lists.  Reads keep no views, but a record read back is
-    a view of its block, so the first read fixes the trace: a later
-    :meth:`append` raises ``BufferError``.
+    time, its vector table as a view and the rest as Python lists.  Reads
+    keep no views, but a record or table read back is a view of its block,
+    so the first read fixes the trace: a later :meth:`append` raises
+    ``BufferError``.
     """
 
     def __init__(self, dim: int):
@@ -283,10 +277,11 @@ class Trace:
         self._block_rows = max(1, _BLOCK_VALUES // dim)
         self._block_bytes = self._block_rows * _ROW.size
         self._vector_bytes = 8 * dim
-        # Each block: the _ROW fields, y, the stored x and the block's own z and w arrays.
-        self._blocks = [[bytearray(), bytearray(), bytearray(), bytearray()]]
-        # The bytes of the last block's last stored x; None before its first row.
+        # Each block: the _ROW fields and the vector table.
+        self._blocks = [[bytearray(), bytearray()]]
+        # The bytes of the last block's last row's x, None before its first row, and its table row.
         self._last_x = None
+        self._last_i = 0
         self._read = False
 
     @classmethod
@@ -304,58 +299,52 @@ class Trace:
         """Copy a record in; its vectors are trusted float64 arrays of the trace's dimension."""
         if self._read:
             raise BufferError("a trace that was read takes no more records")
-        rows, ys, xs, own = self._blocks[-1]
+        rows, table = self._blocks[-1]
         if len(rows) == self._block_bytes:
-            rows, ys, xs, own = block = [bytearray(), bytearray(), bytearray(), bytearray()]
+            rows, table = block = [bytearray(), bytearray()]
             self._blocks.append(block)
             self._last_x = None
         y, z, w, x = rec.y_next, rec.z_next, rec.w_next, rec.x_next
-        # Bytes, not values: 0.0 and -0.0, or two NaN payloads, are stored apart.
+        i_y = self._add(table, y.tobytes())
+        # Bytes, not values: 0.0 and -0.0, or two NaN payloads, are kept apart.
         x_bytes = x.tobytes()
-        if x_bytes != self._last_x:
-            xs += x_bytes
-            self._last_x = x_bytes
+        i_x = i_y if x is y else self._last_i if x_bytes == self._last_x else self._add(table, x_bytes)
+        self._last_x, self._last_i = x_bytes, i_x
+        i_z = i_y if z is y else i_x if z is x else self._add(table, z.tobytes())
+        i_w = i_y if w is y else i_z if w is z else i_x if w is x else self._add(table, w.tobytes())
         eps, res, dist, alpha = rec.epsilon, rec.residual_w, rec.dist_to_target, rec.alpha
-        z_ref = _IS_Y if z is y else _IS_X if z is x else self._own_row(own, z)
-        w_ref = z_ref if w is z else _IS_Y if w is y else _IS_X if w is x else self._own_row(own, w)
         rows += _ROW.pack(
             rec.n,
             math.nan if eps is None else eps,
             math.nan if res is None else res,
             math.nan if dist is None else dist,
             math.nan if alpha is None else alpha,
-            z_ref,
-            w_ref,
+            i_y, i_z, i_w, i_x,
             (eps is None) | (res is None) << 1 | (dist is None) << 2 | (alpha is None) << 3,
-            len(xs) // self._vector_bytes - 1,
         )
-        ys += y.tobytes()
 
-    def _own_row(self, own: bytearray, v: np.ndarray) -> int:
-        row = len(own) // self._vector_bytes
-        own += v.tobytes()
-        return row
+    def _add(self, table: bytearray, vector: bytes) -> int:
+        """Append a vector's bytes to a block's table; its row there."""
+        table += vector
+        return len(table) // self._vector_bytes - 1
 
     def _columns(self, block) -> dict[str, np.ndarray]:
         """A block's columns as read-only views of its buffers."""
         self._read = True
-        rows, ys, xs, own = block
+        rows, table = block
 
         def view(buffer, dtype, width):
             a = np.frombuffer(buffer, dtype).reshape(-1, width)
             a.flags.writeable = False
             return a
 
-        int32 = view(rows, np.int32, 14)
         return {
             "n": view(rows, np.int64, 7)[:, 0],
             "scalars": view(rows, np.float64, 7)[:, 1:5],
-            "refs": int32[:, 10:12],
+            # y, z, w and x, each a row of the vector table.
+            "refs": view(rows, np.int16, 28)[:, 20:24],
             "none": view(rows, np.uint8, _ROW.size)[:, 48],
-            "x_index": int32[:, 13],
-            "y": view(ys, np.float64, self.dim),
-            "x": view(xs, np.float64, self.dim),
-            "own": view(own, np.float64, self.dim),
+            "table": view(table, np.float64, self.dim),
         }
 
     def __len__(self) -> int:
@@ -380,11 +369,10 @@ class Trace:
 
     @staticmethod
     def _record(c: dict[str, np.ndarray], k: int) -> IterationRecord:
-        """Row ``k`` of a block's columns as a record of views, the aliasing rebuilt."""
-        y, x = c["y"][k], c["x"][c["x_index"][k]]
-        z_ref, w_ref = c["refs"][k].tolist()
-        z = y if z_ref == _IS_Y else x if z_ref == _IS_X else c["own"][z_ref]
-        w = z if w_ref == z_ref else y if w_ref == _IS_Y else x if w_ref == _IS_X else c["own"][w_ref]
+        """Row ``k`` of a block's columns as a record of views, one per table row it names."""
+        refs = c["refs"][k].tolist()
+        views = {i: c["table"][i] for i in refs}
+        y, z, w, x = map(views.__getitem__, refs)
         flags = int(c["none"][k])
         eps, res, dist, alpha = (
             None if flags >> bit & 1 else v for bit, v in enumerate(c["scalars"][k].tolist())
@@ -395,52 +383,43 @@ class Trace:
         # An empty trace has one empty block, so there is always a part.
         return np.concatenate([self._columns(block)[name] for block in self._blocks])
 
+    def _vectors(self, j: int) -> np.ndarray:
+        """Every row's vector ``j`` (0 to 3: y, z, w, x), read from the table."""
+        return np.concatenate([c["table"][c["refs"][:, j]] for c in map(self._columns, self._blocks)])
+
     @property
     def n(self) -> np.ndarray:
         return self._column("n")
 
     @property
     def y(self) -> np.ndarray:
-        return self._column("y")
-
-    @property
-    def x(self) -> np.ndarray:
-        """Every row's ``x``, materialized from the indices."""
-        return np.concatenate([c["x"][c["x_index"]] for c in map(self._columns, self._blocks)])
+        return self._vectors(0)
 
     @property
     def z(self) -> np.ndarray:
-        """Every row's ``z``, materialized from the references."""
-        return self._materialized(0)
+        return self._vectors(1)
 
     @property
     def w(self) -> np.ndarray:
-        """Every row's ``w``, materialized from the references."""
-        return self._materialized(1)
+        return self._vectors(2)
 
-    def _materialized(self, column: int) -> np.ndarray:
-        parts = []
-        for c in map(self._columns, self._blocks):
-            index = _vector_index(c["refs"][:, column].tolist(), *_layout(c))
-            parts.append(np.concatenate((c["y"], c["x"], c["own"]))[list(index)])
-        return np.concatenate(parts)
+    @property
+    def x(self) -> np.ndarray:
+        return self._vectors(3)
 
     def scalar(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """``(values, none)``: a scalar's column, NaN where ``none`` is true."""
         bit = SCALARS.index(name)
         return self._column("scalars")[:, bit].copy(), (self._column("none") >> bit & 1).astype(bool)
 
-    def chunks(self, yzw: bool = True):
-        """Yield each block as ``(n, scalars, vectors, x, z, w)`` of Python lists over its ``m`` rows.
+    def chunks(self):
+        """Yield each block as ``(n, scalars, vectors, y, z, w, x)`` over its ``m`` rows.
 
         ``n`` and the four ``scalars`` (in :data:`SCALARS` order, ``None``
-        where the record's was) have ``m`` entries; ``vectors`` lists the
-        rows' ``y``, then the block's stored ``x`` rows, then its own arrays;
-        ``x``, ``z`` and ``w`` give each row's index into ``vectors``, and a
-        ``z`` or ``w`` that is its row's ``x`` has that row's ``x`` index.
-        Without ``yzw``, ``vectors`` is the stored ``x`` rows alone, ``x``
-        indexes them and ``z`` and ``w`` are ``None``.  It calls no integer
-        ufunc, whose code the writers would page in for it alone.
+        where the record's was) are lists of ``m`` entries; ``vectors`` is
+        the block's vector table, a read-only ``(k, d)`` view, and ``y``,
+        ``z``, ``w`` and ``x`` list each row's index into it.  It calls no
+        integer ufunc, whose code the writers would page in for it alone.
         """
         for c in map(self._columns, self._blocks):
             flags = c["none"].tolist()
@@ -454,37 +433,16 @@ class Trace:
                     scalars[bit] = [None if f >> bit & 1 else v for v, f in zip(scalars[bit], flags)]
                 elif flags[0] >> bit & 1:
                     scalars[bit] = [None] * m
-            if not yzw:
-                yield c["n"].tolist(), scalars, c["x"].tolist(), c["x_index"].tolist(), None, None
-                continue
-            x, own = _layout(c)
-            z_refs, w_refs = c["refs"].T.tolist()
-            vectors = c["y"].tolist() + c["x"].tolist() + c["own"].tolist()
-            z, w = _vector_index(z_refs, x, own), _vector_index(w_refs, x, own)
-            yield c["n"].tolist(), scalars, vectors, x, z, w
-
-
-def _layout(c: dict[str, np.ndarray]) -> tuple[list[int], int]:
-    """Where a block's vectors sit in ``y + x + own`` (its ``m`` y rows, its stored x rows,
-    its own arrays): each row's ``x`` index, and the index of the first own array."""
-    m = len(c["y"])
-    return [m + i for i in c["x_index"].tolist()], m + len(c["x"])
-
-
-def _vector_index(refs: list[int], x: list[int], own: int):
-    """A block's references as indices into its vectors, laid out as :func:`_layout` gives."""
-    m = len(refs)
-    if refs.count(_IS_Y) == m:
-        return range(m)
-    return [i if r == _IS_Y else x[i] if r == _IS_X else own + r for i, r in enumerate(refs)]
+            yield c["n"].tolist(), scalars, c["table"], *c["refs"].T.tolist()
 
 
 @dataclass(eq=False)
 class RunReport:
     """Outcome of one solver run; ``elapsed_s`` covers the iterate loop only.
 
-    ``trace`` is always a :class:`Trace`; a sequence of records given in its
-    place is copied into one (:meth:`Trace.of`), of ``final_x``'s dimension.
+    ``trace`` is always a :class:`Trace` of ``final_x``'s dimension (else
+    ``ValueError``); a sequence of records given in its place is copied
+    into one (:meth:`Trace.of`).
     """
 
     iterations: int
@@ -496,6 +454,8 @@ class RunReport:
     def __post_init__(self):
         if not isinstance(self.trace, Trace):
             self.trace = Trace.of(self.trace, len(self.final_x))
+        elif self.trace.dim != len(self.final_x):
+            raise ValueError(f"a trace of dimension {self.trace.dim} for a final_x of {len(self.final_x)}")
 
 
 def contraction_slack(

@@ -46,21 +46,21 @@ def trace_to_csv(report: RunReport, path) -> None:
     Columns: n, residual_w, epsilon, dist_to_target, alpha_n, then the
     iterate components x1..xd.  The bytes are those of ``csv.writer``:
     no cell needs quoting, ``None`` is an empty cell and lines end in
-    ``\\r\\n``.  A block's rows are one ``%`` call (:func:`_block`); a
-    stored ``x`` that several rows share (a kept ``x_n``) is rendered once.
+    ``\\r\\n``.  A block's rows are one ``%`` call (:func:`_block`); an
+    ``x`` that several rows share (a kept ``x_n``) is rendered once.
     """
     dim = len(report.final_x)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["n", "residual_w", "epsilon", "dist_to_target", "alpha_n"]
                           + [f"x{i + 1}" for i in range(dim)]) + "\r\n")
-        for n, (eps, res, dist, alpha), xs, x, _, _ in report.trace.chunks(yzw=False):
+        for n, (eps, res, dist, alpha), vectors, _, _, _, x in report.trace.chunks():
             cells, values = _block(n, (res, eps, dist, alpha), _csv_column)
             # The x cells go into the template (a float's repr holds no "%"),
             # so the "%" call starts from about the text's length: from a
             # short template it would grow its string by many reallocations,
             # whose holes in the heap raised table1's peak RSS.
             head = _CSV_HEAD % cells
-            rows = [f"{head}{','.join(map(repr, v))}\r\n" for v in xs]
+            rows = {i: f"{head}{','.join(map(repr, vectors[i].tolist()))}\r\n" for i in dict.fromkeys(x)}
             fh.write("".join(map(rows.__getitem__, x)) % values)
 
 
@@ -72,18 +72,18 @@ def write_report_json(report: RunReport, path) -> None:
     ``trace``; a record holds ``n``, ``residual_w``, ``epsilon``,
     ``dist_to_target``, ``alpha``, ``x``, ``y``, ``z``, ``w``) plus a
     final newline, without holding the whole text.  A block's records are
-    one ``%`` call (:func:`_block`); each stored vector's text is formed
-    once, and an ``x``, ``z`` or ``w`` that refers to it reuses that text.
+    one ``%`` call (:func:`_block`); the text of each vector in the block's
+    table is formed once, and every row that names it reuses that text.
     """
     with open(path, "w") as fh:
         fh.write(_HEAD % (report.iterations, _json_vector(report.final_x),
                           _json_scalar(report.elapsed_s), json.dumps(report.stop_reason)))
         sep = "[\n"
-        for n, (eps, res, dist, alpha), vectors, x, z, w in report.trace.chunks():
+        for n, (eps, res, dist, alpha), vectors, y, z, w, x in report.trace.chunks():
             m = len(n)
-            texts = _json_vectors(vectors)
-            cells, values = _block(n, (res, eps, dist, alpha), _json_column, map(texts.__getitem__, x),
-                                   texts[:m], map(texts.__getitem__, z), map(texts.__getitem__, w))
+            texts = _json_vectors(vectors.tolist())
+            cells, values = _block(n, (res, eps, dist, alpha), _json_column,
+                                   *(map(texts.__getitem__, refs) for refs in (x, y, z, w)))
             record = _RECORD % cells
             fh.write(",\n".join([sep + record] + [record] * (m - 1)) % values)
             sep = ",\n"

@@ -43,8 +43,8 @@ class InfeasibleSet(ValueError):
     """No point satisfies the constraints: a set, a cut or an intersection of them is empty."""
 
 
-def membership_tol(offset: float) -> float:
-    """Default feasibility band: 1e-10 absolute plus 1e-12 relative on the offset."""
+def membership_tol(offset):
+    """Default feasibility band: 1e-10 absolute plus 1e-12 relative on the offset, elementwise on an array."""
     return 1e-10 + 1e-12 * abs(offset)
 
 
@@ -62,6 +62,14 @@ class ConvexSet:
     def project(self, x) -> np.ndarray:
         """Nearest point of the set to ``x``, which is checked: finite, 1-D, of the set's dimension."""
         return self.project_trusted(as_point(x, self.dim))
+
+    def contains(self, x, tol: float | None = None) -> bool:
+        """Whether ``x`` (checked as in :meth:`project`) meets every row: ``<a, x> - b <= tol``.
+
+        The default band is :func:`membership_tol` of each row's offset.
+        """
+        A, b = self.rows()
+        return bool((A @ as_point(x, self.dim) - b <= (membership_tol(b) if tol is None else tol)).all())
 
     def prepared_rows(self) -> tuple[np.ndarray, np.ndarray, float]:
         """:meth:`rows` at unit length (:func:`_unit_rows`), row for row, read-only, made once and kept.
@@ -86,10 +94,6 @@ class WholeSpace(ConvexSet):
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         self.dim = int(dim)
-
-    def contains(self, x, tol: float | None = None) -> bool:
-        as_point(x, self.dim)
-        return True
 
     def project_trusted(self, p: np.ndarray) -> np.ndarray:
         return p.copy()
@@ -128,11 +132,6 @@ class Halfspace(ConvexSet):
         """Signed constraint value ``<a, x> - b`` (positive means outside)."""
         return float(self.a @ as_point(x, self.dim) - self.b)
 
-    def contains(self, x, tol: float | None = None) -> bool:
-        if tol is None:
-            tol = membership_tol(self.b)
-        return self.violation(x) <= tol
-
     def project_trusted(self, p: np.ndarray) -> np.ndarray:
         """Closed-form projection (:func:`project_halfspace`)."""
         return project_halfspace(p, self.a, self.b)
@@ -161,15 +160,6 @@ class Box(ConvexSet):
         if not (self.lo < np.inf).all() or not (self.hi > -np.inf).all():
             raise ValueError("a box bound of lo = +inf or hi = -inf admits no finite point")
         self.dim = self.lo.shape[0]
-
-    def contains(self, x, tol: float | None = None) -> bool:
-        p = as_point(x, self.dim)
-        lo_tol = np.array([tol if tol is not None else membership_tol(v) for v in self.lo])
-        hi_tol = np.array([tol if tol is not None else membership_tol(v) for v in self.hi])
-        with np.errstate(invalid="ignore"):
-            below = np.any(p < self.lo - lo_tol)
-            above = np.any(p > self.hi + hi_tol)
-        return not (below or above)
 
     def project_trusted(self, p: np.ndarray) -> np.ndarray:
         """Elementwise clamp; the result lies in the box exactly."""
@@ -204,9 +194,6 @@ class Polyhedron(ConvexSet):
         if len(dims) != 1:
             raise DimensionMismatch("polyhedron parts have inconsistent dimensions")
         self.dim = dims.pop()
-
-    def contains(self, x, tol: float | None = None) -> bool:
-        return all(s.contains(x, tol) for s in self._parts)
 
     def project_trusted(self, p: np.ndarray) -> np.ndarray:
         """Nearest point in the polyhedron: a cold :class:`qp.CutProjector` call with no cuts.

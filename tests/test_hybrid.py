@@ -329,11 +329,11 @@ def test_final_x_is_last_trace_iterate(example1, example2):
 
 
 def test_a_run_keeps_its_trace_as_columns():
-    # One table1 cell, (1, 3, 1): 1,588 iterations whose y, scalars and x
-    # (stored only where it moved, on about half of them) are about 98 bytes
-    # as columns; with every x stored they were about 109.  Records held in a
-    # list kept 532 bytes per iteration, in an instance dict, two small arrays
-    # and three floats each.
+    # One table1 cell, (1, 3, 1): 1,588 iterations whose scalars and vector
+    # table (y, and x only where it moved, on about half of them) are 99.1
+    # bytes as columns; with every x stored they were about 109.  Records
+    # held in a list kept 532 bytes per iteration, in an instance dict, two
+    # small arrays and three floats each.
     config = table1_config()
     params = config.params_for(config.schedules[0])
 

@@ -44,8 +44,8 @@ def distinct_x_rows(records, block_rows):
 
 
 def stored_x_rows(trace):
-    """Per block: how many ``x`` rows the trace stores."""
-    return [len(xs) for _, _, xs, _, _, _ in trace.chunks(yzw=False)]
+    """Per block: how many distinct vectors its rows name as their ``x``."""
+    return [len(set(x)) for *_, x in trace.chunks()]
 
 
 def test_writers_match_stdlib_on_table1(table1_runs, tmp_path):
@@ -117,12 +117,20 @@ def hand_made_reports():
         IterationRecord(4, late, big, big, big, None, 0.125, None, None),
         IterationRecord(5, z, y, y, y, None, -np.inf, 2.5, None),
     ]
+    # An x that is y itself, then a kept x (the bits of the one before, in
+    # another array) that is also the record's z.
+    kept = late.copy()
+    kept_x = [
+        IterationRecord(6, late, z, late, late, 0.5, 1.0, None, 0.25),
+        IterationRecord(7, big, kept, y, kept, 0.5, 2.0, None, 0.25),
+    ]
     return [
         (records, RunReport(3, big, np.float64(0.5), "MaxIter", records)),
         (records[1:], RunReport(2, np.array([np.nan, np.inf, -0.0]), float("inf"), "DistanceToKnown",
                                 records[1:])),
         (single, RunReport(1, np.array([-0.0]), 0.0, "MaxIter", single)),
         (baseline, RunReport(2, y, 0.0, "MaxIter", baseline)),
+        (kept_x, RunReport(2, kept, 0.0, "MaxIter", kept_x)),
     ]
 
 
@@ -164,7 +172,7 @@ def test_trace_round_trips_hand_made_records():
         for i in (len(records), -len(records) - 1):
             with pytest.raises(IndexError):
                 trace[i]
-        # The columns: z and w materialized from their references.
+        # The columns, each read from the vector table through its references.
         assert trace.n.tolist() == [rec.n for rec in records]
         for name, column in (("y_next", trace.y), ("z_next", trace.z), ("w_next", trace.w),
                              ("x_next", trace.x)):
@@ -191,6 +199,13 @@ def test_trace_rejects_vectors_it_cannot_hold():
     for bad in (np.zeros(2), np.zeros(3, dtype=np.float32), [0.0, 0.0, 0.0]):
         with pytest.raises(ValueError):
             RunReport(1, y, 0.0, "MaxIter", [IterationRecord(1, y, y, y, bad, None, 0.0, None, None)])
+
+
+def test_a_report_rejects_a_trace_of_another_dimension():
+    # Its final_x would give the trace CSV a header of another width than its rows.
+    with pytest.raises(ValueError):
+        RunReport(1, np.zeros(3), 0.0, "MaxIter", Trace(2))
+    assert RunReport(1, np.zeros(2), 0.0, "MaxIter", Trace(2)).trace.dim == 2
 
 
 def assert_trace_holds(records, tmp_path):

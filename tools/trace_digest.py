@@ -37,7 +37,7 @@ def digest(report) -> str:
     """SHA-256 over a run report's trace columns, final point and stop reason."""
     h = hashlib.sha256()
     trace = report.trace
-    # z and w are materialized from their per-row references.
+    # Each column is read from the vector table through its per-row references.
     for name, column in (("y_next", trace.y), ("z_next", trace.z), ("w_next", trace.w), ("x_next", trace.x)):
         h.update(name.encode())
         h.update(column.tobytes())
