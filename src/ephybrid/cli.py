@@ -6,8 +6,11 @@ Subcommands::
     ephybrid reproduce table1|table2      run a built-in benchmark grid
     ephybrid audit --config <path>        run with invariant assertions
 
-``reproduce`` writes ``<table>.csv``, ``<table>.json`` and
-``<table>_trace_NN.{csv,json}`` to ``--out``.  Exit codes: 0 on success,
+``reproduce`` writes ``<table>.csv`` and ``<table>.json`` (the grid's
+summary rows) and, per run, ``<table>_trace_NN.csv`` (every iteration's
+scalars and ``x``, ``y``, ``z``, ``w``) and ``<table>_trace_NN.json``
+(the run's ``iterations``, ``final_x``, ``elapsed_s`` and
+``stop_reason``) to ``--out``.  Exit codes: 0 on success,
 2 on any config or parameter error or a path that cannot be read or
 written, 3 on an invariant violation under ``audit``, 4 on a run that
 fails (``InfeasibleSet``, ``EmptyOmega``, ``NonFiniteIterate``,

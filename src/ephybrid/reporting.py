@@ -1,16 +1,16 @@
 """CSV and JSON emission for runs and experiment grids.
 
-The trace CSV keeps full float precision (shortest round-trip repr) so
-that byte-for-byte determinism checks are meaningful; the summary CSV
-prints 7 decimal places.  Elapsed-time fields are excluded from any
-determinism comparison.
+A run is written as one trace CSV, holding every iteration's scalars and
+vectors at full float precision (shortest round-trip repr), so that
+byte-for-byte determinism checks are meaningful, and one run JSON, its
+summary.  The summary CSV prints 7 decimal places.  Elapsed-time fields
+are excluded from any determinism comparison.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, fields
 from itertools import chain
 
@@ -44,50 +44,38 @@ def trace_to_csv(report: RunReport, path) -> None:
     """Write the per-iteration trace of one run, one string per block of rows.
 
     Columns: n, residual_w, epsilon, dist_to_target, alpha_n, then the
-    iterate components x1..xd.  The bytes are those of ``csv.writer``:
-    no cell needs quoting, ``None`` is an empty cell and lines end in
-    ``\\r\\n``.  A block's rows are one ``%`` call (:func:`_block`); an
-    ``x`` that several rows share (a kept ``x_n``) is rendered once.
+    step's vectors x1..xd, y1..yd, z1..zd and w1..wd.  The bytes are those
+    of ``csv.writer``: no cell needs quoting, ``None`` is an empty cell and
+    lines end in ``\\r\\n``.  A block's rows are one ``%`` call
+    (:func:`_block`); the text of each vector in the block's table is
+    formed once, and every row that names it reuses that text.
     """
     dim = len(report.final_x)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["n", "residual_w", "epsilon", "dist_to_target", "alpha_n"]
-                          + [f"x{i + 1}" for i in range(dim)]) + "\r\n")
-        for n, (eps, res, dist, alpha), vectors, _, _, _, x in report.trace.chunks():
-            cells, values = _block(n, (res, eps, dist, alpha), _csv_column)
-            # The x cells go into the template (a float's repr holds no "%"),
-            # so the "%" call starts from about the text's length: from a
-            # short template it would grow its string by many reallocations,
-            # whose holes in the heap raised table1's peak RSS.
-            head = _CSV_HEAD % cells
-            rows = {i: f"{head}{','.join(map(repr, vectors[i].tolist()))}\r\n" for i in dict.fromkeys(x)}
-            fh.write("".join(map(rows.__getitem__, x)) % values)
+                          + [f"{v}{i + 1}" for v in "xyzw" for i in range(dim)]) + "\r\n")
+        for n, (eps, res, dist, alpha), vectors, y, z, w, x in report.trace.chunks():
+            head, values = _block(n, (res, eps, dist, alpha))
+            # The vector cells go into the template (a float's repr holds no
+            # "%"), so the "%" call starts from about the text's length: from
+            # a short template it would grow its string by many
+            # reallocations, whose holes in the heap raised table1's peak RSS.
+            texts = [",".join(map(repr, v)) for v in vectors.tolist()]
+            fh.write("".join([f"{head}{texts[i]},{texts[j]},{texts[k]},{texts[l]}\r\n"
+                              for i, j, k, l in zip(x, y, z, w)]) % values)
 
 
 def write_report_json(report: RunReport, path) -> None:
-    """Write one run, trace included, one string per block of records.
+    """Write one run's summary: ``iterations``, ``final_x``, ``elapsed_s`` and ``stop_reason``.
 
-    The bytes are those of ``json.dump(..., indent=1)`` of the run as a
-    dict (``iterations``, ``final_x``, ``elapsed_s``, ``stop_reason``,
-    ``trace``; a record holds ``n``, ``residual_w``, ``epsilon``,
-    ``dist_to_target``, ``alpha``, ``x``, ``y``, ``z``, ``w``) plus a
-    final newline, without holding the whole text.  A block's records are
-    one ``%`` call (:func:`_block`); the text of each vector in the block's
-    table is formed once, and every row that names it reuses that text.
+    The text is ``json.dumps(..., indent=1)`` plus a final newline, handed
+    to the file as one string.  The per-iteration values are in the trace
+    CSV (:func:`trace_to_csv`) alone.
     """
+    summary = {"iterations": report.iterations, "final_x": report.final_x.tolist(),
+               "elapsed_s": report.elapsed_s, "stop_reason": report.stop_reason}
     with open(path, "w") as fh:
-        fh.write(_HEAD % (report.iterations, _json_vector(report.final_x),
-                          _json_scalar(report.elapsed_s), json.dumps(report.stop_reason)))
-        sep = "[\n"
-        for n, (eps, res, dist, alpha), vectors, y, z, w, x in report.trace.chunks():
-            m = len(n)
-            texts = _json_vectors(vectors.tolist())
-            cells, values = _block(n, (res, eps, dist, alpha), _json_column,
-                                   *(map(texts.__getitem__, refs) for refs in (x, y, z, w)))
-            record = _RECORD % cells
-            fh.write(",\n".join([sep + record] + [record] * (m - 1)) % values)
-            sep = ",\n"
-        fh.write("\n ]\n}\n" if report.trace else "[]\n}\n")
+        fh.write(json.dumps(summary, indent=1) + "\n")
 
 
 def emit_reports(rows, fmt: str, path) -> None:
@@ -128,77 +116,23 @@ def _summary_cell(value):
     return f"{value:.7f}" if isinstance(value, float) else value
 
 
-def _block(n, scalars, column, *texts) -> tuple[tuple[str, ...], tuple]:
-    """One block's scalar cell formats and its values, flattened in row order.
+def _block(n, scalars) -> tuple[str, tuple]:
+    """One block's row head (``n`` and the scalar cells) as a ``%`` template, and its values.
 
-    ``column`` gives each scalar column's format and the values it takes:
-    one that every row fills the same way is baked into the block's row
-    template (``%r`` of its floats, or its ``None`` text, taking no values)
-    and a mixed one is pre-rendered (``%s`` of its cells).  The values are
-    ``n``, the columns that take values and then ``texts``, row by row.
+    A scalar column that every row fills the same way is baked into the
+    template (``%r`` of its floats, or an empty cell for ``None``, taking
+    no values) and a mixed one is pre-rendered (``%s`` of its cells,
+    ``None`` empty).  The values are ``n`` and the columns that take
+    values, flattened in row order.
     """
     formats, columns = [], [n]
     for values in scalars:
-        fmt, values = column(values)
-        formats.append(fmt)
-        if values is not None:
+        if None not in values:
+            formats.append("%r")
             columns.append(values)
-    return tuple(formats), tuple(chain.from_iterable(zip(*columns, *texts)))
-
-
-def _csv_column(values) -> tuple[str, list | None]:
-    """A trace CSV scalar column's format and values: every float is its ``repr``, ``None`` empty."""
-    if None not in values:
-        return "%r", values
-    if values.count(None) == len(values):
-        return "", None
-    return "%s", ["" if v is None else repr(v) for v in values]
-
-
-def _json_column(values) -> tuple[str, list | None]:
-    """A run JSON scalar column's format and values, as :func:`_json_scalar` spells each."""
-    # A finite sum proves every entry finite (see ``linalg.all_finite``).
-    if None not in values and math.isfinite(sum(values)):
-        return "%r", values
-    if values.count(None) == len(values):
-        return "null", None
-    return "%s", list(map(_json_scalar, values))
-
-
-# The run JSON at ``indent=1``: the top dict up to its ``trace`` list, and
-# a record, which sits in that list, so its keys are indented 3 and its
-# vectors' entries 4.  A record and a CSV row take their four scalar cells'
-# formats first (``%%`` survives that as ``%``), then a block's values.
-_HEAD = '{\n "iterations": %d,\n "final_x": %s,\n "elapsed_s": %s,\n "stop_reason": %s,\n "trace": '
-_RECORD = (
-    '  {\n   "n": %%d,\n   "residual_w": %s,\n   "epsilon": %s,\n   "dist_to_target": %s,\n'
-    '   "alpha": %s,\n   "x": [\n    %%s\n   ],\n   "y": [\n    %%s\n   ],\n'
-    '   "z": [\n    %%s\n   ],\n   "w": [\n    %%s\n   ]\n  }'
-)
-_CSV_HEAD = "%%d,%s,%s,%s,%s,"
-
-
-def _json_scalar(value) -> str:
-    """``json.dumps`` of a record scalar; a finite float is its ``repr``, as json writes it."""
-    if type(value) is float and math.isfinite(value):
-        return repr(value)
-    if value is None:
-        return "null"
-    return json.dumps(value)
-
-
-def _json_vector(values) -> str:
-    """A float vector of the top dict (``final_x``) as ``json.dump(indent=1)`` lays it out."""
-    values = values.tolist()
-    if not values:
-        return "[]"
-    # A finite sum proves every entry finite (see ``linalg.all_finite``).
-    entry = repr if math.isfinite(sum(values)) else _json_scalar
-    return "[\n  " + ",\n  ".join(map(entry, values)) + "\n ]"
-
-
-def _json_vectors(vectors) -> list[str]:
-    """A chunk's record vectors (lists of floats, never empty) as the entries of ``_RECORD``'s lists."""
-    # A finite sum proves every entry of the chunk finite.
-    entry = repr if math.isfinite(sum(map(sum, vectors))) else _json_scalar
-    return [",\n    ".join(map(entry, v)) for v in vectors]
+        elif values.count(None) == len(values):
+            formats.append("")
+        else:
+            formats.append("%s")
+            columns.append(["" if v is None else repr(v) for v in values])
+    return f"%d,{','.join(formats)},", tuple(chain.from_iterable(zip(*columns)))

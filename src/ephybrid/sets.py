@@ -43,9 +43,14 @@ class InfeasibleSet(ValueError):
     """No point satisfies the constraints: a set, a cut or an intersection of them is empty."""
 
 
-def membership_tol(offset):
-    """Default feasibility band: 1e-10 absolute plus 1e-12 relative on the offset, elementwise on an array."""
-    return 1e-10 + 1e-12 * abs(offset)
+def membership_tol(offset, norm):
+    """Default feasibility band of a row ``<a, z> <= b`` with ``|a| = norm``, elementwise on arrays.
+
+    It is ``1e-10 |a| + 1e-12 |b|``, in the raw row's units: the band of
+    the unit row ``(a/|a|, b/|a|)``, 1e-10 in distance plus 1e-12
+    relative on its offset, times ``|a|``.
+    """
+    return 1e-10 * norm + 1e-12 * abs(offset)
 
 
 class ConvexSet:
@@ -66,10 +71,12 @@ class ConvexSet:
     def contains(self, x, tol: float | None = None) -> bool:
         """Whether ``x`` (checked as in :meth:`project`) meets every row: ``<a, x> - b <= tol``.
 
-        The default band is :func:`membership_tol` of each row's offset.
+        The default band is :func:`membership_tol` of each row, in the row's units.
         """
         A, b = self.rows()
-        return bool((A @ as_point(x, self.dim) - b <= (membership_tol(b) if tol is None else tol)).all())
+        if tol is None:
+            tol = membership_tol(b, np.linalg.norm(A, axis=1))
+        return bool((A @ as_point(x, self.dim) - b <= tol).all())
 
     def prepared_rows(self) -> tuple[np.ndarray, np.ndarray, float]:
         """:meth:`rows` at unit length (:func:`_unit_rows`), row for row, read-only, made once and kept.
@@ -238,7 +245,7 @@ def project_two_halfspaces(x: np.ndarray, first, second) -> np.ndarray:
 
     ``first`` and ``second`` are the rows ``(a1, b1)`` and ``(a2, b2)``,
     nonzero normals with offsets.  The case analysis: return ``x`` when
-    feasible (within :func:`membership_tol`); otherwise try the
+    feasible (within each row's :func:`membership_tol`); otherwise try the
     single-halfspace projections, :func:`project_halfspace`'s formula;
     otherwise both boundary hyperplanes are active and the multipliers
     come from the 2x2 Gram system.  Raises :class:`InfeasibleSet` for
@@ -251,10 +258,10 @@ def project_two_halfspaces(x: np.ndarray, first, second) -> np.ndarray:
     (a1, b1), (a2, b2) = first, second
     v1 = float(a1 @ x) - b1
     v2 = float(a2.dot(x)) - b2
-    tol1, tol2 = membership_tol(b1), membership_tol(b2)
+    g11, g22, g12 = float(a1.dot(a1)), float(a2.dot(a2)), float(a1.dot(a2))
+    tol1, tol2 = membership_tol(b1, math.sqrt(g11)), membership_tol(b2, math.sqrt(g22))
     if v1 <= tol1 and v2 <= tol2:
         return x.copy()
-    g11, g22, g12 = float(a1.dot(a1)), float(a2.dot(a2)), float(a1.dot(a2))
     # A single-halfspace candidate x - t a is tested through scalars: the
     # other row's value there is v - t g12, so no candidate array is built
     # unless it is returned.

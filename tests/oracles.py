@@ -196,20 +196,6 @@ def run_json_bytes(report) -> bytes:
         "final_x": [float(v) for v in report.final_x],
         "elapsed_s": report.elapsed_s,
         "stop_reason": report.stop_reason,
-        "trace": [
-            {
-                "n": rec.n,
-                "residual_w": rec.residual_w,
-                "epsilon": rec.epsilon,
-                "dist_to_target": rec.dist_to_target,
-                "alpha": rec.alpha,
-                "x": [float(v) for v in rec.x_next],
-                "y": [float(v) for v in rec.y_next],
-                "z": [float(v) for v in rec.z_next],
-                "w": [float(v) for v in rec.w_next],
-            }
-            for rec in report.trace
-        ],
     }
     return (json.dumps(payload, indent=1) + "\n").encode()
 
@@ -220,9 +206,23 @@ def trace_csv_bytes(report) -> bytes:
     writer = csv.writer(buf)
     dim = len(report.final_x)
     writer.writerow(["n", "residual_w", "epsilon", "dist_to_target", "alpha_n"]
-                    + [f"x{i + 1}" for i in range(dim)])
+                    + [f"{name}{i + 1}" for name in "xyzw" for i in range(dim)])
     for rec in report.trace:
         scalars = (rec.residual_w, rec.epsilon, rec.dist_to_target, rec.alpha)
         writer.writerow([rec.n] + [None if v is None else float(v) for v in scalars]
-                        + [float(v) for v in rec.x_next])
+                        + [float(v) for vec in (rec.x_next, rec.y_next, rec.z_next, rec.w_next) for v in vec])
     return buf.getvalue().encode()
+
+
+def read_trace_csv(path) -> tuple[list[str], dict]:
+    """``(header, columns)`` of a trace CSV read with ``csv`` and ``float``.
+
+    ``columns`` maps each header name to its cells, row by row: ``n`` as
+    ints, every other cell as a float, an empty cell as ``None``.
+    """
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    cells = list(zip(*rows)) or [()] * len(header)
+    columns = {name: [None if c == "" else float(c) for c in col] for name, col in zip(header, cells)}
+    columns["n"] = [int(c) for c in cells[0]]
+    return header, columns

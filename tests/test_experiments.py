@@ -36,7 +36,10 @@ from ephybrid.reporting import (
     trace_to_csv,
     write_report_json,
 )
+from oracles import read_trace_csv
 from pins import TABLE1_ITERATIONS
+
+TRACE_CSV_HEADER_D3 = "n,residual_w,epsilon,dist_to_target,alpha_n,x1,x2,x3,y1,y2,y3,z1,z2,z3,w1,w2,w3"
 
 UNIT_BOX = {"type": "box", "lo": [0.0, 0.0, 0.0], "hi": [1.0, 1.0, 1.0]}
 # example1's feasible set and example2's inner halfspaces, as tagged JSON.
@@ -265,25 +268,24 @@ def test_trace_csv_and_json(tmp_path, table2_runs):
     report = table2_runs[0].report
     csv_path = tmp_path / "trace.csv"
     trace_to_csv(report, csv_path)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "n,residual_w,epsilon,dist_to_target,alpha_n,x1,x2,x3"
-    assert len(lines) == report.iterations + 1
+    header, columns = read_trace_csv(csv_path)
+    assert ",".join(header) == TRACE_CSV_HEADER_D3
+    # A row holds the step's scalars and arrays and reads back bit for bit.
+    assert columns["n"] == [rec.n for rec in report.trace]
+    for key, name in (("residual_w", "residual_w"), ("epsilon", "epsilon"),
+                      ("dist_to_target", "dist_to_target"), ("alpha_n", "alpha")):
+        assert columns[key] == [getattr(rec, name) for rec in report.trace], key
+    for key, name in (("x", "x_next"), ("y", "y_next"), ("z", "z_next"), ("w", "w_next")):
+        read = np.array([columns[f"{key}{i}"] for i in (1, 2, 3)]).T
+        assert read.tobytes() == np.array([getattr(rec, name) for rec in report.trace]).tobytes(), key
     json_path = tmp_path / "run.json"
     write_report_json(report, json_path)
     payload = json.loads(json_path.read_text())
-    assert payload["iterations"] == report.iterations
+    # The run JSON is the run's summary alone; its trace is the CSV.
+    assert list(payload) == ["iterations", "final_x", "elapsed_s", "stop_reason"]
+    assert payload["iterations"] == report.iterations == len(columns["n"])
     assert payload["stop_reason"] == "DistanceToKnown"
-    assert len(payload["trace"]) == report.iterations
-    # A record holds the step's arrays and scalars only, and reads back bit for bit.
-    for rec, item in zip(report.trace, payload["trace"]):
-        assert set(item) == {
-            "n", "residual_w", "epsilon", "dist_to_target", "alpha", "x", "y", "z", "w"
-        }
-        for key, values in (("x", rec.x_next), ("y", rec.y_next), ("z", rec.z_next), ("w", rec.w_next)):
-            assert np.array(item[key]).tobytes() == values.tobytes()
-        assert (item["n"], item["residual_w"], item["epsilon"], item["dist_to_target"], item["alpha"]) == (
-            rec.n, rec.residual_w, rec.epsilon, rec.dist_to_target, rec.alpha
-        )
+    assert np.array(payload["final_x"]).tobytes() == report.final_x.tobytes()
 
 
 def test_traces_are_deterministic(tmp_path, table1_runs):
@@ -492,8 +494,18 @@ def test_cli_reproduce_table2(tmp_path, capsys):
     assert "clamped" in captured.err  # invlog schedule warning
     assert (out_dir / "table2.csv").exists()
     assert (out_dir / "table2.json").exists()
-    assert len(list(out_dir.glob("table2_trace_*.csv"))) == 12
+    traces = sorted(out_dir.glob("table2_trace_*.csv"))
+    assert [p.name for p in traces] == [f"table2_trace_{i:02d}.csv" for i in range(12)]
     assert len(list(out_dir.glob("table2_trace_*.json"))) == 12
+    # One trace CSV and one summary JSON per run; the CSV's last x is the run's final_x.
+    for csv_path in traces:
+        header, columns = read_trace_csv(csv_path)
+        assert ",".join(header) == TRACE_CSV_HEADER_D3
+        summary = json.loads(csv_path.with_suffix(".json").read_text())
+        assert list(summary) == ["iterations", "final_x", "elapsed_s", "stop_reason"]
+        assert summary["iterations"] == len(columns["n"])
+        last_x = np.array([columns[f"x{i}"][-1] for i in (1, 2, 3)])
+        assert last_x.tobytes() == np.array(summary["final_x"]).tobytes(), csv_path.name
     # An output path that is an existing file is an error line and exit 2.
     assert cli.main(["reproduce", "table2", "--out", str(out_dir / "table2.csv")]) == 2
     err = capsys.readouterr().err
@@ -511,7 +523,7 @@ def test_cli_solve_config(tmp_path, capsys):
     assert cli.main(["solve", "--config", str(path)]) == 0
     assert csv_out.exists() and json_out.exists()
     assert len(list(trace_dir.glob("trace_*.csv"))) == 1
-    assert len(list(trace_dir.glob("trace_*.json"))) == 1  # full run report per trace
+    assert len(list(trace_dir.glob("trace_*.json"))) == 1  # the run's summary per trace
 
 
 INLINE_BOX_PROBLEM = {
@@ -864,10 +876,10 @@ def test_format_point_precision():
 
 
 def test_trace_writers_hand_the_file_one_string_per_block(table1_runs, tmp_path, monkeypatch):
-    """Each trace writer formats a block of records in one call and writes it as one string.
+    """The trace CSV writer formats a block of rows in one call and writes it as one string.
 
-    On table1's cell (1, 3, 1) the file is handed the header, one string per
-    block and, for the run JSON, the closing text: at most blocks + 2.
+    On table1's cell (1, 3, 1) the CSV is handed the header and one string
+    per block, blocks + 1 in all; the run JSON, the run's summary, is one string.
     """
     from ephybrid import hybrid, reporting
 
@@ -901,7 +913,7 @@ def test_trace_writers_hand_the_file_one_string_per_block(table1_runs, tmp_path,
         return opened[-1]
 
     monkeypatch.setattr(reporting, "open", counting_open, raising=False)
-    for writer, name in ((trace_to_csv, "trace.csv"), (write_report_json, "run.json")):
+    for writer, name, strings in ((trace_to_csv, "trace.csv", blocks + 1), (write_report_json, "run.json", 1)):
         writer(run.report, tmp_path / name)
         assert "".join(opened[-1].strings).encode() == (tmp_path / name).read_bytes(), name
-        assert len(opened[-1].strings) <= blocks + 2, (name, len(opened[-1].strings))
+        assert len(opened[-1].strings) == strings, (name, len(opened[-1].strings))

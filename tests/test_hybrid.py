@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ephybrid.experiments import (
+    TABLE1,
     config_from_dict,
     default_lambda,
     run_grid,
@@ -61,6 +62,20 @@ def fresh_state(x0, dim=None):
     x0 = np.asarray(x0, dtype=float)
     z = np.zeros(dim or x0.shape[0])
     return SolverState(1, x0.copy(), z.copy(), x0.copy(), 0.0, 0.0)
+
+
+def test_example1_runs_past_the_accuracy_floor_of_a_raw_membership_band():
+    # With a band of 1e-10 in the contraction cut's raw units, every table1
+    # start froze near a residual of 1e-5 (x_n counted as inside a cut that
+    # excluded it) and ended in MaxIter; the band in the row's units lets each
+    # keep moving.  Measured: 20,305 and 26,923 iterations; the third start is
+    # the method's slow tail, still moving at the cap.
+    config = config_from_dict({**TABLE1, "stopping": {"rule": "residual_w", "tol": 1e-6, "max_iter": 30000}})
+    runs = run_grid(config)
+    assert [run.start.tolist() for run in runs] == [[1.0, 3.0, 1.0], [-3.0, 4.0, 1.0], [3.0, -2.0, 1.0]]
+    assert [run.report.stop_reason for run in runs[:2]] == ["ResidualW", "ResidualW"]
+    last = runs[2].report.trace.x[-10:]
+    assert any(a.tobytes() != b.tobytes() for a, b in zip(last, last[1:]))
 
 
 def test_validate_params_benchmark_settings(example1):

@@ -70,6 +70,17 @@ def test_contains_halfspace_tolerance_band():
     assert not h.contains([1e-11, 0.0, 0.0], tol=1e-12)
 
 
+def test_contains_default_band_is_in_the_row_units():
+    # 5e-5 outside in distance: a raw band of 1e-10 would be 1e-4 wide in
+    # distance for a normal of length 1e-6.
+    assert not Halfspace([1e-6, 0.0, 0.0], 0.0).contains([5e-5, 0.0, 0.0])
+    # The band is 1e-10 in distance whatever the normal's length.
+    for scale in (1e-6, 1.0, 1e6):
+        h = Halfspace([scale, 0.0, 0.0], 0.0)
+        assert h.contains([5e-11, 0.0, 0.0]) and not h.contains([2e-10, 0.0, 0.0]), scale
+    assert SIMPLEX_CAP.contains([1.0 + 5e-11, 0.0, 0.0]) and not SIMPLEX_CAP.contains([1.0 + 2e-10, 0.0, 0.0])
+
+
 def test_contains_cap_polyhedron():
     assert not SIMPLEX_CAP.contains([0.2, 0.2, 0.2], tol=0.0)  # coordinate sum below one
     assert SIMPLEX_CAP.contains([1.0, 0.0, 0.0], tol=0.0)
@@ -204,6 +215,21 @@ def test_two_halfspaces_check_the_point_at_the_boundary():
         pair.project([1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="finite"):
         pair.project([np.nan, 1.0])
+
+
+def test_two_halfspaces_band_is_in_the_row_units():
+    # A contraction cut near convergence: its normal 2(x_n - w) is short, and
+    # x violates it by 9.76e-11 in raw units, 4.9e-6 in distance.  A raw band
+    # of 1e-10 took x as inside and returned it, which froze the run.
+    a1, b1 = np.array([1.98e-5, 0.0, 0.0]), -9.76e-11
+    a2, b2 = np.array([0.0, 1.0, 0.0]), 1.0
+    x = np.zeros(3)
+    got = project_two_halfspaces(x, (a1, b1), (a2, b2))
+    assert np.allclose(got, [b1 / a1[0], 0.0, 0.0], rtol=1e-12, atol=0.0)
+    assert np.allclose(project_two_halfspaces(x, (a2, b2), (a1, b1)), got, rtol=1e-12, atol=0.0)
+    # Inside the band, 1e-10 in distance, x is returned as it is.
+    inside = (a1, -0.5e-10 * a1[0])
+    assert np.array_equal(project_two_halfspaces(x, inside, (a2, b2)), x)
 
 
 def test_halfspace_projection_is_the_row_kernel():

@@ -6,12 +6,13 @@ The cases are the table1 grid plus its extragradient cross-check, the 12
 cells of the table2 grid, and the nc64 game (``bench/workloads.py``) at seeds
 1, 2, 3 and 907.  A digest covers, per iteration, ``n``, ``y``, ``z``, ``w``
 and ``x_next``, ``epsilon``, the residual, the distance to the target and
-``alpha``, then the run's ``final_x`` and ``stop_reason``: the values of every
-field of the run JSON (``reporting.write_report_json``) but ``elapsed_s``.
+``alpha``, then the run's ``final_x`` and ``stop_reason``: every value of the
+trace CSV (``reporting.trace_to_csv``) and of the run JSON
+(``reporting.write_report_json``) but ``elapsed_s``.
 It hashes the trace's columns (``hybrid.Trace``), a ``None`` scalar as its
 mask byte and NaN, not the bytes of any written file; the
 byte tests in ``tests/test_reporting.py`` pin the files' layout against
-``json`` and ``csv``.  Two checkouts whose outputs are equal ran every case
+``csv`` and ``json``.  Two checkouts whose outputs are equal ran every case
 bit for bit the same; run it in each and diff.  The package is imported from the ``src`` directory of the
 checkout that holds this file, as ``bench/run.py`` does.
 """
